@@ -24,7 +24,9 @@ use ipdb_bench::{
     random_ctable, skewed_instance, ENGINE_PRODUCT_HEAVY as PRODUCT_HEAVY,
     ENGINE_PRODUCT_HEAVY_PUSHED as PRODUCT_HEAVY_PUSHED,
 };
-use ipdb_engine::{Backend, Engine};
+use ipdb_engine::{Backend, Catalog, Engine};
+use ipdb_rel::Instance;
+use ipdb_tables::CTable;
 
 fn bench_instances(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_instance");
@@ -35,25 +37,22 @@ fn bench_instances(c: &mut Criterion) {
     let stmt = Engine::new()
         .prepare_text(PRODUCT_HEAVY, 2)
         .expect("well-typed");
-    let pushed_stmt = Engine { optimize: false }
+    let pushed_stmt = Engine::new()
         .prepare_text(PRODUCT_HEAVY_PUSHED, 2)
         .expect("well-typed");
     let naive = stmt.naive_query();
-    let pushed = pushed_stmt.query();
+    let pushed = pushed_stmt.naive_query();
     let join = stmt.query();
     for rows in [16usize, 64, 256] {
-        let i = skewed_instance(rows);
-        assert_eq!(i.run(naive).unwrap(), i.run(join).unwrap());
-        assert_eq!(i.run(pushed).unwrap(), i.run(join).unwrap());
-        group.bench_with_input(BenchmarkId::new("naive", rows), &i, |b, i| {
-            b.iter(|| i.run(naive).unwrap())
+        let i: Catalog<Instance> = [("V", skewed_instance(rows))].into_iter().collect();
+        let run = |q| Instance::run_catalog(&i, q).unwrap();
+        assert_eq!(run(naive), run(join));
+        assert_eq!(run(pushed), run(join));
+        group.bench_function(BenchmarkId::new("naive", rows), |b| b.iter(|| run(naive)));
+        group.bench_function(BenchmarkId::new("pushdown", rows), |b| {
+            b.iter(|| run(pushed))
         });
-        group.bench_with_input(BenchmarkId::new("pushdown", rows), &i, |b, i| {
-            b.iter(|| i.run(pushed).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("join", rows), &i, |b, i| {
-            b.iter(|| i.run(join).unwrap())
-        });
+        group.bench_function(BenchmarkId::new("join", rows), |b| b.iter(|| run(join)));
     }
     group.finish();
 }
@@ -70,12 +69,14 @@ fn bench_ctables(c: &mut Criterion) {
     let naive = stmt.naive_query();
     let optimized = stmt.query();
     for rows in [4usize, 16, 64] {
-        let t = random_ctable(rows, 2, 6, 4, 0xE9 + rows as u64);
-        group.bench_with_input(BenchmarkId::new("naive", rows), &t, |b, t| {
-            b.iter(|| t.run(naive).unwrap())
+        let t: Catalog<CTable> = [("V", random_ctable(rows, 2, 6, 4, 0xE9 + rows as u64))]
+            .into_iter()
+            .collect();
+        group.bench_function(BenchmarkId::new("naive", rows), |b| {
+            b.iter(|| CTable::run_catalog(&t, naive).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("join", rows), &t, |b, t| {
-            b.iter(|| t.run(optimized).unwrap())
+        group.bench_function(BenchmarkId::new("join", rows), |b| {
+            b.iter(|| CTable::run_catalog(&t, optimized).unwrap())
         });
     }
     group.finish();

@@ -35,6 +35,7 @@ use ipdb_engine::{
     Backend, Catalog, Engine, ExecConfig, PlanCache, Request, Server, ServerConfig, SnapshotCatalog,
 };
 use ipdb_rel::Instance;
+use ipdb_tables::CTable;
 
 /// Median-of-runs wall-clock timer with quick-mode caps: 2 warmup runs,
 /// then up to `max_iters` timed runs or ~250 ms, whichever first.
@@ -58,17 +59,17 @@ fn main() {
     let stmt = Engine::new()
         .prepare_text(PRODUCT_HEAVY, 2)
         .expect("well-typed");
-    let pushed_stmt = Engine { optimize: false }
+    let pushed_stmt = Engine::new()
         .prepare_text(PRODUCT_HEAVY_PUSHED, 2)
         .expect("well-typed");
     let naive = stmt.naive_query();
-    let pushed = pushed_stmt.query();
+    let pushed = pushed_stmt.naive_query();
     let join = stmt.query();
 
     // Plan-quality series: naive σ(×) vs pushdown vs hash join, all
     // three pinned to the row-at-a-time evaluator so the ratios keep
     // measuring the *plans* (the columnar/morsel executor behind
-    // `Instance::run` has its own scaling series below, and it
+    // `Backend::execute` has its own scaling series below, and it
     // compresses these gaps by vectorizing the naive walk too).
     let i = skewed_instance(256);
     assert_eq!(naive.eval(&i).unwrap(), join.eval(&i).unwrap());
@@ -83,12 +84,14 @@ fn main() {
         join.eval(&i).unwrap();
     });
 
-    let t = random_ctable(64, 2, 6, 4, 0xE9 + 64);
+    let t: Catalog<CTable> = [("V", random_ctable(64, 2, 6, 4, 0xE9 + 64))]
+        .into_iter()
+        .collect();
     let ct_naive = time_ns(|| {
-        t.run(naive).unwrap();
+        CTable::run_catalog(&t, naive).unwrap();
     });
     let ct_join = time_ns(|| {
-        t.run(join).unwrap();
+        CTable::run_catalog(&t, join).unwrap();
     });
 
     // Pc-table probability series: the answer distribution of the smoke
@@ -290,7 +293,7 @@ fn main() {
     // per-operator exclusive times that sum back to the root's
     // inclusive time, all inside the measured wall-clock total.
     let (analyzed_out, par_report) = par_stmt
-        .execute_catalog_analyzed_with(&par_cat, &cfg_off)
+        .execute_catalog_analyzed(&par_cat, &cfg_off)
         .unwrap();
     assert_eq!(analyzed_out, row_result, "analyzed run must match plain");
     assert_eq!(par_report.root.rows_out, (PAR_BUILD - 3) as u64);

@@ -12,9 +12,11 @@
 //!   with the variable distributions carried along (and the same
 //!   condition simplification applied).
 //!
-//! [`Catalog`] generalizes the input side to the §2 footnote's
-//! "arbitrary relational schemas": a `name → relation` map, executed by
-//! [`Backend::run_catalog`]. The reserved names `V`/`W` make the
+//! Each backend has exactly one evaluator, [`Backend::execute`], which
+//! reads its leaves from a [`Source`] and reports each operator to a
+//! [`TraceSink`]. [`Catalog`] generalizes the input side to the §2
+//! footnote's "arbitrary relational schemas": a `name → relation` map
+//! ([`Backend::run_catalog`] runs one). The reserved names `V`/`W` make the
 //! classic one- and two-relation contexts ordinary catalogs, and a
 //! pc-table catalog shares **one variable namespace** across all of its
 //! relations — a variable appearing in two relations is the *same*
@@ -38,7 +40,7 @@ use ipdb_tables::{CTable, TableError};
 
 use crate::error::EngineError;
 use crate::morsel::ExecConfig;
-use crate::report::{query_label, OpReport};
+use crate::report::{NoTrace, TraceSink};
 
 /// A named collection of relations of one backend type — the execution
 /// input for queries over a multi-relation [`Schema`].
@@ -111,12 +113,6 @@ impl<B> Catalog<B> {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.rels.keys().map(String::as_str)
     }
-
-    /// The underlying name → relation map (crate-internal: executors
-    /// borrow it wholesale instead of going through `get` per name).
-    pub(crate) fn rels(&self) -> &BTreeMap<String, Arc<B>> {
-        &self.rels
-    }
 }
 
 /// Cloning shares every relation (an `Arc` bump per entry, no relation
@@ -156,17 +152,43 @@ impl<B: Backend> Catalog<B> {
     }
 }
 
-/// The lookup error for a name a catalog (or single-table context) does
-/// not bind, lifted into the table layer (one shared rule —
-/// [`RelError::missing_relation`]).
-fn missing_rel(name: &str) -> TableError {
-    TableError::Rel(RelError::missing_relation(name))
+/// Where an executor's relation leaves resolve: either a single input
+/// bound to `V`, or a named [`Catalog`]. Both borrow, so running a
+/// single input never copies it into a catalog.
+#[derive(Debug)]
+pub enum Source<'a, B> {
+    /// One relation, bound to the reserved input name `V`.
+    Input(&'a B),
+    /// A named catalog (`Input`/`Second` resolve as `V`/`W`).
+    Catalog(&'a Catalog<B>),
+}
+
+impl<B> Clone for Source<'_, B> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<B> Copy for Source<'_, B> {}
+
+impl<'a, B> Source<'a, B> {
+    /// The relation bound to `name` ([`RelError::missing_relation`]
+    /// otherwise — one shared rule for both shapes).
+    pub fn get(self, name: &str) -> Result<&'a B, RelError> {
+        let found = match self {
+            Source::Input(b) => (name == Schema::INPUT).then_some(b),
+            Source::Catalog(cat) => cat.get(name),
+        };
+        found.ok_or_else(|| RelError::missing_relation(name))
+    }
 }
 
 /// The engine's c-table executor: the same `q̄` operators as
 /// [`CTable::eval_query`], but resolving relation leaves through a
 /// name-lookup context and passing every intermediate result through
-/// [`CTable::simplified`] + [`CTable::without_false_rows`].
+/// [`CTable::simplified`] + [`CTable::without_false_rows`]. Each
+/// operator reports to `sink`, including how many rows pruning removed
+/// (rows whose composed condition folded to `false`).
 ///
 /// Pruning between operators is sound — a row whose condition folds to
 /// `false` contributes to no possible world, so `ν(T)` is unchanged for
@@ -181,29 +203,37 @@ fn missing_rel(name: &str) -> TableError {
 /// deep-clones it per request; only operator outputs are owned. The
 /// sole remaining copy is the top-level `into_owned` a caller pays when
 /// the *whole* query is a bare leaf.
-fn eval_ctable_pruned<'a, F>(lookup: &F, q: &Query) -> Result<Cow<'a, CTable>, TableError>
+fn eval_ctable<'a, F, S>(lookup: &F, q: &Query, sink: &mut S) -> Result<Cow<'a, CTable>, TableError>
 where
-    F: Fn(&str) -> Result<&'a CTable, TableError>,
+    F: Fn(&str) -> Result<&'a CTable, RelError>,
+    S: TraceSink,
 {
-    let prune = |x: CTable| Cow::Owned(x.simplified().without_false_rows());
-    Ok(match q {
+    fn prune<'a>(raw: CTable) -> (Cow<'a, CTable>, u64) {
+        let before = raw.rows().len();
+        let out = raw.simplified().without_false_rows();
+        let pruned = (before - out.rows().len()) as u64;
+        (Cow::Owned(out), pruned)
+    }
+    let mark = sink.enter();
+    let (out, rows_pruned) = match q {
         // Leaves carry no freshly-composed conditions, so pruning them
         // would only re-simplify the (possibly shared) input once per
         // occurrence; operators below prune their own outputs.
-        Query::Input => Cow::Borrowed(lookup(Schema::INPUT)?),
-        Query::Second => Cow::Borrowed(lookup(Schema::SECOND)?),
-        Query::Rel(name) => Cow::Borrowed(lookup(name)?),
+        Query::Input => (Cow::Borrowed(lookup(Schema::INPUT)?), 0),
+        Query::Second => (Cow::Borrowed(lookup(Schema::SECOND)?), 0),
+        Query::Rel(name) => (Cow::Borrowed(lookup(name)?), 0),
         // A literal is a ground subtable; it carries no variables, so
         // domain declarations merge in from the other operands.
-        Query::Lit(i) => Cow::Owned(CTable::from_instance(i)),
-        Query::Project(cols, q) => prune(eval_ctable_pruned(lookup, q)?.project_bar(cols)?),
+        Query::Lit(i) => (Cow::Owned(CTable::from_instance(i)), 0),
+        Query::Project(cols, q) => prune(eval_ctable(lookup, q, sink)?.project_bar(cols)?),
         // Vectorized when every referenced column is ground (falls back
         // to the term-at-a-time path otherwise); `prune` makes the two
         // paths byte-identical (see `select_bar_vectorized`).
-        Query::Select(p, q) => prune(eval_ctable_pruned(lookup, q)?.select_bar_vectorized(p)?),
-        Query::Product(a, b) => prune(
-            eval_ctable_pruned(lookup, a)?.product_bar(eval_ctable_pruned(lookup, b)?.as_ref())?,
-        ),
+        Query::Select(p, q) => prune(eval_ctable(lookup, q, sink)?.select_bar_vectorized(p)?),
+        Query::Product(a, b) => {
+            let a = eval_ctable(lookup, a, sink)?;
+            prune(a.product_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
+        }
         // The hash path of `join_bar` already skips ground-key pairs
         // whose conditions would fold to `false`; pruning still re-folds
         // the fallback pairs' composed conditions.
@@ -212,117 +242,40 @@ where
             residual,
             left,
             right,
-        } => prune(eval_ctable_pruned(lookup, left)?.join_bar(
-            eval_ctable_pruned(lookup, right)?.as_ref(),
-            on,
-            residual.as_ref(),
-        )?),
-        Query::Union(a, b) => prune(
-            eval_ctable_pruned(lookup, a)?.union_bar(eval_ctable_pruned(lookup, b)?.as_ref())?,
-        ),
-        Query::Diff(a, b) => {
-            prune(eval_ctable_pruned(lookup, a)?.diff_bar(eval_ctable_pruned(lookup, b)?.as_ref())?)
-        }
-        Query::Intersect(a, b) => prune(
-            eval_ctable_pruned(lookup, a)?
-                .intersect_bar(eval_ctable_pruned(lookup, b)?.as_ref())?,
-        ),
-    })
-}
-
-/// [`eval_ctable_pruned`] with per-operator tracing: same operators,
-/// same pruning, same errors, but every node reports cardinalities,
-/// **how many rows pruning removed** (rows whose composed condition
-/// folded to `false` — the observable payoff of the pruning executor),
-/// and inclusive wall-clock time. Pruned-row totals also feed the
-/// global `prune.rows` counter when metrics are enabled.
-fn eval_ctable_traced<'a, F>(
-    lookup: &F,
-    q: &Query,
-) -> Result<(Cow<'a, CTable>, OpReport), TableError>
-where
-    F: Fn(&str) -> Result<&'a CTable, TableError>,
-{
-    let t0 = std::time::Instant::now();
-    // `prune` additionally counts the rows it removed.
-    let prune = |raw: CTable| -> (Cow<'a, CTable>, u64) {
-        let before = raw.rows().len();
-        let out = raw.simplified().without_false_rows();
-        let pruned = (before - out.rows().len()) as u64;
-        if pruned > 0 && ipdb_obs::enabled() {
-            ipdb_obs::add("prune.rows", pruned);
-        }
-        (Cow::Owned(out), pruned)
-    };
-    let ((out, rows_pruned), children) = match q {
-        // Leaves borrow, exactly as in `eval_ctable_pruned`.
-        Query::Input => ((Cow::Borrowed(lookup(Schema::INPUT)?), 0), Vec::new()),
-        Query::Second => ((Cow::Borrowed(lookup(Schema::SECOND)?), 0), Vec::new()),
-        Query::Rel(name) => ((Cow::Borrowed(lookup(name)?), 0), Vec::new()),
-        Query::Lit(i) => ((Cow::Owned(CTable::from_instance(i)), 0), Vec::new()),
-        Query::Project(cols, q) => {
-            let (c, r) = eval_ctable_traced(lookup, q)?;
-            (prune(c.project_bar(cols)?), vec![r])
-        }
-        Query::Select(p, q) => {
-            let (c, r) = eval_ctable_traced(lookup, q)?;
-            (prune(c.select_bar_vectorized(p)?), vec![r])
-        }
-        Query::Product(a, b) => {
-            let (ca, ra) = eval_ctable_traced(lookup, a)?;
-            let (cb, rb) = eval_ctable_traced(lookup, b)?;
-            (prune(ca.product_bar(cb.as_ref())?), vec![ra, rb])
-        }
-        Query::Join {
-            on,
-            residual,
-            left,
-            right,
         } => {
-            let (cl, rl) = eval_ctable_traced(lookup, left)?;
-            let (cr, rr) = eval_ctable_traced(lookup, right)?;
-            (
-                prune(cl.join_bar(cr.as_ref(), on, residual.as_ref())?),
-                vec![rl, rr],
-            )
+            let l = eval_ctable(lookup, left, sink)?;
+            prune(l.join_bar(
+                eval_ctable(lookup, right, sink)?.as_ref(),
+                on,
+                residual.as_ref(),
+            )?)
         }
         Query::Union(a, b) => {
-            let (ca, ra) = eval_ctable_traced(lookup, a)?;
-            let (cb, rb) = eval_ctable_traced(lookup, b)?;
-            (prune(ca.union_bar(cb.as_ref())?), vec![ra, rb])
+            let a = eval_ctable(lookup, a, sink)?;
+            prune(a.union_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
         }
         Query::Diff(a, b) => {
-            let (ca, ra) = eval_ctable_traced(lookup, a)?;
-            let (cb, rb) = eval_ctable_traced(lookup, b)?;
-            (prune(ca.diff_bar(cb.as_ref())?), vec![ra, rb])
+            let a = eval_ctable(lookup, a, sink)?;
+            prune(a.diff_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
         }
         Query::Intersect(a, b) => {
-            let (ca, ra) = eval_ctable_traced(lookup, a)?;
-            let (cb, rb) = eval_ctable_traced(lookup, b)?;
-            (prune(ca.intersect_bar(cb.as_ref())?), vec![ra, rb])
+            let a = eval_ctable(lookup, a, sink)?;
+            prune(a.intersect_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
         }
     };
-    let rows_out = out.rows().len() as u64;
-    let rows_in = if children.is_empty() {
-        rows_out
-    } else {
-        children.iter().map(|c| c.rows_out).sum()
-    };
-    let report = OpReport {
-        label: query_label(q),
-        arity: out.arity(),
-        rows_in,
-        rows_out,
+    sink.exit(
+        mark,
+        q,
+        out.arity(),
+        out.rows().len() as u64,
         rows_pruned,
-        ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        build_left: None,
-        children,
-    };
-    Ok((out, report))
+        None,
+    );
+    Ok(out)
 }
 
 /// An input relation a planned query can execute against.
-pub trait Backend {
+pub trait Backend: Sized {
     /// The result type (each semantics is closed: instances produce
     /// instances, c-tables produce c-tables, pc-tables produce
     /// pc-tables).
@@ -336,44 +289,27 @@ pub trait Backend {
     /// input arity before execution).
     fn input_arity(&self) -> usize;
 
-    /// Runs a (already planned/optimized) query against this input.
-    fn run(&self, q: &Query) -> Result<Self::Output, EngineError>;
-
-    /// Runs a planned query against a named catalog of this backend
-    /// type (`Input`/`Second` resolve as the reserved names `V`/`W`).
-    fn run_catalog(cat: &Catalog<Self>, q: &Query) -> Result<Self::Output, EngineError>
-    where
-        Self: Sized;
-
-    /// [`Backend::run_catalog`] with an explicit [`ExecConfig`].
-    /// Backends without a parallel executor ignore the config (their
-    /// catalog path is single-threaded already); the [`Instance`]
-    /// backend routes it into the morsel executor instead of spawning
-    /// a fresh default-sized pool per query — what a serving layer
-    /// wants, where parallelism comes from concurrent requests.
-    fn run_catalog_with(
-        cat: &Catalog<Self>,
+    /// Runs a planned query against `src`, reporting every operator to
+    /// `sink` ([`crate::report::NoTrace`] for plain execution). Backends
+    /// without a parallel executor ignore `cfg`; the [`Instance`]
+    /// backend routes it into the morsel executor.
+    fn execute<S: TraceSink>(
+        src: Source<'_, Self>,
         q: &Query,
         cfg: &ExecConfig,
-    ) -> Result<Self::Output, EngineError>
-    where
-        Self: Sized,
-    {
-        let _ = cfg;
-        Self::run_catalog(cat, q)
+        sink: &mut S,
+    ) -> Result<Self::Output, EngineError>;
+
+    /// Runs a planned query against a named catalog with the
+    /// environment's [`ExecConfig`] and no tracing.
+    fn run_catalog(cat: &Catalog<Self>, q: &Query) -> Result<Self::Output, EngineError> {
+        Self::execute(
+            Source::Catalog(cat),
+            q,
+            &ExecConfig::from_env(),
+            &mut NoTrace,
+        )
     }
-
-    /// [`Backend::run`] with per-operator tracing: the identical output
-    /// plus an [`OpReport`] tree recording what each operator did.
-    fn run_analyzed(&self, q: &Query) -> Result<(Self::Output, OpReport), EngineError>;
-
-    /// [`Backend::run_catalog`] with per-operator tracing.
-    fn run_catalog_analyzed(
-        cat: &Catalog<Self>,
-        q: &Query,
-    ) -> Result<(Self::Output, OpReport), EngineError>
-    where
-        Self: Sized;
 }
 
 impl Backend for Instance {
@@ -385,33 +321,15 @@ impl Backend for Instance {
         self.arity()
     }
 
-    fn run(&self, q: &Query) -> Result<Instance, EngineError> {
-        // Columnar, morsel-parallel executor; bit-identical to
-        // `q.eval(self)` at every thread count (see [`crate::morsel`]).
-        crate::morsel::run_instance(self, q, &ExecConfig::from_env())
-    }
-
-    fn run_catalog(cat: &Catalog<Instance>, q: &Query) -> Result<Instance, EngineError> {
-        crate::morsel::run_instance_map(&cat.rels, q, &ExecConfig::from_env())
-    }
-
-    fn run_catalog_with(
-        cat: &Catalog<Instance>,
+    fn execute<S: TraceSink>(
+        src: Source<'_, Instance>,
         q: &Query,
         cfg: &ExecConfig,
+        sink: &mut S,
     ) -> Result<Instance, EngineError> {
-        crate::morsel::run_instance_map(&cat.rels, q, cfg)
-    }
-
-    fn run_analyzed(&self, q: &Query) -> Result<(Instance, OpReport), EngineError> {
-        crate::morsel::run_instance_traced(self, q, &ExecConfig::from_env())
-    }
-
-    fn run_catalog_analyzed(
-        cat: &Catalog<Instance>,
-        q: &Query,
-    ) -> Result<(Instance, OpReport), EngineError> {
-        crate::morsel::run_instance_map_traced(&cat.rels, q, &ExecConfig::from_env())
+        // Columnar, morsel-parallel executor; bit-identical to
+        // `Query::eval` at every thread count (see [`crate::morsel`]).
+        crate::morsel::execute(src, q, cfg, sink)
     }
 }
 
@@ -424,45 +342,13 @@ impl Backend for CTable {
         self.arity()
     }
 
-    fn run(&self, q: &Query) -> Result<CTable, EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            if name == Schema::INPUT {
-                Ok(self)
-            } else {
-                Err(missing_rel(name))
-            }
-        };
-        Ok(eval_ctable_pruned(&lookup, q)?.into_owned())
-    }
-
-    fn run_catalog(cat: &Catalog<CTable>, q: &Query) -> Result<CTable, EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            cat.get(name).ok_or_else(|| missing_rel(name))
-        };
-        Ok(eval_ctable_pruned(&lookup, q)?.into_owned())
-    }
-
-    fn run_analyzed(&self, q: &Query) -> Result<(CTable, OpReport), EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            if name == Schema::INPUT {
-                Ok(self)
-            } else {
-                Err(missing_rel(name))
-            }
-        };
-        let (out, report) = eval_ctable_traced(&lookup, q)?;
-        Ok((out.into_owned(), report))
-    }
-
-    fn run_catalog_analyzed(
-        cat: &Catalog<CTable>,
+    fn execute<S: TraceSink>(
+        src: Source<'_, CTable>,
         q: &Query,
-    ) -> Result<(CTable, OpReport), EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            cat.get(name).ok_or_else(|| missing_rel(name))
-        };
-        let (out, report) = eval_ctable_traced(&lookup, q)?;
-        Ok((out.into_owned(), report))
+        _: &ExecConfig,
+        sink: &mut S,
+    ) -> Result<CTable, EngineError> {
+        Ok(eval_ctable(&|name| src.get(name), q, sink)?.into_owned())
     }
 }
 
@@ -475,76 +361,51 @@ impl<W: Weight> Backend for PcTable<W> {
         self.arity()
     }
 
-    fn run(&self, q: &Query) -> Result<PcTable<W>, EngineError> {
-        // Theorem 9 closure via the pruning executor; dropping a
-        // distribution whose variable vanished marginalizes it, which is
-        // exactly the image-space semantics (see `PcTable::eval_query`).
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            if name == Schema::INPUT {
-                Ok(self.table())
-            } else {
-                Err(missing_rel(name))
-            }
-        };
-        let qt = eval_ctable_pruned(&lookup, q)?;
-        let dists = self.dists_restricted(&qt.vars());
-        Ok(PcTable::new(qt.into_owned(), dists)?)
-    }
-
-    fn run_catalog(cat: &Catalog<PcTable<W>>, q: &Query) -> Result<PcTable<W>, EngineError> {
-        // All pc-relations live in one variable namespace: run the
-        // c-table closure over the catalog of underlying tables, then
-        // attach the union of the per-relation distributions
-        // (conflict-checked across *all* shared variables, cloned only
-        // for the survivors), marginalizing out the variables the
-        // answer no longer mentions.
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            cat.get(name)
-                .map(PcTable::table)
-                .ok_or_else(|| missing_rel(name))
-        };
-        let qt = eval_ctable_pruned(&lookup, q)?;
-        let dists =
-            PcTable::merged_dists_restricted(cat.rels.values().map(Arc::as_ref), &qt.vars())?;
-        Ok(PcTable::new(qt.into_owned(), dists)?)
-    }
-
-    fn run_analyzed(&self, q: &Query) -> Result<(PcTable<W>, OpReport), EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            if name == Schema::INPUT {
-                Ok(self.table())
-            } else {
-                Err(missing_rel(name))
-            }
-        };
-        let (qt, report) = eval_ctable_traced(&lookup, q)?;
-        let dists = self.dists_restricted(&qt.vars());
-        Ok((PcTable::new(qt.into_owned(), dists)?, report))
-    }
-
-    fn run_catalog_analyzed(
-        cat: &Catalog<PcTable<W>>,
+    fn execute<S: TraceSink>(
+        src: Source<'_, PcTable<W>>,
         q: &Query,
-    ) -> Result<(PcTable<W>, OpReport), EngineError> {
-        let lookup = |name: &str| -> Result<&CTable, TableError> {
-            cat.get(name)
-                .map(PcTable::table)
-                .ok_or_else(|| missing_rel(name))
+        _: &ExecConfig,
+        sink: &mut S,
+    ) -> Result<PcTable<W>, EngineError> {
+        // Theorem 9 closure via the pruning executor. All pc-relations
+        // of a catalog live in one variable namespace: attach the union
+        // of their distributions (conflict-checked across *all* shared
+        // variables, cloned only for the survivors). Dropping the
+        // variables the answer no longer mentions marginalizes them,
+        // which is exactly the image-space semantics (see
+        // `PcTable::eval_query`).
+        let qt = eval_ctable(&|name| src.get(name).map(PcTable::table), q, sink)?;
+        let dists = match src {
+            Source::Input(pc) => pc.dists_restricted(&qt.vars()),
+            Source::Catalog(cat) => {
+                PcTable::merged_dists_restricted(cat.rels.values().map(Arc::as_ref), &qt.vars())?
+            }
         };
-        let (qt, report) = eval_ctable_traced(&lookup, q)?;
-        let dists =
-            PcTable::merged_dists_restricted(cat.rels.values().map(Arc::as_ref), &qt.vars())?;
-        Ok((PcTable::new(qt.into_owned(), dists)?, report))
+        Ok(PcTable::new(qt.into_owned(), dists)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{OpReport, ReportSink};
     use ipdb_logic::{Condition, Valuation, VarGen};
     use ipdb_prob::{rat, FiniteSpace, ProbError, Rat};
     use ipdb_rel::{instance, tuple, Pred, Value};
     use ipdb_tables::{t_const, t_var};
+
+    fn run<B: Backend>(b: &B, q: &Query) -> Result<B::Output, EngineError> {
+        B::execute(Source::Input(b), q, &ExecConfig::serial(), &mut NoTrace)
+    }
+
+    fn run_analyzed<B: Backend>(
+        src: Source<'_, B>,
+        q: &Query,
+    ) -> Result<(B::Output, OpReport), EngineError> {
+        let mut sink = ReportSink::default();
+        let out = B::execute(src, q, &ExecConfig::serial(), &mut sink)?;
+        Ok((out, sink.finish()))
+    }
 
     fn query() -> Query {
         // π₀(σ_{#0=#1}(V × V)) over arity-1 inputs.
@@ -561,7 +422,7 @@ mod tests {
     fn instance_backend_matches_eval() {
         let i = instance![[1], [2]];
         assert_eq!(i.input_arity(), 1);
-        assert_eq!(i.run(&query()).unwrap(), query().eval(&i).unwrap());
+        assert_eq!(run(&i, &query()).unwrap(), query().eval(&i).unwrap());
     }
 
     #[test]
@@ -573,7 +434,7 @@ mod tests {
             .row([t_const(3)], Condition::True)
             .build()
             .unwrap();
-        let out = t.run(&query()).unwrap();
+        let out = run(&t, &query()).unwrap();
         // Worldwise agreement with conventional evaluation.
         for val in [1i64, 3] {
             let nu = Valuation::from_iter([(x, Value::from(val))]);
@@ -601,7 +462,7 @@ mod tests {
         let dist =
             FiniteSpace::new([(Value::from(1), rat!(1, 2)), (Value::from(2), rat!(1, 2))]).unwrap();
         let pc = PcTable::new(t, [(x, dist)]).unwrap();
-        let out = pc.run(&query()).unwrap();
+        let out = run(&pc, &query()).unwrap();
         assert_eq!(out.arity(), 1);
         let lhs = out.mod_space().unwrap();
         let rhs = pc.eval_query(&query()).unwrap().mod_space().unwrap();
@@ -630,7 +491,7 @@ mod tests {
             FiniteSpace::new([(Value::from(3), rat!(1, 4)), (Value::from(4), rat!(3, 4))]).unwrap();
         let pc = PcTable::new(t, [(x, dx), (y, dy)]).unwrap();
         let q = Query::select(Query::Input, Pred::neq_const(0, 7));
-        let out = pc.run(&q).unwrap();
+        let out = run(&pc, &q).unwrap();
         assert!(out.dists().contains_key(&x));
         assert!(
             !out.dists().contains_key(&y),
@@ -655,8 +516,8 @@ mod tests {
 
         let i = instance![[1], [2]];
         let q = query();
-        let (out, report) = i.run_analyzed(&q).unwrap();
-        assert_eq!(out, i.run(&q).unwrap());
+        let (out, report) = run_analyzed(Source::Input(&i), &q).unwrap();
+        assert_eq!(out, run(&i, &q).unwrap());
         assert_eq!(report.label, "pi[0]");
         // pi → sigma → x → (V, V): five operators.
         assert_eq!(report.node_count(), 5);
@@ -667,8 +528,8 @@ mod tests {
         // and report having done so.
         let t = CTable::from_instance(&instance![[1], [2]]);
         let qd = Query::diff(Query::Input, Query::Lit(instance![[2]]));
-        let (ct_out, ct_report) = t.run_analyzed(&qd).unwrap();
-        assert_eq!(ct_out, t.run(&qd).unwrap());
+        let (ct_out, ct_report) = run_analyzed(Source::Input(&t), &qd).unwrap();
+        assert_eq!(ct_out, run(&t, &qd).unwrap());
         assert_eq!(ct_report.label, "diff");
         assert_eq!(ct_report.rows_in, 3);
         assert_eq!(ct_report.rows_out, 1);
@@ -689,8 +550,8 @@ mod tests {
         let dist =
             FiniteSpace::new([(Value::from(1), rat!(1, 2)), (Value::from(2), rat!(1, 2))]).unwrap();
         let pc = PcTable::new(ct, [(x, dist)]).unwrap();
-        let (pc_out, pc_report) = pc.run_analyzed(&q).unwrap();
-        let plain = pc.run(&q).unwrap();
+        let (pc_out, pc_report) = run_analyzed(Source::Input(&pc), &q).unwrap();
+        let plain = run(&pc, &q).unwrap();
         assert_eq!(pc_out.table(), plain.table());
         assert_eq!(
             pc_out.dists().keys().collect::<Vec<_>>(),
@@ -701,7 +562,7 @@ mod tests {
         // Catalog variants agree with their untraced twins too.
         let cat: Catalog<Instance> = [("R", instance![[1, 2], [3, 4]])].into_iter().collect();
         let qr = Query::select(Query::rel("R"), Pred::eq_cols(0, 0));
-        let (cat_out, cat_report) = Instance::run_catalog_analyzed(&cat, &qr).unwrap();
+        let (cat_out, cat_report) = run_analyzed(Source::Catalog(&cat), &qr).unwrap();
         assert_eq!(cat_out, Instance::run_catalog(&cat, &qr).unwrap());
         assert_eq!(cat_report.children[0].label, "R");
     }

@@ -37,20 +37,23 @@
 //! thread count and morsel size*. The worker count defaults to
 //! [`std::thread::available_parallelism`], overridable with
 //! `IPDB_THREADS` (`IPDB_THREADS=1` forces serial execution); pass an
-//! explicit [`ExecConfig`] via [`Prepared::execute_with`] /
-//! [`Prepared::execute_catalog_with`] to pin it programmatically.
+//! explicit [`ExecConfig`] via [`Prepared::execute_catalog_cfg`] to pin
+//! it programmatically.
 //!
 //! ## Observability
 //!
-//! Every execution path has an **`EXPLAIN ANALYZE`** twin:
-//! [`Prepared::execute_analyzed`] (and the `_catalog`/`_with`/
-//! `answer_dist` variants) returns the identical output plus a
-//! [`QueryReport`] — per-operator cardinalities, selectivities,
-//! inclusive/exclusive timings, the hash join's build-side choice, rows
-//! pruned by c-table condition simplification, the optimizer's pass
-//! count, and (for probabilistic answering) the shared `BddManager`'s
-//! counters. [`Prepared::explain_analyze`] renders it as an annotated
-//! plan tree. Engine internals additionally report into the `ipdb-obs`
+//! Each backend has exactly one evaluator ([`Backend::execute`]),
+//! generic over a [`TraceSink`]: plain execution passes the zero-sized
+//! [`NoTrace`], and **`EXPLAIN ANALYZE`** passes a [`ReportSink`].
+//! [`Prepared::execute_catalog_analyzed`] and
+//! [`Prepared::answer_dist_catalog_analyzed`] return the identical
+//! output plus a [`QueryReport`] — per-operator cardinalities,
+//! selectivities, inclusive/exclusive timings, the hash join's
+//! build-side choice, rows pruned by c-table condition simplification,
+//! the optimizer's pass count, and (for probabilistic answering) the
+//! shared `BddManager`'s counters. [`QueryReport::render`] renders it
+//! as an annotated plan tree; a single input runs as the `{V: input}`
+//! catalog. Engine internals additionally report into the `ipdb-obs`
 //! counter registry (worker-pool gauges, morsel/stage counts) when
 //! metrics are enabled via `IPDB_METRICS=1` or
 //! [`ExecConfig::metrics`]; the plain `execute` path records nothing
@@ -144,7 +147,7 @@ pub mod plan;
 pub mod report;
 pub mod serve;
 
-pub use backend::{Backend, Catalog};
+pub use backend::{Backend, Catalog, Source};
 pub use cache::PlanCache;
 pub use error::EngineError;
 pub use morsel::ExecConfig;
@@ -152,7 +155,7 @@ pub use optimize::{optimize, optimize_in, optimize_plan, optimize_plan_stats, Op
 pub use parser::{is_relation_name, parse, render};
 pub use pipeline::{Engine, Prepared};
 pub use plan::{Plan, PlanNode};
-pub use report::{OpReport, QueryReport};
+pub use report::{NoTrace, OpReport, QueryReport, ReportSink, TraceSink};
 pub use serve::{
     Reply, Request, ServeError, Server, ServerConfig, Snapshot, SnapshotCatalog, Ticket,
 };

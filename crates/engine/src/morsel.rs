@@ -28,8 +28,14 @@
 //! Set operations (`∪`, `−`, `∩`) and leaf lookups convert through row
 //! form — they are cheap relative to the join/select kernels and their
 //! `BTreeSet` implementations are already canonical.
+//!
+//! There is one evaluator, generic over a [`TraceSink`] and reading its
+//! leaves from a [`Source`] (a single input bound to `V`, or a named
+//! catalog). Plain execution monomorphizes it with the no-op sink;
+//! `EXPLAIN ANALYZE` passes a sink that records each operator's
+//! cardinalities, build side and inclusive time — once per operator,
+//! never per morsel.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -37,8 +43,9 @@ use ipdb_rel::{
     ColumnarInstance, Instance, JoinIndex, Pred, Query, RelError, Schema, Tuple, Value,
 };
 
+use crate::backend::Source;
 use crate::error::EngineError;
-use crate::report::{query_label, OpReport};
+use crate::report::TraceSink;
 
 /// Default morsel size (rows per scheduling unit).
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
@@ -247,21 +254,11 @@ fn par_select(
 /// Parallel hash equijoin: serial build on the smaller side, morsel-
 /// parallel probe, serial gather, parallel residual mask. Key
 /// normalization is the shared [`ipdb_rel::normalize_join_keys`], so
-/// this can never classify keys differently from the row path.
+/// this can never classify keys differently from the row path. Also
+/// returns the build side for `EXPLAIN ANALYZE`: `Some(build_left)` on
+/// the hash path, `None` when empty keys degrade the join to product +
+/// filter.
 fn par_join(
-    left: &ColumnarInstance,
-    right: &ColumnarInstance,
-    on: &[(usize, usize)],
-    residual: Option<&Pred>,
-    cfg: &ExecConfig,
-) -> Result<ColumnarInstance, RelError> {
-    par_join_impl(left, right, on, residual, cfg).map(|(out, _)| out)
-}
-
-/// [`par_join`] plus the build-side choice for `EXPLAIN ANALYZE`:
-/// `Some(build_left)` on the hash path, `None` when empty keys degrade
-/// the join to product + filter.
-fn par_join_impl(
     left: &ColumnarInstance,
     right: &ColumnarInstance,
     on: &[(usize, usize)],
@@ -357,94 +354,38 @@ fn to_rows_par(ci: &ColumnarInstance, cfg: &ExecConfig) -> Instance {
     Instance::from_tuple_batch(ci.arity(), all).expect("columnar rows share the batch arity")
 }
 
-/// The columnar/morsel evaluator over a name-lookup context; mirrors
-/// `Query::eval`'s structure (and errors) operator by operator.
-fn eval_columnar<'a, F>(
-    lookup: &F,
+/// Runs `q` on the [`Instance`] backend: the columnar evaluator, then
+/// one parallel materialization of the answer rows.
+pub(crate) fn execute<S: TraceSink>(
+    src: Source<'_, Instance>,
     q: &Query,
     cfg: &ExecConfig,
-) -> Result<ColumnarInstance, RelError>
-where
-    F: Fn(&str) -> Result<&'a Instance, RelError>,
-{
-    match q {
-        Query::Input => Ok(from_rows_par(lookup(Schema::INPUT)?, cfg)),
-        Query::Second => Ok(from_rows_par(lookup(Schema::SECOND)?, cfg)),
-        Query::Rel(name) => Ok(from_rows_par(lookup(name)?, cfg)),
-        Query::Lit(i) => Ok(ColumnarInstance::from_rows(i)),
-        Query::Project(cols, q) => eval_columnar(lookup, q, cfg)?.project(cols),
-        Query::Select(p, q) => par_select(&eval_columnar(lookup, q, cfg)?, p, cfg),
-        Query::Product(a, b) => {
-            Ok(eval_columnar(lookup, a, cfg)?.product(&eval_columnar(lookup, b, cfg)?))
-        }
-        Query::Join {
-            on,
-            residual,
-            left,
-            right,
-        } => par_join(
-            &eval_columnar(lookup, left, cfg)?,
-            &eval_columnar(lookup, right, cfg)?,
-            on,
-            residual.as_ref(),
-            cfg,
-        ),
-        // Set operations go through canonical row form; their BTreeSet
-        // implementations are the deterministic merge.
-        Query::Union(a, b) => {
-            let a = to_rows_par(&eval_columnar(lookup, a, cfg)?, cfg);
-            let b = to_rows_par(&eval_columnar(lookup, b, cfg)?, cfg);
-            Ok(ColumnarInstance::from_rows(&a.union(&b)?))
-        }
-        Query::Diff(a, b) => {
-            let a = to_rows_par(&eval_columnar(lookup, a, cfg)?, cfg);
-            let b = to_rows_par(&eval_columnar(lookup, b, cfg)?, cfg);
-            Ok(ColumnarInstance::from_rows(&a.difference(&b)?))
-        }
-        Query::Intersect(a, b) => {
-            let a = to_rows_par(&eval_columnar(lookup, a, cfg)?, cfg);
-            let b = to_rows_par(&eval_columnar(lookup, b, cfg)?, cfg);
-            Ok(ColumnarInstance::from_rows(&a.intersect(&b)?))
-        }
-    }
+    sink: &mut S,
+) -> Result<Instance, EngineError> {
+    Ok(to_rows_par(&eval_columnar(src, q, cfg, sink)?, cfg))
 }
 
-/// [`eval_columnar`] with per-operator tracing: same evaluation, same
-/// errors, but every node additionally reports cardinalities, the hash
-/// join's build side, and **inclusive** wall-clock time (each node's
-/// clock starts before its children evaluate, so the tree-wide sum of
-/// exclusive times equals the root's inclusive time by construction).
-/// The tracing cost is one `Instant` read pair and one small allocation
-/// per *operator* — never per row — so the traced path is safe to use
-/// on large inputs; the untraced twin exists so plain `execute` pays
-/// nothing at all.
-fn eval_columnar_traced<'a, F>(
-    lookup: &F,
+/// The columnar/morsel evaluator; mirrors `Query::eval`'s structure (and
+/// errors) operator by operator, reporting each operator to `sink`.
+/// Tracing costs one sink call pair per *operator*, never per row.
+fn eval_columnar<S: TraceSink>(
+    src: Source<'_, Instance>,
     q: &Query,
     cfg: &ExecConfig,
-) -> Result<(ColumnarInstance, OpReport), RelError>
-where
-    F: Fn(&str) -> Result<&'a Instance, RelError>,
-{
-    let t0 = std::time::Instant::now();
+    sink: &mut S,
+) -> Result<ColumnarInstance, RelError> {
+    let mark = sink.enter();
     let mut build_left = None;
-    let (out, children) = match q {
-        Query::Input => (from_rows_par(lookup(Schema::INPUT)?, cfg), Vec::new()),
-        Query::Second => (from_rows_par(lookup(Schema::SECOND)?, cfg), Vec::new()),
-        Query::Rel(name) => (from_rows_par(lookup(name)?, cfg), Vec::new()),
-        Query::Lit(i) => (ColumnarInstance::from_rows(i), Vec::new()),
-        Query::Project(cols, q) => {
-            let (c, r) = eval_columnar_traced(lookup, q, cfg)?;
-            (c.project(cols)?, vec![r])
-        }
-        Query::Select(p, q) => {
-            let (c, r) = eval_columnar_traced(lookup, q, cfg)?;
-            (par_select(&c, p, cfg)?, vec![r])
-        }
+    let out = match q {
+        Query::Input => from_rows_par(src.get(Schema::INPUT)?, cfg),
+        Query::Second => from_rows_par(src.get(Schema::SECOND)?, cfg),
+        Query::Rel(name) => from_rows_par(src.get(name)?, cfg),
+        Query::Lit(i) => ColumnarInstance::from_rows(i),
+        Query::Project(cols, q) => eval_columnar(src, q, cfg, sink)?.project(cols)?,
+        Query::Select(p, q) => par_select(&eval_columnar(src, q, cfg, sink)?, p, cfg)?,
         Query::Product(a, b) => {
-            let (ca, ra) = eval_columnar_traced(lookup, a, cfg)?;
-            let (cb, rb) = eval_columnar_traced(lookup, b, cfg)?;
-            (ca.product(&cb), vec![ra, rb])
+            let a = eval_columnar(src, a, cfg, sink)?;
+            a.product(&eval_columnar(src, b, cfg, sink)?)
         }
         Query::Join {
             on,
@@ -452,132 +393,50 @@ where
             left,
             right,
         } => {
-            let (cl, rl) = eval_columnar_traced(lookup, left, cfg)?;
-            let (cr, rr) = eval_columnar_traced(lookup, right, cfg)?;
-            let (joined, bl) = par_join_impl(&cl, &cr, on, residual.as_ref(), cfg)?;
+            let l = eval_columnar(src, left, cfg, sink)?;
+            let r = eval_columnar(src, right, cfg, sink)?;
+            let (joined, bl) = par_join(&l, &r, on, residual.as_ref(), cfg)?;
             build_left = bl;
-            (joined, vec![rl, rr])
+            joined
         }
-        Query::Union(a, b) => {
-            let (ca, ra) = eval_columnar_traced(lookup, a, cfg)?;
-            let (cb, rb) = eval_columnar_traced(lookup, b, cfg)?;
-            let a = to_rows_par(&ca, cfg);
-            let b = to_rows_par(&cb, cfg);
-            (ColumnarInstance::from_rows(&a.union(&b)?), vec![ra, rb])
-        }
-        Query::Diff(a, b) => {
-            let (ca, ra) = eval_columnar_traced(lookup, a, cfg)?;
-            let (cb, rb) = eval_columnar_traced(lookup, b, cfg)?;
-            let a = to_rows_par(&ca, cfg);
-            let b = to_rows_par(&cb, cfg);
-            (
-                ColumnarInstance::from_rows(&a.difference(&b)?),
-                vec![ra, rb],
-            )
-        }
-        Query::Intersect(a, b) => {
-            let (ca, ra) = eval_columnar_traced(lookup, a, cfg)?;
-            let (cb, rb) = eval_columnar_traced(lookup, b, cfg)?;
-            let a = to_rows_par(&ca, cfg);
-            let b = to_rows_par(&cb, cfg);
-            (ColumnarInstance::from_rows(&a.intersect(&b)?), vec![ra, rb])
+        // Set operations go through canonical row form; their BTreeSet
+        // implementations are the deterministic merge.
+        Query::Union(a, b) | Query::Diff(a, b) | Query::Intersect(a, b) => {
+            let a = to_rows_par(&eval_columnar(src, a, cfg, sink)?, cfg);
+            let b = to_rows_par(&eval_columnar(src, b, cfg, sink)?, cfg);
+            let rows = match q {
+                Query::Union(..) => a.union(&b)?,
+                Query::Diff(..) => a.difference(&b)?,
+                _ => a.intersect(&b)?,
+            };
+            ColumnarInstance::from_rows(&rows)
         }
     };
-    let rows_out = out.len() as u64;
-    let rows_in = if children.is_empty() {
-        rows_out
-    } else {
-        children.iter().map(|c| c.rows_out).sum()
-    };
-    let report = OpReport {
-        label: query_label(q),
-        arity: out.arity(),
-        rows_in,
-        rows_out,
-        rows_pruned: 0,
-        ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        build_left,
-        children,
-    };
-    Ok((out, report))
-}
-
-/// Runs `q` against a single input relation (`V`) with an explicit
-/// configuration — the entry point the `Instance` backend uses (with
-/// [`ExecConfig::from_env`]) and the determinism oracles sweep.
-pub fn run_instance(
-    input: &Instance,
-    q: &Query,
-    cfg: &ExecConfig,
-) -> Result<Instance, EngineError> {
-    let lookup = |name: &str| -> Result<&Instance, RelError> {
-        if name == Schema::INPUT {
-            Ok(input)
-        } else {
-            Err(RelError::missing_relation(name))
-        }
-    };
-    Ok(to_rows_par(&eval_columnar(&lookup, q, cfg)?, cfg))
-}
-
-/// Runs `q` against a named map of relations (`Input`/`Second` resolve
-/// as the reserved names `V`/`W`, exactly like `Query::eval_catalog`).
-/// Generic over the map's value so both plain `Instance` maps and the
-/// `Arc<Instance>` maps inside a [`crate::Catalog`] execute without
-/// copying a relation.
-pub fn run_instance_map<R: std::borrow::Borrow<Instance>>(
-    rels: &BTreeMap<String, R>,
-    q: &Query,
-    cfg: &ExecConfig,
-) -> Result<Instance, EngineError> {
-    let lookup = |name: &str| -> Result<&Instance, RelError> {
-        rels.get(name)
-            .map(std::borrow::Borrow::borrow)
-            .ok_or_else(|| RelError::missing_relation(name))
-    };
-    Ok(to_rows_par(&eval_columnar(&lookup, q, cfg)?, cfg))
-}
-
-/// [`run_instance`] with per-operator tracing — the `EXPLAIN ANALYZE`
-/// entry point for the single-relation case. The returned instance is
-/// identical to `run_instance`'s for every configuration.
-pub fn run_instance_traced(
-    input: &Instance,
-    q: &Query,
-    cfg: &ExecConfig,
-) -> Result<(Instance, OpReport), EngineError> {
-    let lookup = |name: &str| -> Result<&Instance, RelError> {
-        if name == Schema::INPUT {
-            Ok(input)
-        } else {
-            Err(RelError::missing_relation(name))
-        }
-    };
-    let (ci, report) = eval_columnar_traced(&lookup, q, cfg)?;
-    Ok((to_rows_par(&ci, cfg), report))
-}
-
-/// [`run_instance_map`] with per-operator tracing — the
-/// `EXPLAIN ANALYZE` entry point for named catalogs.
-pub fn run_instance_map_traced<R: std::borrow::Borrow<Instance>>(
-    rels: &BTreeMap<String, R>,
-    q: &Query,
-    cfg: &ExecConfig,
-) -> Result<(Instance, OpReport), EngineError> {
-    let lookup = |name: &str| -> Result<&Instance, RelError> {
-        rels.get(name)
-            .map(std::borrow::Borrow::borrow)
-            .ok_or_else(|| RelError::missing_relation(name))
-    };
-    let (ci, report) = eval_columnar_traced(&lookup, q, cfg)?;
-    Ok((to_rows_par(&ci, cfg), report))
+    sink.exit(mark, q, out.arity(), out.len() as u64, 0, build_left);
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{NoTrace, OpReport, ReportSink};
+    use crate::Catalog;
     use ipdb_rel::instance;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn run_instance(i: &Instance, q: &Query, cfg: &ExecConfig) -> Result<Instance, EngineError> {
+        execute(Source::Input(i), q, cfg, &mut NoTrace)
+    }
+
+    fn run_instance_traced(
+        i: &Instance,
+        q: &Query,
+        cfg: &ExecConfig,
+    ) -> Result<(Instance, OpReport), EngineError> {
+        let mut sink = ReportSink::default();
+        let out = execute(Source::Input(i), q, cfg, &mut sink)?;
+        Ok((out, sink.finish()))
+    }
 
     fn chain_query() -> Query {
         // σ_{#1=#2 ∧ #0≠#3}(V × V), exercising join extraction shape
@@ -814,10 +673,7 @@ mod tests {
         let probe_rows = 100_000usize;
         let r = Instance::from_rows(2, (0..build_rows as i64).map(|k| [k, k])).unwrap();
         let i = Instance::from_rows(2, (0..probe_rows as i64).map(|j| [j, j % 3])).unwrap();
-        let rels: BTreeMap<String, Instance> =
-            [("R".to_string(), r.clone()), ("S".to_string(), i.clone())]
-                .into_iter()
-                .collect();
+        let rels: Catalog<Instance> = [("R", r.clone()), ("S", i.clone())].into_iter().collect();
         let q = Query::join(
             Query::select(Query::rel("R"), Pred::neq_const(1, Value::from(0i64))),
             Query::rel("S"),
@@ -870,7 +726,7 @@ mod tests {
                 to_rows_par(&filtered, &cfg);
             });
             let t_whole = med(|| {
-                run_instance_map(&rels, &q, &cfg).unwrap();
+                execute(Source::Catalog(&rels), &q, &cfg, &mut NoTrace).unwrap();
             });
             eprintln!(
                 "threads={threads}: from_rows(S) {t_from:.1}ms build {t_build:.1}ms \
@@ -884,17 +740,18 @@ mod tests {
 
     #[test]
     fn catalog_map_resolves_reserved_names() {
-        let rels: BTreeMap<String, Instance> = [
-            ("V".to_string(), instance![[1], [2]]),
-            ("R".to_string(), instance![[2], [3]]),
-        ]
-        .into_iter()
-        .collect();
+        let rels: Catalog<Instance> = [("V", instance![[1], [2]]), ("R", instance![[2], [3]])]
+            .into_iter()
+            .collect();
+        let map = rels
+            .iter()
+            .map(|(n, i)| (n.to_string(), i.clone()))
+            .collect();
         let q = Query::intersect(Query::Input, Query::rel("R"));
         let cfg = ExecConfig::serial();
         assert_eq!(
-            run_instance_map(&rels, &q, &cfg).unwrap(),
-            q.eval_catalog(&rels).unwrap()
+            execute(Source::Catalog(&rels), &q, &cfg, &mut NoTrace).unwrap(),
+            q.eval_catalog(&map).unwrap()
         );
     }
 }

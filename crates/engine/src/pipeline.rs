@@ -3,44 +3,44 @@
 //! [`Engine::prepare`] (or [`Engine::prepare_text`] for the surface
 //! syntax) runs the first three pipeline stages — parse, plan,
 //! optimize — and returns a [`Prepared`] statement holding both the
-//! naive and the optimized plan. [`Prepared::execute`] runs the
-//! optimized form against any [`Backend`]; [`Prepared::explain`] shows
-//! what the optimizer did. Multi-relation queries prepare against a
-//! named [`Schema`] ([`Engine::prepare_schema`] /
-//! [`Engine::prepare_text_schema`]) and execute against a [`Catalog`]
-//! ([`Prepared::execute_catalog`]).
+//! naive and the optimized plan. [`Prepared::explain`] shows what the
+//! optimizer did. Multi-relation queries prepare against a named
+//! [`Schema`] ([`Engine::prepare_schema`] /
+//! [`Engine::prepare_text_schema`]).
+//!
+//! Every execution method is a short call into the one evaluator of
+//! its [`Backend`] ([`Backend::execute`]): it checks the input against
+//! the prepared schema, picks the optimized or naive query, a relation
+//! [`Source`] (a single input bound to `V`, or a [`Catalog`]), an
+//! [`ExecConfig`] and a trace sink. Plain methods pass [`NoTrace`]; the
+//! `_analyzed` ones pass a [`ReportSink`] and return a [`QueryReport`]
+//! (`EXPLAIN ANALYZE`; render it with [`QueryReport::render`]). The
+//! `answer_dist*` methods add BDD compilation or valuation enumeration
+//! after the pc-table closure.
 
 use std::time::Instant;
 
 use ipdb_prob::{PcTable, Weight};
 use ipdb_rel::{Instance, Query, Schema, Tuple};
 
-use crate::backend::{Backend, Catalog};
+use crate::backend::{Backend, Catalog, Source};
 use crate::error::EngineError;
 use crate::morsel::ExecConfig;
 use crate::optimize::{optimize_plan_stats, OptimizeStats};
 use crate::parser;
 use crate::plan::Plan;
-use crate::report::{OpReport, QueryReport};
+use crate::report::{NoTrace, QueryReport, ReportSink, TraceSink};
 
-/// Pipeline configuration.
-#[derive(Debug, Clone)]
-pub struct Engine {
-    /// Whether `prepare` runs the optimizer (on by default; turn off to
-    /// compare naive evaluation, as `bench_engine` does).
-    pub optimize: bool,
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine { optimize: true }
-    }
-}
+/// The query pipeline: parse, plan, optimize. Every [`Prepared`]
+/// statement keeps its naive plan too ([`Prepared::naive_plan`],
+/// [`Prepared::execute_naive`]), so there is nothing to configure.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Engine;
 
 impl Engine {
-    /// An engine with default settings (optimizer on).
+    /// The engine.
     pub fn new() -> Engine {
-        Engine::default()
+        Engine
     }
 
     /// Plans and optimizes a query for inputs of the given arity.
@@ -51,27 +51,16 @@ impl Engine {
     /// Plans and optimizes a query over an arbitrary named [`Schema`].
     pub fn prepare_schema(&self, q: &Query, schema: &Schema) -> Result<Prepared, EngineError> {
         let naive = Plan::from_query_schema(q, schema)?;
-        let (optimized, optimize_stats) = if self.optimize {
-            let (optimized, stats) = optimize_plan_stats(&naive);
-            // Same invariant `optimize_plan` pins: the pass bound must
-            // have sufficed (see `crate::optimize`).
-            debug_assert!(
-                stats.converged,
-                "optimizer exhausted its fixpoint bound without converging \
-                 ({} passes on a depth-{} plan)",
-                stats.passes,
-                naive.depth()
-            );
-            (optimized, stats)
-        } else {
-            (
-                naive.clone(),
-                OptimizeStats {
-                    passes: 0,
-                    converged: true,
-                },
-            )
-        };
+        let (optimized, optimize_stats) = optimize_plan_stats(&naive);
+        // Same invariant `optimize_plan` pins: the pass bound must have
+        // sufficed (see `crate::optimize`).
+        debug_assert!(
+            optimize_stats.converged,
+            "optimizer exhausted its fixpoint bound without converging \
+             ({} passes on a depth-{} plan)",
+            optimize_stats.passes,
+            naive.depth()
+        );
         // Lower both plans once here so repeated `execute` calls don't
         // pay a per-call plan-to-AST conversion.
         let naive_query = naive.to_query();
@@ -174,76 +163,22 @@ impl Prepared {
         out
     }
 
-    /// Executes the optimized plan against a backend.
+    /// Executes the optimized plan against a single input bound to `V`.
     pub fn execute<B: Backend>(&self, input: &B) -> Result<B::Output, EngineError> {
-        self.check_arity(input)?;
-        input.run(&self.optimized_query)
+        let cfg = ExecConfig::from_env();
+        self.run(
+            Source::Input(input),
+            &self.optimized_query,
+            &cfg,
+            &mut NoTrace,
+        )
     }
 
-    /// Executes the *unoptimized* plan (the baseline `bench_engine`
-    /// compares against).
+    /// Executes the *unoptimized* plan (the differential baseline for
+    /// [`Prepared::execute`]).
     pub fn execute_naive<B: Backend>(&self, input: &B) -> Result<B::Output, EngineError> {
-        self.check_arity(input)?;
-        input.run(&self.naive_query)
-    }
-
-    /// Executes the optimized plan on the [`Instance`] backend with an
-    /// explicit [`ExecConfig`] instead of [`ExecConfig::from_env`] —
-    /// how benchmarks and determinism oracles pin thread count and
-    /// morsel size without touching the process environment.
-    pub fn execute_with(
-        &self,
-        input: &Instance,
-        cfg: &ExecConfig,
-    ) -> Result<Instance, EngineError> {
-        self.check_arity(input)?;
-        crate::morsel::run_instance(input, &self.optimized_query, cfg)
-    }
-
-    /// Executes the optimized plan against a named catalog. The catalog
-    /// must supply every relation the prepared schema declares, at the
-    /// declared arity ([`EngineError::MissingRelation`] /
-    /// [`EngineError::RelationArity`] otherwise).
-    pub fn execute_catalog<B: Backend>(&self, cat: &Catalog<B>) -> Result<B::Output, EngineError> {
-        self.check_catalog(cat)?;
-        B::run_catalog(cat, &self.optimized_query)
-    }
-
-    /// [`Prepared::execute_catalog`] on the [`Instance`] backend with
-    /// an explicit [`ExecConfig`] (see [`Prepared::execute_with`]).
-    pub fn execute_catalog_with(
-        &self,
-        cat: &Catalog<Instance>,
-        cfg: &ExecConfig,
-    ) -> Result<Instance, EngineError> {
-        self.check_catalog(cat)?;
-        crate::morsel::run_instance_map(cat.rels(), &self.optimized_query, cfg)
-    }
-
-    /// [`Prepared::execute_catalog`] with an explicit [`ExecConfig`] on
-    /// *any* backend. Backends without a parallel executor ignore the
-    /// config; the [`Instance`] backend routes it into the morsel
-    /// executor (see [`Backend::run_catalog_with`]). This is the
-    /// serving layer's execution path: a server worker runs each
-    /// request with its configured parallelism instead of spawning a
-    /// default-sized pool per query.
-    pub fn execute_catalog_cfg<B: Backend>(
-        &self,
-        cat: &Catalog<B>,
-        cfg: &ExecConfig,
-    ) -> Result<B::Output, EngineError> {
-        self.check_catalog(cat)?;
-        B::run_catalog_with(cat, &self.optimized_query, cfg)
-    }
-
-    /// Executes the *unoptimized* plan against a named catalog (the
-    /// differential baseline for [`Prepared::execute_catalog`]).
-    pub fn execute_catalog_naive<B: Backend>(
-        &self,
-        cat: &Catalog<B>,
-    ) -> Result<B::Output, EngineError> {
-        self.check_catalog(cat)?;
-        B::run_catalog(cat, &self.naive_query)
+        let cfg = ExecConfig::from_env();
+        self.run(Source::Input(input), &self.naive_query, &cfg, &mut NoTrace)
     }
 
     /// The full answer distribution over a pc-table backend — every
@@ -255,8 +190,7 @@ impl Prepared {
     /// ([`PcTable::marginals_bdd`]). No walk over the §8 valuation
     /// product space.
     pub fn answer_dist<W: Weight>(&self, pc: &PcTable<W>) -> Result<Vec<(Tuple, W)>, EngineError> {
-        self.check_arity(pc)?;
-        Ok(pc.run(&self.optimized_query)?.marginals_bdd()?)
+        Ok(self.execute(pc)?.marginals_bdd()?)
     }
 
     /// The same answer distribution by full valuation enumeration over
@@ -268,14 +202,59 @@ impl Prepared {
         &self,
         pc: &PcTable<W>,
     ) -> Result<Vec<(Tuple, W)>, EngineError> {
-        self.check_arity(pc)?;
-        Ok(pc.run(&self.naive_query)?.mod_space()?.marginals())
+        Ok(self.execute_naive(pc)?.mod_space()?.marginals())
+    }
+
+    /// Executes the optimized plan against a named catalog. The catalog
+    /// must supply every relation the prepared schema declares, at the
+    /// declared arity ([`EngineError::MissingRelation`] /
+    /// [`EngineError::RelationArity`] otherwise).
+    pub fn execute_catalog<B: Backend>(&self, cat: &Catalog<B>) -> Result<B::Output, EngineError> {
+        self.execute_catalog_cfg(cat, &ExecConfig::from_env())
+    }
+
+    /// Executes the *unoptimized* plan against a named catalog (the
+    /// differential baseline for [`Prepared::execute_catalog`]).
+    pub fn execute_catalog_naive<B: Backend>(
+        &self,
+        cat: &Catalog<B>,
+    ) -> Result<B::Output, EngineError> {
+        let cfg = ExecConfig::from_env();
+        self.run(Source::Catalog(cat), &self.naive_query, &cfg, &mut NoTrace)
+    }
+
+    /// [`Prepared::execute_catalog`] with an explicit [`ExecConfig`]
+    /// instead of [`ExecConfig::from_env`] — how a server worker runs
+    /// each request with its configured parallelism, and how benchmarks
+    /// and determinism oracles pin thread count and morsel size. Run a
+    /// single input as the `{V: input}` catalog.
+    pub fn execute_catalog_cfg<B: Backend>(
+        &self,
+        cat: &Catalog<B>,
+        cfg: &ExecConfig,
+    ) -> Result<B::Output, EngineError> {
+        self.run(
+            Source::Catalog(cat),
+            &self.optimized_query,
+            cfg,
+            &mut NoTrace,
+        )
+    }
+
+    /// [`Prepared::execute_catalog_cfg`] on the [`Instance`] backend,
+    /// kept for the benchmark adapter.
+    pub fn execute_catalog_with(
+        &self,
+        cat: &Catalog<Instance>,
+        cfg: &ExecConfig,
+    ) -> Result<Instance, EngineError> {
+        self.execute_catalog_cfg(cat, cfg)
     }
 
     /// The full answer distribution over a pc-table **catalog**: the
     /// optimized plan runs through the pruning executor across all
     /// pc-relations (one shared variable namespace — see
-    /// [`Backend::run_catalog`] for [`PcTable`]), then the answer's
+    /// [`Backend::execute`] for [`PcTable`]), then the answer's
     /// presence conditions are compiled and counted with **one**
     /// `BddManager` shared across all answer tuples
     /// ([`PcTable::marginals_bdd`]).
@@ -283,8 +262,7 @@ impl Prepared {
         &self,
         cat: &Catalog<PcTable<W>>,
     ) -> Result<Vec<(Tuple, W)>, EngineError> {
-        self.check_catalog(cat)?;
-        Ok(PcTable::run_catalog(cat, &self.optimized_query)?.marginals_bdd()?)
+        Ok(self.execute_catalog(cat)?.marginals_bdd()?)
     }
 
     /// The same catalog answer distribution by full valuation
@@ -294,135 +272,78 @@ impl Prepared {
         &self,
         cat: &Catalog<PcTable<W>>,
     ) -> Result<Vec<(Tuple, W)>, EngineError> {
-        self.check_catalog(cat)?;
-        Ok(PcTable::run_catalog(cat, &self.naive_query)?
-            .mod_space()?
-            .marginals())
+        Ok(self.execute_catalog_naive(cat)?.mod_space()?.marginals())
     }
 
-    /// What the optimizer's fixpoint loop did when this statement was
-    /// prepared (pass count, convergence). `passes == 0` means the
-    /// optimizer was disabled.
-    pub fn optimize_stats(&self) -> OptimizeStats {
-        self.optimize_stats
-    }
-
-    /// Wraps an executed operator tree into a [`QueryReport`] with this
-    /// statement's context.
-    fn report<B: Backend>(&self, root: OpReport, started: Instant) -> QueryReport {
-        QueryReport {
-            backend: B::NAME,
-            root,
-            total_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            optimize: self.optimize_stats,
-            bdd: None,
-        }
-    }
-
-    /// [`Prepared::execute`] with **`EXPLAIN ANALYZE` instrumentation**:
-    /// the identical output, plus a [`QueryReport`] recording what every
-    /// operator of the optimized plan did — cardinalities, selectivity,
-    /// inclusive/exclusive timings, the hash join's build side, and (on
-    /// the c-/pc-table backends) rows pruned by condition
-    /// simplification.
-    pub fn execute_analyzed<B: Backend>(
-        &self,
-        input: &B,
-    ) -> Result<(B::Output, QueryReport), EngineError> {
-        self.check_arity(input)?;
-        let t0 = Instant::now();
-        let (out, root) = input.run_analyzed(&self.optimized_query)?;
-        Ok((out, self.report::<B>(root, t0)))
-    }
-
-    /// [`Prepared::execute_analyzed`] on the [`Instance`] backend with
-    /// an explicit [`ExecConfig`] (see [`Prepared::execute_with`]).
-    pub fn execute_analyzed_with(
-        &self,
-        input: &Instance,
-        cfg: &ExecConfig,
-    ) -> Result<(Instance, QueryReport), EngineError> {
-        self.check_arity(input)?;
-        let t0 = Instant::now();
-        let (out, root) = crate::morsel::run_instance_traced(input, &self.optimized_query, cfg)?;
-        Ok((out, self.report::<Instance>(root, t0)))
-    }
-
-    /// [`Prepared::execute_catalog`] with `EXPLAIN ANALYZE`
-    /// instrumentation (see [`Prepared::execute_analyzed`]).
+    /// [`Prepared::execute_catalog_cfg`] with **`EXPLAIN ANALYZE`
+    /// instrumentation**: the identical output, plus a [`QueryReport`]
+    /// recording what every operator of the optimized plan did —
+    /// cardinalities, selectivity, inclusive/exclusive timings, the
+    /// hash join's build side, and (on the c-/pc-table backends) rows
+    /// pruned by condition simplification.
     pub fn execute_catalog_analyzed<B: Backend>(
         &self,
         cat: &Catalog<B>,
-    ) -> Result<(B::Output, QueryReport), EngineError> {
-        self.check_catalog(cat)?;
-        let t0 = Instant::now();
-        let (out, root) = B::run_catalog_analyzed(cat, &self.optimized_query)?;
-        Ok((out, self.report::<B>(root, t0)))
-    }
-
-    /// [`Prepared::execute_catalog_analyzed`] on the [`Instance`]
-    /// backend with an explicit [`ExecConfig`].
-    pub fn execute_catalog_analyzed_with(
-        &self,
-        cat: &Catalog<Instance>,
         cfg: &ExecConfig,
-    ) -> Result<(Instance, QueryReport), EngineError> {
-        self.check_catalog(cat)?;
+    ) -> Result<(B::Output, QueryReport), EngineError> {
         let t0 = Instant::now();
-        let (out, root) =
-            crate::morsel::run_instance_map_traced(cat.rels(), &self.optimized_query, cfg)?;
-        Ok((out, self.report::<Instance>(root, t0)))
-    }
-
-    /// [`Prepared::answer_dist`] with `EXPLAIN ANALYZE` instrumentation:
-    /// the identical distribution, plus a [`QueryReport`] whose operator
-    /// tree covers the pruning c-table execution and whose
-    /// [`QueryReport::bdd`] reports the shared `BddManager`'s counters
-    /// from the WMC phase (node allocations, unique-table and
-    /// apply-cache hit rates, WMC call count).
-    pub fn answer_dist_analyzed<W: Weight>(
-        &self,
-        pc: &PcTable<W>,
-    ) -> Result<(Vec<(Tuple, W)>, QueryReport), EngineError> {
-        self.check_arity(pc)?;
-        let t0 = Instant::now();
-        let (answer, root) = pc.run_analyzed(&self.optimized_query)?;
-        let (dist, bdd) = answer.marginals_bdd_traced()?;
-        let mut report = self.report::<PcTable<W>>(root, t0);
-        report.bdd = Some(bdd);
-        Ok((dist, report))
+        let mut sink = ReportSink::default();
+        let out = self.run(Source::Catalog(cat), &self.optimized_query, cfg, &mut sink)?;
+        Ok((out, self.report::<B>(sink, t0)))
     }
 
     /// [`Prepared::answer_dist_catalog`] with `EXPLAIN ANALYZE`
-    /// instrumentation (see [`Prepared::answer_dist_analyzed`]).
+    /// instrumentation: the identical distribution, plus a
+    /// [`QueryReport`] whose operator tree covers the pruning c-table
+    /// execution and whose [`QueryReport::bdd`] reports the shared
+    /// `BddManager`'s counters from the WMC phase (node allocations,
+    /// unique-table and apply-cache hit rates, WMC call count).
     pub fn answer_dist_catalog_analyzed<W: Weight>(
         &self,
         cat: &Catalog<PcTable<W>>,
     ) -> Result<(Vec<(Tuple, W)>, QueryReport), EngineError> {
-        self.check_catalog(cat)?;
         let t0 = Instant::now();
-        let (answer, root) = PcTable::run_catalog_analyzed(cat, &self.optimized_query)?;
+        let mut sink = ReportSink::default();
+        let cfg = ExecConfig::from_env();
+        let answer = self.run(Source::Catalog(cat), &self.optimized_query, &cfg, &mut sink)?;
         let (dist, bdd) = answer.marginals_bdd_traced()?;
-        let mut report = self.report::<PcTable<W>>(root, t0);
+        let mut report = self.report::<PcTable<W>>(sink, t0);
         report.bdd = Some(bdd);
         Ok((dist, report))
     }
 
-    /// Executes against `input` and renders the annotated operator tree
-    /// — `EXPLAIN ANALYZE` for humans (the output itself is discarded;
-    /// use [`Prepared::execute_analyzed`] to keep both).
-    pub fn explain_analyze<B: Backend>(&self, input: &B) -> Result<String, EngineError> {
-        let (_, report) = self.execute_analyzed(input)?;
-        Ok(report.render())
+    /// What the optimizer's fixpoint loop did when this statement was
+    /// prepared (pass count, convergence).
+    pub fn optimize_stats(&self) -> OptimizeStats {
+        self.optimize_stats
     }
 
-    /// [`Prepared::explain_analyze`] against a named catalog.
-    pub fn explain_analyze_catalog<B: Backend>(
+    /// The one execution path: checks `src` against the prepared schema,
+    /// then runs `q` through the backend's evaluator.
+    fn run<B: Backend, S: TraceSink>(
         &self,
-        cat: &Catalog<B>,
-    ) -> Result<String, EngineError> {
-        let (_, report) = self.execute_catalog_analyzed(cat)?;
-        Ok(report.render())
+        src: Source<'_, B>,
+        q: &Query,
+        cfg: &ExecConfig,
+        sink: &mut S,
+    ) -> Result<B::Output, EngineError> {
+        match src {
+            Source::Input(input) => self.check_arity(input)?,
+            Source::Catalog(cat) => self.check_catalog(cat)?,
+        }
+        B::execute(src, q, cfg, sink)
+    }
+
+    /// Wraps an executed operator tree into a [`QueryReport`] with this
+    /// statement's context.
+    fn report<B: Backend>(&self, sink: ReportSink, started: Instant) -> QueryReport {
+        QueryReport {
+            backend: B::NAME,
+            root: sink.finish(),
+            total_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            optimize: self.optimize_stats,
+            bdd: None,
+        }
     }
 
     fn check_arity<B: Backend>(&self, input: &B) -> Result<(), EngineError> {
@@ -518,15 +439,6 @@ mod tests {
     fn explain_notes_unchanged_plans() {
         let stmt = Engine::new().prepare_text("V", 2).unwrap();
         assert!(stmt.explain().contains("(unchanged)"));
-    }
-
-    #[test]
-    fn optimizer_can_be_disabled() {
-        let engine = Engine { optimize: false };
-        let stmt = engine.prepare_text("sigma[true](V)", 2).unwrap();
-        assert_eq!(stmt.query(), stmt.naive_query());
-        let on = Engine::new().prepare_text("sigma[true](V)", 2).unwrap();
-        assert_ne!(on.query(), on.naive_query());
     }
 
     #[test]
@@ -727,7 +639,10 @@ mod tests {
             .prepare_text("pi[1](sigma[and(#0=1,#1=#3)](V x V))", 2)
             .unwrap();
         let i = instance![[1, 10], [2, 10], [2, 20]];
-        let (out, report) = stmt.execute_analyzed(&i).unwrap();
+        let cat: Catalog<Instance> = [("V", i.clone())].into_iter().collect();
+        let (out, report) = stmt
+            .execute_catalog_analyzed(&cat, &ExecConfig::from_env())
+            .unwrap();
         assert_eq!(out, stmt.execute(&i).unwrap());
         assert_eq!(report.backend, "instance");
         // The caller's clock wraps the operator tree's.
@@ -739,23 +654,18 @@ mod tests {
         assert!(report.optimize.converged);
         assert!(report.optimize.passes >= 1);
         // And the rendered form carries the header + annotated tree.
-        let text = stmt.explain_analyze(&i).unwrap();
+        let text = report.render();
         assert!(
             text.contains("EXPLAIN ANALYZE (backend: instance"),
             "{text}"
         );
         assert!(text.contains("rows:"), "{text}");
 
-        // A disabled optimizer reports 0 passes.
-        let stmt_off = Engine { optimize: false }.prepare_text("V", 2).unwrap();
-        assert_eq!(stmt_off.optimize_stats().passes, 0);
-        assert!(stmt_off.optimize_stats().converged);
-
         // Arity mismatches reject before any execution, as in execute.
-        let narrow = Instance::empty(1);
+        let narrow: Catalog<Instance> = [("V", Instance::empty(1))].into_iter().collect();
         assert!(matches!(
-            stmt.execute_analyzed(&narrow),
-            Err(EngineError::InputArityMismatch { .. })
+            stmt.execute_catalog_analyzed(&narrow, &ExecConfig::serial()),
+            Err(EngineError::RelationArity { .. })
         ));
     }
 
@@ -772,7 +682,9 @@ mod tests {
         .into_iter()
         .collect();
         let expected = stmt.execute_catalog(&cat).unwrap();
-        let (out, report) = stmt.execute_catalog_analyzed(&cat).unwrap();
+        let (out, report) = stmt
+            .execute_catalog_analyzed(&cat, &ExecConfig::serial())
+            .unwrap();
         assert_eq!(out, expected);
         assert!(report.root.label.starts_with("join["));
         assert_eq!(report.root.build_left, Some(true));
@@ -781,19 +693,16 @@ mod tests {
             morsel_rows: 1,
             metrics: false,
         };
-        let (out2, report2) = stmt.execute_catalog_analyzed_with(&cat, &cfg).unwrap();
+        let (out2, report2) = stmt.execute_catalog_analyzed(&cat, &cfg).unwrap();
         assert_eq!(out2, expected);
         assert_eq!(report2.root.rows_out, report.root.rows_out);
-        assert!(stmt
-            .explain_analyze_catalog(&cat)
-            .unwrap()
-            .contains("EXPLAIN ANALYZE"));
+        assert!(report2.render().contains("EXPLAIN ANALYZE"));
     }
 
     #[test]
     fn answer_dist_analyzed_matches_and_reports_bdd_stats() {
         use ipdb_logic::{Condition, VarGen};
-        use ipdb_prob::{rat, FiniteSpace, PcTable};
+        use ipdb_prob::{rat, FiniteSpace, PcTable, Rat};
         use ipdb_rel::Value;
         use ipdb_tables::{t_const, t_var, CTable};
 
@@ -810,7 +719,8 @@ mod tests {
         let stmt = Engine::new()
             .prepare_text("sigma[#0!=1](V union {(9)})", 1)
             .unwrap();
-        let (dist, report) = stmt.answer_dist_analyzed(&pc).unwrap();
+        let cat: Catalog<PcTable<Rat>> = [("V", pc.clone())].into_iter().collect();
+        let (dist, report) = stmt.answer_dist_catalog_analyzed(&cat).unwrap();
         assert_eq!(dist, stmt.answer_dist(&pc).unwrap());
         assert_eq!(report.backend, "pc-table");
         let bdd = report.bdd.expect("probabilistic reports carry BDD stats");

@@ -13,8 +13,15 @@
 //! children evaluate and stops when its own output batch is ready, so a
 //! node's `ns` always covers its subtree and the tree-wide sum of
 //! [`OpReport::exclusive_ns`] equals the root's inclusive time exactly.
+//!
+//! The evaluators are generic over a [`TraceSink`], which sees one
+//! `enter`/`exit` pair per operator. [`NoTrace`] is the zero-sized sink
+//! of every plain execution: after monomorphization it reads no clock,
+//! formats no label, allocates nothing and bumps no counter.
+//! [`ReportSink`] builds the [`OpReport`] tree.
 
 use std::fmt;
+use std::time::Instant;
 
 use ipdb_prob::BddStats;
 use ipdb_rel::Query;
@@ -22,10 +29,104 @@ use ipdb_rel::Query;
 use crate::optimize::OptimizeStats;
 use crate::parser::render_pred_string;
 
+/// Receives what each operator of an executing query did. The
+/// evaluators call [`TraceSink::enter`] before an operator evaluates its
+/// children and [`TraceSink::exit`] once its output is ready, so calls
+/// nest like the query tree and children exit before their parent.
+pub trait TraceSink {
+    /// What `enter` hands to the matching `exit`.
+    type Mark;
+
+    /// An operator starts (before its children evaluate).
+    fn enter(&mut self) -> Self::Mark;
+
+    /// Operator `q` finished with an output of `arity` columns and
+    /// `rows_out` rows, after condition pruning removed `rows_pruned`
+    /// rows; `build_left` is the hash join's build side.
+    fn exit(
+        &mut self,
+        mark: Self::Mark,
+        q: &Query,
+        arity: usize,
+        rows_out: u64,
+        rows_pruned: u64,
+        build_left: Option<bool>,
+    );
+}
+
+/// The sink that records nothing: plain execution.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoTrace;
+
+impl TraceSink for NoTrace {
+    type Mark = ();
+
+    fn enter(&mut self) {}
+
+    fn exit(&mut self, _: (), _: &Query, _: usize, _: u64, _: u64, _: Option<bool>) {}
+}
+
+/// The `EXPLAIN ANALYZE` sink: builds the [`OpReport`] tree with
+/// inclusive timings, and adds pruned rows to the `prune.rows` counter
+/// when metrics are enabled.
+#[derive(Debug, Default)]
+pub struct ReportSink {
+    /// Finished subtrees whose parent has not exited yet, in
+    /// evaluation order.
+    done: Vec<OpReport>,
+}
+
+impl ReportSink {
+    /// The root of the executed operator tree.
+    pub fn finish(mut self) -> OpReport {
+        self.done.pop().unwrap_or_default()
+    }
+}
+
+impl TraceSink for ReportSink {
+    /// The operator's start time and the index of its first child.
+    type Mark = (Instant, usize);
+
+    fn enter(&mut self) -> Self::Mark {
+        (Instant::now(), self.done.len())
+    }
+
+    fn exit(
+        &mut self,
+        (t0, first_child): Self::Mark,
+        q: &Query,
+        arity: usize,
+        rows_out: u64,
+        rows_pruned: u64,
+        build_left: Option<bool>,
+    ) {
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let children = self.done.split_off(first_child);
+        if rows_pruned > 0 && ipdb_obs::enabled() {
+            ipdb_obs::add("prune.rows", rows_pruned);
+        }
+        let rows_in = if children.is_empty() {
+            rows_out
+        } else {
+            children.iter().map(|c| c.rows_out).sum()
+        };
+        self.done.push(OpReport {
+            label: query_label(q),
+            arity,
+            rows_in,
+            rows_out,
+            rows_pruned,
+            ns,
+            build_left,
+            children,
+        });
+    }
+}
+
 /// What one operator of an executed query did: cardinalities, timing,
 /// and operator-specific annotations, with child operators nested
 /// beneath it in plan order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpReport {
     /// Operator label, same vocabulary as `Plan::render_tree` (`join[…]`,
     /// `sigma[…]`, `pi[…]`, `x`, `union`, `V`, `lit …`).
@@ -134,7 +235,7 @@ pub struct QueryReport {
     /// What the plan optimizer did when the query was prepared.
     pub optimize: OptimizeStats,
     /// BDD manager counters, present only on the probabilistic
-    /// (`answer_dist_analyzed`) path.
+    /// (`answer_dist_catalog_analyzed`) path.
     pub bdd: Option<BddStats>,
 }
 
@@ -207,7 +308,7 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
 /// The operator label for a query node — same vocabulary as
 /// `Plan::render_tree`, but over the executed [`Query`] (the executors
 /// run compiled queries, not plans).
-pub(crate) fn query_label(q: &Query) -> String {
+fn query_label(q: &Query) -> String {
     match q {
         Query::Input => "V".to_string(),
         Query::Second => "W".to_string(),

@@ -177,10 +177,6 @@ pub enum Request<B> {
     /// a sequence of [`Request::Install`]s produces an intermediate
     /// snapshot per relation, all of them visible to readers.
     InstallAll(Catalog<B>),
-    /// Panics inside the handler — test scaffolding that exists to
-    /// prove panic isolation: the reply is [`ServeError::Panicked`] and
-    /// the worker survives.
-    Poison,
 }
 
 /// A successful server reply.
@@ -271,8 +267,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// [`PlanCache`] capacity in distinct statements.
     pub cache_capacity: usize,
-    /// The engine used to prepare statements.
-    pub engine: Engine,
     /// Per-request execution config. Defaults to
     /// [`ExecConfig::serial`]: a server's parallelism comes from its
     /// worker threads running *requests* concurrently, so each request
@@ -288,7 +282,6 @@ impl Default for ServerConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             cache_capacity: 256,
-            engine: Engine::new(),
             exec: ExecConfig::serial(),
         }
     }
@@ -315,7 +308,6 @@ struct Queue<B: Backend> {
 }
 
 struct Shared<B: Backend> {
-    engine: Engine,
     cache: PlanCache,
     snapshots: SnapshotCatalog<B>,
     exec: ExecConfig,
@@ -334,7 +326,7 @@ where
                 let snap = self.snapshots.snapshot();
                 let stmt = self
                     .cache
-                    .prepare_text(&self.engine, &text, snap.schema())?;
+                    .prepare_text(&Engine::new(), &text, snap.schema())?;
                 Ok(Reply::Answer(
                     stmt.execute_catalog_cfg(snap.catalog(), &self.exec)?,
                 ))
@@ -355,8 +347,6 @@ where
                 let version = self.snapshots.install(catalog);
                 Ok(Reply::Installed { version })
             }
-            // ipdb-lint: allow(no-panic-on-serve-paths) reason="deliberate fault injection: this panic exists so tests can prove worker isolation; it is caught at the request boundary"
-            Request::Poison => panic!("poisoned request (serve test scaffolding)"),
         }
     }
 
@@ -426,7 +416,6 @@ where
     /// Boots `config.threads` workers over an initial catalog.
     pub fn start(catalog: Catalog<B>, config: ServerConfig) -> Server<B> {
         let shared = Arc::new(Shared {
-            engine: config.engine,
             cache: PlanCache::new(config.cache_capacity),
             snapshots: SnapshotCatalog::new(catalog),
             exec: config.exec,
@@ -559,7 +548,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipdb_rel::{instance, Instance};
+    use crate::backend::Source;
+    use crate::report::TraceSink;
+    use ipdb_rel::{instance, Instance, Query};
 
     fn catalog() -> Catalog<Instance> {
         [
@@ -639,15 +630,37 @@ mod tests {
         srv.shutdown();
     }
 
+    /// A backend whose executor panics on the relation named `Boom`.
+    #[derive(Debug)]
+    struct Fuse;
+
+    impl Backend for Fuse {
+        type Output = ();
+        const NAME: &'static str = "fuse";
+        fn input_arity(&self) -> usize {
+            1
+        }
+        fn execute<S: TraceSink>(
+            _: Source<'_, Fuse>,
+            q: &Query,
+            _: &ExecConfig,
+            _: &mut S,
+        ) -> Result<(), EngineError> {
+            assert!(q != &Query::rel("Boom"), "poisoned request");
+            Ok(())
+        }
+    }
+
     #[test]
     fn panicked_requests_answer_errors_and_workers_survive() {
-        let srv: Server<Instance> = Server::start(catalog(), ServerConfig::with_threads(1));
-        match srv.submit(Request::Poison).wait() {
+        let cat = [("Boom", Fuse), ("Ok", Fuse)].into_iter().collect();
+        let srv: Server<Fuse> = Server::start(cat, ServerConfig::with_threads(1));
+        match srv.query("Boom") {
             Err(ServeError::Panicked(msg)) => assert!(msg.contains("poisoned request")),
             other => panic!("expected a panic reply, got {other:?}"),
         }
         // Same single worker, next request: it survived.
-        assert_eq!(srv.query("pi[0](R)").unwrap(), instance![[1], [3]]);
+        assert_eq!(srv.query("Ok"), Ok(()));
         srv.shutdown();
     }
 
@@ -668,7 +681,6 @@ mod tests {
         let cfg = ServerConfig::default();
         assert!(cfg.threads >= 1);
         assert!(cfg.cache_capacity >= 1);
-        assert!(cfg.engine.optimize);
         assert_eq!(ServerConfig::with_threads(3).threads, 3);
         // threads=0 is clamped at start.
         let srv: Server<Instance> = Server::start(catalog(), ServerConfig::with_threads(0));

@@ -1,8 +1,9 @@
 //! The `EXPLAIN ANALYZE` differential oracle.
 //!
 //! Instrumented execution must be a **pure observer**: for random RA
-//! queries, `execute_analyzed` (and its catalog/pc-table variants)
-//! returns *exactly* the output of the uninstrumented path — on all
+//! queries, `execute_catalog_analyzed` (and its pc-table variant
+//! `answer_dist_catalog_analyzed`) returns *exactly* the output of the
+//! uninstrumented path — single inputs run as `{V: input}` catalogs — on all
 //! three backends, across thread counts and morsel sizes, with metrics
 //! recording both off and on — and the [`QueryReport`] it attaches is
 //! internally consistent:
@@ -21,7 +22,7 @@
 
 use proptest::prelude::*;
 
-use ipdb_engine::{Engine, ExecConfig, OpReport};
+use ipdb_engine::{Catalog, Engine, ExecConfig, OpReport};
 use ipdb_logic::Var;
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{arb_instance, arb_query};
@@ -76,9 +77,9 @@ fn check_report(root: &OpReport) -> Result<(), proptest::test_runner::TestCaseEr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Instance backend: `execute_analyzed_with` equals `execute_with`
-    /// for every sweep configuration, metrics off and on, and the
-    /// report is consistent.
+    /// Instance backend: `execute_catalog_analyzed` equals
+    /// `execute_catalog_cfg` (and `execute`) for every sweep
+    /// configuration, metrics off and on, and the report is consistent.
     #[test]
     fn analyzed_instance_matches_plain_across_configs(
         q in arb_query(2, 2, 3, 3),
@@ -86,15 +87,16 @@ proptest! {
     ) {
         let stmt = Engine::new().prepare(&q, 2).unwrap();
         let expected = stmt.execute(&i).unwrap();
+        let cat: Catalog<_> = [("V", i)].into_iter().collect();
         for (threads, morsel_rows) in EXEC_SWEEP {
             for metrics in [false, true] {
                 let cfg = ExecConfig { threads, morsel_rows, metrics };
                 prop_assert_eq!(
-                    stmt.execute_with(&i, &cfg).unwrap(),
+                    stmt.execute_catalog_cfg(&cat, &cfg).unwrap(),
                     expected.clone(),
                     "uninstrumented run diverged at threads={} morsel={}", threads, morsel_rows
                 );
-                let (out, report) = stmt.execute_analyzed_with(&i, &cfg).unwrap();
+                let (out, report) = stmt.execute_catalog_analyzed(&cat, &cfg).unwrap();
                 prop_assert_eq!(
                     out.clone(),
                     expected.clone(),
@@ -119,7 +121,8 @@ proptest! {
     ) {
         let stmt = Engine::new().prepare(&q, 2).unwrap();
         let expected = stmt.execute(&t).unwrap();
-        let (out, report) = stmt.execute_analyzed(&t).unwrap();
+        let cat: Catalog<_> = [("V", t)].into_iter().collect();
+        let (out, report) = stmt.execute_catalog_analyzed(&cat, &ExecConfig::from_env()).unwrap();
         prop_assert_eq!(&out, &expected, "analyzed c-table run diverged on {}", q);
         prop_assert_eq!(report.backend, "c-table");
         prop_assert_eq!(report.root.rows_out, out.rows().len() as u64);
@@ -136,7 +139,8 @@ proptest! {
         let pc = uniform_pctable(&t);
         let stmt = Engine::new().prepare(&q, 2).unwrap();
         let expected = stmt.answer_dist(&pc).unwrap();
-        let (dist, report) = stmt.answer_dist_analyzed(&pc).unwrap();
+        let cat: Catalog<_> = [("V", pc)].into_iter().collect();
+        let (dist, report) = stmt.answer_dist_catalog_analyzed(&cat).unwrap();
         prop_assert_eq!(&dist, &expected, "analyzed answer_dist diverged on {}", q);
         prop_assert_eq!(report.backend, "pc-table");
         let bdd = report.bdd.expect("probabilistic reports carry BDD stats");
@@ -157,14 +161,13 @@ proptest! {
         q in arb_query(2, 2, 3, 3),
         i in arb_instance(2, 6, 3),
     ) {
-        use ipdb_engine::Catalog;
         use ipdb_rel::Instance;
         let stmt = Engine::new().prepare(&q, 2).unwrap();
         let cat: Catalog<Instance> = [("V", i.clone())].into_iter().collect();
         let expected = stmt.execute_catalog(&cat).unwrap();
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
-            let (out, report) = stmt.execute_catalog_analyzed_with(&cat, &cfg).unwrap();
+            let (out, report) = stmt.execute_catalog_analyzed(&cat, &cfg).unwrap();
             prop_assert_eq!(
                 out,
                 expected.clone(),

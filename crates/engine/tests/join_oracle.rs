@@ -8,7 +8,7 @@
 //! * **c-tables** — equality of `ν(q̄(T))` under **every** valuation of
 //!   the table's (≤ 3) variables over their finite domains, for both the
 //!   plain `q̄` algebra (`eval_query`) and the engine's pruning executor
-//!   (`Backend::run`);
+//!   (`Backend::execute`);
 //! * **pc-tables** — exact equality of the induced distribution over
 //!   answer worlds.
 //!
@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ipdb_engine::{Catalog, Engine, ExecConfig, Plan, PlanNode, Schema};
+use ipdb_engine::{Backend, Catalog, Engine, ExecConfig, NoTrace, Plan, PlanNode, Schema, Source};
 use ipdb_logic::{Valuation, Var};
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{
@@ -181,8 +181,8 @@ proptest! {
         let (join, naive) = join_and_oracle(l, r, on, residual);
         let jt = t.eval_query(&join).unwrap();
         let nt = t.eval_query(&naive).unwrap();
-        let stmt = Engine { optimize: false }.prepare(&join, 2).unwrap();
-        let pruned = stmt.execute(&t).unwrap();
+        let stmt = Engine::new().prepare(&join, 2).unwrap();
+        let pruned = stmt.execute_naive(&t).unwrap();
         for nu in all_valuations(&t) {
             let world = t.apply_valuation(&nu).unwrap();
             let expect = naive.eval(&world).unwrap();
@@ -301,6 +301,11 @@ proptest! {
 // morsel on test-sized data).
 // ---------------------------------------------------------------------
 
+/// Runs `q` on the instance backend's executor with an explicit config.
+fn run_with(i: &Instance, q: &Query, cfg: &ExecConfig) -> Instance {
+    Instance::execute(Source::Input(i), q, cfg, &mut NoTrace).unwrap()
+}
+
 /// The (threads, morsel_rows) grid every determinism property sweeps.
 const EXEC_SWEEP: [(usize, usize); 9] = [
     (1, 1),
@@ -326,17 +331,17 @@ proptest! {
         i in arb_instance(2, 6, 3),
     ) {
         let expected = q.eval(&i).unwrap();
-        let opt = Engine::new().prepare(&q, 2).unwrap();
-        let naive = Engine { optimize: false }.prepare(&q, 2).unwrap();
+        let stmt = Engine::new().prepare(&q, 2).unwrap();
+        let cat: Catalog<_> = [("V", i.clone())].into_iter().collect();
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
             prop_assert_eq!(
-                naive.execute_with(&i, &cfg).unwrap(),
+                run_with(&i, stmt.naive_query(), &cfg),
                 expected.clone(),
                 "naive plan diverged at threads={} morsel={} on {}", threads, morsel_rows, q
             );
             prop_assert_eq!(
-                opt.execute_with(&i, &cfg).unwrap(),
+                stmt.execute_catalog_cfg(&cat, &cfg).unwrap(),
                 expected.clone(),
                 "optimized plan diverged at threads={} morsel={} on {}", threads, morsel_rows, q
             );
@@ -352,11 +357,11 @@ proptest! {
     ) {
         let (join, naive) = join_and_oracle(l, r, on, residual);
         let expected = naive.eval(&i).unwrap();
-        let stmt = Engine { optimize: false }.prepare(&join, 2).unwrap();
+        let stmt = Engine::new().prepare(&join, 2).unwrap();
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
             prop_assert_eq!(
-                stmt.execute_with(&i, &cfg).unwrap(),
+                run_with(&i, stmt.naive_query(), &cfg),
                 expected.clone(),
                 "join {} diverged at threads={} morsel={}", join, threads, morsel_rows
             );
@@ -424,10 +429,10 @@ proptest! {
     ) {
         let (join, naive) = join_and_oracle(l, r, on, residual);
         let pc = uniform_pctable(&t);
-        let stmt_join = Engine { optimize: false }.prepare(&join, 2).unwrap();
-        let stmt_naive = Engine { optimize: false }.prepare(&naive, 2).unwrap();
-        let dj = stmt_join.execute(&pc).unwrap().mod_space().unwrap();
-        let dn = stmt_naive.execute(&pc).unwrap().mod_space().unwrap();
+        let stmt_join = Engine::new().prepare(&join, 2).unwrap();
+        let stmt_naive = Engine::new().prepare(&naive, 2).unwrap();
+        let dj = stmt_join.execute_naive(&pc).unwrap().mod_space().unwrap();
+        let dn = stmt_naive.execute_naive(&pc).unwrap().mod_space().unwrap();
         prop_assert!(
             dj.same_distribution(&dn),
             "join {} and naive {} induced different distributions", join, naive

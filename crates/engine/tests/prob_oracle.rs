@@ -79,8 +79,8 @@ proptest! {
     }
 
     /// Engine executor vs plain Theorem 9 closure: the pruning,
-    /// ground-column-vectorized executor (`Backend::run`, behind
-    /// `Prepared::execute`) induces exactly the same answer
+    /// ground-column-vectorized executor (`Backend::execute`, behind
+    /// `Prepared::execute_naive`) induces exactly the same answer
     /// distribution as the term-at-a-time `PcTable::eval_query` —
     /// pruning a row and dropping a marginalized variable must never
     /// change the induced distribution.
@@ -90,8 +90,8 @@ proptest! {
         t in arb_finite_ctable(2, 2, 2, 2),
     ) {
         let pc = skewed_pctable(&t);
-        let stmt = Engine { optimize: false }.prepare(&q, 2).unwrap();
-        let run = stmt.execute(&pc).unwrap().mod_space().unwrap();
+        let stmt = Engine::new().prepare(&q, 2).unwrap();
+        let run = stmt.execute_naive(&pc).unwrap().mod_space().unwrap();
         let plain = pc.eval_query(&q).unwrap().mod_space().unwrap();
         prop_assert!(
             run.same_distribution(&plain),
@@ -107,11 +107,10 @@ proptest! {
         t in arb_finite_ctable(2, 2, 2, 1),
     ) {
         let pc = skewed_pctable(&t);
-        let on = Engine::new().prepare(&q, 2).unwrap();
-        let off = Engine { optimize: false }.prepare(&q, 2).unwrap();
+        let stmt = Engine::new().prepare(&q, 2).unwrap();
         prop_assert_eq!(
-            on.answer_dist(&pc).unwrap(),
-            off.answer_dist(&pc).unwrap(),
+            stmt.answer_dist(&pc).unwrap(),
+            stmt.execute_naive(&pc).unwrap().marginals_bdd().unwrap(),
             "query {}", q
         );
     }
@@ -134,7 +133,6 @@ proptest! {
     ) {
         let s = Schema::new(schema.clone()).unwrap();
         let on = Engine::new().prepare_schema(&q, &s).unwrap();
-        let off = Engine { optimize: false }.prepare_schema(&q, &s).unwrap();
         let cat: Catalog<PcTable<Rat>> = schema
             .iter()
             .zip([&t0, &t1, &t2])
@@ -148,7 +146,7 @@ proptest! {
         );
         prop_assert_eq!(
             bdd,
-            off.answer_dist_catalog(&cat).unwrap(),
+            on.execute_catalog_naive(&cat).unwrap().marginals_bdd().unwrap(),
             "optimizer changed the catalog distribution of {}", q
         );
     }

@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -116,9 +116,14 @@ impl Counter {
 
 type Registry = Mutex<BTreeMap<String, &'static Counter>>;
 
-fn registry() -> &'static Registry {
+/// The locked registry. A panic while holding the lock cannot leave the
+/// map half-written (every mutation is one `insert`), so a poisoned lock
+/// is recovered, never propagated into the serving workers that count.
+fn registry() -> MutexGuard<'static, BTreeMap<String, &'static Counter>> {
     static REG: OnceLock<Registry> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(BTreeMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The registered counter named `name`, creating (and leaking — one
@@ -126,7 +131,7 @@ fn registry() -> &'static Registry {
 /// use. The lookup takes the registry mutex: call per stage, not per
 /// row, and gate hot paths on [`enabled`] first.
 pub fn counter(name: &str) -> &'static Counter {
-    let mut reg = registry().lock().expect("metrics registry mutex");
+    let mut reg = registry();
     if let Some(c) = reg.get(name) {
         return c;
     }
@@ -148,7 +153,7 @@ pub fn incr(name: &str) {
 /// Zeroes every registered counter (names stay registered). Benchmarks
 /// call this between series so snapshots attribute counts to one run.
 pub fn reset() {
-    let reg = registry().lock().expect("metrics registry mutex");
+    let reg = registry();
     for c in reg.values() {
         c.reset();
     }
@@ -156,7 +161,7 @@ pub fn reset() {
 
 /// A point-in-time copy of every registered counter.
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry().lock().expect("metrics registry mutex");
+    let reg = registry();
     MetricsSnapshot {
         entries: reg.iter().map(|(n, c)| (n.clone(), c.get())).collect(),
     }
@@ -395,5 +400,19 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 4000);
+    }
+
+    #[test]
+    fn registry_survives_a_poisoning_panic() {
+        let _g = serialized();
+        let poisoner = std::thread::spawn(|| {
+            let _reg = registry();
+            panic!("poison the metrics registry");
+        });
+        assert!(poisoner.join().is_err());
+        incr("test.poisoned");
+        assert_eq!(snapshot().get("test.poisoned"), Some(1));
+        reset();
+        assert_eq!(snapshot().get("test.poisoned"), Some(0));
     }
 }

@@ -285,7 +285,7 @@ impl<W: Weight> PcTable<W> {
 
     /// [`PcTable::marginals_bdd`] with the shared manager's lifetime
     /// counters ([`BddStats`]) returned alongside the distribution —
-    /// how the engine's `answer_dist_analyzed` reports unique-table and
+    /// how the engine's `answer_dist_catalog_analyzed` reports unique-table and
     /// apply-cache behavior. The distribution is computed identically
     /// (same manager, same compilation order).
     pub fn marginals_bdd_traced(&self) -> Result<(Vec<(Tuple, W)>, BddStats), ProbError> {

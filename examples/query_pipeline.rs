@@ -144,20 +144,24 @@ fn main() {
     println!("named-relation catalog execution ✓");
 
     // ------------------------------------------------------------------
-    // Observability: every execution path has an `_analyzed` twin that
-    // additionally returns a `QueryReport` — the executed operator tree
-    // annotated with exact row counts, selectivities, and wall-clock
-    // timings, plus BDD-manager counters on the probabilistic path.
-    // (`IPDB_METRICS=1` further streams engine-wide counters into the
-    // global `ipdb::obs` registry; the reports below need no flag.)
+    // Observability: each backend has one evaluator, generic over a
+    // trace sink. Plain calls pass a no-op sink; the `_analyzed` calls
+    // pass a reporting one and also return a `QueryReport` — the
+    // executed operator tree annotated with exact row counts,
+    // selectivities, and wall-clock timings, plus BDD-manager counters
+    // on the probabilistic path. A single input runs as the `{V: input}`
+    // catalog. (`IPDB_METRICS=1` further streams engine-wide counters
+    // into the global `ipdb::obs` registry; the reports below need no
+    // flag.)
     // ------------------------------------------------------------------
     let (analyzed, report) = joined
-        .execute_catalog_analyzed(&cat)
+        .execute_catalog_analyzed(&cat, &ExecConfig::default())
         .expect("schema matches catalog");
     assert_eq!(analyzed, passed_what_they_take);
     println!("\n{}", report.render());
+    let pc_cat: Catalog<PcTable<Rat>> = [("V", pc)].into_iter().collect();
     let (dist, prob_report) = stmt2
-        .answer_dist_analyzed(&pc)
+        .answer_dist_catalog_analyzed(&pc_cat)
         .expect("finite distributions");
     assert!(dist
         .iter()

@@ -105,8 +105,8 @@ fn join_errors_surface() {
     );
     // Duplicate (and reversed) key pairs are deduplicated at plan build.
     let dup = Query::join(Query::Input, Query::Input, [(0, 2), (2, 0), (0, 2)], None);
-    let stmt = Engine { optimize: false }.prepare(&dup, 2).unwrap();
-    match &stmt.plan().node {
+    let stmt = Engine::new().prepare(&dup, 2).unwrap();
+    match &stmt.naive_plan().node {
         PlanNode::Join { on, .. } => assert_eq!(on, &vec![(0, 2)]),
         other => panic!("expected a Join plan node, got {other:?}"),
     }
