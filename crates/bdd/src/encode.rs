@@ -2,13 +2,14 @@
 //!
 //! The conditions of general (p)c-tables (§2, §8) compare variables with
 //! *arbitrary* constants and with each other — not just with `true` /
-//! `false` — so they cannot go through [`crate::compile_condition`]
-//! directly. [`FdEncoding`] closes the gap with the standard one-hot
-//! (direct) encoding from knowledge compilation: a variable `x` with
+//! `false` — so a variable cannot simply be one BDD variable.
+//! [`FdEncoding`] uses the standard one-hot (direct) encoding from
+//! knowledge compilation instead: a variable `x` with
 //! finite domain `{v₁, …, v_d}` becomes a block of `d` Boolean
 //! *indicator* variables, indicator `i` meaning `x = vᵢ`, guarded by the
 //! per-block **domain-consistency constraint** "exactly one indicator is
-//! true".
+//! true". Boolean conditions are the special case of `{false, true}`
+//! domains.
 //!
 //! Weighted model counting then recovers `P[φ]` for a pc-table condition
 //! exactly: give indicator `(x, vᵢ)` the branch weights
@@ -29,7 +30,6 @@
 //! use ipdb_bdd::{BddManager, FdEncoding};
 //! use ipdb_logic::{Condition, Var};
 //! use ipdb_rel::Value;
-//! use std::collections::BTreeMap;
 //!
 //! // x uniform over {1, 2, 3}; φ = (x ≠ 2).
 //! let x = Var(0);
@@ -40,15 +40,14 @@
 //! )
 //! .unwrap();
 //! let f = enc.compile(&mut m, &Condition::neq_vc(x, 2)).unwrap();
-//! let weights = BTreeMap::from([(
-//!     x,
-//!     BTreeMap::from([
-//!         (Value::from(1), 0.25f64),
-//!         (Value::from(2), 0.5),
-//!         (Value::from(3), 0.25),
-//!     ]),
-//! )]);
-//! assert_eq!(enc.wmc(&mut m, f, &weights).unwrap(), 0.5);
+//! let weights = enc
+//!     .weights_from([
+//!         (x, Value::from(1), 0.25f64),
+//!         (x, Value::from(2), 0.5),
+//!         (x, Value::from(3), 0.25),
+//!     ])
+//!     .unwrap();
+//! assert_eq!(enc.wmc_with(&mut m, f, &weights).unwrap(), 0.5);
 //! ```
 
 use std::collections::BTreeMap;
@@ -73,8 +72,8 @@ struct Block {
 ///
 /// The encoding is tied to the [`BddManager`] it was built with (the
 /// consistency constraint lives in that manager's arena); all later
-/// [`FdEncoding::compile`] / [`FdEncoding::wmc`] calls must use the same
-/// manager.
+/// [`FdEncoding::compile`] / [`FdEncoding::wmc_with`] calls must use the
+/// same manager.
 #[derive(Debug, Clone)]
 pub struct FdEncoding {
     blocks: BTreeMap<Var, Block>,
@@ -163,7 +162,7 @@ impl FdEncoding {
 
     /// The conjoined exactly-one constraints of all blocks. Conjoin this
     /// with any compiled condition before counting over raw assignments;
-    /// [`FdEncoding::wmc`] does so internally.
+    /// [`FdEncoding::wmc_with`] does so internally.
     pub fn consistency(&self) -> NodeRef {
         self.consistency
     }
@@ -288,27 +287,8 @@ impl FdEncoding {
         Ok(out.into_iter().map(|o| o.expect("checked above")).collect())
     }
 
-    /// [`FdEncoding::weights_from`] over per-variable `(value → weight)`
-    /// maps. Errors if a map is missing for any encoded variable or a
-    /// weight is missing for any domain value.
-    pub fn boolean_weights<W: Weight>(
-        &self,
-        weights: &BTreeMap<Var, BTreeMap<Value, W>>,
-    ) -> Result<Vec<(W, W)>, BddError> {
-        for v in self.blocks.keys() {
-            if !weights.contains_key(v) {
-                return Err(BddError::UnknownVar(*v));
-            }
-        }
-        self.weights_from(weights.iter().flat_map(|(v, per_value)| {
-            per_value
-                .iter()
-                .map(move |(val, w)| (*v, val.clone(), w.clone()))
-        }))
-    }
-
     /// Domain-aware weighted model count under a prebuilt Boolean weight
-    /// vector (see [`FdEncoding::boolean_weights`]): counts
+    /// vector (see [`FdEncoding::weights_from`]): counts
     /// `f ∧ consistency`, which over one-hot blocks equals
     /// `Σ_{ν ⊨ f} Π_x w_x(ν(x))` — for probability weights, exactly
     /// `P[f]`.
@@ -321,18 +301,6 @@ impl FdEncoding {
         let g = mgr.and(f, self.consistency);
         mgr.wmc(g, boolean_weights)
     }
-
-    /// Domain-aware weighted model count of a compiled condition under
-    /// per-variable `(value → weight)` maps.
-    pub fn wmc<W: Weight>(
-        &self,
-        mgr: &mut BddManager,
-        f: NodeRef,
-        weights: &BTreeMap<Var, BTreeMap<Value, W>>,
-    ) -> Result<W, BddError> {
-        let bw = self.boolean_weights(weights)?;
-        self.wmc_with(mgr, f, &bw)
-    }
 }
 
 #[cfg(test)]
@@ -343,14 +311,13 @@ mod tests {
         vals.iter().map(|v| Value::from(*v)).collect()
     }
 
-    fn uniform_weights(enc: &FdEncoding) -> BTreeMap<Var, BTreeMap<Value, f64>> {
-        enc.vars()
-            .map(|v| {
-                let dom = enc.domain(v).unwrap();
-                let p = 1.0 / dom.len() as f64;
-                (v, dom.iter().map(|val| (val.clone(), p)).collect())
-            })
-            .collect()
+    fn uniform_weights(enc: &FdEncoding) -> Vec<(f64, f64)> {
+        enc.weights_from(enc.vars().flat_map(|v| {
+            let dom = enc.domain(v).unwrap();
+            let p = 1.0 / dom.len() as f64;
+            dom.iter().map(move |val| (v, val.clone(), p))
+        }))
+        .unwrap()
     }
 
     #[test]
@@ -392,7 +359,7 @@ mod tests {
         assert_eq!(m.sat_count(enc.consistency(), enc.nvars()).unwrap(), 6);
         // And they carry total probability 1 under any distribution.
         let w = uniform_weights(&enc);
-        let p = enc.wmc(&mut m, TRUE, &w).unwrap();
+        let p = enc.wmc_with(&mut m, TRUE, &w).unwrap();
         assert!((p - 1.0).abs() < 1e-12);
     }
 
@@ -403,14 +370,14 @@ mod tests {
         let enc = FdEncoding::new(&mut m, [(x, ints(&[1, 2, 3, 4]))]).unwrap();
         let w = uniform_weights(&enc);
         let eq = enc.compile(&mut m, &Condition::eq_vc(x, 2)).unwrap();
-        assert!((enc.wmc(&mut m, eq, &w).unwrap() - 0.25).abs() < 1e-12);
+        assert!((enc.wmc_with(&mut m, eq, &w).unwrap() - 0.25).abs() < 1e-12);
         let neq = enc.compile(&mut m, &Condition::neq_vc(x, 2)).unwrap();
-        assert!((enc.wmc(&mut m, neq, &w).unwrap() - 0.75).abs() < 1e-12);
+        assert!((enc.wmc_with(&mut m, neq, &w).unwrap() - 0.75).abs() < 1e-12);
         // Out-of-domain constants fold to false / true.
         let never = enc.compile(&mut m, &Condition::eq_vc(x, 9)).unwrap();
-        assert_eq!(enc.wmc(&mut m, never, &w).unwrap(), 0.0);
+        assert_eq!(enc.wmc_with(&mut m, never, &w).unwrap(), 0.0);
         let always = enc.compile(&mut m, &Condition::neq_vc(x, 9)).unwrap();
-        assert!((enc.wmc(&mut m, always, &w).unwrap() - 1.0).abs() < 1e-12);
+        assert!((enc.wmc_with(&mut m, always, &w).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -421,10 +388,10 @@ mod tests {
         let w = uniform_weights(&enc);
         // P[x = y] over independent uniforms = |{2,3}| / 9.
         let f = enc.compile(&mut m, &Condition::eq_vv(x, y)).unwrap();
-        let p = enc.wmc(&mut m, f, &w).unwrap();
+        let p = enc.wmc_with(&mut m, f, &w).unwrap();
         assert!((p - 2.0 / 9.0).abs() < 1e-12, "got {p}");
         let g = enc.compile(&mut m, &Condition::neq_vv(x, y)).unwrap();
-        let q = enc.wmc(&mut m, g, &w).unwrap();
+        let q = enc.wmc_with(&mut m, g, &w).unwrap();
         assert!((q - 7.0 / 9.0).abs() < 1e-12);
     }
 
@@ -440,39 +407,38 @@ mod tests {
             Condition::Not(Box::new(Condition::eq_vv(x, y))),
         ]);
         let f = enc.compile(&mut m, &c).unwrap();
-        assert!((enc.wmc(&mut m, f, &w).unwrap() - 0.25).abs() < 1e-12);
+        assert!((enc.wmc_with(&mut m, f, &w).unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]
-    fn boolean_domains_match_boolean_compiler() {
-        use crate::compile::{compile_condition, var_order};
+    fn boolean_domains_match_plain_literal_bdd() {
         let (a, b) = (Var(0), Var(1));
         let c = Condition::or([
             Condition::bvar(a),
             Condition::and([Condition::nbvar(a), Condition::bvar(b)]),
         ]);
-        // Boolean path.
+        // One BDD variable per boolean variable, built by hand.
         let mut m1 = BddManager::new();
-        let order = var_order(&c);
-        let f1 = compile_condition(&mut m1, &c, &order).unwrap();
+        let (la, lb, nla) = (m1.var(0), m1.var(1), m1.nvar(0));
+        let rest = m1.and(nla, lb);
+        let f1 = m1.or(la, rest);
         let p1 = m1.wmc(f1, &[(0.5, 0.5), (0.75, 0.25)]).unwrap();
         // Finite-domain path over {false, true}.
         let bools = vec![Value::Bool(false), Value::Bool(true)];
         let mut m2 = BddManager::new();
         let enc = FdEncoding::new(&mut m2, [(a, bools.clone()), (b, bools)]).unwrap();
         let f2 = enc.compile(&mut m2, &c).unwrap();
-        let w = BTreeMap::from([
-            (
-                a,
-                BTreeMap::from([(Value::Bool(false), 0.5f64), (Value::Bool(true), 0.5)]),
-            ),
-            (
-                b,
-                BTreeMap::from([(Value::Bool(false), 0.75f64), (Value::Bool(true), 0.25)]),
-            ),
-        ]);
-        let p2 = enc.wmc(&mut m2, f2, &w).unwrap();
+        let w = enc
+            .weights_from([
+                (a, Value::Bool(false), 0.5f64),
+                (a, Value::Bool(true), 0.5),
+                (b, Value::Bool(false), 0.75),
+                (b, Value::Bool(true), 0.25),
+            ])
+            .unwrap();
+        let p2 = enc.wmc_with(&mut m2, f2, &w).unwrap();
         assert!((p1 - p2).abs() < 1e-12, "{p1} vs {p2}");
+        assert!((p2 - 0.625).abs() < 1e-12);
     }
 
     #[test]
@@ -490,21 +456,8 @@ mod tests {
                 .unwrap_err(),
             BddError::UnknownVar(Var(9))
         );
-        // Weight map missing a domain value.
-        let partial = BTreeMap::from([(x, BTreeMap::from([(Value::from(1), 1.0f64)]))]);
-        let f = enc.compile(&mut m, &Condition::eq_vc(x, 1)).unwrap();
-        assert_eq!(
-            enc.wmc(&mut m, f, &partial).unwrap_err(),
-            BddError::MissingValueWeight(x, Value::from(2))
-        );
-        // Weight map missing the variable entirely.
-        let none: BTreeMap<Var, BTreeMap<Value, f64>> = BTreeMap::new();
-        assert_eq!(
-            enc.wmc(&mut m, f, &none).unwrap_err(),
-            BddError::UnknownVar(x)
-        );
-        // Flat triples are validated the same way: unknown variables,
-        // out-of-domain values, and incomplete coverage all error.
+        // Weight triples are validated: unknown variables, out-of-domain
+        // values, and incomplete coverage all error.
         assert_eq!(
             enc.weights_from([(Var(9), Value::from(1), 1.0f64)])
                 .unwrap_err(),

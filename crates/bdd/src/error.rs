@@ -1,4 +1,5 @@
-//! Errors for condition compilation and model counting.
+//! Errors for finite-domain encoding, condition compilation and model
+//! counting.
 
 use std::fmt;
 
@@ -8,14 +9,8 @@ use ipdb_rel::Value;
 /// Errors raised when compiling conditions to BDDs or counting models.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BddError {
-    /// The condition contains an atom that is not a boolean literal
-    /// (only *boolean* conditions — variables compared with boolean
-    /// constants — compile directly through [`crate::compile_condition`];
-    /// arbitrary finite-domain conditions go through
-    /// [`crate::FdEncoding`] instead).
-    NonBooleanAtom(String),
-    /// The condition mentions a variable missing from the compilation
-    /// order (or from the finite-domain encoding).
+    /// The condition (or a valuation or weight) mentions a variable
+    /// missing from the finite-domain encoding.
     UnknownVar(Var),
     /// A model-counting call met a decision node whose variable index
     /// lies outside the declared variable range (`weights.len()` for
@@ -40,9 +35,10 @@ pub enum BddError {
     /// A valuation bound an encoded variable to a value outside its
     /// encoded domain — no indicator exists for that binding.
     ValueOutOfDomain(Var, Value),
-    /// Weight arithmetic overflowed during model counting (a checked
-    /// [`Weight`](crate::Weight) operation returned `None`). Exact
-    /// rational weights with adversarial denominators reach this; it is
+    /// Model counting overflowed: a checked [`Weight`](crate::Weight)
+    /// operation returned `None` (exact rational weights with adversarial
+    /// denominators reach this), or an exact
+    /// [`sat_count`](crate::BddManager::sat_count) exceeds `u128`. It is
     /// an error, not a panic, so callers can degrade gracefully.
     Overflow,
 }
@@ -50,10 +46,9 @@ pub enum BddError {
 impl fmt::Display for BddError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BddError::NonBooleanAtom(s) => {
-                write!(f, "condition atom is not a boolean literal: {s}")
+            BddError::UnknownVar(v) => {
+                write!(f, "variable {v} missing from the finite-domain encoding")
             }
-            BddError::UnknownVar(v) => write!(f, "variable {v} missing from the BDD order"),
             BddError::VarOutOfRange { var, nvars } => write!(
                 f,
                 "BDD node decides variable index {var}, but the caller declared \
@@ -68,9 +63,7 @@ impl fmt::Display for BddError {
             BddError::ValueOutOfDomain(v, val) => {
                 write!(f, "value {val} is outside the encoded domain of {v}")
             }
-            BddError::Overflow => {
-                write!(f, "weight arithmetic overflowed during model counting")
-            }
+            BddError::Overflow => write!(f, "arithmetic overflowed during model counting"),
         }
     }
 }
@@ -83,9 +76,6 @@ mod tests {
 
     #[test]
     fn display() {
-        assert!(BddError::NonBooleanAtom("x0=3".into())
-            .to_string()
-            .contains("x0=3"));
         assert!(BddError::UnknownVar(Var(2)).to_string().contains("x2"));
         let e = BddError::VarOutOfRange { var: 7, nvars: 3 };
         assert!(e.to_string().contains('7') && e.to_string().contains('3'));

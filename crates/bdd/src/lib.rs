@@ -12,36 +12,32 @@
 //! component; we build it from scratch.
 //!
 //! * [`BddManager`] — hash-consed ROBDD store with an apply cache:
-//!   `var`, `not`, `and`, `or`, `xor`, `ite`, `restrict`, evaluation,
-//!   exact satisfying-assignment counting.
+//!   `var`, `not`, `and`, `or`, `xor`, `restrict`, evaluation, exact
+//!   satisfying-assignment counting, and weighted model counting.
 //! * [`Weight`] — the numeric abstraction for WMC (implemented here for
 //!   `f64`; `ipdb-prob` adds exact rationals).
-//! * [`compile`] — translates *boolean* `ipdb-logic` conditions (the
-//!   conditions of boolean c-tables / boolean pc-tables, §3/§8) into
-//!   BDDs.
 //! * [`encode`] — the finite-domain layer: [`FdEncoding`] one-hot-encodes
 //!   multi-valued variables into indicator blocks (with the exactly-one
-//!   domain-consistency constraint), so *arbitrary* `Eq`/`Neq` conditions
-//!   compile, and its domain-aware `wmc` consumes per-variable
-//!   `(value → weight)` maps. This is what lets `ipdb-prob` answer
-//!   general pc-table queries without enumerating the §8 valuation
+//!   domain-consistency constraint), so arbitrary `Eq`/`Neq` conditions
+//!   compile — boolean conditions are the `{false, true}`-domain case —
+//!   and [`FdEncoding::wmc_with`] counts them under the branch weights
+//!   built by [`FdEncoding::weights_from`]. This is what lets `ipdb-prob`
+//!   answer pc-table queries without enumerating the §8 valuation
 //!   product space.
 //!
-//! The probability engines in `ipdb-prob::answering` (naive enumeration,
-//! Shannon expansion, boolean BDD+WMC, finite-domain BDD+WMC) are checked
-//! against each other; the benches in `ipdb-bench` measure where the BDD
-//! pays off.
+//! `ipdb-prob::answering` has two probability engines: this finite-domain
+//! BDD + WMC path, and valuation enumeration as its exact oracle. They are
+//! checked against each other; the benches in `ipdb-bench` measure where
+//! the BDD pays off.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compile;
 pub mod encode;
 pub mod error;
 pub mod manager;
 pub mod weight;
 
-pub use compile::{compile_condition, var_order};
 pub use encode::FdEncoding;
 pub use error::BddError;
 pub use manager::{BddManager, BddStats, NodeRef, FALSE, TRUE};

@@ -166,17 +166,6 @@ impl BddManager {
         self.nodes[f as usize].var
     }
 
-    /// The (variable, low, high) triple of a decision node; `None` for
-    /// terminals.
-    pub fn expand(&self, f: NodeRef) -> Option<(u32, NodeRef, NodeRef)> {
-        if f <= TRUE {
-            None
-        } else {
-            let n = self.nodes[f as usize];
-            Some((n.var, n.lo, n.hi))
-        }
-    }
-
     /// Hash-consed node constructor: applies the reduction rules
     /// (identical children collapse; duplicate nodes share).
     pub fn mk(&mut self, var: u32, lo: NodeRef, hi: NodeRef) -> NodeRef {
@@ -236,24 +225,6 @@ impl BddManager {
     /// `f ⊕ g`.
     pub fn xor(&mut self, f: NodeRef, g: NodeRef) -> NodeRef {
         self.apply(Op::Xor, f, g)
-    }
-
-    /// `if f then g else h`.
-    pub fn ite(&mut self, f: NodeRef, g: NodeRef, h: NodeRef) -> NodeRef {
-        let fg = self.and(f, g);
-        let nf = self.not(f);
-        let nfh = self.and(nf, h);
-        self.or(fg, nfh)
-    }
-
-    /// n-ary conjunction.
-    pub fn and_all(&mut self, fs: impl IntoIterator<Item = NodeRef>) -> NodeRef {
-        fs.into_iter().fold(TRUE, |acc, f| self.and(acc, f))
-    }
-
-    /// n-ary disjunction.
-    pub fn or_all(&mut self, fs: impl IntoIterator<Item = NodeRef>) -> NodeRef {
-        fs.into_iter().fold(FALSE, |acc, f| self.or(acc, f))
     }
 
     fn apply(&mut self, op: Op, f: NodeRef, g: NodeRef) -> NodeRef {
@@ -360,12 +331,23 @@ impl BddManager {
     /// Errors with [`BddError::VarOutOfRange`] if `f` decides a variable
     /// `≥ nvars` (the count would otherwise silently ignore it); the
     /// check rides along the memoized recursion, so each node is still
-    /// visited exactly once.
+    /// visited exactly once. A count that does not fit in `u128` (up to
+    /// `2^nvars` models) errors with [`BddError::Overflow`] instead of
+    /// wrapping.
     pub fn sat_count(&self, f: NodeRef, nvars: u32) -> Result<u128, BddError> {
         let mut memo: HashMap<NodeRef, u128> = HashMap::new();
         // count(n) = models over variables strictly below var_of(n)'s level
         // (i.e. vars var_of(n)..nvars); terminals count 1 or 0, scaled by
         // skipped levels at each edge.
+        fn scaled(skip: u32, count: u128) -> Result<u128, BddError> {
+            if count == 0 {
+                return Ok(0);
+            }
+            1u128
+                .checked_shl(skip)
+                .and_then(|s| s.checked_mul(count))
+                .ok_or(BddError::Overflow)
+        }
         fn level(mgr: &BddManager, n: NodeRef, nvars: u32) -> u32 {
             if n <= TRUE {
                 nvars
@@ -399,13 +381,15 @@ impl BddManager {
             let hi = rec(mgr, node.hi, nvars, memo)?;
             let lo_skip = level(mgr, node.lo, nvars) - node.var - 1;
             let hi_skip = level(mgr, node.hi, nvars) - node.var - 1;
-            let c = (1u128 << lo_skip) * lo + (1u128 << hi_skip) * hi;
+            let c = scaled(lo_skip, lo)?
+                .checked_add(scaled(hi_skip, hi)?)
+                .ok_or(BddError::Overflow)?;
             memo.insert(n, c);
             Ok(c)
         }
         let count = rec(self, f, nvars, &mut memo)?;
         let root_skip = level(self, f, nvars).min(nvars);
-        Ok((1u128 << root_skip) * count)
+        scaled(root_skip, count)
     }
 
     /// Weighted model count of `f` over variables `0..weights.len()`.
@@ -549,20 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn ite_works() {
-        let mut m = BddManager::new();
-        let x = m.var(0);
-        let y = m.var(1);
-        let z = m.var(2);
-        let f = m.ite(x, y, z);
-        for bits in 0..8u32 {
-            let asg = [(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0];
-            let expect = if asg[0] { asg[1] } else { asg[2] };
-            assert_eq!(m.eval(f, &asg), expect);
-        }
-    }
-
-    #[test]
     fn canonicity_syntactic_equality() {
         let mut m = BddManager::new();
         let x = m.var(0);
@@ -600,6 +570,32 @@ mod tests {
         // Skipped variables are counted: f = x1 over 3 vars has 4 models.
         let y1 = m.var(1);
         assert_eq!(m.sat_count(y1, 3).unwrap(), 4);
+    }
+
+    #[test]
+    fn sat_count_overflow_is_an_error() {
+        // Regression: the level-skip shifts and products were unchecked,
+        // so release builds wrapped (2^130 models counted as 4) and debug
+        // builds panicked on the shift.
+        let mut m = BddManager::new();
+        let x0 = m.var(0);
+        assert_eq!(m.sat_count(TRUE, 130), Err(BddError::Overflow));
+        assert_eq!(m.sat_count(x0, 200), Err(BddError::Overflow));
+        // The largest representable power of two still counts exactly,
+        // and a zero count never overflows however many levels it skips.
+        assert_eq!(m.sat_count(TRUE, 127), Ok(1 << 127));
+        assert_eq!(m.sat_count(FALSE, 200), Ok(0));
+    }
+
+    #[test]
+    fn sat_count_overflow_in_a_sum_is_an_error() {
+        // x0 ⊕ x1 over 129 variables: each branch of the root counts
+        // 2^127 models without overflowing, but their sum is 2^128.
+        let mut m = BddManager::new();
+        let (x0, x1) = (m.var(0), m.var(1));
+        let f = m.xor(x0, x1);
+        assert_eq!(m.sat_count(f, 128), Ok(1 << 127));
+        assert_eq!(m.sat_count(f, 129), Err(BddError::Overflow));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! benchmarkable) or on exact rationals (`ipdb-prob::Rat`, so the
 //! distribution-equality theorems — Thms 8/9 — are testable without
 //! tolerances). [`Weight`] is the small commutative-semiring-with-
-//! subtraction interface both satisfy; every engine (BDD WMC, Shannon
-//! expansion, naive enumeration) is generic over it.
+//! subtraction interface both satisfy; both probability engines (BDD
+//! WMC and valuation enumeration) are generic over it.
 
 /// A weight type for model counting: a commutative semiring with
 /// subtraction and division (a field restricted to the operations WMC

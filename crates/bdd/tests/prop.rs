@@ -1,14 +1,15 @@
-//! Property tests: BDD compilation agrees with condition semantics, the
-//! counting engines agree with brute force, and the finite-domain
-//! encoding agrees with Shannon-style enumeration.
+//! Property tests: compiled conditions agree with condition semantics,
+//! the counting operations agree with brute force, and the finite-domain
+//! encoding agrees with enumeration. Boolean conditions compile through
+//! the encoding with `{false, true}` domains.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ipdb_bdd::{compile_condition, var_order, BddManager, FdEncoding};
+use ipdb_bdd::{BddManager, FdEncoding, NodeRef};
 use ipdb_logic::strategies::{arb_boolean_condition, arb_condition};
-use ipdb_logic::{sat, Valuation, Var};
+use ipdb_logic::{sat, Condition, Valuation, Var};
 use ipdb_rel::{Domain, Value};
 
 const NVARS: u32 = 4;
@@ -17,59 +18,86 @@ fn all_assignments(n: u32) -> impl Iterator<Item = Vec<bool>> {
     (0..(1u32 << n)).map(move |bits| (0..n).map(|i| (bits >> i) & 1 == 1).collect())
 }
 
+/// Compiles `c` under the one-hot encoding of its variables, each over
+/// `domain`.
+fn compile_over(m: &mut BddManager, c: &Condition, domain: &[Value]) -> (FdEncoding, NodeRef) {
+    let enc = FdEncoding::new(m, c.vars().into_iter().map(|v| (v, domain.to_vec()))).unwrap();
+    let f = enc.compile(m, c).unwrap();
+    (enc, f)
+}
+
+/// [`compile_over`] with `{false, true}` domains; also returns those
+/// boolean domains.
+fn compile_boolean(
+    m: &mut BddManager,
+    c: &Condition,
+) -> (FdEncoding, NodeRef, BTreeMap<Var, Domain>) {
+    let (enc, f) = compile_over(m, c, &[Value::Bool(false), Value::Bool(true)]);
+    let doms = c.vars().into_iter().map(|v| (v, Domain::bools())).collect();
+    (enc, f, doms)
+}
+
+/// The integer domain `{0, 1, 2}` of the multi-valued properties.
+fn int_domain() -> Vec<Value> {
+    (0..=2i64).map(Value::from).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn compiled_bdd_agrees_with_eval(c in arb_boolean_condition(NVARS, 3)) {
-        let order = var_order(&c);
         let mut m = BddManager::new();
-        let f = compile_condition(&mut m, &c, &order).unwrap();
-        let n = order.len() as u32;
-        for asg in all_assignments(n) {
-            let nu: Valuation = order
-                .iter()
-                .map(|(v, &i)| (*v, Value::from(asg[i as usize])))
-                .collect();
-            prop_assert_eq!(m.eval(f, &asg), c.eval(&nu).unwrap());
+        let (enc, f, doms) = compile_boolean(&mut m, &c);
+        for nu in Valuation::all_over(&doms) {
+            let asg = enc.encode_valuation(&nu).unwrap();
+            prop_assert_eq!(m.eval(f, &asg), c.eval(&nu).unwrap(), "valuation {}", nu);
         }
     }
 
+    /// Over raw indicator assignments, `f ∧ consistency` has exactly one
+    /// model per satisfying valuation.
     #[test]
     fn bdd_sat_count_matches_logic_count(c in arb_boolean_condition(NVARS, 3)) {
-        let order = var_order(&c);
         let mut m = BddManager::new();
-        let f = compile_condition(&mut m, &c, &order).unwrap();
-        let doms: BTreeMap<Var, Domain> = order.keys().map(|v| (*v, Domain::bools())).collect();
+        let (enc, f, doms) = compile_boolean(&mut m, &c);
+        let g = m.and(f, enc.consistency());
         prop_assert_eq!(
-            m.sat_count(f, order.len() as u32).unwrap(),
+            m.sat_count(g, enc.nvars()).unwrap(),
             sat::count_models(&c, &doms).unwrap()
         );
     }
 
+    /// Uniform weights turn WMC into model counting: the domain-aware
+    /// count is the fraction of satisfying valuations, and the raw
+    /// manager count under `(½, ½)` per indicator is the fraction of
+    /// satisfying indicator assignments.
     #[test]
     fn wmc_uniform_weights_match_sat_count(c in arb_boolean_condition(NVARS, 3)) {
-        let order = var_order(&c);
         let mut m = BddManager::new();
-        let f = compile_condition(&mut m, &c, &order).unwrap();
-        let n = order.len();
-        let weights = vec![(0.5f64, 0.5f64); n];
-        let p = m.wmc(f, &weights).unwrap();
-        let frac = m.sat_count(f, n as u32).unwrap() as f64 / (1u128 << n) as f64;
-        prop_assert!((p - frac).abs() < 1e-12);
+        let (enc, f, doms) = compile_boolean(&mut m, &c);
+        let weights = enc
+            .weights_from(doms.keys().flat_map(|v| {
+                [(*v, Value::Bool(false), 0.5f64), (*v, Value::Bool(true), 0.5)]
+            }))
+            .unwrap();
+        let p = enc.wmc_with(&mut m, f, &weights).unwrap();
+        let g = m.and(f, enc.consistency());
+        let models = m.sat_count(g, enc.nvars()).unwrap() as f64;
+        prop_assert!((p - models / (1u128 << doms.len()) as f64).abs() < 1e-12);
+        let n = enc.nvars();
+        let raw = m.wmc(f, &vec![(0.5f64, 0.5f64); n as usize]).unwrap();
+        let frac = m.sat_count(f, n).unwrap() as f64 / (1u128 << n) as f64;
+        prop_assert!((raw - frac).abs() < 1e-12);
     }
 
     /// The finite-domain encoding agrees with plain condition evaluation
     /// on every valuation of the variables over their domains.
     #[test]
     fn fd_encoding_agrees_with_eval(c in arb_condition(3, 2, 3)) {
-        let domain: Vec<Value> = (0..=2i64).map(Value::from).collect();
+        let domain = int_domain();
         let mut m = BddManager::new();
-        let enc = FdEncoding::new(
-            &mut m,
-            c.vars().into_iter().map(|v| (v, domain.clone())),
-        ).unwrap();
-        let f = enc.compile(&mut m, &c).unwrap();
+        let (enc, f) = compile_over(&mut m, &c, &domain);
         let doms: BTreeMap<Var, Domain> =
             c.vars().into_iter().map(|v| (v, Domain::ints(0..=2))).collect();
         for nu in Valuation::all_over(&doms) {
@@ -83,19 +111,17 @@ proptest! {
     #[test]
     fn fd_wmc_matches_enumeration(c in arb_condition(3, 2, 3)) {
         let nvars = c.vars().len() as u32;
-        let domain: Vec<Value> = (0..=2i64).map(Value::from).collect();
+        let domain = int_domain();
         let mut m = BddManager::new();
-        let enc = FdEncoding::new(
-            &mut m,
-            c.vars().into_iter().map(|v| (v, domain.clone())),
-        ).unwrap();
-        let f = enc.compile(&mut m, &c).unwrap();
-        let weights: BTreeMap<Var, BTreeMap<Value, f64>> = c
-            .vars()
-            .into_iter()
-            .map(|v| (v, domain.iter().map(|val| (val.clone(), 1.0 / 3.0)).collect()))
-            .collect();
-        let p = enc.wmc(&mut m, f, &weights).unwrap();
+        let (enc, f) = compile_over(&mut m, &c, &domain);
+        let weights = enc
+            .weights_from(
+                c.vars()
+                    .into_iter()
+                    .flat_map(|v| domain.iter().map(move |val| (v, val.clone(), 1.0 / 3.0))),
+            )
+            .unwrap();
+        let p = enc.wmc_with(&mut m, f, &weights).unwrap();
         let doms: BTreeMap<Var, Domain> =
             c.vars().into_iter().map(|v| (v, Domain::ints(0..=2))).collect();
         let models = sat::count_models(&c, &doms).unwrap() as f64;
@@ -103,16 +129,31 @@ proptest! {
         prop_assert!((p - frac).abs() < 1e-9, "wmc {} vs fraction {}", p, frac);
     }
 
+    /// The consistency constraint leaves exactly one raw model per
+    /// satisfying valuation over multi-valued domains too.
+    #[test]
+    fn fd_sat_count_matches_logic_count(c in arb_condition(3, 2, 3)) {
+        let domain = int_domain();
+        let mut m = BddManager::new();
+        let (enc, f) = compile_over(&mut m, &c, &domain);
+        let g = m.and(f, enc.consistency());
+        let doms: BTreeMap<Var, Domain> =
+            c.vars().into_iter().map(|v| (v, Domain::ints(0..=2))).collect();
+        prop_assert_eq!(
+            m.sat_count(g, enc.nvars()).unwrap(),
+            sat::count_models(&c, &doms).unwrap()
+        );
+    }
+
     #[test]
     fn restrict_agrees_with_semantics(c in arb_boolean_condition(2, 3)) {
-        let order = var_order(&c);
-        if order.is_empty() {
+        let mut m = BddManager::new();
+        let (enc, f, _) = compile_boolean(&mut m, &c);
+        let n = enc.nvars();
+        if n == 0 {
             return Ok(());
         }
-        let mut m = BddManager::new();
-        let f = compile_condition(&mut m, &c, &order).unwrap();
-        let n = order.len() as u32;
-        // Restrict BDD index 0 to true; must agree with eval forcing it.
+        // Restrict indicator 0 to true; must agree with eval forcing it.
         let g = m.restrict(f, 0, true);
         for asg in all_assignments(n) {
             let mut forced = asg.clone();

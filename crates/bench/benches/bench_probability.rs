@@ -1,58 +1,40 @@
-//! E16–E17 — the probability engines for `P[t ∈ answer]`:
-//! world enumeration vs Shannon expansion of the event expression vs
-//! ROBDD weighted model counting (boolean-literal and finite-domain
-//! one-hot compilations), by variable count — plus the full
-//! answer-distribution pipeline (`answer_dist_enum` vs the BDD fast
-//! path) that `bench_smoke` gates in CI.
+//! E16–E17 — the two probability engines for `P[t ∈ answer]`: world
+//! enumeration vs finite-domain ROBDD weighted model counting, by
+//! variable count — plus the full answer-distribution pipeline
+//! (`answer_dist_enum` vs the BDD fast path) that `bench_smoke` gates in
+//! CI.
 //!
 //! The shape to expect: enumeration is exponential in *all* variables;
-//! Shannon touches only the variables of the tuple's condition;
-//! the BDD engines additionally share subproblems across the condition
-//! and win as conditions grow repetitive.
+//! the BDD engine encodes only the variables of the tuple's condition and
+//! shares subproblems across it.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use ipdb_bench::{
-    prob_smoke_pctable, random_boolean_pctable, random_boolean_pctable_f64, random_pctable,
-    PROB_SMOKE_QUERY,
-};
+use ipdb_bench::{prob_smoke_pctable, random_boolean_pctable, random_pctable, PROB_SMOKE_QUERY};
 use ipdb_engine::Engine;
-use ipdb_prob::answering::{tuple_prob_bdd, tuple_prob_enum, tuple_prob_shannon};
 use ipdb_rel::Tuple;
 
 fn probe() -> Tuple {
     Tuple::new([7i64])
 }
 
-fn bench_three_engines(c: &mut Criterion) {
+fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("probability_engines");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(700));
     for nvars in [4u32, 8, 12] {
-        let bpc = random_boolean_pctable(8, 1, nvars, 0x77 + nvars as u64);
+        let pc = random_boolean_pctable(8, 1, nvars, 0x77 + nvars as u64).into_pctable();
         if nvars <= 8 {
-            group.bench_with_input(BenchmarkId::new("enumerate", nvars), &bpc, |b, t| {
-                b.iter(|| tuple_prob_enum(t.as_pctable(), &probe()).unwrap())
+            group.bench_with_input(BenchmarkId::new("enumerate", nvars), &pc, |b, pc| {
+                b.iter(|| pc.tuple_prob_enum(&probe()).unwrap())
             });
         }
-        group.bench_with_input(BenchmarkId::new("shannon", nvars), &bpc, |b, t| {
-            b.iter(|| tuple_prob_shannon(t.as_pctable(), &probe()).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("bdd_rat", nvars), &bpc, |b, t| {
-            b.iter(|| tuple_prob_bdd(t, &probe()).unwrap())
-        });
-        let bpc_f = random_boolean_pctable_f64(8, 1, nvars, 0x77 + nvars as u64);
-        group.bench_with_input(BenchmarkId::new("bdd_f64", nvars), &bpc_f, |b, t| {
-            b.iter(|| tuple_prob_bdd(t, &probe()).unwrap())
-        });
-        // The finite-domain one-hot compilation on the same tables (two
-        // indicators per boolean variable instead of one literal).
-        group.bench_with_input(BenchmarkId::new("bdd_onehot", nvars), &bpc, |b, t| {
-            b.iter(|| t.as_pctable().tuple_prob_bdd(&probe()).unwrap())
+        group.bench_with_input(BenchmarkId::new("fd_bdd", nvars), &pc, |b, pc| {
+            b.iter(|| pc.tuple_prob_bdd(&probe()).unwrap())
         });
     }
     group.finish();
@@ -113,7 +95,7 @@ fn bench_thm9_closure(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_three_engines,
+    bench_engines,
     bench_answer_dist,
     bench_thm9_closure
 );

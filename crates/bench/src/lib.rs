@@ -100,7 +100,7 @@ pub fn random_boolean_condition(rng: &mut StdRng, nvars: u32, depth: u32) -> Con
 }
 
 /// A random boolean pc-table over `nvars` Bernoulli variables with
-/// dyadic probabilities (exact in both `Rat` and `f64`).
+/// dyadic probabilities.
 pub fn random_boolean_pctable(
     rows: usize,
     arity: usize,
@@ -120,30 +120,6 @@ pub fn random_boolean_pctable(
         .vars()
         .into_iter()
         .map(|v| (v, Rat::new(rng.gen_range(1..=7), 8)))
-        .collect();
-    BooleanPcTable::new(t, probs).expect("valid probabilities")
-}
-
-/// The same boolean pc-table with `f64` weights (for the fast path).
-pub fn random_boolean_pctable_f64(
-    rows: usize,
-    arity: usize,
-    nvars: u32,
-    seed: u64,
-) -> BooleanPcTable<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut t = BooleanCTable::new(arity);
-    for _ in 0..rows {
-        let tuple: Tuple = (0..arity)
-            .map(|_| Value::from(rng.gen_range(0..64i64)))
-            .collect();
-        let cond = random_boolean_condition(&mut rng, nvars, 3);
-        t.push(tuple, cond).expect("boolean by construction");
-    }
-    let probs: Vec<(Var, f64)> = t
-        .vars()
-        .into_iter()
-        .map(|v| (v, rng.gen_range(1..=7) as f64 / 8.0))
         .collect();
     BooleanPcTable::new(t, probs).expect("valid probabilities")
 }

@@ -293,7 +293,7 @@ impl Condition {
     ///
     /// `c.partial_eval(ν) == True/False` exactly when every completion of
     /// `ν` (over any domain) agrees — this is what makes backtracking
-    /// satisfiability and the Shannon-expansion model counter prune.
+    /// satisfiability prune ([`crate::sat`]).
     pub fn partial_eval(&self, nu: &Valuation) -> Condition {
         match self {
             Condition::True => Condition::True,

@@ -11,8 +11,8 @@
 //!   negation normal form;
 //! * [`Valuation`] — (partial) assignments `ν : Var → D`, total evaluation
 //!   and *residual* (partial) evaluation — the workhorse of world
-//!   enumeration, satisfiability, and the Shannon-expansion probability
-//!   engine in `ipdb-prob`;
+//!   enumeration and satisfiability; `ipdb-bdd` compiles conditions for
+//!   the probability engine in `ipdb-prob`;
 //! * [`sat`] — satisfiability / validity / equivalence of conditions over
 //!   per-variable finite domains (Def. 6's `dom(x)`), by backtracking with
 //!   residual pruning.

@@ -1,36 +1,35 @@
-//! Query answering on probabilistic c-tables: three engines.
+//! Query answering on probabilistic c-tables: two engines.
 //!
 //! §7–§8 of the paper: the probability that a tuple `t` appears in a
 //! query answer is the probability of `t`'s *event expression* — the
-//! condition decorating `t` in `q̄(T)`. This module computes it three
-//! ways, cheapest-to-build first:
+//! condition decorating `t` in `q̄(T)`. This module computes it two
+//! ways:
 //!
-//! 1. [`tuple_prob_enum`] — enumerate the whole valuation space
-//!    (exponential in the number of variables, always applicable);
-//! 2. [`tuple_prob_shannon`] — Shannon expansion of the tuple's presence
-//!    condition with memoization on residual conditions (touches only
-//!    the variables the condition mentions);
-//! 3. [`tuple_prob_bdd`] — for *boolean* pc-tables, compile the presence
-//!    condition to a ROBDD and run weighted model counting;
-//! 4. [`PcTable::tuple_prob_bdd`] / [`PcTable::answer_dist_bdd`] — the
-//!    general finite-domain BDD path: every multi-valued variable is
-//!    one-hot encoded (`ipdb_bdd::FdEncoding`), so arbitrary `Eq`/`Neq`
-//!    conditions compile, and the answer distribution is computed by
-//!    domain-aware WMC with one manager shared across all answer tuples.
+//! 1. [`prob_of_condition`] — the finite-domain BDD engine: every
+//!    variable of the condition is one-hot encoded
+//!    (`ipdb_bdd::FdEncoding`), so arbitrary `Eq`/`Neq` conditions
+//!    compile, and `P[φ]` is a domain-aware weighted model count.
+//!    [`PcTable::tuple_prob_bdd`] applies it to one tuple's presence
+//!    condition, [`PcTable::answer_dist_bdd`] to every answer tuple with
+//!    one manager shared across them, and the lineage evaluator
+//!    `extensional::exact_prob` to a conjunctive query's lineage;
+//! 2. [`PcTable::tuple_prob_enum`] / [`PcTable::answer_dist_enum`] —
+//!    enumerate the whole valuation space (exponential in the number of
+//!    variables): the Def. 13 semantics itself, kept as the oracle.
 //!
-//! All engines agree exactly (property-tested with `Rat`, including the
+//! The engines agree exactly (property-tested with `Rat`, including the
 //! `prob_oracle` differential suite in `ipdb-engine`); the benches in
-//! `ipdb-bench` measure the crossovers.
+//! `ipdb-bench` measure the crossover.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ipdb_bdd::{compile_condition, var_order, BddManager, Weight};
+use ipdb_bdd::{BddManager, FdEncoding, Weight};
 use ipdb_logic::{Condition, Term, Valuation, Var};
 use ipdb_rel::{Domain, Tuple, Value};
 use ipdb_tables::{algebra, CTable};
 
 use crate::error::ProbError;
-use crate::pctable::{BooleanPcTable, PcTable};
+use crate::pctable::PcTable;
 use crate::space::FiniteSpace;
 
 /// The *presence condition* of tuple `t` in a c-table: the event
@@ -46,92 +45,85 @@ pub fn presence_condition(table: &CTable, t: &Tuple) -> Condition {
     )
 }
 
-/// `P[φ]` by Shannon expansion over the variables' finite distributions,
-/// with memoization on the (folded) residual condition.
+/// State of the BDD probability engine: the manager, the one-hot
+/// encoding, and the Boolean branch-weight vector.
+pub(crate) type BddCtx<W> = (BddManager, FdEncoding, Vec<(W, W)>);
+
+/// Builds the engine state for `vars`: a fresh manager, the one-hot
+/// [`FdEncoding`] of each variable over its distribution's support, and
+/// the branch weights derived from the distributions. Errors with
+/// [`ProbError::MissingDistribution`] on a variable without one.
 ///
-/// Branch on the first variable of the residual: each outcome
-/// contributes `P[x = a] · P[φ[x:=a]]`. Residuals that fold to
-/// `true`/`false` terminate immediately, and the memo table catches the
-/// (frequent, for event expressions) coinciding residuals.
+/// Only the given variables are encoded: a condition cannot reference
+/// anything else, and an independent variable it does not mention
+/// contributes a probability factor of exactly 1.
+pub(crate) fn bdd_ctx<W: Weight>(
+    vars: &BTreeSet<Var>,
+    dists: &BTreeMap<Var, FiniteSpace<Value, W>>,
+) -> Result<BddCtx<W>, ProbError> {
+    let used = vars
+        .iter()
+        .map(|v| {
+            dists
+                .get(v)
+                .map(|d| (*v, d))
+                .ok_or(ProbError::MissingDistribution(*v))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut mgr = BddManager::new();
+    let enc = FdEncoding::new(
+        &mut mgr,
+        used.iter()
+            .map(|(v, d)| (*v, d.iter().map(|(val, _)| val.clone()).collect())),
+    )?;
+    let weights = enc.weights_from(
+        used.iter()
+            .flat_map(|(v, d)| d.iter().map(|(val, w)| (*v, val.clone(), w.clone()))),
+    )?;
+    Ok((mgr, enc, weights))
+}
+
+/// `P[φ]` over independent finite distributions of its variables: compile
+/// `φ` under the one-hot encoding of exactly the variables it mentions
+/// and run domain-aware weighted model counting.
+///
+/// Errors with [`ProbError::MissingDistribution`] if a variable of `φ`
+/// has no distribution, and with [`ProbError::Overflow`] if exact weight
+/// arithmetic leaves its representable range.
+///
+/// ```
+/// use std::collections::BTreeMap;
+/// use ipdb_logic::{Condition, Var};
+/// use ipdb_prob::answering::prob_of_condition;
+/// use ipdb_prob::{rat, FiniteSpace, Rat};
+/// use ipdb_rel::Value;
+///
+/// // x uniform on {1, 2, 3, 4}; y a fair coin over {1, 2}.
+/// let (x, y) = (Var(0), Var(1));
+/// let quarter = |v: i64| (Value::from(v), rat!(1, 4));
+/// let half = |v: i64| (Value::from(v), rat!(1, 2));
+/// let dists = BTreeMap::from([
+///     (x, FiniteSpace::new((1..=4).map(quarter)).unwrap()),
+///     (y, FiniteSpace::new([half(1), half(2)]).unwrap()),
+/// ]);
+/// // P[x = y ∨ x = 4] = 2/8 + 1/4.
+/// let phi = Condition::or([Condition::eq_vv(x, y), Condition::eq_vc(x, 4)]);
+/// assert_eq!(prob_of_condition(&phi, &dists).unwrap(), rat!(1, 2));
+/// ```
 pub fn prob_of_condition<W: Weight>(
     cond: &Condition,
     dists: &BTreeMap<Var, FiniteSpace<Value, W>>,
 ) -> Result<W, ProbError> {
-    for v in cond.vars() {
-        if !dists.contains_key(&v) {
-            return Err(ProbError::MissingDistribution(v));
-        }
-    }
-    let mut memo: BTreeMap<Condition, W> = BTreeMap::new();
-    fn rec<W: Weight>(
-        cond: &Condition,
-        dists: &BTreeMap<Var, FiniteSpace<Value, W>>,
-        memo: &mut BTreeMap<Condition, W>,
-    ) -> Result<W, ProbError> {
-        match cond {
-            Condition::True => return Ok(W::one()),
-            Condition::False => return Ok(W::zero()),
-            _ => {}
-        }
-        if let Some(p) = memo.get(cond) {
-            return Ok(p.clone());
-        }
-        let v = *cond
-            .vars()
-            .iter()
-            .next()
-            .expect("non-constant condition has a variable");
-        let mut acc = W::zero();
-        for (val, p) in dists[&v].iter() {
-            let step = Valuation::from_iter([(v, val.clone())]);
-            let residual = cond.partial_eval(&step);
-            let branch = p
-                .checked_mul(&rec(&residual, dists, memo)?)
-                .ok_or(ProbError::Overflow)?;
-            acc = acc.checked_add(&branch).ok_or(ProbError::Overflow)?;
-        }
-        memo.insert(cond.clone(), acc.clone());
-        Ok(acc)
-    }
-    rec(&cond.simplify(), dists, &mut memo)
-}
-
-/// Engine 1: `P[t ∈ I]` by full enumeration of `Mod(T)`.
-pub fn tuple_prob_enum<W: Weight>(pc: &PcTable<W>, t: &Tuple) -> Result<W, ProbError> {
-    pc.tuple_prob_enum(t)
-}
-
-/// Engine 2: `P[t ∈ I]` by Shannon expansion of the presence condition.
-pub fn tuple_prob_shannon<W: Weight>(pc: &PcTable<W>, t: &Tuple) -> Result<W, ProbError> {
-    let cond = presence_condition(pc.table(), t);
-    prob_of_condition(&cond, pc.dists())
-}
-
-/// Engine 3: `P[t ∈ I]` for boolean pc-tables via ROBDD + weighted model
-/// counting (one Boolean BDD variable per table variable — leaner than
-/// the general one-hot path when conditions are already boolean).
-pub fn tuple_prob_bdd<W: Weight>(bpc: &BooleanPcTable<W>, t: &Tuple) -> Result<W, ProbError> {
-    let cond = presence_condition(bpc.as_pctable().table(), t);
-    let order = var_order(&cond);
-    let mut mgr = BddManager::new();
-    let f = compile_condition(&mut mgr, &cond, &order)?;
-    // weights[i] = (P[x=false], P[x=true]) in BDD index order.
-    let dists = bpc.as_pctable().dists();
-    let mut weights: Vec<(W, W)> = vec![(W::one(), W::zero()); order.len()];
-    for (v, idx) in &order {
-        let d = &dists[v];
-        weights[*idx as usize] = (d.prob(&Value::Bool(false)), d.prob(&Value::Bool(true)));
-    }
-    Ok(mgr.wmc(f, &weights)?)
+    let (mut mgr, enc, weights) = bdd_ctx(&cond.vars(), dists)?;
+    let f = enc.compile(&mut mgr, cond)?;
+    Ok(enc.wmc_with(&mut mgr, f, &weights)?)
 }
 
 /// The candidate answer tuples of a pc-table: every row's tuple grounded
 /// over the domains (distribution supports) of its own tuple variables,
 /// deduplicated in canonical order. Cheaper than materializing `Mod`,
 /// and complete: every tuple with non-zero marginal is among these.
-/// Shared by the Shannon ([`answer_marginals`]) and BDD
-/// ([`PcTable::marginals_bdd`]) paths so their candidate semantics
-/// cannot drift apart.
+/// [`PcTable::marginals_bdd`] counts each one's presence condition.
 pub(crate) fn candidate_tuples<W: Weight>(pc: &PcTable<W>) -> Result<BTreeSet<Tuple>, ProbError> {
     let mut out = BTreeSet::new();
     for row in pc.table().rows() {
@@ -152,30 +144,10 @@ pub(crate) fn candidate_tuples<W: Weight>(pc: &PcTable<W>) -> Result<BTreeSet<Tu
     Ok(out)
 }
 
-/// The full answer-tuple marginal table for `q` over `pc`: every
-/// possible answer tuple with its probability (computed with the Shannon
-/// engine), in canonical tuple order.
-///
-/// This is the §7 question ("the probability of tuples appearing in
-/// query answers") answered through the Thm 9 closure.
-pub fn answer_marginals<W: Weight>(
-    pc: &PcTable<W>,
-    q: &ipdb_rel::Query,
-) -> Result<Vec<(Tuple, W)>, ProbError> {
-    let answered = pc.eval_query(q)?;
-    let mut out = Vec::new();
-    for t in candidate_tuples(&answered)? {
-        let p = tuple_prob_shannon(&answered, &t)?;
-        if !p.is_zero() {
-            out.push((t, p));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pctable::BooleanPcTable;
     use crate::rat;
     use crate::rat::Rat;
     use crate::space::FiniteSpace;
@@ -210,16 +182,22 @@ mod tests {
 
     #[test]
     fn three_engines_agree_on_small_pc() {
+        // Enumeration, the per-tuple BDD, and the shared-manager marginals.
         let pc = small_pc();
+        let marginals: BTreeMap<Tuple, Rat> = pc.marginals_bdd().unwrap().into_iter().collect();
         for t in [tuple![1], tuple![2], tuple![9], tuple![7]] {
-            let e = tuple_prob_enum(&pc, &t).unwrap();
-            let s = tuple_prob_shannon(&pc, &t).unwrap();
-            assert_eq!(e, s, "tuple {t}");
+            let e = pc.tuple_prob_enum(&t).unwrap();
+            assert_eq!(e, pc.tuple_prob_bdd(&t).unwrap(), "tuple {t}");
+            assert_eq!(
+                e,
+                marginals.get(&t).copied().unwrap_or(Rat::ZERO),
+                "tuple {t}"
+            );
         }
         // Hand-checked: P[(1)] = P[x=1] = 1/3;
         // P[(9)] = P[x=y] = 1/3 (9 not in dom(x)).
-        assert_eq!(tuple_prob_shannon(&pc, &tuple![1]).unwrap(), rat!(1, 3));
-        assert_eq!(tuple_prob_shannon(&pc, &tuple![9]).unwrap(), rat!(1, 3));
+        assert_eq!(pc.tuple_prob_bdd(&tuple![1]).unwrap(), rat!(1, 3));
+        assert_eq!(pc.tuple_prob_bdd(&tuple![9]).unwrap(), rat!(1, 3));
     }
 
     #[test]
@@ -237,34 +215,35 @@ mod tests {
         )
         .unwrap();
         let bpc = BooleanPcTable::new(bt, [(a, rat!(1, 2)), (b, rat!(1, 4))]).unwrap();
+        let pc = bpc.as_pctable();
         for t in [tuple![1], tuple![2], tuple![3]] {
-            let e = tuple_prob_enum(bpc.as_pctable(), &t).unwrap();
-            let s = tuple_prob_shannon(bpc.as_pctable(), &t).unwrap();
-            let d = tuple_prob_bdd(&bpc, &t).unwrap();
-            assert_eq!(e, s, "tuple {t}");
-            assert_eq!(e, d, "tuple {t}");
+            let e = pc.tuple_prob_enum(&t).unwrap();
+            assert_eq!(e, pc.tuple_prob_bdd(&t).unwrap(), "tuple {t}");
         }
         // P[(1)] = 1 - 1/2·3/4 = 5/8.
-        assert_eq!(tuple_prob_bdd(&bpc, &tuple![1]).unwrap(), rat!(5, 8));
+        assert_eq!(pc.tuple_prob_bdd(&tuple![1]).unwrap(), rat!(5, 8));
     }
 
     #[test]
     fn fd_bdd_engine_agrees_on_general_tables() {
-        // small_pc has non-boolean atoms (x = 1, x = y), which the
-        // boolean compiler rejects; the finite-domain path handles them.
+        // small_pc has non-boolean atoms (x = 1, x = y) and a constant
+        // outside dom(x) (the 9); every presence condition's probability
+        // is the valuation-space mass of the valuations satisfying it.
         let pc = small_pc();
-        for t in [tuple![1], tuple![2], tuple![9], tuple![7]] {
-            let e = tuple_prob_enum(&pc, &t).unwrap();
-            let s = tuple_prob_shannon(&pc, &t).unwrap();
-            let d = pc.tuple_prob_bdd(&t).unwrap();
-            assert_eq!(e, d, "enum vs bdd on tuple {t}");
-            assert_eq!(s, d, "shannon vs bdd on tuple {t}");
+        let space = pc.valuation_space().unwrap();
+        for t in [tuple![1], tuple![2], tuple![3], tuple![9], tuple![7]] {
+            let cond = presence_condition(pc.table(), &t);
+            let brute = space
+                .iter()
+                .filter(|(nu, _)| cond.eval(nu).unwrap())
+                .fold(Rat::ZERO, |acc, (_, w)| acc + *w);
+            assert_eq!(prob_of_condition(&cond, pc.dists()).unwrap(), brute);
+            assert_eq!(pc.tuple_prob_bdd(&t).unwrap(), brute, "tuple {t}");
         }
-        assert_eq!(pc.tuple_prob_bdd(&tuple![9]).unwrap(), rat!(1, 3));
     }
 
     #[test]
-    fn answer_dist_bdd_matches_enum_and_shannon_marginals() {
+    fn answer_dist_bdd_matches_enum() {
         let pc = small_pc();
         for q in [
             Query::Input,
@@ -273,7 +252,6 @@ mod tests {
         ] {
             let bdd = pc.answer_dist_bdd(&q).unwrap();
             assert_eq!(bdd, pc.answer_dist_enum(&q).unwrap(), "query {q}");
-            assert_eq!(bdd, answer_marginals(&pc, &q).unwrap(), "query {q}");
         }
     }
 
@@ -297,6 +275,12 @@ mod tests {
             prob_of_condition(&Condition::eq_vc(x, 77), &dists).unwrap(),
             Rat::ZERO
         );
+        // A variable compared with itself needs no branching but still
+        // needs a distribution.
+        assert_eq!(
+            prob_of_condition(&Condition::eq_vv(x, x), &dists).unwrap(),
+            Rat::ONE
+        );
         assert_eq!(
             prob_of_condition(&Condition::eq_vc(Var(9), 1), &dists),
             Err(ProbError::MissingDistribution(Var(9)))
@@ -304,11 +288,35 @@ mod tests {
     }
 
     #[test]
-    fn answer_marginals_on_query() {
+    fn prob_of_condition_var_var_atoms_over_partly_shared_domains() {
+        // x uniform on {1,2,3}; y on {2: 1/2, 3: 1/4, 4: 1/4}. Only the
+        // shared values 2 and 3 can make x = y.
+        let (x, y) = (Var(0), Var(1));
+        let y_dist = FiniteSpace::new([
+            (Value::from(2), rat!(1, 2)),
+            (Value::from(3), rat!(1, 4)),
+            (Value::from(4), rat!(1, 4)),
+        ])
+        .unwrap();
+        let dists = BTreeMap::from([(x, uniform(&[1, 2, 3])), (y, y_dist)]);
+        let eq = Condition::eq_vv(x, y);
+        // 1/3 · 1/2 + 1/3 · 1/4 = 1/4.
+        assert_eq!(prob_of_condition(&eq, &dists).unwrap(), rat!(1, 4));
+        assert_eq!(
+            prob_of_condition(&Condition::Not(Box::new(eq)), &dists).unwrap(),
+            rat!(3, 4)
+        );
+        // x = y ∧ y = 4 is impossible: 4 ∉ dom(x).
+        let c = Condition::and([Condition::eq_vv(x, y), Condition::eq_vc(y, 4)]);
+        assert_eq!(prob_of_condition(&c, &dists).unwrap(), Rat::ZERO);
+    }
+
+    #[test]
+    fn answer_dist_bdd_on_query() {
         let pc = small_pc();
         // σ_{#1≠9}(V): drops the 9 row unless... keeps x-row tuples ≠ 9.
         let q = Query::select(Query::Input, Pred::neq_const(0, 9));
-        let m = answer_marginals(&pc, &q).unwrap();
+        let m = pc.answer_dist_bdd(&q).unwrap();
         // Possible answers: 1, 2, 3 each with P = 1/3.
         assert_eq!(m.len(), 3);
         for (t, p) in &m {
@@ -317,10 +325,10 @@ mod tests {
     }
 
     #[test]
-    fn answer_marginals_match_mod_space() {
+    fn answer_dist_bdd_matches_mod_space() {
         let pc = small_pc();
         let q = Query::union(Query::Input, Query::Lit(ipdb_rel::instance![[2]]));
-        let m = answer_marginals(&pc, &q).unwrap();
+        let m = pc.answer_dist_bdd(&q).unwrap();
         let answered = pc.eval_query(&q).unwrap().mod_space().unwrap();
         for (t, p) in &m {
             assert_eq!(*p, answered.tuple_prob(t), "tuple {t}");

@@ -128,6 +128,28 @@ mod tests {
     }
 
     #[test]
+    fn theorem8_table_is_answered_by_the_bdd_engine() {
+        // The boolean pc-table of Theorem 8 needs no engine of its own:
+        // its tuple marginals come out of the general BDD path exactly.
+        let db = PDatabase::from_outcomes(
+            1,
+            [
+                (instance![[1], [2]], rat!(1, 4)),
+                (instance![[1], [3]], rat!(1, 4)),
+                (instance![[2]], rat!(1, 2)),
+            ],
+        )
+        .unwrap();
+        let t = theorem8_table(&db, &mut VarGen::new()).unwrap();
+        let marginals = t.as_pctable().marginals_bdd().unwrap();
+        assert_eq!(marginals, db.marginals());
+        assert_eq!(marginals.len(), 3);
+        for (tuple, p) in &marginals {
+            assert_eq!(t.as_pctable().tuple_prob_bdd(tuple).unwrap(), *p);
+        }
+    }
+
+    #[test]
     fn worlds_sharing_tuples() {
         let db = PDatabase::from_outcomes(
             1,

@@ -117,7 +117,7 @@ impl From<BddError> for ProbError {
             // Weight overflow is a property of the probability layer's
             // arithmetic, not of the diagram: keep one variant for it so
             // callers match a single error regardless of which engine
-            // (WMC, Shannon, enumeration) hit the edge.
+            // (WMC or enumeration) hit the edge.
             BddError::Overflow => ProbError::Overflow,
             e => ProbError::Bdd(e),
         }

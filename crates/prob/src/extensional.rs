@@ -21,9 +21,9 @@
 //!   measure;
 //! * [`exact_prob`] — ground the query, build its *lineage* (event
 //!   expression over per-tuple Bernoulli variables — §7/§9), and compute
-//!   its probability by Shannon expansion. Always correct; exponential
-//!   in the worst case (as it must be: non-hierarchical queries are
-//!   #P-hard \[9\]).
+//!   its probability with the BDD engine ([`prob_of_condition`]). Always
+//!   correct; exponential in the worst case (as it must be:
+//!   non-hierarchical queries are #P-hard \[9\]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -335,7 +335,8 @@ fn ground<W: Weight + PartialOrd>(
     }
 }
 
-/// Exact `P[q]` via lineage + Shannon expansion. Always correct.
+/// Exact `P[q]` via lineage + BDD weighted model counting. Always
+/// correct.
 pub fn exact_prob<W: Weight + PartialOrd>(q: &BoolCq, db: &ProbDb<W>) -> Result<W, ProbError> {
     let (cond, dists) = lineage(q, db)?;
     prob_of_condition(&cond, &dists)
@@ -492,6 +493,76 @@ mod tests {
             PTable::from_rows(1, [(tuple![10], rat!(2, 3)), (tuple![20], rat!(1, 6))]).unwrap(),
         );
         db
+    }
+
+    /// The E20 database of the experiments harness: a four-element chain
+    /// where every `x` reaches two `y`s, so `H₀`'s groundings overlap.
+    fn e20_db() -> ProbDb<Rat> {
+        let mut db = ProbDb::new();
+        db.insert(
+            "R",
+            PTable::from_rows(1, (0..4i64).map(|i| (Tuple::new([i]), rat!(1, 2)))).unwrap(),
+        );
+        db.insert(
+            "S",
+            PTable::from_rows(
+                2,
+                (0..4i64).flat_map(|i| {
+                    [
+                        (Tuple::new([i, 100 + i]), rat!(1, 2)),
+                        (Tuple::new([i, 100 + ((i + 1) % 4)]), rat!(1, 4)),
+                    ]
+                }),
+            )
+            .unwrap(),
+        );
+        db.insert(
+            "T",
+            PTable::from_rows(1, (100..104i64).map(|i| (Tuple::new([i]), rat!(1, 2)))).unwrap(),
+        );
+        db
+    }
+
+    fn safe_chain() -> BoolCq {
+        BoolCq::new(vec![
+            CqAtom::new("R", vec![CqArg::Var(0)]),
+            CqAtom::new("S", vec![CqArg::Var(0), CqArg::Var(1)]),
+        ])
+    }
+
+    /// `P[q]` straight from the definition: the sum, over the valuations
+    /// of the lineage's Bernoulli variables that satisfy it, of the
+    /// product of their probabilities.
+    fn brute_force_prob(q: &BoolCq, db: &ProbDb<Rat>) -> Rat {
+        let (cond, dists) = lineage(q, db).unwrap();
+        let doms: BTreeMap<Var, ipdb_rel::Domain> = cond
+            .vars()
+            .into_iter()
+            .map(|v| (v, ipdb_rel::Domain::bools()))
+            .collect();
+        let mut total = Rat::ZERO;
+        for nu in ipdb_logic::Valuation::all_over(&doms) {
+            if cond.eval(&nu).unwrap() {
+                let w = doms
+                    .keys()
+                    .fold(Rat::ONE, |w, v| w * dists[v].prob(nu.get(*v).unwrap()));
+                total = total + w;
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn exact_prob_equals_lineage_enumeration() {
+        for db in [db(), e20_db()] {
+            for q in [BoolCq::h0(), safe_chain()] {
+                assert_eq!(
+                    exact_prob(&q, &db).unwrap(),
+                    brute_force_prob(&q, &db),
+                    "{q}"
+                );
+            }
+        }
     }
 
     #[test]

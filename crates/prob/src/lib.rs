@@ -16,13 +16,14 @@
 //!   (Def. 13), the paper's contribution: complete (Thm 8, see
 //!   [`theorem8_table`]) and closed under RA (Thm 9, see
 //!   [`PcTable::eval_query`]);
-//! * [`answering`] — the engines for `P[t ∈ q-answer]`: valuation
-//!   enumeration, Shannon expansion of the event expression, boolean
-//!   BDD weighted model counting, and the finite-domain BDD fast path
-//!   ([`PcTable::tuple_prob_bdd`] / [`PcTable::answer_dist_bdd`]) that
-//!   one-hot-encodes multi-valued variables and counts presence
-//!   conditions with one shared manager instead of walking the §8
-//!   valuation product space;
+//! * [`answering`] — the two engines for `P[t ∈ q-answer]`: the
+//!   finite-domain BDD ([`answering::prob_of_condition`],
+//!   [`PcTable::tuple_prob_bdd`] / [`PcTable::answer_dist_bdd`]), which
+//!   one-hot-encodes multi-valued variables and counts event expressions
+//!   by weighted model counting instead of walking the §8 valuation
+//!   product space, and valuation enumeration
+//!   ([`PcTable::tuple_prob_enum`] / [`PcTable::answer_dist_enum`]), the
+//!   Def. 13 semantics kept as its oracle;
 //! * [`extensional`] — the §8 reading of Dalvi–Suciu \[9\]: hierarchical
 //!   safety test, safe-plan evaluation, lineage-based exact evaluation,
 //!   and the unsound forced-extensional plan for contrast.

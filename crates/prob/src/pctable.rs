@@ -13,12 +13,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use ipdb_bdd::{BddManager, BddStats, FdEncoding, Weight};
+use ipdb_bdd::{BddStats, Weight};
 use ipdb_logic::{Condition, Valuation, Var};
 use ipdb_rel::{Domain, Query, Tuple, Value};
 use ipdb_tables::{BooleanCTable, CTable};
 
-use crate::answering::presence_condition;
+use crate::answering::{bdd_ctx, candidate_tuples, presence_condition, prob_of_condition};
 use crate::error::ProbError;
 use crate::pdb::PDatabase;
 use crate::space::FiniteSpace;
@@ -49,10 +49,6 @@ pub struct PcTable<W> {
     table: CTable,
     dists: BTreeMap<Var, FiniteSpace<Value, W>>,
 }
-
-/// Shared state of the BDD probability engine: the manager, the one-hot
-/// encoding, and the Boolean branch-weight vector.
-type BddCtx<W> = (BddManager, FdEncoding, Vec<(W, W)>);
 
 /// A variable-to-distribution assignment, in the list form accepted by
 /// [`PcTable::new`] and produced by the `dists_restricted` family.
@@ -228,57 +224,29 @@ impl<W: Weight> PcTable<W> {
         PcTable::new(qt, dists)
     }
 
-    /// `P[t ∈ q-answer]` by full world enumeration (the baseline engine;
-    /// see `crate::answering` for the smarter ones).
+    /// `P[t ∈ I]` by full world enumeration — the oracle for
+    /// [`PcTable::tuple_prob_bdd`].
     pub fn tuple_prob_enum(&self, t: &Tuple) -> Result<W, ProbError> {
         Ok(self.mod_space()?.tuple_prob(t))
     }
 
-    /// Shared BDD compilation state: a fresh manager, the one-hot
-    /// [`FdEncoding`], and the Boolean branch-weight vector derived from
-    /// the distributions.
-    ///
-    /// Only the variables the table actually mentions are encoded:
-    /// presence conditions cannot reference anything else, and a
-    /// marginalized-out independent variable contributes a probability
-    /// factor of exactly 1 — so the per-tuple WMC cost scales with the
-    /// (answered) table, not with how many variables the input carried.
-    fn bdd_ctx(&self) -> Result<BddCtx<W>, ProbError> {
-        let mut mgr = BddManager::new();
-        let tvars = self.table.vars();
-        let enc = FdEncoding::new(
-            &mut mgr,
-            self.dists
-                .iter()
-                .filter(|(v, _)| tvars.contains(v))
-                .map(|(v, d)| (*v, d.iter().map(|(val, _)| val.clone()).collect())),
-        )?;
-        let bweights = enc.weights_from(
-            self.dists
-                .iter()
-                .filter(|(v, _)| tvars.contains(v))
-                .flat_map(|(v, d)| d.iter().map(|(val, w)| (*v, val.clone(), w.clone()))),
-        )?;
-        Ok((mgr, enc, bweights))
-    }
-
-    /// `P[t ∈ I]` via BDD + weighted model counting: compile `t`'s
-    /// presence condition under the finite-domain encoding and count it —
-    /// no walk over the §8 valuation product space. Exponential only in
-    /// the worst-case BDD size, not unconditionally in the number of
-    /// variables like [`PcTable::tuple_prob_enum`].
+    /// `P[t ∈ I]` via BDD + weighted model counting: the probability of
+    /// `t`'s presence condition ([`prob_of_condition`]), which encodes
+    /// only the variables that condition mentions — no walk over the §8
+    /// valuation product space. Exponential only in the worst-case BDD
+    /// size, not unconditionally in the number of variables like
+    /// [`PcTable::tuple_prob_enum`].
     pub fn tuple_prob_bdd(&self, t: &Tuple) -> Result<W, ProbError> {
-        let (mut mgr, enc, bw) = self.bdd_ctx()?;
-        let cond = presence_condition(&self.table, t);
-        let f = enc.compile(&mut mgr, &cond)?;
-        Ok(enc.wmc_with(&mut mgr, f, &bw)?)
+        prob_of_condition(&presence_condition(&self.table, t), &self.dists)
     }
 
     /// The per-tuple marginal distribution of the table itself — every
     /// possible tuple with its probability, computed by BDD + WMC with
     /// **one manager shared across all answer tuples** (hash-consing and
     /// the apply cache make later tuples' compilations reuse earlier
-    /// ones).
+    /// ones). Only the table's own variables are encoded, so the cost
+    /// scales with the (answered) table, not with how many variables the
+    /// input carried.
     pub fn marginals_bdd(&self) -> Result<Vec<(Tuple, W)>, ProbError> {
         self.marginals_bdd_traced().map(|(out, _)| out)
     }
@@ -289,9 +257,9 @@ impl<W: Weight> PcTable<W> {
     /// apply-cache behavior. The distribution is computed identically
     /// (same manager, same compilation order).
     pub fn marginals_bdd_traced(&self) -> Result<(Vec<(Tuple, W)>, BddStats), ProbError> {
-        let (mut mgr, enc, bw) = self.bdd_ctx()?;
+        let (mut mgr, enc, bw) = bdd_ctx(&self.table.vars(), &self.dists)?;
         let mut out = Vec::new();
-        for t in crate::answering::candidate_tuples(self)? {
+        for t in candidate_tuples(self)? {
             let cond = presence_condition(&self.table, &t);
             let f = enc.compile(&mut mgr, &cond)?;
             let p = enc.wmc_with(&mut mgr, f, &bw)?;
@@ -382,7 +350,8 @@ impl<W: fmt::Debug> fmt::Display for PcTable<W> {
 
 /// A boolean pc-table (§8): ground tuples, boolean conditions, Bernoulli
 /// variables. The *complete* probabilistic representation system of
-/// Theorem 8, and the natural home of BDD-based query answering.
+/// Theorem 8. It is answered like any pc-table, through
+/// [`BooleanPcTable::as_pctable`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BooleanPcTable<W> {
     inner: PcTable<W>,
@@ -426,8 +395,7 @@ impl<W: Weight> BooleanPcTable<W> {
         self.inner.arity()
     }
 
-    /// `P[x = true]` per variable, in ascending variable order — the
-    /// weight vector for BDD model counting.
+    /// `P[x = true]` per variable, in ascending variable order.
     pub fn true_probs(&self) -> Vec<(Var, W)> {
         self.inner
             .dists
@@ -681,8 +649,8 @@ mod tests {
 
     #[test]
     fn adversarial_weights_overflow_gracefully_not_panic() {
-        // Regression: three variables with ~1e18 denominators make every
-        // answering engine's arithmetic leave i128 (products reach 1e54).
+        // Regression: three variables with ~1e18 denominators make both
+        // answering engines' arithmetic leave i128 (products reach 1e54).
         // Each entry point must report ProbError::Overflow, not panic.
         let mut g = VarGen::new();
         let (x, y, z) = (g.fresh(), g.fresh(), g.fresh());
@@ -706,15 +674,10 @@ mod tests {
             .build()
             .unwrap();
         let pc = PcTable::new(t, [(x, dist()), (y, dist()), (z, dist())]).unwrap();
-        // BDD + WMC fast path.
+        // BDD + WMC engine.
         assert_eq!(pc.tuple_prob_bdd(&tuple![7]), Err(ProbError::Overflow));
         assert_eq!(pc.marginals_bdd(), Err(ProbError::Overflow));
         assert_eq!(pc.answer_dist_bdd(&Query::Input), Err(ProbError::Overflow));
-        // Shannon expansion.
-        assert_eq!(
-            crate::answering::tuple_prob_shannon(&pc, &tuple![7]),
-            Err(ProbError::Overflow)
-        );
         // Valuation enumeration (§8 product space).
         assert_eq!(pc.valuation_space(), Err(ProbError::Overflow));
         assert!(matches!(pc.mod_space(), Err(ProbError::Overflow)));

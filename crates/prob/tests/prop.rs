@@ -1,14 +1,17 @@
-//! Property tests for the probabilistic layer: the three probability
-//! engines agree, and Theorems 8–9 hold on random inputs, all with exact
-//! rationals.
+//! Property tests for the probabilistic layer: the BDD engine agrees
+//! with valuation enumeration, and Theorems 8–9 hold on random inputs,
+//! all with exact rationals.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ipdb_logic::{Var, VarGen};
-use ipdb_prob::answering::{tuple_prob_bdd, tuple_prob_enum, tuple_prob_shannon};
+use ipdb_logic::strategies::arb_condition;
+use ipdb_logic::{Condition, Valuation, Var, VarGen};
+use ipdb_prob::answering::prob_of_condition;
 use ipdb_prob::{rat, theorem8_table, BooleanPcTable, FiniteSpace, PDatabase, PcTable, Rat};
 use ipdb_rel::strategies::{arb_instance, arb_query};
-use ipdb_rel::{Tuple, Value};
+use ipdb_rel::{Domain, Tuple, Value};
 use ipdb_tables::strategies::{arb_boolean_ctable, arb_finite_ctable};
 
 /// A random exact probability `k/8` with `k ∈ 0..=8`.
@@ -46,6 +49,32 @@ fn arb_boolean_pctable() -> impl Strategy<Value = BooleanPcTable<Rat>> {
     })
 }
 
+/// A random finite-domain condition over `x0..x2` with its variables'
+/// distributions. The domains `{0,1}`, `{0,1}`, `{1,2}` only partly
+/// overlap, so var–var atoms can fail for lack of a shared value, and
+/// the condition's constants range over `0..=3`, so `3` (and `2` or `0`
+/// for some variables) lies outside the domain.
+fn arb_condition_with_dists(
+) -> impl Strategy<Value = (Condition, BTreeMap<Var, FiniteSpace<Value, Rat>>)> {
+    (
+        arb_condition(3, 3, 3),
+        proptest::collection::vec(arb_prob(), 3),
+    )
+        .prop_map(|(c, ps)| {
+            let dists = [(0, 1), (0, 1), (1, 2)]
+                .into_iter()
+                .zip(ps)
+                .enumerate()
+                .map(|(i, ((a, b), p))| {
+                    let d = FiniteSpace::bernoulli(Value::from(a), Value::from(b), p)
+                        .expect("p is a probability");
+                    (Var(i as u32), d)
+                })
+                .collect();
+            (c, dists)
+        })
+}
+
 /// A random p-database over arity-1 instances with rational masses.
 fn arb_pdatabase() -> impl Strategy<Value = PDatabase<Rat>> {
     proptest::collection::vec(arb_instance(1, 2, 2), 1..=4).prop_map(|worlds| {
@@ -65,25 +94,40 @@ fn arb_pdatabase() -> impl Strategy<Value = PDatabase<Rat>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Enumeration and Shannon expansion agree on arbitrary pc-tables.
+    /// Enumeration and the BDD engine agree on arbitrary pc-tables.
     #[test]
     fn engines_agree_on_pctables(pc in arb_pctable(), probe in 0i64..=2) {
         let t = Tuple::new([probe]);
-        prop_assert_eq!(
-            tuple_prob_enum(&pc, &t).unwrap(),
-            tuple_prob_shannon(&pc, &t).unwrap()
-        );
+        prop_assert_eq!(pc.tuple_prob_enum(&t).unwrap(), pc.tuple_prob_bdd(&t).unwrap());
     }
 
-    /// All three engines agree on boolean pc-tables.
+    /// Enumeration and the BDD engine agree on boolean pc-tables.
     #[test]
     fn engines_agree_on_boolean(bpc in arb_boolean_pctable(), probe in 0i64..=2) {
         let t = Tuple::new([probe]);
-        let e = tuple_prob_enum(bpc.as_pctable(), &t).unwrap();
-        let s = tuple_prob_shannon(bpc.as_pctable(), &t).unwrap();
-        let b = tuple_prob_bdd(&bpc, &t).unwrap();
-        prop_assert_eq!(e, s);
-        prop_assert_eq!(s, b);
+        let pc = bpc.as_pctable();
+        prop_assert_eq!(pc.tuple_prob_enum(&t).unwrap(), pc.tuple_prob_bdd(&t).unwrap());
+    }
+
+    /// `P[φ]` from the BDD engine equals the sum, over the valuations of
+    /// `φ`'s variables that satisfy it, of their product probability.
+    #[test]
+    fn prob_of_condition_matches_enumeration((c, dists) in arb_condition_with_dists()) {
+        let doms: BTreeMap<Var, Domain> = c
+            .vars()
+            .into_iter()
+            .map(|v| (v, Domain::new(dists[&v].iter().map(|(val, _)| val.clone()))))
+            .collect();
+        let mut brute = Rat::ZERO;
+        for nu in Valuation::all_over(&doms) {
+            if c.eval(&nu).unwrap() {
+                let w = doms
+                    .keys()
+                    .fold(Rat::ONE, |w, v| w * dists[v].prob(nu.get(*v).unwrap()));
+                brute = brute + w;
+            }
+        }
+        prop_assert_eq!(prob_of_condition(&c, &dists).unwrap(), brute);
     }
 
     /// **Theorem 8**: the constructed boolean pc-table has exactly the

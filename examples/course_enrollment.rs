@@ -8,7 +8,6 @@
 //! Run with `cargo run --example course_enrollment`.
 
 use ipdb::prelude::*;
-use ipdb::prob::answering;
 use ipdb::prob::FiniteSpace;
 use ipdb::rel::Query;
 
@@ -70,15 +69,15 @@ fn main() {
     );
     println!("\nq = {q}");
     let answered = pc.eval_query(&q).unwrap();
-    println!("answer marginals (via the Shannon engine on q̄(T)):");
-    for (tup, p) in answering::answer_marginals(&pc, &q).unwrap() {
+    println!("answer marginals (via the BDD engine on q̄(T)):");
+    for (tup, p) in pc.answer_dist_bdd(&q).unwrap() {
         println!("  P[{tup}] = {p}");
     }
-    // Cross-check with the three probability engines on 'Bob'.
+    // Cross-check the BDD engine against enumeration on 'Bob'.
     let bob = tuple!["Bob"];
-    let p_enum = answering::tuple_prob_enum(&answered, &bob).unwrap();
-    let p_shan = answering::tuple_prob_shannon(&answered, &bob).unwrap();
-    assert_eq!(p_enum, p_shan);
+    let p_enum = answered.tuple_prob_enum(&bob).unwrap();
+    let p_bdd = answered.tuple_prob_bdd(&bob).unwrap();
+    assert_eq!(p_enum, p_bdd);
     assert_eq!(p_enum, Rat::new(7, 10));
     println!("\nP[Bob shares Alice's course] = {p_enum} (= 0.3 + 0.4) ✓");
 }

@@ -96,7 +96,7 @@ fn main() {
     );
     let exact = exact_prob(&safe_q, &db).unwrap();
     let lifted = lifted_prob(&safe_q, &db).unwrap();
-    println!("  exact (lineage+Shannon) = {exact}");
+    println!("  exact (lineage+BDD)     = {exact}");
     println!("  safe plan (extensional) = {lifted}");
     assert_eq!(exact, lifted);
 
