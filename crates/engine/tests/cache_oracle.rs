@@ -14,12 +14,16 @@
 //!   have);
 //! * **LRU at capacity 1** — the degenerate cache still serves correct
 //!   answers while evicting on every alternation, and never leaks alias
-//!   entries past their evicted plan.
+//!   entries past their evicted plan;
+//! * **concurrent churn** — threads racing on overlapping keys through a
+//!   tiny cache (so misses adopt each other's inserts) are always served
+//!   the fresh plan, and the counters account for every call.
 //!
 //! Run counts are deliberately modest for CI; soak with
 //! `PROPTEST_CASES=256 cargo test -p ipdb-engine --test cache_oracle`
 //! (the vendored proptest honors the env override globally).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -244,4 +248,71 @@ fn lru_capacity_one_evicts_and_drops_aliases() {
         b1.execute(&instance![[4, 5], [6, 7]]).unwrap(),
         instance![[4], [6]]
     );
+}
+
+/// Four threads share a capacity-2 cache and step in lockstep over
+/// overlapping texts under two schemas: each round every thread asks for
+/// the same query, half of them through a non-canonical spelling, so
+/// concurrent misses on one key race and the later inserts adopt the
+/// first. Every served plan equals a fresh prepare of its text, the
+/// cache stays within capacity, and every call is a hit or a miss.
+#[test]
+fn concurrent_churn_serves_fresh_plans_within_capacity() {
+    // Three keys per schema cycle through two slots, so each round's key
+    // is cold. Unions of selections make `prepare` slow enough for the
+    // lockstep threads to overlap on the miss.
+    let texts: Vec<[String; 2]> = (1..=3)
+        .map(|k| {
+            let arms: Vec<String> = (0..12)
+                .map(|c| format!("sigma[#0={}](V)", k * 100 + c))
+                .collect();
+            let canonical = parser::render(&parser::parse(&arms.join(" union ")).unwrap());
+            let spelled = canonical.replace('(', "( ");
+            [canonical, spelled]
+        })
+        .collect();
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 60;
+    let engine = Engine::new();
+    let schemas = [Schema::single(1), Schema::single(2)];
+    let cache = PlanCache::new(2);
+    // A spinning lockstep barrier: the threads stay on CPU, so a round's
+    // misses start together (a blocking `Barrier` wakes them one at a
+    // time, late enough that they mostly hit). Threads record mismatches
+    // instead of panicking, which would leave the others spinning.
+    let arrived = AtomicUsize::new(0);
+    let stale: Vec<&str> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (engine, texts, schemas) = (&engine, &texts, &schemas);
+                let (cache, arrived) = (&cache, &arrived);
+                scope.spawn(move || {
+                    let mut stale = Vec::new();
+                    for round in 0..ROUNDS {
+                        let text = texts[round % texts.len()][t % 2].as_str();
+                        let schema = &schemas[(round / texts.len()) % schemas.len()];
+                        // ORDERING: SeqCst — the counter only paces the
+                        // threads; the cache's mutex carries all data.
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        while arrived.load(Ordering::SeqCst) < (round + 1) * THREADS {
+                            std::hint::spin_loop();
+                        }
+                        let served = cache.prepare_text(engine, text, schema);
+                        let fresh = engine.prepare_text_schema(text, schema);
+                        if !matches!((served, fresh), (Ok(s), Ok(f)) if *s == f) {
+                            stale.push(text);
+                        }
+                    }
+                    stale
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    assert!(stale.is_empty(), "stale or failed plans for {stale:?}");
+    assert!(cache.len() <= 2, "cache grew to {} entries", cache.len());
+    assert_eq!(cache.hits() + cache.misses(), (THREADS * ROUNDS) as u64);
 }
