@@ -29,8 +29,10 @@
 //!    preserving the c-table semantics exactly.
 //!
 //! The `Instance` backend executes through the columnar, morsel-parallel
-//! evaluator in [`morsel`]: leaves convert to `ipdb-rel`'s
-//! [`ColumnarInstance`](ipdb_rel::ColumnarInstance) batches, the
+//! evaluator in [`morsel`]: leaves read `ipdb-rel`'s
+//! [`ColumnarInstance`](ipdb_rel::ColumnarInstance) form, which each
+//! relation caches from its first query until it changes
+//! ([`Instance::columnar`](ipdb_rel::Instance::columnar)), the
 //! data-intensive kernels (selection masks, hash-join probes, row
 //! materialization) are split into fixed-size morsels drained by a
 //! persistent worker pool, and the result is *bit-identical for every

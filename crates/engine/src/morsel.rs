@@ -25,9 +25,13 @@
 //! [`std::thread::available_parallelism`]. `IPDB_THREADS=1` forces
 //! serial execution (CI runs the tier-1 suite both ways).
 //!
-//! Set operations (`∪`, `−`, `∩`) and leaf lookups convert through row
-//! form — they are cheap relative to the join/select kernels and their
-//! `BTreeSet` implementations are already canonical.
+//! Leaves (`V`, `W`, named relations and relation literals) read the
+//! columnar form each [`Instance`] caches ([`Instance::columnar`]): it is
+//! built on the first query after the relation is created or changed and
+//! shared, column storage and all, by every later query — so a catalog
+//! leaf is never re-converted per query. Set operations (`∪`, `−`, `∩`)
+//! convert through row form — they are cheap relative to the join/select
+//! kernels and their `BTreeSet` implementations are already canonical.
 //!
 //! There is one evaluator, generic over a [`TraceSink`] and reading its
 //! leaves from a [`Source`] (a single input bound to `V`, or a named
@@ -37,11 +41,10 @@
 //! never per morsel.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-use ipdb_rel::{
-    ColumnarInstance, Instance, JoinIndex, Pred, Query, RelError, Schema, Tuple, Value,
-};
+use ipdb_obs::Counter;
+use ipdb_rel::{ColumnarInstance, Instance, JoinIndex, Pred, Query, RelError, Schema, Tuple};
 
 use crate::backend::Source;
 use crate::error::EngineError;
@@ -171,10 +174,18 @@ where
     let threads = cfg.threads.max(1).min(n_morsels.max(1)).min(64);
     // Metrics are recorded once per stage / per participating thread —
     // never per morsel, and never at all when `cfg.metrics` is off —
-    // which is what keeps the metrics-off overhead unmeasurable.
+    // which is what keeps the metrics-off overhead unmeasurable. The
+    // counters are resolved once per process, so a stage never takes
+    // the registry mutex.
     if cfg.metrics {
-        ipdb_obs::incr("exec.stages");
-        ipdb_obs::add("exec.morsels", n_morsels as u64);
+        static STAGES: OnceLock<&'static Counter> = OnceLock::new();
+        static MORSELS: OnceLock<&'static Counter> = OnceLock::new();
+        STAGES
+            .get_or_init(|| ipdb_obs::counter("exec.stages"))
+            .incr();
+        MORSELS
+            .get_or_init(|| ipdb_obs::counter("exec.morsels"))
+            .add(n_morsels as u64);
     }
     if threads <= 1 || n_morsels <= 1 {
         return (0..n_morsels)
@@ -204,13 +215,11 @@ where
             let (lo, hi) = span(k);
             local.push((k, f(lo, hi)));
         }
-        // One registry touch per participating thread per stage: how
-        // many morsels this worker drained, keyed by its thread name
-        // (the calling thread reports as "caller").
+        // One counter bump per participating thread per stage: how many
+        // morsels this worker drained, keyed by its thread name (the
+        // calling thread reports as "caller").
         if cfg.metrics && !local.is_empty() {
-            let who = std::thread::current();
-            let name = who.name().unwrap_or("caller");
-            ipdb_obs::add(&format!("pool.drained.{name}"), local.len() as u64);
+            DRAINED.with(|c| c.add(local.len() as u64));
         }
         // Poison recovery: a panic in `f` never leaves this mutex held
         // mid-write (slots are filled one whole `Some` at a time), so
@@ -228,6 +237,16 @@ where
         // ipdb-lint: allow(no-panic-on-serve-paths) reason="fan_out returns normally only after every invocation completed, and the drain loop claims every index below n_morsels before stopping"
         .map(|t| t.expect("every morsel index was claimed exactly once"))
         .collect()
+}
+
+thread_local! {
+    /// This thread's `pool.drained.<thread name>` counter, looked up in
+    /// the registry on the thread's first metered stage only. A thread's
+    /// name never changes, so the handle stays the right one.
+    static DRAINED: &'static Counter = ipdb_obs::counter(&format!(
+        "pool.drained.{}",
+        std::thread::current().name().unwrap_or("caller")
+    ));
 }
 
 /// Parallel `σ_p`: the mask is evaluated morsel-wise, then the kept row
@@ -314,27 +333,6 @@ fn par_join(
     Ok((out, Some(build_left)))
 }
 
-/// Parallel row→column conversion for leaf relations: the tuple
-/// pointers are collected serially (cheap), the value clones — the
-/// expensive part of a scan — happen morsel-wise, and the per-morsel
-/// batches stack by moving their columns.
-fn from_rows_par(i: &Instance, cfg: &ExecConfig) -> ColumnarInstance {
-    let arity = i.arity();
-    let tuples: Vec<&Tuple> = i.iter().collect();
-    let batches = run_morsels(tuples.len(), cfg, |lo, hi| {
-        let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(hi - lo)).collect();
-        for t in &tuples[lo..hi] {
-            for (c, v) in t.values().iter().enumerate() {
-                cols[c].push(v.clone());
-            }
-        }
-        // ipdb-lint: allow(no-panic-on-serve-paths) reason="the loop above pushes exactly hi-lo values onto each of the arity columns"
-        ColumnarInstance::from_columns(cols, hi - lo).expect("columns match the chunk length")
-    });
-    // ipdb-lint: allow(no-panic-on-serve-paths) reason="every batch was built from tuples of one Instance, whose arity is fixed"
-    ColumnarInstance::vstack(arity, batches).expect("chunks share the relation's arity")
-}
-
 /// Parallel row materialization: each morsel builds and *sorts* its
 /// tuples, then the chunks feed the bulk set constructor — whose stable
 /// sort merges the presorted runs cheaply — giving the canonical
@@ -377,10 +375,12 @@ fn eval_columnar<S: TraceSink>(
     let mark = sink.enter();
     let mut build_left = None;
     let out = match q {
-        Query::Input => from_rows_par(src.get(Schema::INPUT)?, cfg),
-        Query::Second => from_rows_par(src.get(Schema::SECOND)?, cfg),
-        Query::Rel(name) => from_rows_par(src.get(name)?, cfg),
-        Query::Lit(i) => ColumnarInstance::from_rows(i),
+        // Leaves clone the relation's cached columnar form: `Arc`s only,
+        // after the first query of each relation version.
+        Query::Input => src.get(Schema::INPUT)?.columnar().clone(),
+        Query::Second => src.get(Schema::SECOND)?.columnar().clone(),
+        Query::Rel(name) => src.get(name)?.columnar().clone(),
+        Query::Lit(i) => i.columnar().clone(),
         Query::Project(cols, q) => eval_columnar(src, q, cfg, sink)?.project(cols)?,
         Query::Select(p, q) => par_select(&eval_columnar(src, q, cfg, sink)?, p, cfg)?,
         Query::Product(a, b) => {
@@ -675,13 +675,13 @@ mod tests {
         let i = Instance::from_rows(2, (0..probe_rows as i64).map(|j| [j, j % 3])).unwrap();
         let rels: Catalog<Instance> = [("R", r.clone()), ("S", i.clone())].into_iter().collect();
         let q = Query::join(
-            Query::select(Query::rel("R"), Pred::neq_const(1, Value::from(0i64))),
+            Query::select(Query::rel("R"), Pred::neq_const(1, 0)),
             Query::rel("S"),
             [(1, 2)],
             Some(Pred::neq_cols(0, 3)),
         );
         fn med(mut f: impl FnMut()) -> f64 {
-            let mut s: Vec<f64> = (0..5)
+            let mut s: Vec<f64> = (0..21)
                 .map(|_| {
                     let t0 = Instant::now();
                     f();
@@ -689,15 +689,22 @@ mod tests {
                 })
                 .collect();
             s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            s[2]
+            s[10]
         }
+        // Leaf conversion: the first build of S's columnar form (what
+        // the first query after an install pays) versus the cached form
+        // every later query clones.
+        let t_first = med(|| {
+            std::hint::black_box(ColumnarInstance::from_rows(&i));
+        });
+        let t_cached = med(|| {
+            std::hint::black_box(i.columnar().clone());
+        });
+        eprintln!("leaf S: first build {t_first:.2}ms, cached {t_cached:.4}ms");
         for threads in [1usize, 2] {
             let cfg = ExecConfig::with_threads(threads);
-            let left = from_rows_par(&r, &cfg);
-            let right = from_rows_par(&i, &cfg);
-            let t_from = med(|| {
-                from_rows_par(&i, &cfg);
-            });
+            let left = r.columnar().clone();
+            let right = i.columnar().clone();
             let index = JoinIndex::build(&left, vec![1]);
             let t_build = med(|| {
                 JoinIndex::build(&left, vec![1]);
@@ -729,9 +736,9 @@ mod tests {
                 execute(Source::Catalog(&rels), &q, &cfg, &mut NoTrace).unwrap();
             });
             eprintln!(
-                "threads={threads}: from_rows(S) {t_from:.1}ms build {t_build:.1}ms \
-                 probe+gather {t_probe:.1}ms vstack {t_vstack:.1}ms select {t_select:.1}ms \
-                 to_rows {t_rows:.1}ms | whole {t_whole:.1}ms ({} rows probed->{} out)",
+                "threads={threads}: build {t_build:.3}ms \
+                 probe+gather {t_probe:.3}ms vstack {t_vstack:.3}ms select {t_select:.3}ms \
+                 to_rows {t_rows:.3}ms | whole {t_whole:.3}ms ({} rows probed->{} out)",
                 right.len(),
                 out.len()
             );

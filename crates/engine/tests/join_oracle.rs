@@ -29,9 +29,9 @@ use ipdb_engine::{Backend, Catalog, Engine, ExecConfig, NoTrace, Plan, PlanNode,
 use ipdb_logic::{Valuation, Var};
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{
-    arb_catalog_case, arb_instance, arb_pred, arb_query, arb_query_with_arity,
+    arb_catalog_case, arb_instance, arb_mixed_instance, arb_pred, arb_query, arb_query_with_arity,
 };
-use ipdb_rel::{Domain, Fragment, Instance, Pred, Query, Value};
+use ipdb_rel::{ColumnarInstance, Domain, Fragment, Instance, Pred, Query, Value};
 use ipdb_tables::strategies::arb_finite_ctable;
 use ipdb_tables::CTable;
 
@@ -364,6 +364,65 @@ proptest! {
                 run_with(&i, stmt.naive_query(), &cfg),
                 expected.clone(),
                 "join {} diverged at threads={} morsel={}", join, threads, morsel_rows
+            );
+        }
+    }
+}
+
+/// 1..=2 key pairs spanning two arity-2 operands, in random order.
+fn arb_spanning_keys() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    let pair =
+        ((0usize..2), (2usize..4), any::<bool>())
+            .prop_map(|(i, j, swap)| if swap { (j, i) } else { (i, j) });
+    proptest::collection::vec(pair, 1..=2)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Join keys of every value variant — `Bool`, `Int` and `Str`, with
+    /// strings long enough to take the key hasher's multi-word byte path
+    /// and sharing prefixes: the row hash join, the columnar hash join
+    /// and the morsel executor under every configuration all equal the
+    /// naive filtered product.
+    #[test]
+    fn mixed_type_keys_join_like_the_filtered_product(
+        l in arb_mixed_instance(2, 10),
+        r in arb_mixed_instance(2, 10),
+        on in arb_spanning_keys(),
+        residual in prop_oneof![
+            2 => Just(None),
+            1 => arb_pred(4, 2, false).prop_map(Some),
+        ],
+    ) {
+        let pred = Query::join_pred(&on, residual.as_ref());
+        let mut expected = Instance::empty(4);
+        for t in l.product(&r).iter() {
+            if pred.eval(t.values()).unwrap() {
+                expected.insert(t.clone()).unwrap();
+            }
+        }
+        prop_assert_eq!(
+            l.equijoin(&r, &on, residual.as_ref()).unwrap(),
+            expected.clone(),
+            "row equijoin on {:?}", on
+        );
+        prop_assert_eq!(
+            ColumnarInstance::from_rows(&l)
+                .equijoin(&ColumnarInstance::from_rows(&r), &on, residual.as_ref())
+                .unwrap()
+                .to_rows(),
+            expected.clone(),
+            "columnar equijoin on {:?}", on
+        );
+        let q = Query::join(Query::Input, Query::Second, on.clone(), residual.clone());
+        let cat: Catalog<Instance> = [("V", l), ("W", r)].into_iter().collect();
+        for (threads, morsel_rows) in EXEC_SWEEP {
+            let cfg = ExecConfig { threads, morsel_rows, metrics: false };
+            prop_assert_eq!(
+                Instance::execute(Source::Catalog(&cat), &q, &cfg, &mut NoTrace).unwrap(),
+                expected.clone(),
+                "morsel join {} diverged at threads={} morsel={}", q, threads, morsel_rows
             );
         }
     }

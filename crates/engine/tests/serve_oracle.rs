@@ -28,7 +28,7 @@ use proptest::prelude::*;
 use ipdb_engine::{
     Catalog, Engine, PlanCache, Prepared, Server, ServerConfig, Snapshot, SnapshotCatalog, Ticket,
 };
-use ipdb_rel::{instance, Instance, Schema, Value};
+use ipdb_rel::{instance, tuple, Instance, Schema, Value};
 
 fn assert_send_sync<T: Send + Sync>() {}
 fn assert_send<T: Send>() {}
@@ -193,4 +193,49 @@ fn server_answers_match_some_installed_version() {
         Ok(server) => server.shutdown(),
         Err(_) => panic!("client still holds the server"),
     }
+}
+
+/// Installs that replace a leaf whose columnar form queries have already
+/// built: every answer after an install comes from the installed data,
+/// never from a stale cached form — including when the new relation is
+/// a modified clone of the warmed leaf, which carries its cache along.
+#[test]
+fn install_over_a_warmed_leaf_answers_from_new_data() {
+    let catalog: Catalog<Instance> = [
+        ("R", instance![[1, 10], [2, 20]]),
+        ("S", instance![[10], [20], [30]]),
+    ]
+    .into_iter()
+    .collect();
+    let server = Server::<Instance>::start(catalog, ServerConfig::with_threads(2));
+    let q = "join[#1=#2](R, S)";
+    // Warm R's and S's columnar forms in the installed snapshot.
+    for _ in 0..3 {
+        assert_eq!(
+            server.query(q).unwrap(),
+            instance![[1, 10, 10], [2, 20, 20]]
+        );
+    }
+
+    // A clone of the warm leaf, plus one tuple.
+    let mut grown = server.snapshot().catalog().get("R").unwrap().clone();
+    assert!(grown.insert(tuple![3, 30]).unwrap());
+    server.install("R", grown).unwrap();
+    assert_eq!(
+        server.query(q).unwrap(),
+        instance![[1, 10, 10], [2, 20, 20], [3, 30, 30]]
+    );
+
+    // A fresh relation under the same name, then a whole-catalog swap.
+    server.install("S", instance![[20]]).unwrap();
+    assert_eq!(server.query(q).unwrap(), instance![[2, 20, 20]]);
+    server
+        .install_all(
+            [("R", instance![[7, 70]]), ("S", instance![[70]])]
+                .into_iter()
+                .collect(),
+        )
+        .unwrap();
+    assert_eq!(server.query(q).unwrap(), instance![[7, 70, 70]]);
+    server.shutdown();
 }

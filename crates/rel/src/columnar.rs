@@ -18,12 +18,18 @@
 //!   (projection is the one operator that can merge distinct rows);
 //! * **product** — positional materialization of the cross product;
 //! * **equijoin** — hash join via [`JoinIndex`], always building on the
-//!   smaller side, hashing key values in place (no per-row key vectors)
-//!   and re-verifying key equality on probe to handle hash collisions.
+//!   smaller side. Each row's key values are hashed once, in place (no
+//!   per-row key vectors), by the multiplicative key hasher the row
+//!   path's [`Instance::equijoin`] shares; the bucket map takes that
+//!   `u64` as is rather than hashing it again. Probes re-verify key
+//!   equality, so hash collisions cost a comparison, never a wrong
+//!   match.
 //!
 //! Columns are `Arc`-shared, so selection and projection are cheap: they
 //! produce a new selection vector (or column subset) over the same
-//! physical data. `ipdb-engine` builds its morsel-parallel executor on
+//! physical data. A stored relation's columns are built once per
+//! version and cached on it ([`Instance::columnar`]), so the executor's
+//! leaves are a clone of that `Arc`-shared form. `ipdb-engine` builds its morsel-parallel executor on
 //! the range-based entry points ([`ColumnarInstance::eval_mask_range`],
 //! [`JoinIndex::probe_range`]): every kernel's output is independent of
 //! how the input rows were chunked, which is what makes parallel
@@ -33,6 +39,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::RelError;
+use crate::keyhash::{key_hash, BuildPassThrough};
 use crate::pred::{normalize_join_keys, Pred};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -469,17 +476,16 @@ impl ColumnarInstance {
 }
 
 fn hash_cols_at(cols: &[Arc<Vec<Value>>], phys_row: usize, key_cols: &[usize]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &c in key_cols {
-        cols[c][phys_row].hash(&mut h);
-    }
-    h.finish()
+    key_hash(key_cols.iter().map(|&c| &cols[c][phys_row]))
 }
 
 /// A hash index over one batch's key columns, grouping *logical* row ids
 /// by key hash. Probes re-verify key equality, so hash collisions are
 /// harmless.
+///
+/// Rows sharing a hash form a chain through `next` rather than a `Vec`
+/// per bucket, so a build allocates a fixed number of buffers, not one
+/// per distinct key.
 ///
 /// The index stores no reference to its source batch; callers pass the
 /// same batch back to [`JoinIndex::probe_range`] (the engine keeps both
@@ -487,18 +493,40 @@ fn hash_cols_at(cols: &[Arc<Vec<Value>>], phys_row: usize, key_cols: &[usize]) -
 #[derive(Debug)]
 pub struct JoinIndex {
     key_cols: Vec<usize>,
-    buckets: HashMap<u64, Vec<usize>>,
+    /// Key hash → the lowest row with that hash.
+    heads: HashMap<u64, usize, BuildPassThrough>,
+    /// `next[row]` is the next higher row with `row`'s hash, or
+    /// [`JoinIndex::END`].
+    next: Vec<usize>,
 }
 
 impl JoinIndex {
+    /// Chain terminator in `next`.
+    const END: usize = usize::MAX;
+
     /// Indexes `table` on `key_cols`.
     pub fn build(table: &ColumnarInstance, key_cols: Vec<usize>) -> JoinIndex {
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::with_capacity(table.len());
-        let hashes = table.key_hashes(&key_cols, 0, table.len());
-        for (row, h) in hashes.into_iter().enumerate() {
-            buckets.entry(h).or_default().push(row);
+        let n = table.len();
+        let mut heads: HashMap<u64, usize, BuildPassThrough> =
+            HashMap::with_capacity_and_hasher(n, BuildPassThrough::default());
+        let mut next = vec![JoinIndex::END; n];
+        // Insert from the last row down, so each chain runs in ascending
+        // row order.
+        for (row, h) in table
+            .key_hashes(&key_cols, 0, n)
+            .into_iter()
+            .enumerate()
+            .rev()
+        {
+            if let Some(higher) = heads.insert(h, row) {
+                next[row] = higher;
+            }
         }
-        JoinIndex { key_cols, buckets }
+        JoinIndex {
+            key_cols,
+            heads,
+            next,
+        }
     }
 
     /// Probes logical rows `lo..hi` of `probe` against the index built
@@ -516,13 +544,12 @@ impl JoinIndex {
     ) {
         for row in lo..hi {
             let h = hash_cols_at(&probe.cols, probe.phys(row), probe_cols);
-            let Some(bucket) = self.buckets.get(&h) else {
-                continue;
-            };
-            for &b in bucket {
+            let mut b = self.heads.get(&h).copied().unwrap_or(JoinIndex::END);
+            while b != JoinIndex::END {
                 if build.keys_match(b, &self.key_cols, probe, row, probe_cols) {
                     out.push((b, row));
                 }
+                b = self.next[b];
             }
         }
     }

@@ -4,11 +4,21 @@
 //! the "complete information" databases of the paper (§2). Tuples are
 //! stored in a `BTreeSet` so two instances are `==` exactly when they
 //! denote the same relation, which is what every theorem check relies on.
+//!
+//! Each instance also carries its column-major form
+//! ([`Instance::columnar`]), built on first use and kept until the next
+//! [`Instance::insert`]. The cache is invisible to equality, ordering,
+//! hashing and `Debug`, which all look at `(arity, tuples)` only.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
+use crate::columnar::ColumnarInstance;
 use crate::error::RelError;
+use crate::keyhash::{key_hash, BuildPassThrough};
 use crate::tuple::Tuple;
 use crate::value::{Domain, Value};
 
@@ -20,19 +30,30 @@ use crate::value::{Domain, Value};
 /// assert_eq!(i.len(), 2);
 /// assert!(i.contains(&tuple![1, 2]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone)]
 pub struct Instance {
     arity: usize,
     tuples: BTreeSet<Tuple>,
+    /// The column-major form of `tuples`, built on first use by
+    /// [`Instance::columnar`]. `insert` (the only mutator) clears it;
+    /// every other constructor starts without one.
+    columnar: OnceLock<Arc<ColumnarInstance>>,
 }
 
 impl Instance {
-    /// The empty relation of the given arity.
-    pub fn empty(arity: usize) -> Self {
+    /// The instance with these tuples and no columnar form yet — the one
+    /// place the struct is assembled.
+    fn with_tuples(arity: usize, tuples: BTreeSet<Tuple>) -> Self {
         Instance {
             arity,
-            tuples: BTreeSet::new(),
+            tuples,
+            columnar: OnceLock::new(),
         }
+    }
+
+    /// The empty relation of the given arity.
+    pub fn empty(arity: usize) -> Self {
+        Instance::with_tuples(arity, BTreeSet::new())
     }
 
     /// Builds an instance from tuples, checking that each has arity
@@ -63,10 +84,7 @@ impl Instance {
                 });
             }
         }
-        Ok(Instance {
-            arity,
-            tuples: tuples.into_iter().collect(),
-        })
+        Ok(Instance::with_tuples(arity, tuples.into_iter().collect()))
     }
 
     /// Builds an instance from rows of raw values (each row must have the
@@ -87,9 +105,7 @@ impl Instance {
     /// The singleton instance `{t}`; its arity is `t.arity()`.
     pub fn singleton(t: Tuple) -> Self {
         let arity = t.arity();
-        let mut tuples = BTreeSet::new();
-        tuples.insert(t);
-        Instance { arity, tuples }
+        Instance::with_tuples(arity, BTreeSet::from([t]))
     }
 
     /// Arity `n` of the relation.
@@ -120,7 +136,35 @@ impl Instance {
                 got: t.arity(),
             });
         }
-        Ok(self.tuples.insert(t))
+        let new = self.tuples.insert(t);
+        if new {
+            self.columnar.take();
+        }
+        Ok(new)
+    }
+
+    /// The relation in column-major form, for the columnar executor.
+    ///
+    /// Built on the first call and cached until the next
+    /// [`Instance::insert`], so a relation queried many times — a catalog
+    /// leaf, a relation literal in a prepared plan — is converted once
+    /// per version instead of once per query. Clones made after the
+    /// first call share the cached form.
+    ///
+    /// The cached form is a second copy of the data — one `Value`
+    /// (24 bytes, plus the bytes of each string, which are cloned) per
+    /// cell — held for as long as the instance lives.
+    ///
+    /// ```
+    /// use ipdb_rel::{instance, tuple};
+    /// let mut i = instance![[1, 2]];
+    /// assert_eq!(i.columnar().to_rows(), i);
+    /// i.insert(tuple![3, 4]).unwrap();
+    /// assert_eq!(i.columnar().len(), 2); // rebuilt after the insert
+    /// ```
+    pub fn columnar(&self) -> &ColumnarInstance {
+        self.columnar
+            .get_or_init(|| Arc::new(ColumnarInstance::from_rows(self)))
     }
 
     /// Iterates over the tuples in canonical order.
@@ -136,28 +180,28 @@ impl Instance {
     /// `self ∪ other` (arities must match).
     pub fn union(&self, other: &Instance) -> Result<Instance, RelError> {
         self.check_arity(other)?;
-        Ok(Instance {
-            arity: self.arity,
-            tuples: self.tuples.union(&other.tuples).cloned().collect(),
-        })
+        Ok(Instance::with_tuples(
+            self.arity,
+            self.tuples.union(&other.tuples).cloned().collect(),
+        ))
     }
 
     /// `self ∩ other` (arities must match).
     pub fn intersect(&self, other: &Instance) -> Result<Instance, RelError> {
         self.check_arity(other)?;
-        Ok(Instance {
-            arity: self.arity,
-            tuples: self.tuples.intersection(&other.tuples).cloned().collect(),
-        })
+        Ok(Instance::with_tuples(
+            self.arity,
+            self.tuples.intersection(&other.tuples).cloned().collect(),
+        ))
     }
 
     /// `self − other` (arities must match).
     pub fn difference(&self, other: &Instance) -> Result<Instance, RelError> {
         self.check_arity(other)?;
-        Ok(Instance {
-            arity: self.arity,
-            tuples: self.tuples.difference(&other.tuples).cloned().collect(),
-        })
+        Ok(Instance::with_tuples(
+            self.arity,
+            self.tuples.difference(&other.tuples).cloned().collect(),
+        ))
     }
 
     /// Cross product `self × other`; arity is the sum of arities.
@@ -257,8 +301,11 @@ impl Instance {
             keys.iter().map(|&(i, j)| (j, i)).unzip()
         };
 
-        let mut index: std::collections::HashMap<u64, Vec<&Tuple>> =
-            std::collections::HashMap::with_capacity(build.tuples.len());
+        let mut index: std::collections::HashMap<u64, Vec<&Tuple>, BuildPassThrough> =
+            std::collections::HashMap::with_capacity_and_hasher(
+                build.tuples.len(),
+                BuildPassThrough::default(),
+            );
         for t in &build.tuples {
             index
                 .entry(hash_key_cols(t.values(), &build_cols))
@@ -349,24 +396,57 @@ impl Instance {
     }
 }
 
-/// Hashes the values at `cols` of a row directly into a `u64`, without
+/// Hashes the values at `cols` of a row with [`key_hash`], without
 /// materializing a per-row key vector. Buckets built from these hashes
 /// group by hash value only, so lookups must confirm with
-/// [`key_cols_eq`]; the hasher is `DefaultHasher` with its default keys,
-/// which is deterministic within a build.
-pub(crate) fn hash_key_cols(row: &[Value], cols: &[usize]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &c in cols {
-        row[c].hash(&mut h);
-    }
-    h.finish()
+/// [`key_cols_eq`].
+fn hash_key_cols(row: &[Value], cols: &[usize]) -> u64 {
+    key_hash(cols.iter().map(|&c| &row[c]))
 }
 
 /// Whether two rows agree on their respective key columns (the
 /// collision check paired with [`hash_key_cols`]).
-pub(crate) fn key_cols_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool {
+fn key_cols_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool {
     a_cols.iter().zip(b_cols).all(|(&i, &j)| a[i] == b[j])
+}
+
+// Equality, ordering, hashing and `Debug` see the relation only — never
+// whether its columnar form has been built.
+
+impl PartialEq for Instance {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity == other.arity && self.tuples == other.tuples
+    }
+}
+
+impl Eq for Instance {}
+
+impl PartialOrd for Instance {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Instance {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.arity, &self.tuples).cmp(&(other.arity, &other.tuples))
+    }
+}
+
+impl Hash for Instance {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.arity.hash(state);
+        self.tuples.hash(state);
+    }
+}
+
+impl fmt::Debug for Instance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Instance")
+            .field("arity", &self.arity)
+            .field("tuples", &self.tuples)
+            .finish()
+    }
 }
 
 impl fmt::Display for Instance {
@@ -530,6 +610,73 @@ mod tests {
                 oracle(l, r, &resid)
             );
         }
+    }
+
+    #[test]
+    fn columnar_form_follows_inserts() {
+        let mut i = instance![[1, 2]];
+        assert_eq!(i.columnar().to_rows(), i);
+        // A duplicate insert changes nothing and keeps the built form.
+        let before: *const ColumnarInstance = i.columnar();
+        assert!(!i.insert(tuple![1, 2]).unwrap());
+        assert!(std::ptr::eq(before, i.columnar()));
+        // A new tuple invalidates it; the rebuilt form includes the tuple.
+        assert!(i.insert(tuple![3, 4]).unwrap());
+        assert_eq!(i.columnar().len(), 2);
+        assert_eq!(i.columnar().to_rows(), instance![[1, 2], [3, 4]]);
+        // A failed insert leaves both forms alone.
+        assert!(i.insert(tuple![5]).is_err());
+        assert_eq!(i.columnar().to_rows(), i);
+    }
+
+    #[test]
+    fn columnar_cache_is_invisible_to_equality_order_and_hash() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of(i: &Instance) -> u64 {
+            let mut h = DefaultHasher::new();
+            i.hash(&mut h);
+            h.finish()
+        }
+        let warm = instance![[1, "a"], [2, "b"]];
+        let cold = instance![[1, "a"], [2, "b"]];
+        let _ = warm.columnar();
+        assert_eq!(warm, cold);
+        assert_eq!(warm.cmp(&cold), Ordering::Equal);
+        assert_eq!(warm.partial_cmp(&cold), Some(Ordering::Equal));
+        assert_eq!(hash_of(&warm), hash_of(&cold));
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+        // A clone of a warm instance carries the cache and is still equal.
+        let copy = warm.clone();
+        assert_eq!(copy, cold);
+        assert_eq!(copy.columnar().to_rows(), cold);
+        // Ordering is still by arity, then tuples.
+        assert_eq!(instance![[9]].cmp(&warm), Ordering::Less);
+        assert_eq!(instance![[0, "a"]].cmp(&warm), Ordering::Less);
+    }
+
+    #[test]
+    fn join_keys_never_match_across_value_variants() {
+        // Int(1), Bool(true) and Str("1") are distinct values; neither
+        // join path may pair them, whatever their key hashes do.
+        let keys = [Value::from(1), Value::from(true), Value::str("1")];
+        let side = Instance::from_tuples(
+            2,
+            keys.iter()
+                .enumerate()
+                .map(|(k, v)| Tuple::new([v.clone(), Value::from(k as i64)])),
+        )
+        .unwrap();
+        let expected = Instance::from_tuples(
+            4,
+            keys.iter().enumerate().map(|(k, v)| {
+                let k = Value::from(k as i64);
+                Tuple::new([v.clone(), k.clone(), v.clone(), k])
+            }),
+        )
+        .unwrap();
+        assert_eq!(side.equijoin(&side, &[(0, 2)], None).unwrap(), expected);
+        let col = side.columnar().equijoin(side.columnar(), &[(0, 2)], None);
+        assert_eq!(col.unwrap().to_rows(), expected);
     }
 
     #[test]

@@ -28,10 +28,11 @@
 //! * [`ColumnarInstance`] and [`JoinIndex`] ([`columnar`]) — a
 //!   column-major execution representation with lossless row round-trip
 //!   and vectorized kernels (selection masks, projection, product, hash
-//!   equijoin). The kernels are *chunk-consistent* — evaluating a row
-//!   range in pieces gives the same rows as evaluating it whole — which
-//!   is what lets `ipdb-engine` parallelize them morsel-wise without
-//!   changing any answer.
+//!   equijoin); [`Instance::columnar`] caches an instance's columnar
+//!   form until it changes. The kernels are *chunk-consistent* —
+//!   evaluating a row range in pieces gives the same rows as evaluating
+//!   it whole — which is what lets `ipdb-engine` parallelize them
+//!   morsel-wise without changing any answer.
 //!
 //! The incomplete/probabilistic layers ([`ipdb-tables`], [`ipdb-prob`])
 //! build on these types; nothing in this crate knows about variables or
@@ -48,6 +49,7 @@ pub mod error;
 pub mod fragment;
 pub mod idb;
 pub mod instance;
+mod keyhash;
 pub mod pred;
 pub mod query;
 pub mod schema;

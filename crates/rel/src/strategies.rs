@@ -17,6 +17,37 @@ pub fn arb_value(max_int: i64) -> impl Strategy<Value = Value> {
     (0..=max_int).prop_map(Value::Int)
 }
 
+/// Strategy for a value of any variant — `Bool`, `Int` or `Str` — from
+/// a small universe, for code that treats the variants differently
+/// (join-key hashing reads strings as bytes, 8 at a time). [`arb_value`]
+/// stays integer-only so existing properties keep their inputs.
+///
+/// Strings are 0–20 bytes: one of a few shared prefixes (0, 1, 4 or 14
+/// bytes) followed by a short suffix, so distinct strings often agree
+/// on their first 8 bytes or more, and about a third are longer than 8
+/// bytes. `"1"` is in the universe alongside `Int(1)` and `Bool(true)`.
+pub fn arb_mixed_value() -> impl Strategy<Value = Value> {
+    const PREFIXES: [&str; 4] = ["", "1", "key_", "shared_prefix_"];
+    const SUFFIXES: [&str; 5] = ["", "1", "a", "ab", "abcdef"];
+    prop_oneof![
+        any::<bool>().prop_map(Value::Bool),
+        (0i64..=2).prop_map(Value::Int),
+        (
+            proptest::sample::select(PREFIXES.to_vec()),
+            proptest::sample::select(SUFFIXES.to_vec()),
+        )
+            .prop_map(|(p, s)| Value::str(format!("{p}{s}"))),
+    ]
+}
+
+/// Strategy for an instance with up to `max_tuples` tuples over
+/// [`arb_mixed_value`].
+pub fn arb_mixed_instance(arity: usize, max_tuples: usize) -> impl Strategy<Value = Instance> {
+    let tuple = proptest::collection::vec(arb_mixed_value(), arity).prop_map(Tuple::new);
+    proptest::collection::btree_set(tuple, 0..=max_tuples)
+        .prop_map(move |ts| Instance::from_tuples(arity, ts).expect("tuples share arity"))
+}
+
 /// Strategy for a tuple of the given arity over a small integer universe.
 pub fn arb_tuple(arity: usize, max_int: i64) -> impl Strategy<Value = Tuple> {
     proptest::collection::vec(arb_value(max_int), arity).prop_map(Tuple::new)
@@ -366,6 +397,32 @@ pub fn small_domain() -> Domain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn mixed_values_cover_every_variant_and_string_shape(
+            vals in proptest::collection::vec(arb_mixed_value(), 600)
+        ) {
+            let strs: Vec<&str> = vals
+                .iter()
+                .filter_map(|v| match v {
+                    Value::Str(s) => Some(&**s),
+                    _ => None,
+                })
+                .collect();
+            prop_assert!(vals.iter().any(|v| matches!(v, Value::Bool(_))));
+            prop_assert!(vals.iter().any(|v| matches!(v, Value::Int(_))));
+            prop_assert!(strs.iter().all(|s| s.len() <= 20));
+            prop_assert!(strs.contains(&"1"), "Str(\"1\") never generated");
+            // Distinct strings longer than 8 bytes that share their
+            // first 8 bytes.
+            let long: std::collections::BTreeSet<&str> =
+                strs.iter().copied().filter(|s| s.len() > 8).collect();
+            prop_assert!(long.iter().filter(|s| s.starts_with("shared_p")).count() >= 2);
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
