@@ -14,15 +14,16 @@
 //! The same naive-vs-join effect is measured on the c-table algebra,
 //! where hashing the ground key columns also skips the quadratic blow-up
 //! of composed row *conditions*. A third group measures front-end
-//! overhead (parse + plan + optimize).
+//! overhead (parse + plan + optimize), on the small SPJ query and on a
+//! serving template whose wide guards the optimizer fuses and pushes.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ipdb_bench::{
-    random_ctable, skewed_instance, ENGINE_PRODUCT_HEAVY as PRODUCT_HEAVY,
-    ENGINE_PRODUCT_HEAVY_PUSHED as PRODUCT_HEAVY_PUSHED,
+    random_ctable, serve_query_pool, serve_schema, skewed_instance,
+    ENGINE_PRODUCT_HEAVY as PRODUCT_HEAVY, ENGINE_PRODUCT_HEAVY_PUSHED as PRODUCT_HEAVY_PUSHED,
 };
 use ipdb_engine::{Backend, Catalog, Engine};
 use ipdb_rel::Instance;
@@ -92,6 +93,12 @@ fn bench_prepare(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("parse_plan_optimize", "spj"), |b| {
         b.iter(|| engine.prepare_text(PRODUCT_HEAVY, 2).unwrap())
     });
+    let schema = serve_schema();
+    let template = &serve_query_pool(1, 7)[0];
+    group.bench_function(
+        BenchmarkId::new("parse_plan_optimize", "serve_template"),
+        |b| b.iter(|| engine.prepare_text_schema(template, &schema).unwrap()),
+    );
     group.finish();
 }
 

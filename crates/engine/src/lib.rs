@@ -153,7 +153,9 @@ pub use backend::{Backend, Catalog, Source};
 pub use cache::PlanCache;
 pub use error::EngineError;
 pub use morsel::ExecConfig;
-pub use optimize::{optimize, optimize_in, optimize_plan, optimize_plan_stats, OptimizeStats};
+pub use optimize::{
+    optimize, optimize_in, optimize_plan, optimize_plan_stats, rewrite_pass, OptimizeStats,
+};
 pub use parser::{is_relation_name, parse, render};
 pub use pipeline::{Engine, Prepared};
 pub use plan::{Plan, PlanNode};

@@ -24,10 +24,19 @@
 //! * **constant folding** — any operator whose children are all literals
 //!   is evaluated at plan time.
 //!
-//! Passes run bottom-up. Upward effects (empty propagation, fusion)
-//! complete within one pass; downward effects (pushdown) descend one
-//! operator per pass, so the fixpoint loop is bounded using the plan's
-//! [`Query::depth`] measure rather than iterating blindly.
+//! A pass ([`rewrite_pass`]) runs bottom-up over a plan it owns: it
+//! moves each child out, rewrites it, and moves the result back, so an
+//! operator no rule touches costs a move, not a copy. Every local rule
+//! reports whether it fired, and the pass reports whether any did, so
+//! the fixpoint loop stops at the first pass that reports no change —
+//! without keeping the previous plan to compare against. (Debug builds
+//! keep it anyway and assert that a pass reporting no change returned
+//! its input.)
+//!
+//! Upward effects (empty propagation, fusion) complete within one pass;
+//! downward effects (pushdown) descend one operator per pass, so the
+//! fixpoint loop is bounded using the plan's [`Query::depth`] measure
+//! rather than iterating blindly.
 
 use ipdb_rel::{CmpOp, Instance, Operand, Pred, Query, Schema};
 
@@ -83,17 +92,34 @@ pub struct OptimizeStats {
 
 /// Rewrites a plan to fixpoint, reporting the pass counter and whether
 /// the bound sufficed (see [`OptimizeStats`]).
+///
+/// The input is copied once; every pass then consumes the previous
+/// pass's plan. The loop stops at the first pass that reports no
+/// change, which certifies the fixpoint.
 pub fn optimize_plan_stats(plan: &Plan) -> (Plan, OptimizeStats) {
     // Each pass finishes all upward rewrites and moves pushed-down
     // selections at least one level, so `depth` passes reach the
-    // fixpoint; the loop also stops as soon as a pass changes nothing.
-    // (+2: one pass to observe stability, one for rewrites enabled by
-    // the final pushdown step, e.g. fusing into a child selection.)
+    // fixpoint. (+2: one pass to observe stability, one for rewrites
+    // enabled by the final pushdown step, e.g. fusing into a child
+    // selection.) One pass past the bound reports whether the last
+    // rewriting pass happened to land on the fixpoint; if that pass
+    // still rewrites, the loop ran out of budget and returns its plan
+    // unconverged.
     let bound = 2 * plan.depth() + 2;
     let mut cur = plan.clone();
-    for passes in 1..=bound {
-        let next = pass(&cur);
-        if next == cur {
+    for passes in 1..=bound + 1 {
+        #[cfg(debug_assertions)]
+        let before = cur.clone();
+        let (next, changed) = rewrite_pass(cur);
+        #[cfg(debug_assertions)]
+        assert!(
+            changed || next == before,
+            "an optimizer pass reported no change but rewrote\n{}into\n{}",
+            before.render_tree(),
+            next.render_tree()
+        );
+        cur = next;
+        if !changed {
             return (
                 cur,
                 OptimizeStats {
@@ -102,68 +128,68 @@ pub fn optimize_plan_stats(plan: &Plan) -> (Plan, OptimizeStats) {
                 },
             );
         }
-        cur = next;
     }
-    // Bound exhausted with the last pass still rewriting: probe once
-    // more so `converged` reports whether that final pass happened to
-    // land on the fixpoint or the loop genuinely ran out of budget.
-    let converged = pass(&cur) == cur;
     (
         cur,
         OptimizeStats {
             passes: bound + 1,
-            converged,
+            converged: false,
         },
     )
 }
 
-/// One bottom-up rewrite pass.
-fn pass(plan: &Plan) -> Plan {
-    let arity = plan.arity;
-    let node = match &plan.node {
-        PlanNode::Input => PlanNode::Input,
-        PlanNode::Second => PlanNode::Second,
-        PlanNode::Rel(name) => PlanNode::Rel(name.clone()),
-        PlanNode::Lit(i) => PlanNode::Lit(i.clone()),
-        PlanNode::Project(cols, p) => PlanNode::Project(cols.clone(), Box::new(pass(p))),
-        PlanNode::Select(pred, p) => PlanNode::Select(pred.clone(), Box::new(pass(p))),
-        PlanNode::Product(a, b) => PlanNode::Product(Box::new(pass(a)), Box::new(pass(b))),
+/// One bottom-up rewrite pass over an owned plan, and whether any rule
+/// fired: `false` exactly when the returned plan equals the input.
+pub fn rewrite_pass(plan: Plan) -> (Plan, bool) {
+    let mut changed = false;
+    let mut child = |p: Box<Plan>| {
+        let (p, fired) = rewrite_pass(*p);
+        changed |= fired;
+        Box::new(p)
+    };
+    let node = match plan.node {
+        PlanNode::Project(cols, p) => PlanNode::Project(cols, child(p)),
+        PlanNode::Select(pred, p) => PlanNode::Select(pred, child(p)),
+        PlanNode::Product(a, b) => PlanNode::Product(child(a), child(b)),
         PlanNode::Join {
             on,
             residual,
             left,
             right,
         } => PlanNode::Join {
-            on: on.clone(),
-            residual: residual.clone(),
-            left: Box::new(pass(left)),
-            right: Box::new(pass(right)),
+            on,
+            residual,
+            left: child(left),
+            right: child(right),
         },
-        PlanNode::Union(a, b) => PlanNode::Union(Box::new(pass(a)), Box::new(pass(b))),
-        PlanNode::Diff(a, b) => PlanNode::Diff(Box::new(pass(a)), Box::new(pass(b))),
-        PlanNode::Intersect(a, b) => PlanNode::Intersect(Box::new(pass(a)), Box::new(pass(b))),
+        PlanNode::Union(a, b) => PlanNode::Union(child(a), child(b)),
+        PlanNode::Diff(a, b) => PlanNode::Diff(child(a), child(b)),
+        PlanNode::Intersect(a, b) => PlanNode::Intersect(child(a), child(b)),
+        leaf => leaf,
     };
-    rewrite(Plan { node, arity })
+    let (plan, fired) = rewrite(Plan {
+        node,
+        arity: plan.arity,
+    });
+    (plan, changed || fired)
 }
 
-/// Applies the first matching local rule at the root, or returns the
-/// plan unchanged.
-fn rewrite(plan: Plan) -> Plan {
+/// Applies the first matching local rule at the root and reports
+/// whether one fired; a plan no rule matches comes back as it is.
+fn rewrite(plan: Plan) -> (Plan, bool) {
     let arity = plan.arity;
+    let kept = |node| (Plan { node, arity }, false);
     match plan.node {
         PlanNode::Project(cols, child) => rewrite_project(cols, *child),
         PlanNode::Select(pred, child) => rewrite_select(pred, *child, arity),
         PlanNode::Product(a, b) => {
             if a.is_empty_lit() || b.is_empty_lit() {
-                return Plan::empty(arity);
+                return (Plan::empty(arity), true);
             }
             if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&a.node, &b.node) {
-                return lit(x.product(y));
+                return (lit(x.product(y)), true);
             }
-            Plan {
-                node: PlanNode::Product(a, b),
-                arity,
-            }
+            kept(PlanNode::Product(a, b))
         }
         PlanNode::Join {
             on,
@@ -173,50 +199,50 @@ fn rewrite(plan: Plan) -> Plan {
         } => rewrite_join(on, residual, *left, *right, arity),
         PlanNode::Union(a, b) => {
             if a.is_empty_lit() || a == b {
-                return *b;
+                return (*b, true);
             }
             if b.is_empty_lit() {
-                return *a;
+                return (*a, true);
             }
             if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&a.node, &b.node) {
-                return lit(x.union(y).expect("arities checked at plan build"));
+                return (
+                    lit(x.union(y).expect("arities checked at plan build")),
+                    true,
+                );
             }
-            Plan {
-                node: PlanNode::Union(a, b),
-                arity,
-            }
+            kept(PlanNode::Union(a, b))
         }
         PlanNode::Diff(a, b) => {
             if a == b || a.is_empty_lit() {
-                return Plan::empty(arity);
+                return (Plan::empty(arity), true);
             }
             if b.is_empty_lit() {
-                return *a;
+                return (*a, true);
             }
             if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&a.node, &b.node) {
-                return lit(x.difference(y).expect("arities checked at plan build"));
+                return (
+                    lit(x.difference(y).expect("arities checked at plan build")),
+                    true,
+                );
             }
-            Plan {
-                node: PlanNode::Diff(a, b),
-                arity,
-            }
+            kept(PlanNode::Diff(a, b))
         }
         PlanNode::Intersect(a, b) => {
             if a.is_empty_lit() || b.is_empty_lit() {
-                return Plan::empty(arity);
+                return (Plan::empty(arity), true);
             }
             if a == b {
-                return *a;
+                return (*a, true);
             }
             if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&a.node, &b.node) {
-                return lit(x.intersect(y).expect("arities checked at plan build"));
+                return (
+                    lit(x.intersect(y).expect("arities checked at plan build")),
+                    true,
+                );
             }
-            Plan {
-                node: PlanNode::Intersect(a, b),
-                arity,
-            }
+            kept(PlanNode::Intersect(a, b))
         }
-        leaf => Plan { node: leaf, arity },
+        leaf => kept(leaf),
     }
 }
 
@@ -227,42 +253,53 @@ fn lit(i: Instance) -> Plan {
     }
 }
 
-fn rewrite_project(cols: Vec<usize>, child: Plan) -> Plan {
+fn rewrite_project(cols: Vec<usize>, child: Plan) -> (Plan, bool) {
     if let PlanNode::Lit(i) = &child.node {
-        return lit(i.project(&cols).expect("columns checked at plan build"));
+        return (
+            lit(i.project(&cols).expect("columns checked at plan build")),
+            true,
+        );
     }
     // Identity projection: π_{0,1,…,n−1} of an arity-n child.
     if cols.len() == child.arity && cols.iter().enumerate().all(|(i, &c)| i == c) {
-        return child;
+        return (child, true);
     }
     // π_cols(π_inner(e)) → π_{composed}(e).
     if let PlanNode::Project(inner, e) = child.node {
         let composed: Vec<usize> = cols.iter().map(|&c| inner[c]).collect();
-        return Plan {
-            arity: composed.len(),
-            node: PlanNode::Project(composed, e),
-        };
+        return (
+            Plan {
+                arity: composed.len(),
+                node: PlanNode::Project(composed, e),
+            },
+            true,
+        );
     }
-    Plan {
-        arity: cols.len(),
-        node: PlanNode::Project(cols, Box::new(child)),
-    }
+    (
+        Plan {
+            arity: cols.len(),
+            node: PlanNode::Project(cols, Box::new(child)),
+        },
+        false,
+    )
 }
 
-fn rewrite_select(pred: Pred, child: Plan, arity: usize) -> Plan {
+fn rewrite_select(pred: Pred, child: Plan, arity: usize) -> (Plan, bool) {
     // Normalize the conjunction structure first: `and()` is `true`,
     // `and(p)` is `p`, nested `and`s flatten, `false` absorbs. This is
     // what lets the `true`/`false` rules below fire on every spelling.
-    let pred = Pred::conj_all(pred.conjuncts());
+    // Only a predicate that was not already flat counts as rewritten.
+    let normalized = !pred.is_flat();
+    let pred = pred.into_flat();
     match pred {
-        Pred::True => return child,
-        Pred::False => return Plan::empty(arity),
+        Pred::True => return (child, true),
+        Pred::False => return (Plan::empty(arity), true),
         _ => {}
     }
     if child.is_empty_lit() {
-        return Plan::empty(arity);
+        return (Plan::empty(arity), true);
     }
-    match child.node {
+    let plan = match child.node {
         // Constant folding: plans are validated, so `Pred::eval` cannot
         // report out-of-range columns here.
         PlanNode::Lit(i) => {
@@ -297,7 +334,10 @@ fn rewrite_select(pred: Pred, child: Plan, arity: usize) -> Plan {
             arity,
             node: PlanNode::Intersect(Box::new(select(pred, *a)), b),
         },
-        PlanNode::Product(a, b) => push_through_product(pred, *a, *b, arity),
+        PlanNode::Product(a, b) => {
+            let (plan, pushed) = push_through_product(pred, *a, *b, arity);
+            return (plan, pushed || normalized);
+        }
         // σ_p over a join fuses into the residual; the join rewrite then
         // re-partitions the enlarged residual (pushing one-sided
         // conjuncts down, promoting spanning equalities to keys).
@@ -318,11 +358,9 @@ fn rewrite_select(pred: Pred, child: Plan, arity: usize) -> Plan {
                 right,
             },
         },
-        other => Plan {
-            arity,
-            node: PlanNode::Select(pred, Box::new(Plan { node: other, arity })),
-        },
-    }
+        other => return (select(pred, Plan { node: other, arity }), normalized),
+    };
+    (plan, true)
 }
 
 fn select(pred: Pred, child: Plan) -> Plan {
@@ -339,8 +377,8 @@ fn select(pred: Pred, child: Plan) -> Plan {
 /// column–column equalities, the product is rewritten into a hash
 /// [`PlanNode::Join`] keyed on them (the other spanning conjuncts ride
 /// along as the residual) — or, with no equality to key on, stay as a
-/// selection above the product.
-fn push_through_product(pred: Pred, a: Plan, b: Plan, arity: usize) -> Plan {
+/// selection above the product. Reports whether anything moved.
+fn push_through_product(pred: Pred, a: Plan, b: Plan, arity: usize) -> (Plan, bool) {
     let la = a.arity;
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -353,7 +391,7 @@ fn push_through_product(pred: Pred, a: Plan, b: Plan, arity: usize) -> Plan {
                 if c.eval(&[]).expect("no column references") {
                     dropped_const = true;
                 } else {
-                    return Plan::empty(arity);
+                    return (Plan::empty(arity), true);
                 }
             }
             (_, Some(max)) if max < la => left.push(c),
@@ -365,7 +403,7 @@ fn push_through_product(pred: Pred, a: Plan, b: Plan, arity: usize) -> Plan {
     if !on.is_empty() {
         let a = maybe_select(Pred::conj_all(left), a);
         let b = maybe_select(Pred::conj_all(right), b);
-        return Plan {
+        let join = Plan {
             arity,
             node: PlanNode::Join {
                 on,
@@ -374,17 +412,15 @@ fn push_through_product(pred: Pred, a: Plan, b: Plan, arity: usize) -> Plan {
                 right: Box::new(b),
             },
         };
+        return (join, true);
     }
     if left.is_empty() && right.is_empty() && !dropped_const {
-        // Nothing to push and nothing to key on: restore the original
-        // shape so the rewrite is a no-op rather than an infinite loop.
-        return select(
-            pred,
-            Plan {
-                arity,
-                node: PlanNode::Product(Box::new(a), Box::new(b)),
-            },
-        );
+        // Nothing to push and nothing to key on: the input comes back.
+        let prod = Plan {
+            arity,
+            node: PlanNode::Product(Box::new(a), Box::new(b)),
+        };
+        return (select(pred, prod), false);
     }
     let a = maybe_select(Pred::conj_all(left), a);
     let b = maybe_select(Pred::conj_all(right), b);
@@ -392,22 +428,23 @@ fn push_through_product(pred: Pred, a: Plan, b: Plan, arity: usize) -> Plan {
         arity,
         node: PlanNode::Product(Box::new(a), Box::new(b)),
     };
-    maybe_select(residual, prod)
+    (maybe_select(residual, prod), true)
 }
 
 /// Local rules at a join node: empty operands annihilate, the residual
 /// is re-partitioned (one-sided conjuncts push into the operands,
 /// spanning equalities promote to key pairs, column-free conjuncts are
 /// decided now), and an all-literal join is folded at plan time.
+/// Reports whether any of them fired.
 fn rewrite_join(
     on: Vec<(usize, usize)>,
     residual: Option<Pred>,
     left: Plan,
     right: Plan,
     arity: usize,
-) -> Plan {
+) -> (Plan, bool) {
     if left.is_empty_lit() || right.is_empty_lit() {
-        return Plan::empty(arity);
+        return (Plan::empty(arity), true);
     }
     let la = left.arity;
     let mut on = on;
@@ -433,7 +470,7 @@ fn rewrite_join(
                     if c.eval(&[]).expect("no column references") {
                         changed = true; // constant true conjunct: drop it
                     } else {
-                        return Plan::empty(arity);
+                        return (Plan::empty(arity), true);
                     }
                 }
                 (_, Some(max)) if max < la => {
@@ -452,11 +489,12 @@ fn rewrite_join(
         // Residual is irreducible; fold the join if both operands are
         // literals (keys and residual were validated at plan build).
         if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&left.node, &right.node) {
-            return lit(x
+            let folded = x
                 .equijoin(y, &on, residual.as_ref())
-                .expect("join validated at plan build"));
+                .expect("join validated at plan build");
+            return (lit(folded), true);
         }
-        return Plan {
+        let join = Plan {
             arity,
             node: PlanNode::Join {
                 on,
@@ -465,10 +503,11 @@ fn rewrite_join(
                 right: Box::new(right),
             },
         };
+        return (join, false);
     }
     let left = maybe_select(Pred::conj_all(push_left), left);
     let right = maybe_select(Pred::conj_all(push_right), right);
-    Plan {
+    let join = Plan {
         arity,
         node: PlanNode::Join {
             on,
@@ -476,7 +515,8 @@ fn rewrite_join(
             left: Box::new(left),
             right: Box::new(right),
         },
-    }
+    };
+    (join, true)
 }
 
 fn maybe_select(pred: Pred, child: Plan) -> Plan {
@@ -488,8 +528,7 @@ fn maybe_select(pred: Pred, child: Plan) -> Plan {
 }
 
 /// `None` for the trivial predicate, `Some` otherwise — the residual
-/// slot's normal form (so `residual: Some(True)` never appears and plan
-/// equality checks in the fixpoint loop work).
+/// slot's normal form (so `residual: Some(True)` never appears).
 fn some_pred(p: Pred) -> Option<Pred> {
     match p {
         Pred::True => None,

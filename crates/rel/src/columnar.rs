@@ -186,10 +186,10 @@ impl ColumnarInstance {
     /// Vectorized predicate evaluation: one `bool` per logical row.
     ///
     /// Comparison atoms become column sweeps; `∧`/`∨`/`¬` combine masks.
-    /// Column references are validated up front, so (unlike the row
-    /// path's short-circuit evaluation) every atom is evaluated — which
-    /// is sound precisely because validation has already ruled out the
-    /// only evaluation error, an out-of-range column.
+    /// Column references are validated up front for the whole predicate,
+    /// so an atom's sweep may skip the rows an earlier conjunct ruled out
+    /// without hiding the only evaluation error, an out-of-range column,
+    /// that the row path's short-circuit evaluation could report.
     pub fn eval_mask(&self, p: &Pred) -> Result<Vec<bool>, RelError> {
         self.eval_mask_range(p, 0, self.len())
     }
@@ -202,45 +202,59 @@ impl ColumnarInstance {
     }
 
     fn mask_range(&self, p: &Pred, lo: usize, hi: usize) -> Vec<bool> {
+        let mut m = vec![true; hi - lo];
+        self.and_mask(p, lo, &mut m);
+        m
+    }
+
+    /// ANDs `p`'s mask over logical rows `lo..lo + m.len()` into `m` in
+    /// place. Comparison atoms and conjunctions write straight into `m`
+    /// and skip rows it has already ruled out; only `∨` and `¬` build a
+    /// mask of their own.
+    fn and_mask(&self, p: &Pred, lo: usize, m: &mut [bool]) {
         use crate::pred::{CmpOp, Operand};
-        let n = hi - lo;
+        let hi = lo + m.len();
         match p {
-            Pred::True => vec![true; n],
-            Pred::False => vec![false; n],
+            Pred::True => {}
+            Pred::False => m.fill(false),
             Pred::Cmp(op, l, r) => {
-                let eq = match (l, r) {
-                    (Operand::Col(i), Operand::Col(j)) => (lo..hi)
-                        .map(|row| self.value(row, *i) == self.value(row, *j))
-                        .collect::<Vec<bool>>(),
+                let want = *op == CmpOp::Eq;
+                let rows = m.iter_mut().zip(lo..hi).filter(|(acc, _)| **acc);
+                match (l, r) {
+                    (Operand::Col(i), Operand::Col(j)) => {
+                        for (acc, row) in rows {
+                            *acc = (self.value(row, *i) == self.value(row, *j)) == want;
+                        }
+                    }
                     (Operand::Col(i), Operand::Const(v)) | (Operand::Const(v), Operand::Col(i)) => {
-                        (lo..hi).map(|row| self.value(row, *i) == v).collect()
+                        for (acc, row) in rows {
+                            *acc = (self.value(row, *i) == v) == want;
+                        }
                     }
-                    (Operand::Const(a), Operand::Const(b)) => vec![a == b; n],
-                };
-                match op {
-                    CmpOp::Eq => eq,
-                    CmpOp::Neq => eq.into_iter().map(|b| !b).collect(),
-                }
-            }
-            Pred::And(ps) => {
-                let mut m = vec![true; n];
-                for q in ps {
-                    for (acc, b) in m.iter_mut().zip(self.mask_range(q, lo, hi)) {
-                        *acc &= b;
+                    (Operand::Const(a), Operand::Const(b)) => {
+                        if (a == b) != want {
+                            m.fill(false);
+                        }
                     }
                 }
-                m
             }
+            Pred::And(ps) => ps.iter().for_each(|q| self.and_mask(q, lo, m)),
             Pred::Or(ps) => {
-                let mut m = vec![false; n];
+                let mut any = vec![false; m.len()];
                 for q in ps {
-                    for (acc, b) in m.iter_mut().zip(self.mask_range(q, lo, hi)) {
+                    for (acc, b) in any.iter_mut().zip(self.mask_range(q, lo, hi)) {
                         *acc |= b;
                     }
                 }
-                m
+                for (acc, b) in m.iter_mut().zip(any) {
+                    *acc &= b;
+                }
             }
-            Pred::Not(q) => self.mask_range(q, lo, hi).into_iter().map(|b| !b).collect(),
+            Pred::Not(q) => {
+                for (acc, b) in m.iter_mut().zip(self.mask_range(q, lo, hi)) {
+                    *acc &= !b;
+                }
+            }
         }
     }
 
@@ -359,12 +373,13 @@ impl ColumnarInstance {
     /// and no selection vector (the common case for freshly built
     /// kernel outputs) — the merge step of the morsel executor's
     /// parallel gather, where per-morsel batches stack without
-    /// re-cloning their values.
+    /// re-cloning their values. A lone batch without a selection vector
+    /// is returned as it is.
     pub fn vstack(
         arity: usize,
         batches: impl IntoIterator<Item = ColumnarInstance>,
     ) -> Result<ColumnarInstance, RelError> {
-        let batches: Vec<ColumnarInstance> = batches.into_iter().collect();
+        let mut batches: Vec<ColumnarInstance> = batches.into_iter().collect();
         for b in &batches {
             if b.arity != arity {
                 return Err(RelError::ArityMismatch {
@@ -372,6 +387,9 @@ impl ColumnarInstance {
                     got: b.arity,
                 });
             }
+        }
+        if batches.len() == 1 && batches[0].sel.is_none() {
+            return Ok(batches.pop().expect("one batch"));
         }
         let total: usize = batches.iter().map(ColumnarInstance::len).sum();
         let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
@@ -624,20 +642,66 @@ mod tests {
         assert_eq!(ok.to_rows(), instance![[1], [2]]);
     }
 
-    #[test]
-    fn select_matches_row_path() {
-        let i = instance![[1, 10], [2, 20], [3, 10], [2, 10]];
-        let c = ColumnarInstance::from_rows(&i);
-        for p in [
+    /// Predicates covering every mask path: wide `=`/`!=`
+    /// conjunctions (written in place), `and` inside `or` inside `not`
+    /// (separate masks), const–const atoms, and `true`/`false` members.
+    fn mask_preds() -> Vec<Pred> {
+        use crate::pred::{CmpOp, Operand};
+        let konst = |op, a: i64, b: i64| Pred::Cmp(op, Operand::val(a), Operand::val(b));
+        vec![
             Pred::True,
             Pred::False,
             Pred::eq_const(1, 10),
             Pred::and([Pred::eq_const(1, 10), Pred::neq_const(0, 3)]),
             Pred::or([Pred::eq_const(0, 2), Pred::eq_cols(0, 1)]),
             Pred::not(Pred::eq_const(1, 10)),
-        ] {
+            Pred::and((0..8).map(|k| Pred::neq_const(0, 100 + k))),
+            Pred::and(
+                (0..6)
+                    .map(|k| Pred::neq_const(1, 30 + k))
+                    .chain([Pred::eq_const(1, 10), Pred::neq_cols(0, 1)]),
+            ),
+            Pred::and([
+                Pred::neq_const(0, 1),
+                Pred::neq_const(0, 2),
+                Pred::neq_const(0, 3),
+            ]),
+            Pred::not(Pred::or([
+                Pred::and([Pred::eq_const(1, 10), Pred::neq_const(0, 3)]),
+                Pred::and([Pred::eq_const(0, 2), Pred::not(Pred::eq_const(1, 20))]),
+            ])),
+            Pred::and([
+                Pred::or([Pred::eq_const(0, 1), Pred::eq_const(0, 3)]),
+                Pred::not(Pred::and([Pred::eq_const(1, 10), Pred::neq_cols(0, 1)])),
+            ]),
+            konst(CmpOp::Eq, 1, 1),
+            konst(CmpOp::Neq, 1, 1),
+            Pred::and([konst(CmpOp::Neq, 1, 2), Pred::eq_const(1, 10)]),
+            Pred::and([Pred::eq_const(1, 10), konst(CmpOp::Eq, 1, 2)]),
+            Pred::and([Pred::True, Pred::neq_const(0, 2), Pred::and([])]),
+            Pred::and([Pred::neq_const(0, 2), Pred::False]),
+        ]
+    }
+
+    #[test]
+    fn select_matches_row_path() {
+        let i = instance![[1, 10], [2, 20], [3, 10], [2, 10], [4, 4], [5, 10]];
+        let c = ColumnarInstance::from_rows(&i);
+        // The same rows behind a selection vector (every row but the
+        // first, in physical order).
+        let keep = Pred::neq_const(0, 1);
+        let sub = Query::select(Query::Input, keep.clone()).eval(&i).unwrap();
+        let selected = c.select(&keep).unwrap();
+        assert!(selected.sel.is_some());
+        for p in mask_preds() {
             let row = Query::select(Query::Input, p.clone()).eval(&i).unwrap();
             assert_eq!(c.select(&p).unwrap().to_rows(), row, "pred {p}");
+            let row = Query::select(Query::Input, p.clone()).eval(&sub).unwrap();
+            assert_eq!(
+                selected.select(&p).unwrap().to_rows(),
+                row,
+                "selected, pred {p}"
+            );
         }
         // Out-of-range columns are rejected up front.
         assert_eq!(
@@ -716,20 +780,46 @@ mod tests {
     #[test]
     fn masks_chunk_consistently() {
         // eval_mask over morsel-sized ranges concatenates to the full
-        // mask — the invariant the parallel executor relies on.
+        // mask — the invariant the parallel executor relies on — and any
+        // `lo..hi` range is the matching slice of it, with or without a
+        // selection vector underneath.
         let i = Instance::from_rows(2, (0..37i64).map(|x| [x % 5, x % 3])).unwrap();
         let c = ColumnarInstance::from_rows(&i);
-        let p = Pred::and([Pred::eq_cols(0, 1), Pred::neq_const(0, 2)]);
-        let full = c.eval_mask(&p).unwrap();
-        for chunk in [1usize, 7, 1024] {
-            let mut glued = Vec::new();
-            let mut lo = 0;
-            while lo < c.len() {
-                let hi = (lo + chunk).min(c.len());
-                glued.extend(c.eval_mask_range(&p, lo, hi).unwrap());
-                lo = hi;
+        let selected = c.select(&Pred::neq_const(1, 1)).unwrap();
+        let mut preds = mask_preds();
+        preds.push(Pred::and([Pred::eq_cols(0, 1), Pred::neq_const(0, 2)]));
+        for batch in [&c, &selected] {
+            for p in &preds {
+                let full = batch.eval_mask(p).unwrap();
+                assert_eq!(full.len(), batch.len());
+                let by_row: Vec<bool> = (0..batch.len())
+                    .map(|r| p.eval(batch.tuple_at(r).values()).unwrap())
+                    .collect();
+                assert_eq!(full, by_row, "pred {p}");
+                for chunk in [1usize, 7, 1024] {
+                    let mut glued = Vec::new();
+                    let mut lo = 0;
+                    while lo < batch.len() {
+                        let hi = (lo + chunk).min(batch.len());
+                        glued.extend(batch.eval_mask_range(p, lo, hi).unwrap());
+                        lo = hi;
+                    }
+                    assert_eq!(glued, full, "chunk {chunk}, pred {p}");
+                }
+                for (lo, hi) in [
+                    (0, 0),
+                    (3, 3),
+                    (2, 9),
+                    (5, batch.len()),
+                    (1, batch.len() - 1),
+                ] {
+                    assert_eq!(
+                        batch.eval_mask_range(p, lo, hi).unwrap(),
+                        full[lo..hi],
+                        "range {lo}..{hi}, pred {p}"
+                    );
+                }
             }
-            assert_eq!(glued, full, "chunk {chunk}");
         }
     }
 
@@ -788,6 +878,20 @@ mod tests {
             ColumnarInstance::vstack(2, [b.clone(), b]).unwrap().len(),
             2
         );
+        // A lone batch without a selection vector comes back as it is
+        // (its columns are not copied, even when shared); a lone selected
+        // batch is still gathered into fresh columns.
+        let lone = ColumnarInstance::from_rows(&instance![[6, 60], [7, 70]]);
+        let stacked = ColumnarInstance::vstack(2, [lone.clone()]).unwrap();
+        assert!(stacked.sel.is_none());
+        assert!(Arc::ptr_eq(&stacked.cols[0], &lone.cols[0]));
+        assert_eq!(stacked.to_rows(), lone.to_rows());
+        let picked = lone.select(&Pred::eq_const(0, 7)).unwrap();
+        let stacked = ColumnarInstance::vstack(2, [picked.clone()]).unwrap();
+        assert!(stacked.sel.is_none());
+        assert!(!Arc::ptr_eq(&stacked.cols[0], &lone.cols[0]));
+        assert_eq!(stacked.len(), 1);
+        assert_eq!(stacked.to_rows(), picked.to_rows());
         // Arity mismatches are rejected; arity-0 batches count rows.
         assert_eq!(
             ColumnarInstance::vstack(2, [ColumnarInstance::from_rows(&instance![[1]])])

@@ -168,11 +168,7 @@ impl Pred {
                 if !Pred::flatten_into(a, &mut out) || !Pred::flatten_into(b, &mut out) {
                     return Pred::False;
                 }
-                match out.len() {
-                    0 => Pred::True,
-                    1 => out.pop().expect("length checked"),
-                    _ => Pred::And(out),
-                }
+                Pred::from_flat(out)
             }
         }
     }
@@ -192,8 +188,9 @@ impl Pred {
         }
     }
 
-    /// Conjunction of several predicates via [`Pred::conj`] (so the
-    /// result is flat and `True`/`False` fold away); `True` if empty.
+    /// Conjunction of several predicates: exactly
+    /// `preds.fold(Pred::True, Pred::conj)`, so the result is flat and
+    /// `True`/`False` fold away; `True` if empty.
     ///
     /// Associative and order-preserving *as a conjunct sequence*:
     /// whenever two non-trivial predicates actually combine, their
@@ -203,9 +200,77 @@ impl Pred {
     /// returns the other operand *verbatim*, so a predicate that already
     /// contains nested `And`s passes through unnormalized. Callers that
     /// need the canonical flat list regardless of input shape should read
-    /// it via [`Pred::conjuncts`] (as [`Pred::split_equijoin`] does).
+    /// it via [`Pred::conjuncts`] (as [`Pred::split_equijoin`] does), or
+    /// normalize with [`Pred::into_flat`].
+    ///
+    /// Runs in one pass that appends every conjunct to a single `Vec`.
     pub fn conj_all(preds: impl IntoIterator<Item = Pred>) -> Pred {
-        preds.into_iter().fold(Pred::True, Pred::conj)
+        // The fold's accumulator is `True`, a lone operand it holds
+        // verbatim (`held`), or the flat list two non-trivial operands
+        // flattened into (`out`, non-empty).
+        let mut held: Option<Pred> = None;
+        let mut out = Vec::new();
+        for p in preds {
+            match p {
+                Pred::True => {}
+                Pred::False => return Pred::False,
+                p if held.is_none() && out.is_empty() => held = Some(p),
+                p => {
+                    if let Some(h) = held.take() {
+                        if !Pred::flatten_into(h, &mut out) {
+                            return Pred::False;
+                        }
+                    }
+                    if !Pred::flatten_into(p, &mut out) {
+                        return Pred::False;
+                    }
+                }
+            }
+        }
+        held.unwrap_or_else(|| Pred::from_flat(out))
+    }
+
+    /// `True` for no conjuncts, the conjunct itself for one, `And`
+    /// otherwise.
+    fn from_flat(mut out: Vec<Pred>) -> Pred {
+        match out.len() {
+            0 => Pred::True,
+            1 => out.pop().expect("length checked"),
+            _ => Pred::And(out),
+        }
+    }
+
+    /// Whether this predicate is already a flat conjunction — the form
+    /// [`Pred::into_flat`] produces. Every predicate that is not an `And`
+    /// is; an `And` is flat when it has at least two members and none of
+    /// them is `true`, `false` or another `And`.
+    pub fn is_flat(&self) -> bool {
+        match self {
+            Pred::And(ps) => {
+                ps.len() >= 2
+                    && ps
+                        .iter()
+                        .all(|p| !matches!(p, Pred::True | Pred::False | Pred::And(_)))
+            }
+            _ => true,
+        }
+    }
+
+    /// Normalizes the conjunction structure by value: `and()` becomes
+    /// `true`, `and(p)` becomes `p`, nested `and`s flatten in order and
+    /// `false` absorbs. Equal to `Pred::conj_all(self.conjuncts())`, but
+    /// moves the conjuncts instead of cloning them, and returns a
+    /// predicate that [`Pred::is_flat`] accepts as it is.
+    pub fn into_flat(self) -> Pred {
+        if self.is_flat() {
+            return self;
+        }
+        let mut out = Vec::new();
+        if Pred::flatten_into(self, &mut out) {
+            Pred::from_flat(out)
+        } else {
+            Pred::False
+        }
     }
 
     /// The deep-flattened top-level conjunct list of this predicate:
@@ -815,5 +880,82 @@ mod tests {
     fn display_matches_paper_style() {
         let p = Pred::and([Pred::eq_cols(1, 2), Pred::neq_const(3, 2)]);
         assert_eq!(p.to_string(), "(#2=#3 ∧ #4≠2)");
+    }
+
+    #[test]
+    fn into_flat_normalizes_every_spelling() {
+        let a = Pred::eq_cols(0, 1);
+        let b = Pred::neq_const(1, 2);
+        // Already flat: returned as is.
+        for p in [
+            Pred::True,
+            Pred::False,
+            a.clone(),
+            Pred::and([a.clone(), b.clone()]),
+        ] {
+            assert!(p.is_flat(), "{p:?}");
+            assert_eq!(p.clone().into_flat(), p);
+        }
+        // Not flat: `and()`, `and(p)`, nested `and`, `true`/`false`
+        // members.
+        for (p, flat) in [
+            (Pred::and([]), Pred::True),
+            (Pred::and([a.clone()]), a.clone()),
+            (
+                Pred::and([a.clone(), Pred::and([b.clone()])]),
+                Pred::and([a.clone(), b.clone()]),
+            ),
+            (Pred::and([a.clone(), Pred::True]), a.clone()),
+            (Pred::and([a.clone(), Pred::False, b.clone()]), Pred::False),
+        ] {
+            assert!(!p.is_flat(), "{p:?}");
+            assert_eq!(p.clone().into_flat(), flat, "{p:?}");
+        }
+    }
+
+    /// `conj_all` against the fold it replaces, kept here as the
+    /// reference, and `into_flat` against `conj_all` of the conjuncts.
+    #[cfg(feature = "strategies")]
+    mod conj_props {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// Predicates whose conjunction structure varies: atoms, `true`,
+        /// `false`, `or`, and `and`s of 0–3 members nested up to three
+        /// deep.
+        fn arb_conj_member() -> BoxedStrategy<Pred> {
+            let leaf = prop_oneof![
+                6 => (0usize..3, 0i64..3).prop_map(|(c, v)| Pred::eq_const(c, v)),
+                2 => (0usize..3, 0usize..3).prop_map(|(i, j)| Pred::neq_cols(i, j)),
+                1 => Just(Pred::True),
+                1 => Just(Pred::False),
+            ];
+            leaf.prop_recursive(3, 16, 3, |inner| {
+                prop_oneof![
+                    3 => proptest::collection::vec(inner.clone(), 0..=3).prop_map(Pred::And),
+                    1 => proptest::collection::vec(inner, 1..=2).prop_map(Pred::Or),
+                ]
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn conj_all_matches_the_fold(
+                ps in proptest::collection::vec(arb_conj_member(), 0..=10)
+            ) {
+                let reference = ps.clone().into_iter().fold(Pred::True, Pred::conj);
+                prop_assert_eq!(Pred::conj_all(ps), reference);
+            }
+
+            #[test]
+            fn into_flat_matches_conj_all_of_conjuncts(p in arb_conj_member()) {
+                let flat = p.clone().into_flat();
+                prop_assert_eq!(&flat, &Pred::conj_all(p.conjuncts()));
+                prop_assert!(flat.is_flat());
+                prop_assert_eq!(p.is_flat(), flat == p);
+            }
+        }
     }
 }

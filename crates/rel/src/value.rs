@@ -36,8 +36,9 @@ pub enum Value {
     Bool(bool),
     /// An integer constant.
     Int(i64),
-    /// A string constant (interned per value; cheap to clone relative to
-    /// its size, and kept boxed so `Value` stays two words + discriminant).
+    /// A string constant, boxed so `Value` stays two words plus a
+    /// discriminant. Strings are not interned: every clone allocates
+    /// and copies the bytes.
     Str(Box<str>),
 }
 
