@@ -16,16 +16,22 @@
 //! of composed row *conditions*. A third group measures front-end
 //! overhead (parse + plan + optimize), on the small SPJ query and on a
 //! serving template whose wide guards the optimizer fuses and pushes.
+//!
+//! The `engine_probe` group runs the columnar executor on a 100k-row
+//! probe whose side carries a selection vector (σ on `S` below the
+//! join) and whose join key has two columns, so every columnar kernel
+//! runs its selected-batch branch.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ipdb_bench::{
-    random_ctable, serve_query_pool, serve_schema, skewed_instance,
-    ENGINE_PRODUCT_HEAVY as PRODUCT_HEAVY, ENGINE_PRODUCT_HEAVY_PUSHED as PRODUCT_HEAVY_PUSHED,
+    parallel_build_side, parallel_probe_side, parallel_schema, random_ctable, serve_query_pool,
+    serve_schema, skewed_instance, ENGINE_PRODUCT_HEAVY as PRODUCT_HEAVY,
+    ENGINE_PRODUCT_HEAVY_PUSHED as PRODUCT_HEAVY_PUSHED,
 };
-use ipdb_engine::{Backend, Catalog, Engine};
+use ipdb_engine::{Backend, Catalog, Engine, ExecConfig};
 use ipdb_rel::Instance;
 use ipdb_tables::CTable;
 
@@ -102,5 +108,50 @@ fn bench_prepare(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_instances, bench_ctables, bench_prepare);
+/// A hash join on the two-column key `R.#1 = S.#0, R.#0 = S.#0` whose
+/// probe side is `σ[#1!=1](S)`: a selection vector over 100k rows. The
+/// build side is selected too. Runs serially under an explicit
+/// [`ExecConfig`], so neither the environment nor the host's core count
+/// changes what is timed.
+fn bench_selected_probe(c: &mut Criterion) {
+    const QUERY: &str = "sigma[and(#1=#2, #0=#2, #1!=0)](R x sigma[#1!=1](S))";
+    const BUILD: usize = 1024;
+    const PROBE: usize = 100_000;
+    let mut group = c.benchmark_group("engine_probe");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(600));
+    let stmt = Engine::new()
+        .prepare_text_schema(QUERY, &parallel_schema())
+        .expect("well-typed");
+    let plan = stmt.explain();
+    assert!(
+        plan.contains("join[#1=#2,#0=#2]"),
+        "two-column key join:\n{plan}"
+    );
+    let (r, s) = (parallel_build_side(BUILD), parallel_probe_side(PROBE));
+    let map: std::collections::BTreeMap<String, Instance> =
+        [("R".to_string(), r.clone()), ("S".to_string(), s.clone())]
+            .into_iter()
+            .collect();
+    let cat: Catalog<Instance> = [("R", r), ("S", s)].into_iter().collect();
+    let cfg = ExecConfig::serial();
+    let expected = stmt.query().eval_catalog(&map).expect("row path runs");
+    // Keys k = j with k ≠ 0 and j mod 3 ≠ 1.
+    assert_eq!(expected.len(), (1..BUILD).filter(|k| k % 3 != 1).count());
+    assert_eq!(stmt.execute_catalog_with(&cat, &cfg).unwrap(), expected);
+    group.bench_function(BenchmarkId::new("selected_two_key", PROBE), |b| {
+        b.iter(|| stmt.execute_catalog_with(&cat, &cfg).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_instances,
+    bench_ctables,
+    bench_prepare,
+    bench_selected_probe
+);
 criterion_main!(benches);

@@ -37,7 +37,8 @@
 //! materialization) are split into fixed-size morsels drained by a
 //! persistent worker pool, and the result is *bit-identical for every
 //! thread count and morsel size*. The worker count defaults to
-//! [`std::thread::available_parallelism`], overridable with
+//! [`std::thread::available_parallelism`] (detected once per process),
+//! overridable with
 //! `IPDB_THREADS` (`IPDB_THREADS=1` forces serial execution); pass an
 //! explicit [`ExecConfig`] via [`Prepared::execute_catalog_cfg`] to pin
 //! it programmatically.

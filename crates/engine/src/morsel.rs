@@ -22,8 +22,9 @@
 //!
 //! The worker count comes from [`ExecConfig::from_env`]:
 //! `IPDB_THREADS` if set (a positive integer), otherwise
-//! [`std::thread::available_parallelism`]. `IPDB_THREADS=1` forces
-//! serial execution (CI runs the tier-1 suite both ways).
+//! [`std::thread::available_parallelism`], detected once per process.
+//! `IPDB_THREADS=1` forces serial execution (CI runs the tier-1 suite
+//! both ways).
 //!
 //! Leaves (`V`, `W`, named relations and relation literals) read the
 //! columnar form each [`Instance`] caches ([`Instance::columnar`]): it is
@@ -91,6 +92,9 @@ impl ExecConfig {
 
     /// The environment-driven default: `IPDB_THREADS` if set to a
     /// positive integer, otherwise [`std::thread::available_parallelism`].
+    /// `IPDB_THREADS` is read on every call; the host's parallelism is
+    /// detected on the first call only, since detection reads cgroup
+    /// files and can cost more than running a small query.
     ///
     /// A set-but-unusable `IPDB_THREADS` (empty, `0`, non-numeric, or
     /// overflowing `usize`) is **not** silently ignored: it falls back
@@ -104,13 +108,20 @@ impl ExecConfig {
             static WARN_ONCE: std::sync::Once = std::sync::Once::new();
             WARN_ONCE.call_once(|| eprintln!("ipdb: warning: {w}"));
         }
-        let threads = parsed.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        ExecConfig::with_threads(threads)
+        ExecConfig::with_threads(parsed.unwrap_or_else(detected_parallelism))
     }
+}
+
+/// [`std::thread::available_parallelism`] (1 if it cannot be told),
+/// detected on the first call and remembered for the process. Shared by
+/// [`ExecConfig::from_env`] and the server's default worker count.
+pub(crate) fn detected_parallelism() -> usize {
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The `IPDB_THREADS` parser behind [`ExecConfig::from_env`], split out
@@ -709,6 +720,19 @@ mod tests {
             let t_build = med(|| {
                 JoinIndex::build(&left, vec![1]);
             });
+            // The probe stage split three ways, each morsel-parallel:
+            // hashing S's key column alone, hashing plus index lookups
+            // (`probe_range`), and that plus the gather.
+            let t_hash = med(|| {
+                run_morsels(right.len(), &cfg, |lo, hi| right.key_hashes(&[0], lo, hi));
+            });
+            let t_lookup = med(|| {
+                run_morsels(right.len(), &cfg, |lo, hi| {
+                    let mut pairs = Vec::new();
+                    index.probe_range(&left, &right, &[0], lo, hi, &mut pairs);
+                    pairs
+                });
+            }) - t_hash;
             let probe = || {
                 run_morsels(right.len(), &cfg, |lo, hi| {
                     let mut pairs = Vec::new();
@@ -737,7 +761,8 @@ mod tests {
             });
             eprintln!(
                 "threads={threads}: build {t_build:.3}ms \
-                 probe+gather {t_probe:.3}ms vstack {t_vstack:.3}ms select {t_select:.3}ms \
+                 probe+gather {t_probe:.3}ms (hash {t_hash:.3}ms, lookup {t_lookup:.3}ms) \
+                 vstack {t_vstack:.3}ms select {t_select:.3}ms \
                  to_rows {t_rows:.3}ms | whole {t_whole:.3}ms ({} rows probed->{} out)",
                 right.len(),
                 out.len()

@@ -278,9 +278,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            threads: thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            threads: crate::morsel::detected_parallelism(),
             cache_capacity: 256,
             exec: ExecConfig::serial(),
         }

@@ -9,7 +9,10 @@
 //! [`ColumnarInstance::from_rows`] / [`ColumnarInstance::to_rows`] round
 //! trip exactly (an `Instance` is a set, and `to_rows` collapses any
 //! duplicates a kernel may have produced). In between, the kernels work
-//! positionally:
+//! positionally, one column at a time. Each kernel turns its row range
+//! into physical rows once per column — the range itself when there is
+//! no selection vector, a slice of the selection vector when there is
+//! one — and then runs one tight loop over that column's values:
 //!
 //! * **select** — [`ColumnarInstance::eval_mask`] evaluates a [`Pred`]
 //!   as a vectorized boolean mask, one column sweep per comparison atom,
@@ -18,12 +21,16 @@
 //!   (projection is the one operator that can merge distinct rows);
 //! * **product** — positional materialization of the cross product;
 //! * **equijoin** — hash join via [`JoinIndex`], always building on the
-//!   smaller side. Each row's key values are hashed once, in place (no
-//!   per-row key vectors), by the multiplicative key hasher the row
-//!   path's [`Instance::equijoin`] shares; the bucket map takes that
-//!   `u64` as is rather than hashing it again. Probes re-verify key
-//!   equality, so hash collisions cost a comparison, never a wrong
-//!   match.
+//!   smaller side. Key hashes are computed a column at a time
+//!   ([`ColumnarInstance::key_hashes`]): each key column is folded into
+//!   a buffer of per-row hasher states, which are then finished. The
+//!   steps are those of the row path's [`Instance::equijoin`], in the
+//!   same order, so both paths give every key the same hash. The bucket
+//!   map takes that `u64` as is rather than hashing it again. Probes
+//!   re-verify key equality, so hash collisions cost a comparison, never
+//!   a wrong match;
+//! * **gather** — the join's output rows are copied column by column,
+//!   after each side's physical rows are resolved once.
 //!
 //! Columns are `Arc`-shared, so selection and projection are cheap: they
 //! produce a new selection vector (or column subset) over the same
@@ -36,10 +43,11 @@
 //! execution bit-identical to serial execution under set semantics.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::error::RelError;
-use crate::keyhash::{key_hash, BuildPassThrough};
+use crate::keyhash::{BuildPassThrough, KeyHasher};
 use crate::pred::{normalize_join_keys, Pred};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -160,6 +168,19 @@ impl ColumnarInstance {
         }
     }
 
+    /// Calls `f(k, p)` for each logical row `lo + k` of `lo..hi`, where
+    /// `p` is that row's physical row. This is the one place that tells
+    /// a batch without a selection vector from a selected one: a kernel
+    /// passes its per-column loop body here and gets one tight loop for
+    /// each case.
+    #[inline]
+    fn for_each_phys(&self, lo: usize, hi: usize, mut f: impl FnMut(usize, usize)) {
+        match &self.sel {
+            None => (lo..hi).enumerate().for_each(|(k, p)| f(k, p)),
+            Some(s) => s[lo..hi].iter().enumerate().for_each(|(k, &p)| f(k, p)),
+        }
+    }
+
     /// The value at (logical row, column).
     pub fn value(&self, row: usize, col: usize) -> &Value {
         &self.cols[col][self.phys(row)]
@@ -219,17 +240,22 @@ impl ColumnarInstance {
             Pred::False => m.fill(false),
             Pred::Cmp(op, l, r) => {
                 let want = *op == CmpOp::Eq;
-                let rows = m.iter_mut().zip(lo..hi).filter(|(acc, _)| **acc);
                 match (l, r) {
                     (Operand::Col(i), Operand::Col(j)) => {
-                        for (acc, row) in rows {
-                            *acc = (self.value(row, *i) == self.value(row, *j)) == want;
-                        }
+                        let (a, b) = (self.cols[*i].as_slice(), self.cols[*j].as_slice());
+                        self.for_each_phys(lo, hi, |k, p| {
+                            if m[k] {
+                                m[k] = (a[p] == b[p]) == want;
+                            }
+                        });
                     }
                     (Operand::Col(i), Operand::Const(v)) | (Operand::Const(v), Operand::Col(i)) => {
-                        for (acc, row) in rows {
-                            *acc = (self.value(row, *i) == v) == want;
-                        }
+                        let a = self.cols[*i].as_slice();
+                        self.for_each_phys(lo, hi, |k, p| {
+                            if m[k] {
+                                m[k] = (a[p] == *v) == want;
+                            }
+                        });
                     }
                     (Operand::Const(a), Operand::Const(b)) => {
                         if (a == b) != want {
@@ -285,24 +311,26 @@ impl ColumnarInstance {
         // Sort logical rows by their projected values so duplicates are
         // adjacent, then dedup — columnar's analogue of the row path's
         // set insertion.
-        let mut order: Vec<usize> = (0..self.len()).collect();
+        // The sort runs over physical rows, which become the new
+        // selection vector as they are.
+        let mut order: Vec<usize> = Vec::with_capacity(self.len());
+        self.for_each_phys(0, self.len(), |_, p| order.push(p));
         // An explicitly *total* lexicographic order over the projected
         // key — `Iterator::cmp` over `Value`'s derived total `Ord`,
         // with no per-column fallback step that could silently absorb
         // an incomparable pair and break sort transitivity.
         let key_cmp = |&a: &usize, &b: &usize| {
             cols.iter()
-                .map(|&c| self.value(a, c))
-                .cmp(cols.iter().map(|&c| self.value(b, c)))
+                .map(|&c| &self.cols[c][a])
+                .cmp(cols.iter().map(|&c| &self.cols[c][b]))
         };
         order.sort_unstable_by(key_cmp);
         order.dedup_by(|a, b| key_cmp(a, b).is_eq());
-        let sel: Vec<usize> = order.into_iter().map(|r| self.phys(r)).collect();
         Ok(ColumnarInstance {
             arity: cols.len(),
             phys_rows: self.phys_rows,
             cols: cols.iter().map(|&c| self.cols[c].clone()).collect(),
-            sel: Some(Arc::new(sel)),
+            sel: Some(Arc::new(order)),
         })
     }
 
@@ -311,18 +339,20 @@ impl ColumnarInstance {
         let (n, m) = (self.len(), other.len());
         let rows = n * m;
         let mut cols: Vec<Vec<Value>> = Vec::with_capacity(self.arity + other.arity);
-        for c in 0..self.arity {
+        for src in &self.cols {
             let mut col = Vec::with_capacity(rows);
-            for i in 0..n {
-                let v = self.value(i, c);
-                col.extend(std::iter::repeat_with(|| v.clone()).take(m));
-            }
+            self.for_each_phys(0, n, |_, p| {
+                col.extend(std::iter::repeat_with(|| src[p].clone()).take(m));
+            });
             cols.push(col);
         }
-        for c in 0..other.arity {
+        for src in &other.cols {
+            // Gather the right column's rows once, then repeat them.
+            let mut once = Vec::with_capacity(m);
+            other.for_each_phys(0, m, |_, p| once.push(src[p].clone()));
             let mut col = Vec::with_capacity(rows);
             for _ in 0..n {
-                col.extend((0..m).map(|j| other.value(j, c).clone()));
+                col.extend_from_slice(&once);
             }
             cols.push(col);
         }
@@ -335,34 +365,36 @@ impl ColumnarInstance {
     }
 
     /// Materializes `left ++ right` rows for matched `(left row, right
-    /// row)` pairs — the gather stage of the hash join.
+    /// row)` pairs — the gather stage of the hash join. Each side's
+    /// physical rows are resolved once; the values are then copied
+    /// column by column.
     pub fn concat_pairs(
         left: &ColumnarInstance,
         right: &ColumnarInstance,
         pairs: &[(usize, usize)],
     ) -> ColumnarInstance {
-        let arity = left.arity + right.arity;
-        let mut cols: Vec<Vec<Value>> = Vec::with_capacity(arity);
-        for c in 0..left.arity {
-            cols.push(
-                pairs
-                    .iter()
-                    .map(|&(l, _)| left.value(l, c).clone())
-                    .collect(),
-            );
-        }
-        for c in 0..right.arity {
-            cols.push(
-                pairs
-                    .iter()
-                    .map(|&(_, r)| right.value(r, c).clone())
-                    .collect(),
-            );
-        }
+        let phys: Vec<(usize, usize)> = pairs
+            .iter()
+            .map(|&(l, r)| (left.phys(l), right.phys(r)))
+            .collect();
+        let left_cols = left.cols.iter().map(|src| {
+            Arc::new(
+                phys.iter()
+                    .map(|&(l, _)| src[l].clone())
+                    .collect::<Vec<Value>>(),
+            )
+        });
+        let right_cols = right.cols.iter().map(|src| {
+            Arc::new(
+                phys.iter()
+                    .map(|&(_, r)| src[r].clone())
+                    .collect::<Vec<Value>>(),
+            )
+        });
         ColumnarInstance {
-            arity,
+            arity: left.arity + right.arity,
             phys_rows: pairs.len(),
-            cols: cols.into_iter().map(Arc::new).collect(),
+            cols: left_cols.chain(right_cols).collect(),
             sel: None,
         }
     }
@@ -402,10 +434,8 @@ impl ColumnarInstance {
                     }
                 }
             } else {
-                for row in 0..b.len() {
-                    for (c, col) in cols.iter_mut().enumerate() {
-                        col.push(b.value(row, c).clone());
-                    }
+                for (col, src) in cols.iter_mut().zip(&b.cols) {
+                    b.for_each_phys(0, b.len(), |_, p| col.push(src[p].clone()));
                 }
             }
         }
@@ -471,30 +501,41 @@ impl ColumnarInstance {
         }
     }
 
-    /// A buffer of each logical row's key-column hash (used by
-    /// [`JoinIndex::build`] and exposed so probes can be chunked).
-    fn key_hashes(&self, cols: &[usize], lo: usize, hi: usize) -> Vec<u64> {
-        (lo..hi)
-            .map(|row| hash_cols_at(&self.cols, self.phys(row), cols))
-            .collect()
+    /// The join-key hash of each logical row in `lo..hi`, keyed on the
+    /// columns `cols` in that order (repeats allowed) — the hashes
+    /// [`JoinIndex::build`] buckets and [`JoinIndex::probe_range`] looks
+    /// up. Each key column is folded into a buffer of per-row hasher
+    /// states in one sweep, then every state is finished. Row `lo + k`
+    /// gets exactly the hash the row path's [`Instance::equijoin`] gives
+    /// that row's key values.
+    ///
+    /// # Panics
+    ///
+    /// If a column in `cols` is out of range, or `lo..hi` is not a
+    /// range of logical rows.
+    pub fn key_hashes(&self, cols: &[usize], lo: usize, hi: usize) -> Vec<u64> {
+        let mut states = vec![KeyHasher::default(); hi - lo];
+        for &c in cols {
+            let col = self.cols[c].as_slice();
+            self.for_each_phys(lo, hi, |k, p| states[k].fold(&col[p]));
+        }
+        states.into_iter().map(|h| h.finish()).collect()
     }
 
+    /// Whether physical row `p` of `self` and physical row `other_p` of
+    /// `other` agree on their respective key columns.
     fn keys_match(
         &self,
-        row: usize,
+        p: usize,
         cols: &[usize],
         other: &ColumnarInstance,
-        other_row: usize,
+        other_p: usize,
         other_cols: &[usize],
     ) -> bool {
         cols.iter()
             .zip(other_cols)
-            .all(|(&i, &j)| self.value(row, i) == other.value(other_row, j))
+            .all(|(&i, &j)| self.cols[i][p] == other.cols[j][other_p])
     }
-}
-
-fn hash_cols_at(cols: &[Arc<Vec<Value>>], phys_row: usize, key_cols: &[usize]) -> u64 {
-    key_hash(key_cols.iter().map(|&c| &cols[c][phys_row]))
 }
 
 /// A hash index over one batch's key columns, grouping *logical* row ids
@@ -560,11 +601,16 @@ impl JoinIndex {
         hi: usize,
         out: &mut Vec<(usize, usize)>,
     ) {
-        for row in lo..hi {
-            let h = hash_cols_at(&probe.cols, probe.phys(row), probe_cols);
-            let mut b = self.heads.get(&h).copied().unwrap_or(JoinIndex::END);
+        let hashes = probe.key_hashes(probe_cols, lo, hi);
+        for (row, h) in (lo..hi).zip(hashes) {
+            let Some(&head) = self.heads.get(&h) else {
+                continue;
+            };
+            // Only rows with a candidate pay for resolving physical rows.
+            let p = probe.phys(row);
+            let mut b = head;
             while b != JoinIndex::END {
-                if build.keys_match(b, &self.key_cols, probe, row, probe_cols) {
+                if build.keys_match(build.phys(b), &self.key_cols, probe, p, probe_cols) {
                     out.push((b, row));
                 }
                 b = self.next[b];
@@ -680,6 +726,14 @@ mod tests {
             Pred::and([Pred::eq_const(1, 10), konst(CmpOp::Eq, 1, 2)]),
             Pred::and([Pred::True, Pred::neq_const(0, 2), Pred::and([])]),
             Pred::and([Pred::neq_const(0, 2), Pred::False]),
+            // Column–column atoms on their own, against themselves, and
+            // in place after a column–constant atom.
+            Pred::eq_cols(0, 1),
+            Pred::neq_cols(1, 0),
+            Pred::eq_cols(1, 1),
+            Pred::neq_cols(0, 0),
+            Pred::and([Pred::neq_const(1, 20), Pred::eq_cols(1, 0)]),
+            Pred::not(Pred::and([Pred::eq_cols(0, 1), Pred::neq_const(0, 4)])),
         ]
     }
 
@@ -693,6 +747,10 @@ mod tests {
         let sub = Query::select(Query::Input, keep.clone()).eval(&i).unwrap();
         let selected = c.select(&keep).unwrap();
         assert!(selected.sel.is_some());
+        // And behind a selection vector out of physical order, with a
+        // repeat: the same rows as a set.
+        let shuffled = c.gather_rows(&[5, 3, 1, 4, 2, 3]);
+        assert_eq!(shuffled.to_rows(), sub);
         for p in mask_preds() {
             let row = Query::select(Query::Input, p.clone()).eval(&i).unwrap();
             assert_eq!(c.select(&p).unwrap().to_rows(), row, "pred {p}");
@@ -701,6 +759,11 @@ mod tests {
                 selected.select(&p).unwrap().to_rows(),
                 row,
                 "selected, pred {p}"
+            );
+            assert_eq!(
+                shuffled.select(&p).unwrap().to_rows(),
+                row,
+                "shuffled, pred {p}"
             );
         }
         // Out-of-range columns are rejected up front.
@@ -735,6 +798,28 @@ mod tests {
         assert_eq!(ca.product(&cb).to_rows(), a.product(&b));
         let empty = ColumnarInstance::empty(2);
         assert_eq!(ca.product(&empty).to_rows(), a.product(&Instance::empty(2)));
+        assert_eq!(empty.product(&ca).to_rows(), Instance::empty(2).product(&a));
+        // Selected inputs on both sides, in left-major order.
+        let sa = ca.gather_rows(&[1, 0]);
+        let sb = cb.gather_rows(&[1, 0, 1]);
+        let p = sa.product(&sb);
+        assert_eq!(p.len(), 6);
+        let expected: Vec<Tuple> = [1, 0]
+            .iter()
+            .flat_map(|&i| {
+                [1, 0, 1].map(|j| {
+                    Tuple::new(
+                        ca.tuple_at(i)
+                            .values()
+                            .iter()
+                            .chain(cb.tuple_at(j).values())
+                            .cloned(),
+                    )
+                })
+            })
+            .collect();
+        let got: Vec<Tuple> = (0..p.len()).map(|r| p.tuple_at(r)).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -786,9 +871,11 @@ mod tests {
         let i = Instance::from_rows(2, (0..37i64).map(|x| [x % 5, x % 3])).unwrap();
         let c = ColumnarInstance::from_rows(&i);
         let selected = c.select(&Pred::neq_const(1, 1)).unwrap();
+        let backwards: Vec<usize> = (0..c.len()).rev().chain([3, 3, 0]).collect();
+        let shuffled = c.gather_rows(&backwards);
         let mut preds = mask_preds();
         preds.push(Pred::and([Pred::eq_cols(0, 1), Pred::neq_const(0, 2)]));
-        for batch in [&c, &selected] {
+        for batch in [&c, &selected, &shuffled] {
             for p in &preds {
                 let full = batch.eval_mask(p).unwrap();
                 assert_eq!(full.len(), batch.len());
@@ -829,18 +916,88 @@ mod tests {
         let r = Instance::from_rows(2, (0..17i64).map(|x| [x, x % 4])).unwrap();
         let cl = ColumnarInstance::from_rows(&l);
         let cr = ColumnarInstance::from_rows(&r);
-        let index = JoinIndex::build(&cl, vec![0]);
-        let mut serial = Vec::new();
-        index.probe_range(&cl, &cr, &[1], 0, cr.len(), &mut serial);
-        for chunk in [1usize, 7, 1024] {
-            let mut glued = Vec::new();
-            let mut lo = 0;
-            while lo < cr.len() {
-                let hi = (lo + chunk).min(cr.len());
-                index.probe_range(&cl, &cr, &[1], lo, hi, &mut glued);
-                lo = hi;
+        // Probe batches with and without a selection vector, one of them
+        // out of physical order with repeats.
+        let picked = cr.select(&Pred::neq_const(0, 1)).unwrap();
+        let backwards: Vec<usize> = (0..cr.len()).rev().chain([2, 2]).collect();
+        let shuffled = cr.gather_rows(&backwards);
+        // One- and two-column keys, the latter in both column orders.
+        let keys: [(&[usize], &[usize]); 3] =
+            [(&[0], &[1]), (&[0, 1], &[1, 0]), (&[1, 0], &[0, 1])];
+        for (build_cols, probe_cols) in keys {
+            let index = JoinIndex::build(&cl, build_cols.to_vec());
+            for probe in [&cr, &picked, &shuffled] {
+                let mut serial = Vec::new();
+                index.probe_range(&cl, probe, probe_cols, 0, probe.len(), &mut serial);
+                // Every matching pair, in probe-row-major order.
+                let brute: Vec<(usize, usize)> = (0..probe.len())
+                    .flat_map(|p| (0..cl.len()).map(move |b| (b, p)))
+                    .filter(|&(b, p)| {
+                        build_cols
+                            .iter()
+                            .zip(probe_cols)
+                            .all(|(&i, &j)| cl.value(b, i) == probe.value(p, j))
+                    })
+                    .collect();
+                assert_eq!(serial, brute, "keys {build_cols:?}/{probe_cols:?}");
+                assert!(!serial.is_empty());
+                for chunk in [1usize, 7, 1024] {
+                    let mut glued = Vec::new();
+                    let mut lo = 0;
+                    while lo < probe.len() {
+                        let hi = (lo + chunk).min(probe.len());
+                        index.probe_range(&cl, probe, probe_cols, lo, hi, &mut glued);
+                        lo = hi;
+                    }
+                    assert_eq!(glued, serial, "chunk {chunk}, keys {build_cols:?}");
+                }
             }
-            assert_eq!(glued, serial, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn concat_pairs_of_selected_inputs_matches_row_join() {
+        let l = Instance::from_rows(2, (0..30i64).map(|x| [x % 7, x])).unwrap();
+        let r = Instance::from_rows(3, (0..25i64).map(|x| [x, x % 5, x % 7])).unwrap();
+        let (cl, cr) = (
+            ColumnarInstance::from_rows(&l),
+            ColumnarInstance::from_rows(&r),
+        );
+        let sl = cl.select(&Pred::neq_const(0, 3)).unwrap();
+        let sr = cr.gather_rows(
+            &(0..cr.len())
+                .rev()
+                .filter(|x| x % 4 != 1)
+                .collect::<Vec<_>>(),
+        );
+        let (rl, rr) = (sl.to_rows(), sr.to_rows());
+        for on in [vec![(0, 4)], vec![(0, 4), (1, 2)], vec![(1, 2), (0, 4)]] {
+            let expected = rl.equijoin(&rr, &on, None).unwrap();
+            assert!(!expected.is_empty());
+            // Both build sides through `equijoin`...
+            assert_eq!(sl.equijoin(&sr, &on, None).unwrap().to_rows(), expected);
+            let swapped: Vec<(usize, usize)> = on.iter().map(|&(i, j)| (j - 2, i + 3)).collect();
+            let flipped = rr.equijoin(&rl, &swapped, None).unwrap();
+            assert_eq!(sr.equijoin(&sl, &swapped, None).unwrap().to_rows(), flipped);
+            // ...and the index, probe and gather stages directly.
+            let (lk, rk): (Vec<usize>, Vec<usize>) = on.iter().map(|&(i, j)| (i, j - 2)).unzip();
+            let index = JoinIndex::build(&sl, lk);
+            let mut pairs = Vec::new();
+            index.probe_range(&sl, &sr, &rk, 0, sr.len(), &mut pairs);
+            let joined = ColumnarInstance::concat_pairs(&sl, &sr, &pairs);
+            assert_eq!(joined.len(), pairs.len());
+            assert!(joined.sel.is_none());
+            for (k, &(a, b)) in pairs.iter().enumerate() {
+                let row: Vec<Value> = sl
+                    .tuple_at(a)
+                    .values()
+                    .iter()
+                    .chain(sr.tuple_at(b).values())
+                    .cloned()
+                    .collect();
+                assert_eq!(joined.tuple_at(k).values(), row.as_slice());
+            }
+            assert_eq!(joined.to_rows(), expected);
         }
     }
 
@@ -892,6 +1049,25 @@ mod tests {
         assert!(!Arc::ptr_eq(&stacked.cols[0], &lone.cols[0]));
         assert_eq!(stacked.len(), 1);
         assert_eq!(stacked.to_rows(), picked.to_rows());
+        // Only selected batches, out of physical order and with repeats,
+        // beside an unselected one: rows stack in order, column by column.
+        let wide = ColumnarInstance::from_rows(
+            &Instance::from_rows(2, (0..9i64).map(|x| [x, 10 * x])).unwrap(),
+        );
+        let parts = [
+            wide.gather_rows(&[8, 1, 1, 4]),
+            wide.gather_rows(&[]),
+            wide.clone(),
+            wide.gather_rows(&[0, 7]),
+        ];
+        let expected: Vec<Tuple> = parts
+            .iter()
+            .flat_map(|b| (0..b.len()).map(|r| b.tuple_at(r)))
+            .collect();
+        let stacked = ColumnarInstance::vstack(2, parts).unwrap();
+        assert!(stacked.sel.is_none());
+        let got: Vec<Tuple> = (0..stacked.len()).map(|r| stacked.tuple_at(r)).collect();
+        assert_eq!(got, expected);
         // Arity mismatches are rejected; arity-0 batches count rows.
         assert_eq!(
             ColumnarInstance::vstack(2, [ColumnarInstance::from_rows(&instance![[1]])])
@@ -908,5 +1084,51 @@ mod tests {
                 .len(),
             2
         );
+    }
+
+    /// Column-at-a-time key hashing against [`key_hash`] of each row's
+    /// key values, the row path's definition.
+    #[cfg(feature = "strategies")]
+    mod key_hash_props {
+        use super::*;
+        use crate::keyhash::key_hash;
+        use crate::strategies::arb_mixed_instance;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn column_hashes_equal_row_key_hashes(
+                i in arb_mixed_instance(3, 24),
+                cols in proptest::collection::vec(0usize..3, 1..=3),
+                selected in any::<bool>(),
+                picks in proptest::collection::vec(0usize..1000, 0..40),
+                (a, b) in (0usize..1000, 0usize..1000),
+            ) {
+                let c = ColumnarInstance::from_rows(&i);
+                // A selection vector in any order, with repeats.
+                let batch = if selected && !c.is_empty() {
+                    let rows: Vec<usize> = picks.iter().map(|&p| p % c.len()).collect();
+                    c.gather_rows(&rows)
+                } else {
+                    c
+                };
+                let n = batch.len();
+                let lo = a % (n + 1);
+                let hi = lo + b % (n - lo + 1);
+                let hashes = batch.key_hashes(&cols, lo, hi);
+                prop_assert_eq!(hashes.len(), hi - lo);
+                for (k, h) in hashes.into_iter().enumerate() {
+                    let row = lo + k;
+                    prop_assert_eq!(h, key_hash(cols.iter().map(|&col| batch.value(row, col))));
+                }
+                // The full range is the concatenation of any split of it.
+                let whole = batch.key_hashes(&cols, 0, n);
+                let mut glued = batch.key_hashes(&cols, 0, lo);
+                glued.extend(batch.key_hashes(&cols, lo, n));
+                prop_assert_eq!(glued, whole);
+            }
+        }
     }
 }

@@ -1,12 +1,17 @@
 //! Join-key hashing shared by the row ([`Instance::equijoin`]) and
 //! columnar ([`JoinIndex`]) hash joins.
 //!
-//! A key is hashed once, by [`key_hash`]: a multiplicative word hasher
+//! A key is hashed by [`KeyHasher`]: a multiplicative word hasher
 //! (FxHash-style rotate–xor–multiply per 8-byte word) finished by a
 //! 64-bit avalanche step, so every output bit depends on every input
-//! bit. Bucket maps keyed by that hash use [`PassThrough`], which hands
-//! the already-mixed `u64` to the table unchanged instead of hashing it
-//! a second time.
+//! bit. There is one hashing step, [`KeyHasher::fold`], which adds one
+//! key value to a state. [`key_hash`] folds one row's key values in key
+//! order; the columnar kernels fold one key column at a time into a
+//! buffer of per-row states ([`ColumnarInstance::key_hashes`]). Both run
+//! the same steps in the same order, so they give the same hash. Bucket
+//! maps keyed by that hash use [`PassThrough`], which hands the
+//! already-mixed `u64` to the table unchanged instead of hashing it a
+//! second time.
 //!
 //! The hash is deterministic (no per-process keys) and not collision
 //! resistant. Every probe re-checks key equality, so a collision costs
@@ -16,6 +21,7 @@
 //!
 //! [`Instance::equijoin`]: crate::Instance::equijoin
 //! [`JoinIndex`]: crate::JoinIndex
+//! [`ColumnarInstance::key_hashes`]: crate::ColumnarInstance::key_hashes
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -32,17 +38,26 @@ const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 /// land in different buckets almost always; when they do not, the
 /// equality re-check keeps them apart.
 pub(crate) fn key_hash<'a>(key: impl IntoIterator<Item = &'a Value>) -> u64 {
-    let mut h = KeyHasher(0);
+    let mut h = KeyHasher::default();
     for v in key {
-        v.hash(&mut h);
+        h.fold(v);
     }
     h.finish()
 }
 
-/// The word hasher behind [`key_hash`].
-struct KeyHasher(u64);
+/// The word hasher behind [`key_hash`]: a key's state after some of its
+/// values have been folded in. [`Hasher::finish`] turns a state into the
+/// key's hash.
+#[derive(Clone, Default)]
+pub(crate) struct KeyHasher(u64);
 
 impl KeyHasher {
+    /// Folds the next key value into the state.
+    #[inline]
+    pub(crate) fn fold(&mut self, v: &Value) {
+        v.hash(self);
+    }
+
     fn mix(&mut self, word: u64) {
         self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(MUL);
     }
