@@ -3,42 +3,37 @@
 //! The conditions of general (p)c-tables (§2, §8) compare variables with
 //! *arbitrary* constants and with each other — not just with `true` /
 //! `false` — so a variable cannot simply be one BDD variable.
-//! [`FdEncoding`] uses the standard one-hot (direct) encoding from
-//! knowledge compilation instead: a variable `x` with
-//! finite domain `{v₁, …, v_d}` becomes a block of `d` Boolean
-//! *indicator* variables, indicator `i` meaning `x = vᵢ`, guarded by the
-//! per-block **domain-consistency constraint** "exactly one indicator is
-//! true". Boolean conditions are the special case of `{false, true}`
-//! domains.
+//! [`FdEncoding`] uses a ladder (chain-rule) encoding instead: a variable
+//! `x` with finite domain `v₀ < … < v_{d−1}` becomes `d − 1` Boolean
+//! *levels*, level `i` meaning "`x = vᵢ`, given `x ∉ {v₀..vᵢ₋₁}`". The
+//! atom `x = vᵢ` compiles to the cube `¬b₀ ∧ … ∧ ¬bᵢ₋₁ ∧ bᵢ`, and the
+//! last value, which has no level of its own, to `¬b₀ ∧ … ∧ ¬b_{d−2}`.
+//! Every Boolean assignment therefore decodes to exactly one value per
+//! variable — the first level set, or else the last value — so
+//! exactly-one holds by construction. Boolean conditions are the special
+//! case of `{false, true}` domains, one level per variable.
 //!
 //! Weighted model counting then recovers `P[φ]` for a pc-table condition
-//! exactly: give indicator `(x, vᵢ)` the branch weights
-//! `(w_false, w_true) = (1, P[x = vᵢ])` and count `φ ∧ consistency`.
-//! Every consistent assignment selects one value per variable and
-//! carries weight `Π_x P[x = value]`, which is precisely the §8 product
-//! space; inconsistent assignments are excluded by the constraint.
+//! exactly: level `i` gets the branch weights `(1 − cᵢ, cᵢ)` with
+//! `cᵢ = P[x = vᵢ | x ∉ {v₀..vᵢ₋₁}]`. By the chain rule the weights along
+//! the cube of `vᵢ` multiply to `P[x = vᵢ]`, so every valuation carries
+//! `Π_x P[x = ν(x)]`, which is precisely the §8 product space.
 //!
-//! Why the generic [`BddManager::wmc`] skip-scaling is exact here even
-//! though the indicator weight pairs do not sum to 1: with the
-//! consistency constraint conjoined for *every* block, any restriction
-//! of the function that is not identically false still depends on every
-//! unassigned indicator (flipping one indicator of a block always breaks
-//! exactly-one), so the ROBDD skips levels only on edges into the FALSE
-//! terminal — whose contribution is zero regardless of the scaling.
+//! [`BddManager::wmc`] skips the levels a diagram does not test, and that
+//! is exact here: each level's two weights sum to 1, so a level the
+//! function ignores contributes a factor of 1 whether it is irrelevant to
+//! `φ` or lies past the value the path has already decided.
 //!
 //! ```
 //! use ipdb_bdd::{BddManager, FdEncoding};
 //! use ipdb_logic::{Condition, Var};
 //! use ipdb_rel::Value;
 //!
-//! // x uniform over {1, 2, 3}; φ = (x ≠ 2).
+//! // x over {1, 2, 3} with P = (1/4, 1/2, 1/4); φ = (x ≠ 2).
 //! let x = Var(0);
+//! let enc = FdEncoding::new([(x, vec![Value::from(1), Value::from(2), Value::from(3)])])
+//!     .unwrap();
 //! let mut m = BddManager::new();
-//! let enc = FdEncoding::new(
-//!     &mut m,
-//!     [(x, vec![Value::from(1), Value::from(2), Value::from(3)])],
-//! )
-//! .unwrap();
 //! let f = enc.compile(&mut m, &Condition::neq_vc(x, 2)).unwrap();
 //! let weights = enc
 //!     .weights_from([
@@ -47,7 +42,9 @@
 //!         (x, Value::from(3), 0.25),
 //!     ])
 //!     .unwrap();
-//! assert_eq!(enc.wmc_with(&mut m, f, &weights).unwrap(), 0.5);
+//! // Two levels: P[x = 1] = 1/4, then P[x = 2 | x ≠ 1] = 2/3.
+//! assert_eq!(weights, vec![(0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0)]);
+//! assert_eq!(m.wmc(f, &weights).unwrap(), 0.5);
 //! ```
 
 use std::collections::BTreeMap;
@@ -59,36 +56,52 @@ use crate::error::BddError;
 use crate::manager::{BddManager, NodeRef, FALSE, TRUE};
 use crate::weight::Weight;
 
-/// One encoded variable: its first indicator index and its domain values
-/// in canonical (ascending) order.
+/// One encoded variable: its first level and its domain values in
+/// canonical (ascending) order. It owns levels `base..base + d − 1`.
 #[derive(Debug, Clone)]
 struct Block {
     base: u32,
     values: Vec<Value>,
 }
 
-/// A one-hot encoding of finite-domain variables into Boolean BDD
-/// variables, with the domain-consistency constraint cached.
-///
-/// The encoding is tied to the [`BddManager`] it was built with (the
-/// consistency constraint lives in that manager's arena); all later
-/// [`FdEncoding::compile`] / [`FdEncoding::wmc_with`] calls must use the
-/// same manager.
+impl Block {
+    /// The position of `value` in the domain, if it is in it.
+    fn position(&self, value: &Value) -> Option<usize> {
+        self.values.binary_search(value).ok()
+    }
+
+    /// The cube `x = values[i]`: every earlier level unset, then level
+    /// `i` set (or nothing more for the last value). Built bottom-up, so
+    /// `mk`'s ordering invariant holds by construction.
+    fn cube(&self, mgr: &mut BddManager, i: usize) -> NodeRef {
+        let mut acc = if i + 1 == self.values.len() {
+            TRUE
+        } else {
+            mgr.var(self.base + i as u32)
+        };
+        for j in (0..i as u32).rev() {
+            acc = mgr.mk(self.base + j, acc, FALSE);
+        }
+        acc
+    }
+}
+
+/// A ladder encoding of finite-domain variables into Boolean BDD
+/// variables. It holds no diagram, so one encoding can compile into any
+/// [`BddManager`].
 #[derive(Debug, Clone)]
 pub struct FdEncoding {
     blocks: BTreeMap<Var, Block>,
     nvars: u32,
-    consistency: NodeRef,
 }
 
 impl FdEncoding {
     /// Builds the encoding: each `(variable, domain)` pair gets a block
-    /// of one indicator per distinct domain value (values are sorted and
-    /// deduplicated; blocks are laid out in ascending variable order).
-    /// Errors on an empty domain — a variable with no possible value
-    /// makes every condition vacuous.
+    /// of one level per distinct domain value but the last (values are
+    /// sorted and deduplicated; blocks are laid out in ascending variable
+    /// order). Errors on an empty domain — a variable with no possible
+    /// value makes every condition vacuous.
     pub fn new(
-        mgr: &mut BddManager,
         domains: impl IntoIterator<Item = (Var, Vec<Value>)>,
     ) -> Result<FdEncoding, BddError> {
         let mut doms: BTreeMap<Var, Vec<Value>> = BTreeMap::new();
@@ -103,41 +116,17 @@ impl FdEncoding {
         let mut blocks = BTreeMap::new();
         let mut base = 0u32;
         for (v, values) in doms {
-            let d = values.len() as u32;
+            let levels = values.len() as u32 - 1;
             blocks.insert(v, Block { base, values });
-            base += d;
-        }
-        let nvars = base;
-        // Exactly-one per block, conjoined. Built bottom-up from the last
-        // indicator so `mk`'s ordering invariant holds by construction.
-        let mut consistency = TRUE;
-        for block in blocks.values().rev() {
-            let d = block.values.len() as u32;
-            // Linear exactly-one chain, seeded with the constraint of the
-            // later blocks so the conjunction is built in one sweep:
-            // one(i) = pick indicator i and none after, or skip it and
-            // pick exactly one later.
-            let mut one = FALSE;
-            let mut none = consistency;
-            for i in (0..d).rev() {
-                let idx = block.base + i;
-                let y = mgr.var(idx);
-                let ny = mgr.nvar(idx);
-                let pick = mgr.and(y, none);
-                let skip = mgr.and(ny, one);
-                one = mgr.or(pick, skip);
-                none = mgr.and(ny, none);
-            }
-            consistency = one;
+            base += levels;
         }
         Ok(FdEncoding {
             blocks,
-            nvars,
-            consistency,
+            nvars: base,
         })
     }
 
-    /// Total number of Boolean (indicator) variables.
+    /// Total number of Boolean variables (levels).
     pub fn nvars(&self) -> u32 {
         self.nvars
     }
@@ -152,28 +141,12 @@ impl FdEncoding {
         self.blocks.get(&v).map(|b| b.values.as_slice())
     }
 
-    /// The Boolean index of the indicator `x = value`, if both the
-    /// variable and the value are encoded.
-    pub fn indicator(&self, v: Var, value: &Value) -> Option<u32> {
-        let block = self.blocks.get(&v)?;
-        let i = block.values.binary_search(value).ok()?;
-        Some(block.base + i as u32)
-    }
-
-    /// The conjoined exactly-one constraints of all blocks. Conjoin this
-    /// with any compiled condition before counting over raw assignments;
-    /// [`FdEncoding::wmc_with`] does so internally.
-    pub fn consistency(&self) -> NodeRef {
-        self.consistency
-    }
-
     /// Compiles an arbitrary finite-domain condition: atoms may compare
     /// encoded variables with any [`Value`] or with each other.
     ///
-    /// The result is meaningful on *consistent* assignments (one
-    /// indicator per block); a constant outside a variable's domain
-    /// compiles to the constant-false atom. Errors with
-    /// [`BddError::UnknownVar`] on variables missing from the encoding.
+    /// A constant outside a variable's domain compiles to the
+    /// constant-false atom. Errors with [`BddError::UnknownVar`] on
+    /// variables missing from the encoding.
     pub fn compile(&self, mgr: &mut BddManager, cond: &Condition) -> Result<NodeRef, BddError> {
         match cond {
             Condition::True => Ok(TRUE),
@@ -206,32 +179,34 @@ impl FdEncoding {
         }
     }
 
+    fn block(&self, v: Var) -> Result<&Block, BddError> {
+        self.blocks.get(&v).ok_or(BddError::UnknownVar(v))
+    }
+
     fn atom_eq(&self, mgr: &mut BddManager, a: &Term, b: &Term) -> Result<NodeRef, BddError> {
         match (a, b) {
             (Term::Const(u), Term::Const(v)) => Ok(mgr.constant(u == v)),
             (Term::Var(x), Term::Const(c)) | (Term::Const(c), Term::Var(x)) => {
-                if !self.blocks.contains_key(x) {
-                    return Err(BddError::UnknownVar(*x));
-                }
-                Ok(match self.indicator(*x, c) {
-                    Some(idx) => mgr.var(idx),
+                let bx = self.block(*x)?;
+                Ok(match bx.position(c) {
+                    Some(i) => bx.cube(mgr, i),
                     // A constant outside dom(x) can never be x's value.
                     None => FALSE,
                 })
             }
             (Term::Var(x), Term::Var(y)) => {
-                let bx = self.blocks.get(x).ok_or(BddError::UnknownVar(*x))?;
-                let by = self.blocks.get(y).ok_or(BddError::UnknownVar(*y))?;
+                let bx = self.block(*x)?;
+                let by = self.block(*y)?;
                 if x == y {
                     return Ok(TRUE);
                 }
                 // x = y ⇔ ⋁_{v ∈ dom(x) ∩ dom(y)} (x = v ∧ y = v).
                 let mut acc = FALSE;
                 for (i, v) in bx.values.iter().enumerate() {
-                    if let Ok(j) = by.values.binary_search(v) {
-                        let lx = mgr.var(bx.base + i as u32);
-                        let ly = mgr.var(by.base + j as u32);
-                        let both = mgr.and(lx, ly);
+                    if let Some(j) = by.position(v) {
+                        let cx = bx.cube(mgr, i);
+                        let cy = by.cube(mgr, j);
+                        let both = mgr.and(cx, cy);
                         acc = mgr.or(acc, both);
                     }
                 }
@@ -242,64 +217,83 @@ impl FdEncoding {
 
     /// Encodes a valuation of the encoded variables as a Boolean
     /// assignment (for evaluating compiled conditions with
-    /// [`BddManager::eval`]). Every encoded variable must be bound to one
-    /// of its domain values.
+    /// [`BddManager::eval`]): value `vᵢ` sets level `i` of its block and
+    /// leaves the others unset. Every encoded variable must be bound to
+    /// one of its domain values.
     pub fn encode_valuation(&self, nu: &Valuation) -> Result<Vec<bool>, BddError> {
         let mut asg = vec![false; self.nvars as usize];
-        for v in self.blocks.keys() {
+        for (v, block) in &self.blocks {
             let val = nu.get(*v).ok_or(BddError::UnknownVar(*v))?;
-            let idx = self
-                .indicator(*v, val)
+            let i = block
+                .position(val)
                 .ok_or_else(|| BddError::ValueOutOfDomain(*v, val.clone()))?;
-            asg[idx as usize] = true;
+            if i + 1 < block.values.len() {
+                asg[block.base as usize + i] = true;
+            }
         }
         Ok(asg)
     }
 
-    /// Builds the Boolean branch-weight vector for the generic
-    /// [`BddManager::wmc`] from a flat stream of
-    /// `(variable, value, weight)` triples — the single home of the
-    /// one-hot weight convention: indicator `(x, v)` gets
-    /// `(w_false, w_true) = (1, w)`. Errors on triples naming unencoded
-    /// variables or out-of-domain values, and if any indicator is left
-    /// without a weight.
+    /// Builds the Boolean branch-weight vector for [`BddManager::wmc`]
+    /// from a flat stream of `(variable, value, weight)` triples: level
+    /// `i` of `x` gets `(w(vᵢ₊₁) + …, w(vᵢ)) / (w(vᵢ) + …)`, the
+    /// conditional probability of `x = vᵢ` given `x ∉ {v₀..vᵢ₋₁}` and its
+    /// complement. Each pair sums to 1, and the count is `P[f]` under each
+    /// variable's weights normalized to sum to 1. A level whose value and
+    /// every later one weigh zero gets `(1, 0)`.
+    ///
+    /// Errors on triples naming unencoded variables or out-of-domain
+    /// values, if any value is left without a weight, with
+    /// [`BddError::InvalidWeights`] if a variable's weights include a
+    /// negative one or sum to zero, and with [`BddError::Overflow`] if
+    /// exact weight arithmetic leaves its range.
     pub fn weights_from<W: Weight>(
         &self,
         weights: impl IntoIterator<Item = (Var, Value, W)>,
     ) -> Result<Vec<(W, W)>, BddError> {
-        let mut out: Vec<Option<(W, W)>> = vec![None; self.nvars as usize];
+        let mut given: BTreeMap<Var, Vec<Option<W>>> = self
+            .blocks
+            .iter()
+            .map(|(v, b)| (*v, vec![None; b.values.len()]))
+            .collect();
         for (v, val, w) in weights {
-            if !self.blocks.contains_key(&v) {
-                return Err(BddError::UnknownVar(v));
-            }
-            let idx = self
-                .indicator(v, &val)
+            let i = self
+                .block(v)?
+                .position(&val)
                 .ok_or(BddError::ValueOutOfDomain(v, val))?;
-            out[idx as usize] = Some((W::one(), w));
-        }
-        for (v, block) in &self.blocks {
-            for (i, val) in block.values.iter().enumerate() {
-                if out[block.base as usize + i].is_none() {
-                    return Err(BddError::MissingValueWeight(*v, val.clone()));
-                }
+            if w.is_below_zero() {
+                return Err(BddError::InvalidWeights(v));
             }
+            given.get_mut(&v).expect("every encoded variable has slots")[i] = Some(w);
         }
-        Ok(out.into_iter().map(|o| o.expect("checked above")).collect())
-    }
-
-    /// Domain-aware weighted model count under a prebuilt Boolean weight
-    /// vector (see [`FdEncoding::weights_from`]): counts
-    /// `f ∧ consistency`, which over one-hot blocks equals
-    /// `Σ_{ν ⊨ f} Π_x w_x(ν(x))` — for probability weights, exactly
-    /// `P[f]`.
-    pub fn wmc_with<W: Weight>(
-        &self,
-        mgr: &mut BddManager,
-        f: NodeRef,
-        boolean_weights: &[(W, W)],
-    ) -> Result<W, BddError> {
-        let g = mgr.and(f, self.consistency);
-        mgr.wmc(g, boolean_weights)
+        let mut out = Vec::with_capacity(self.nvars as usize);
+        for ((v, block), ws) in self.blocks.iter().zip(given.into_values()) {
+            let missing = |i: usize| BddError::MissingValueWeight(*v, block.values[i].clone());
+            // Walk the tail sums w(vᵢ) + … + w(v_{d−1}) from the last value
+            // down, pushing the levels in reverse; level i divides by its
+            // own tail.
+            let at = out.len();
+            let mut tail = ws[ws.len() - 1]
+                .clone()
+                .ok_or_else(|| missing(ws.len() - 1))?;
+            for (i, w) in ws.iter().enumerate().rev().skip(1) {
+                let w = w.as_ref().ok_or_else(|| missing(i))?;
+                let rest = tail;
+                tail = w.checked_add(&rest).ok_or(BddError::Overflow)?;
+                out.push(if tail.is_zero() {
+                    (W::one(), W::zero())
+                } else {
+                    let lo = rest.checked_div(&tail).ok_or(BddError::Overflow)?;
+                    let hi = w.checked_div(&tail).ok_or(BddError::Overflow)?;
+                    (lo, hi)
+                });
+            }
+            if tail.is_zero() {
+                return Err(BddError::InvalidWeights(*v));
+            }
+            out[at..].reverse();
+        }
+        Ok(out)
     }
 }
 
@@ -322,84 +316,96 @@ mod tests {
 
     #[test]
     fn blocks_are_contiguous_and_sorted() {
-        let mut m = BddManager::new();
-        let enc = FdEncoding::new(
-            &mut m,
-            [(Var(3), ints(&[5, 1, 5, 3])), (Var(1), ints(&[7, 2]))],
-        )
-        .unwrap();
-        assert_eq!(enc.nvars(), 5);
+        let enc =
+            FdEncoding::new([(Var(3), ints(&[5, 1, 5, 3])), (Var(1), ints(&[7, 2]))]).unwrap();
+        // One level for Var 1's two values, two for Var 3's three.
+        assert_eq!(enc.nvars(), 3);
         // Var 1 first (ascending var order), values sorted + deduped.
         assert_eq!(enc.domain(Var(1)).unwrap(), &ints(&[2, 7])[..]);
         assert_eq!(enc.domain(Var(3)).unwrap(), &ints(&[1, 3, 5])[..]);
-        assert_eq!(enc.indicator(Var(1), &Value::from(2)), Some(0));
-        assert_eq!(enc.indicator(Var(1), &Value::from(7)), Some(1));
-        assert_eq!(enc.indicator(Var(3), &Value::from(1)), Some(2));
-        assert_eq!(enc.indicator(Var(3), &Value::from(9)), None);
+        let asg = |a: i64, b: i64| {
+            let nu = Valuation::from_iter([(Var(1), Value::from(a)), (Var(3), Value::from(b))]);
+            enc.encode_valuation(&nu).unwrap()
+        };
+        assert_eq!(asg(2, 1), [true, true, false]);
+        assert_eq!(asg(7, 3), [false, false, true]);
+        assert_eq!(asg(7, 5), [false, false, false]);
     }
 
     #[test]
     fn empty_domain_rejected() {
-        let mut m = BddManager::new();
         assert_eq!(
-            FdEncoding::new(&mut m, [(Var(0), vec![])]).unwrap_err(),
+            FdEncoding::new([(Var(0), vec![])]).unwrap_err(),
             BddError::EmptyDomain(Var(0))
         );
     }
 
     #[test]
-    fn consistency_counts_product_of_domain_sizes() {
+    fn valuation_cubes_partition_the_assignments() {
+        let (x, y) = (Var(0), Var(1));
+        let enc = FdEncoding::new([(x, ints(&[1, 2, 3])), (y, ints(&[0, 1]))]).unwrap();
         let mut m = BddManager::new();
-        let enc = FdEncoding::new(
-            &mut m,
-            [(Var(0), ints(&[1, 2, 3])), (Var(1), ints(&[0, 1]))],
-        )
-        .unwrap();
-        // Consistent assignments = 3 × 2 valuations.
-        assert_eq!(m.sat_count(enc.consistency(), enc.nvars()).unwrap(), 6);
-        // And they carry total probability 1 under any distribution.
+        // The 3 × 2 valuation cubes are pairwise disjoint and cover all
+        // 2³ assignments of the three levels: exactly one valuation each.
+        let mut cubes = Vec::new();
+        for a in 1..=3 {
+            for b in 0..=1 {
+                let c = Condition::and([Condition::eq_vc(x, a), Condition::eq_vc(y, b)]);
+                cubes.push(enc.compile(&mut m, &c).unwrap());
+            }
+        }
+        let mut union = FALSE;
+        for (i, &f) in cubes.iter().enumerate() {
+            for &g in &cubes[i + 1..] {
+                assert_eq!(m.and(f, g), FALSE);
+            }
+            union = m.or(union, f);
+        }
+        assert_eq!(union, TRUE);
+        // And the valuations carry total probability 1.
         let w = uniform_weights(&enc);
-        let p = enc.wmc_with(&mut m, TRUE, &w).unwrap();
-        assert!((p - 1.0).abs() < 1e-12);
+        assert!((m.wmc(TRUE, &w).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn eq_and_neq_constants() {
         let x = Var(0);
+        let enc = FdEncoding::new([(x, ints(&[1, 2, 3, 4]))]).unwrap();
         let mut m = BddManager::new();
-        let enc = FdEncoding::new(&mut m, [(x, ints(&[1, 2, 3, 4]))]).unwrap();
         let w = uniform_weights(&enc);
-        let eq = enc.compile(&mut m, &Condition::eq_vc(x, 2)).unwrap();
-        assert!((enc.wmc_with(&mut m, eq, &w).unwrap() - 0.25).abs() < 1e-12);
+        for v in 1..=4 {
+            let eq = enc.compile(&mut m, &Condition::eq_vc(x, v)).unwrap();
+            assert!((m.wmc(eq, &w).unwrap() - 0.25).abs() < 1e-12, "x = {v}");
+        }
         let neq = enc.compile(&mut m, &Condition::neq_vc(x, 2)).unwrap();
-        assert!((enc.wmc_with(&mut m, neq, &w).unwrap() - 0.75).abs() < 1e-12);
+        assert!((m.wmc(neq, &w).unwrap() - 0.75).abs() < 1e-12);
         // Out-of-domain constants fold to false / true.
         let never = enc.compile(&mut m, &Condition::eq_vc(x, 9)).unwrap();
-        assert_eq!(enc.wmc_with(&mut m, never, &w).unwrap(), 0.0);
+        assert_eq!(m.wmc(never, &w).unwrap(), 0.0);
         let always = enc.compile(&mut m, &Condition::neq_vc(x, 9)).unwrap();
-        assert!((enc.wmc_with(&mut m, always, &w).unwrap() - 1.0).abs() < 1e-12);
+        assert!((m.wmc(always, &w).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn eq_between_variables_over_shared_domain() {
         let (x, y) = (Var(0), Var(1));
+        let enc = FdEncoding::new([(x, ints(&[1, 2, 3])), (y, ints(&[2, 3, 4]))]).unwrap();
         let mut m = BddManager::new();
-        let enc = FdEncoding::new(&mut m, [(x, ints(&[1, 2, 3])), (y, ints(&[2, 3, 4]))]).unwrap();
         let w = uniform_weights(&enc);
         // P[x = y] over independent uniforms = |{2,3}| / 9.
         let f = enc.compile(&mut m, &Condition::eq_vv(x, y)).unwrap();
-        let p = enc.wmc_with(&mut m, f, &w).unwrap();
+        let p = m.wmc(f, &w).unwrap();
         assert!((p - 2.0 / 9.0).abs() < 1e-12, "got {p}");
         let g = enc.compile(&mut m, &Condition::neq_vv(x, y)).unwrap();
-        let q = enc.wmc_with(&mut m, g, &w).unwrap();
+        let q = m.wmc(g, &w).unwrap();
         assert!((q - 7.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]
     fn compound_conditions_match_hand_computation() {
         let (x, y) = (Var(0), Var(1));
+        let enc = FdEncoding::new([(x, ints(&[0, 1])), (y, ints(&[0, 1]))]).unwrap();
         let mut m = BddManager::new();
-        let enc = FdEncoding::new(&mut m, [(x, ints(&[0, 1])), (y, ints(&[0, 1]))]).unwrap();
         let w = uniform_weights(&enc);
         // (x = 0 ∨ y = 1) ∧ ¬(x = y): outcomes (0,0)✗, (0,1)✓, (1,0)✗, (1,1)✗.
         let c = Condition::and([
@@ -407,7 +413,7 @@ mod tests {
             Condition::Not(Box::new(Condition::eq_vv(x, y))),
         ]);
         let f = enc.compile(&mut m, &c).unwrap();
-        assert!((enc.wmc_with(&mut m, f, &w).unwrap() - 0.25).abs() < 1e-12);
+        assert!((m.wmc(f, &w).unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -423,10 +429,11 @@ mod tests {
         let rest = m1.and(nla, lb);
         let f1 = m1.or(la, rest);
         let p1 = m1.wmc(f1, &[(0.5, 0.5), (0.75, 0.25)]).unwrap();
-        // Finite-domain path over {false, true}.
+        // Finite-domain path over {false, true}: one level each, set for
+        // `false` (the first value), so the literal `a` is ¬b_a.
         let bools = vec![Value::Bool(false), Value::Bool(true)];
+        let enc = FdEncoding::new([(a, bools.clone()), (b, bools)]).unwrap();
         let mut m2 = BddManager::new();
-        let enc = FdEncoding::new(&mut m2, [(a, bools.clone()), (b, bools)]).unwrap();
         let f2 = enc.compile(&mut m2, &c).unwrap();
         let w = enc
             .weights_from([
@@ -436,16 +443,73 @@ mod tests {
                 (b, Value::Bool(true), 0.25),
             ])
             .unwrap();
-        let p2 = enc.wmc_with(&mut m2, f2, &w).unwrap();
+        let p2 = m2.wmc(f2, &w).unwrap();
         assert!((p1 - p2).abs() < 1e-12, "{p1} vs {p2}");
         assert!((p2 - 0.625).abs() < 1e-12);
+        assert_eq!(m1.reachable_count(f1), m2.reachable_count(f2));
+    }
+
+    #[test]
+    fn weights_from_gives_conditional_level_weights() {
+        let (x, b, one) = (Var(0), Var(1), Var(2));
+        let enc = FdEncoding::new([
+            (x, ints(&[1, 2, 3])),
+            (b, vec![Value::Bool(false), Value::Bool(true)]),
+            (one, ints(&[7])),
+        ])
+        .unwrap();
+        // Two levels for x, one for the Boolean b, none for the
+        // single-valued variable.
+        assert_eq!(enc.nvars(), 3);
+        let w = enc
+            .weights_from([
+                (x, Value::from(1), 0.5f64),
+                (x, Value::from(2), 0.125),
+                (x, Value::from(3), 0.375),
+                (b, Value::Bool(false), 0.25),
+                (b, Value::Bool(true), 0.75),
+                (one, Value::from(7), 1.0),
+            ])
+            .unwrap();
+        // P[x = 1] = 1/2; P[x = 2 | x ≠ 1] = (1/8) / (1/2) = 1/4;
+        // P[b = false] = 1/4.
+        assert_eq!(w, vec![(0.5, 0.5), (0.75, 0.25), (0.75, 0.25)]);
+        // A level reached only through zero weights decides nothing.
+        let w = enc
+            .weights_from([
+                (x, Value::from(1), 1.0f64),
+                (x, Value::from(2), 0.0),
+                (x, Value::from(3), 0.0),
+                (b, Value::Bool(false), 0.25),
+                (b, Value::Bool(true), 0.75),
+                (one, Value::from(7), 1.0),
+            ])
+            .unwrap();
+        assert_eq!(w[..2], [(0.0, 1.0), (1.0, 0.0)]);
+    }
+
+    #[test]
+    fn weights_from_rejects_negative_and_zero_mass() {
+        let x = Var(0);
+        let enc = FdEncoding::new([(x, ints(&[1, 2, 3]))]).unwrap();
+        let triples = |ws: [f64; 3]| (1..=3).zip(ws).map(move |(v, w)| (x, Value::from(v), w));
+        // The tail of {1/2, −1/2} sums to zero: the ladder cannot divide
+        // by it, and the weights are no distribution anyway.
+        assert_eq!(
+            enc.weights_from(triples([1.0, 0.5, -0.5])).unwrap_err(),
+            BddError::InvalidWeights(x)
+        );
+        assert_eq!(
+            enc.weights_from(triples([0.0, 0.0, 0.0])).unwrap_err(),
+            BddError::InvalidWeights(x)
+        );
     }
 
     #[test]
     fn unknown_var_and_missing_weight_error() {
         let x = Var(0);
+        let enc = FdEncoding::new([(x, ints(&[1, 2]))]).unwrap();
         let mut m = BddManager::new();
-        let enc = FdEncoding::new(&mut m, [(x, ints(&[1, 2]))]).unwrap();
         assert_eq!(
             enc.compile(&mut m, &Condition::eq_vc(Var(9), 1))
                 .unwrap_err(),
@@ -474,22 +538,22 @@ mod tests {
         let full = enc
             .weights_from([(x, Value::from(1), 0.25f64), (x, Value::from(2), 0.75)])
             .unwrap();
-        assert_eq!(full, vec![(1.0, 0.25), (1.0, 0.75)]);
+        assert_eq!(full, vec![(0.75, 0.25)]);
     }
 
     #[test]
     fn encode_valuation_round_trips_through_eval() {
         let (x, y) = (Var(0), Var(1));
+        let enc = FdEncoding::new([(x, ints(&[1, 2, 3])), (y, ints(&[1, 2]))]).unwrap();
         let mut m = BddManager::new();
-        let enc = FdEncoding::new(&mut m, [(x, ints(&[1, 2])), (y, ints(&[1, 2]))]).unwrap();
         let c = Condition::eq_vv(x, y);
         let f = enc.compile(&mut m, &c).unwrap();
-        for (a, b) in [(1i64, 1i64), (1, 2), (2, 1), (2, 2)] {
-            let nu = Valuation::from_iter([(x, Value::from(a)), (y, Value::from(b))]);
-            let asg = enc.encode_valuation(&nu).unwrap();
-            assert_eq!(m.eval(f, &asg), a == b, "x={a}, y={b}");
-            // Every encoded valuation is consistent.
-            assert!(m.eval(enc.consistency(), &asg));
+        for a in 1..=3i64 {
+            for b in 1..=2i64 {
+                let nu = Valuation::from_iter([(x, Value::from(a)), (y, Value::from(b))]);
+                let asg = enc.encode_valuation(&nu).unwrap();
+                assert_eq!(m.eval(f, &asg), a == b, "x={a}, y={b}");
+            }
         }
         let partial = Valuation::from_iter([(x, Value::from(1))]);
         assert_eq!(

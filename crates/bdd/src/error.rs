@@ -32,9 +32,13 @@ pub enum BddError {
     /// empty domain; such a variable has no possible value, so every
     /// condition over it would be vacuously false.
     EmptyDomain(Var),
-    /// A valuation bound an encoded variable to a value outside its
-    /// encoded domain — no indicator exists for that binding.
+    /// A valuation or weight named a value outside the variable's
+    /// encoded domain — no cube exists for that binding.
     ValueOutOfDomain(Var, Value),
+    /// A variable's value weights are no distribution up to scale: one
+    /// is negative, or they sum to zero, so the conditional weights of
+    /// the finite-domain encoding are undefined.
+    InvalidWeights(Var),
     /// Model counting overflowed: a checked [`Weight`](crate::Weight)
     /// operation returned `None` (exact rational weights with adversarial
     /// denominators reach this), or an exact
@@ -63,6 +67,9 @@ impl fmt::Display for BddError {
             BddError::ValueOutOfDomain(v, val) => {
                 write!(f, "value {val} is outside the encoded domain of {v}")
             }
+            BddError::InvalidWeights(v) => {
+                write!(f, "weights of {v} include a negative one or sum to zero")
+            }
             BddError::Overflow => write!(f, "arithmetic overflowed during model counting"),
         }
     }
@@ -85,5 +92,6 @@ mod tests {
         let e = BddError::ValueOutOfDomain(Var(1), Value::from(9)).to_string();
         assert!(e.contains("x1") && e.contains('9'));
         assert!(BddError::EmptyDomain(Var(0)).to_string().contains("x0"));
+        assert!(BddError::InvalidWeights(Var(5)).to_string().contains("x5"));
     }
 }

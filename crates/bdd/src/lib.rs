@@ -16,14 +16,17 @@
 //!   satisfying-assignment counting, and weighted model counting.
 //! * [`Weight`] — the numeric abstraction for WMC (implemented here for
 //!   `f64`; `ipdb-prob` adds exact rationals).
-//! * [`encode`] — the finite-domain layer: [`FdEncoding`] one-hot-encodes
-//!   multi-valued variables into indicator blocks (with the exactly-one
-//!   domain-consistency constraint), so arbitrary `Eq`/`Neq` conditions
-//!   compile — boolean conditions are the `{false, true}`-domain case —
-//!   and [`FdEncoding::wmc_with`] counts them under the branch weights
-//!   built by [`FdEncoding::weights_from`]. This is what lets `ipdb-prob`
-//!   answer pc-table queries without enumerating the §8 valuation
-//!   product space.
+//! * [`encode`] — the finite-domain layer: [`FdEncoding`] ladder-encodes
+//!   a variable of `d` values into `d − 1` Boolean levels, level `i`
+//!   meaning "`x = vᵢ` given `x ∉ {v₀..vᵢ₋₁}`", so every assignment
+//!   decodes to exactly one value per variable and arbitrary `Eq`/`Neq`
+//!   conditions compile — boolean conditions are the
+//!   `{false, true}`-domain case, one level each.
+//!   [`FdEncoding::weights_from`] gives each level its conditional
+//!   probability and complement; the pair sums to 1, so
+//!   [`BddManager::wmc`] skips untested levels without scaling. This is
+//!   what lets `ipdb-prob` answer pc-table queries without enumerating
+//!   the §8 valuation product space.
 //!
 //! `ipdb-prob::answering` has two probability engines: this finite-domain
 //! BDD + WMC path, and valuation enumeration as its exact oracle. They are

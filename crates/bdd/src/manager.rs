@@ -394,10 +394,12 @@ impl BddManager {
 
     /// Weighted model count of `f` over variables `0..weights.len()`.
     ///
-    /// `weights[i] = (w_false, w_true)` are the branch weights of `xᵢ`.
-    /// For probabilities the pair sums to 1 and the result is
-    /// `P[f]`; the implementation handles arbitrary weights by scaling
-    /// skipped levels with `(w_false + w_true)`.
+    /// `weights[i] = (w_false, w_true)` are the branch weights of `xᵢ`,
+    /// and each pair must sum to 1 (a probability and its complement, as
+    /// [`FdEncoding::weights_from`](crate::FdEncoding::weights_from)
+    /// builds them). The count is `wf·lo + wt·hi` per node: a level the
+    /// diagram skips contributes a factor of `wf + wt = 1`, so for
+    /// probabilities the result is `P[f]` with no per-level scaling.
     ///
     /// Errors with [`BddError::VarOutOfRange`] if `f` decides a variable
     /// with no weight pair (instead of panicking on the index); the
@@ -408,32 +410,11 @@ impl BddManager {
     /// panicking mid-count.
     pub fn wmc<W: Weight>(&self, f: NodeRef, weights: &[(W, W)]) -> Result<W, BddError> {
         self.wmc_calls.set(self.wmc_calls.get() + 1);
-        let nvars = weights.len() as u32;
-        let mut memo: HashMap<NodeRef, W> = HashMap::new();
-        let skip = |from: u32, to: u32| -> Result<W, BddError> {
-            let mut acc = W::one();
-            for i in from..to {
-                let (wf, wt) = &weights[i as usize];
-                acc = wf
-                    .checked_add(wt)
-                    .and_then(|s| acc.checked_mul(&s))
-                    .ok_or(BddError::Overflow)?;
-            }
-            Ok(acc)
-        };
-        fn level(mgr: &BddManager, n: NodeRef, nvars: u32) -> u32 {
-            if n <= TRUE {
-                nvars
-            } else {
-                mgr.var_of(n)
-            }
-        }
         fn rec<W: Weight>(
             mgr: &BddManager,
             n: NodeRef,
             weights: &[(W, W)],
             memo: &mut HashMap<NodeRef, W>,
-            skip: &dyn Fn(u32, u32) -> Result<W, BddError>,
         ) -> Result<W, BddError> {
             if n == FALSE {
                 return Ok(W::zero());
@@ -445,36 +426,23 @@ impl BddManager {
                 return Ok(c.clone());
             }
             let node = mgr.nodes[n as usize];
-            let nvars = weights.len() as u32;
-            if node.var >= nvars {
+            let Some((wf, wt)) = weights.get(node.var as usize) else {
                 return Err(BddError::VarOutOfRange {
                     var: node.var,
-                    nvars,
+                    nvars: weights.len() as u32,
                 });
-            }
-            // Recurse before touching the children's levels, so an
-            // out-of-range node deeper down errors before `skip` could
-            // index past the weight vector.
-            let lo = rec(mgr, node.lo, weights, memo, skip)?;
-            let hi = rec(mgr, node.hi, weights, memo, skip)?;
-            let (wf, wt) = &weights[node.var as usize];
-            let lo_level = level(mgr, node.lo, nvars);
-            let hi_level = level(mgr, node.hi, nvars);
-            let lo_arm = wf
-                .checked_mul(&skip(node.var + 1, lo_level)?)
-                .and_then(|w| w.checked_mul(&lo))
+            };
+            let lo = rec(mgr, node.lo, weights, memo)?;
+            let hi = rec(mgr, node.hi, weights, memo)?;
+            let c = wf
+                .checked_mul(&lo)
+                .zip(wt.checked_mul(&hi))
+                .and_then(|(l, h)| l.checked_add(&h))
                 .ok_or(BddError::Overflow)?;
-            let hi_arm = wt
-                .checked_mul(&skip(node.var + 1, hi_level)?)
-                .and_then(|w| w.checked_mul(&hi))
-                .ok_or(BddError::Overflow)?;
-            let c = lo_arm.checked_add(&hi_arm).ok_or(BddError::Overflow)?;
             memo.insert(n, c.clone());
             Ok(c)
         }
-        let count = rec(self, f, weights, &mut memo, &skip)?;
-        let top = level(self, f, nvars).min(nvars);
-        skip(0, top)?.checked_mul(&count).ok_or(BddError::Overflow)
+        rec(self, f, weights, &mut HashMap::new())
     }
 }
 
@@ -613,17 +581,6 @@ mod tests {
         assert!((p_y - 0.25).abs() < 1e-12);
         assert!((m.wmc(TRUE, &w).unwrap() - 1.0).abs() < 1e-12);
         assert_eq!(m.wmc(FALSE, &w).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn wmc_with_unnormalized_weights_counts_models() {
-        let mut m = BddManager::new();
-        let x = m.var(0);
-        let y = m.var(1);
-        let or = m.or(x, y);
-        // Weight 1 on both branches = plain model counting.
-        let w = [(1.0, 1.0), (1.0, 1.0)];
-        assert_eq!(m.wmc(or, &w).unwrap(), 3.0);
     }
 
     #[test]

@@ -35,6 +35,10 @@ pub trait Weight: Clone + PartialEq + std::fmt::Debug {
         *self == Self::zero()
     }
 
+    /// Whether this is below zero — no probability or weight of a
+    /// distribution may be.
+    fn is_below_zero(&self) -> bool;
+
     /// Checked addition: `None` when the result leaves the type's
     /// representable range. The default forwards to [`Weight::add`] —
     /// right for types that saturate or lose precision instead of
@@ -83,6 +87,9 @@ impl Weight for f64 {
     fn div(&self, other: &Self) -> Self {
         self / other
     }
+    fn is_below_zero(&self) -> bool {
+        *self < 0.0
+    }
 }
 
 #[cfg(test)]
@@ -99,5 +106,7 @@ mod tests {
         assert_eq!(a.complement(), 0.75);
         assert!(f64::zero().is_zero());
         assert!(!f64::one().is_zero());
+        assert!((-0.25f64).is_below_zero());
+        assert!(!0.0f64.is_below_zero() && !(-0.0f64).is_below_zero());
     }
 }

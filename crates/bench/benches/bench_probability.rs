@@ -2,7 +2,7 @@
 //! enumeration vs finite-domain ROBDD weighted model counting, by
 //! variable count — plus the full answer-distribution pipeline
 //! (`answer_dist_enum` vs the BDD fast path) that `bench_smoke` gates in
-//! CI.
+//! CI, and the BDD path over variables of 4 and 8 values.
 //!
 //! The shape to expect: enumeration is exponential in *all* variables;
 //! the BDD engine encodes only the variables of the tuple's condition and
@@ -59,6 +59,18 @@ fn bench_answer_dist(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bdd_wmc", nvars), &pc, |b, pc| {
             b.iter(|| stmt.answer_dist(pc).unwrap())
         });
+    }
+    // Multi-valued variables: with `d` values a variable takes `d − 1`
+    // BDD levels and `x = vᵢ` is a cube of up to `i + 1` literals.
+    // `σ[#0=#1]` adds var–var atoms between tuple variables.
+    let q = ipdb_rel::Query::select(ipdb_rel::Query::Input, ipdb_rel::Pred::eq_cols(0, 1));
+    for domain_size in [4i64, 8] {
+        let pc = random_pctable(8, 2, 6, domain_size, 0xD0 + domain_size as u64);
+        group.bench_with_input(
+            BenchmarkId::new("bdd_wmc_domain", domain_size),
+            &pc,
+            |b, pc| b.iter(|| pc.answer_dist_bdd(&q).unwrap()),
+        );
     }
     group.finish();
 }

@@ -185,7 +185,7 @@ impl Prepared {
     /// possible answer tuple with its exact probability — via the **BDD
     /// fast path**: the optimized plan runs through the pruning c-table
     /// executor (Thm 9 closure), then every answer tuple's presence
-    /// condition is compiled under the finite-domain one-hot encoding
+    /// condition is compiled under the finite-domain ladder encoding
     /// and weighted-model-counted with one shared `BddManager`
     /// ([`PcTable::marginals_bdd`]). No walk over the §8 valuation
     /// product space.

@@ -3,11 +3,12 @@
 //!
 //! `Prepared::answer_dist` computes answer distributions by compiling
 //! every answer tuple's presence condition under the finite-domain
-//! one-hot encoding and weighted-model-counting it;
+//! ladder encoding and weighted-model-counting it;
 //! `Prepared::answer_dist_enum` walks the §8 valuation product space.
 //! For exact rational weights the two must agree *exactly* — any
-//! discrepancy in the encoding, the consistency constraint, or the WMC
-//! skip handling shows up as a distribution mismatch here. Queries come
+//! discrepancy in the value cubes, the conditional level weights, or
+//! WMC's handling of skipped levels shows up as a distribution mismatch
+//! here. Queries come
 //! from `arb_query` (the same generator as the optimizer-equivalence
 //! props), so the oracle also exercises the pruning executor and the
 //! optimizer on the probabilistic path.
@@ -51,10 +52,12 @@ proptest! {
 
     /// Acceptance criterion: BDD-path answer distributions exactly equal
     /// valuation enumeration on random pc-tables and random queries.
+    /// Domains have four values, so a value's cube spans up to three
+    /// levels and every level's conditional weight differs.
     #[test]
     fn bdd_distribution_equals_enumeration(
         q in arb_query(2, 2, 3, 2),
-        t in arb_finite_ctable(2, 3, 3, 2),
+        t in arb_finite_ctable(2, 3, 3, 3),
     ) {
         let pc = skewed_pctable(&t);
         let stmt = Engine::new().prepare(&q, 2).unwrap();

@@ -6,9 +6,10 @@
 //! ways:
 //!
 //! 1. [`prob_of_condition`] — the finite-domain BDD engine: every
-//!    variable of the condition is one-hot encoded
+//!    variable of the condition is ladder-encoded
 //!    (`ipdb_bdd::FdEncoding`), so arbitrary `Eq`/`Neq` conditions
-//!    compile, and `P[φ]` is a domain-aware weighted model count.
+//!    compile, and `P[φ]` is a weighted model count under the
+//!    variables' conditional level weights.
 //!    [`PcTable::tuple_prob_bdd`] applies it to one tuple's presence
 //!    condition, [`PcTable::answer_dist_bdd`] to every answer tuple with
 //!    one manager shared across them, and the lineage evaluator
@@ -45,13 +46,9 @@ pub fn presence_condition(table: &CTable, t: &Tuple) -> Condition {
     )
 }
 
-/// State of the BDD probability engine: the manager, the one-hot
-/// encoding, and the Boolean branch-weight vector.
-pub(crate) type BddCtx<W> = (BddManager, FdEncoding, Vec<(W, W)>);
-
-/// Builds the engine state for `vars`: a fresh manager, the one-hot
-/// [`FdEncoding`] of each variable over its distribution's support, and
-/// the branch weights derived from the distributions. Errors with
+/// Builds the BDD engine's inputs for `vars`: the ladder [`FdEncoding`]
+/// of each variable over its distribution's support, and the conditional
+/// branch weights derived from the distributions. Errors with
 /// [`ProbError::MissingDistribution`] on a variable without one.
 ///
 /// Only the given variables are encoded: a condition cannot reference
@@ -60,7 +57,7 @@ pub(crate) type BddCtx<W> = (BddManager, FdEncoding, Vec<(W, W)>);
 pub(crate) fn bdd_ctx<W: Weight>(
     vars: &BTreeSet<Var>,
     dists: &BTreeMap<Var, FiniteSpace<Value, W>>,
-) -> Result<BddCtx<W>, ProbError> {
+) -> Result<(FdEncoding, Vec<(W, W)>), ProbError> {
     let used = vars
         .iter()
         .map(|v| {
@@ -70,9 +67,7 @@ pub(crate) fn bdd_ctx<W: Weight>(
                 .ok_or(ProbError::MissingDistribution(*v))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let mut mgr = BddManager::new();
     let enc = FdEncoding::new(
-        &mut mgr,
         used.iter()
             .map(|(v, d)| (*v, d.iter().map(|(val, _)| val.clone()).collect())),
     )?;
@@ -80,12 +75,12 @@ pub(crate) fn bdd_ctx<W: Weight>(
         used.iter()
             .flat_map(|(v, d)| d.iter().map(|(val, w)| (*v, val.clone(), w.clone()))),
     )?;
-    Ok((mgr, enc, weights))
+    Ok((enc, weights))
 }
 
 /// `P[φ]` over independent finite distributions of its variables: compile
-/// `φ` under the one-hot encoding of exactly the variables it mentions
-/// and run domain-aware weighted model counting.
+/// `φ` under the ladder encoding of exactly the variables it mentions
+/// and run weighted model counting.
 ///
 /// Errors with [`ProbError::MissingDistribution`] if a variable of `φ`
 /// has no distribution, and with [`ProbError::Overflow`] if exact weight
@@ -114,9 +109,10 @@ pub fn prob_of_condition<W: Weight>(
     cond: &Condition,
     dists: &BTreeMap<Var, FiniteSpace<Value, W>>,
 ) -> Result<W, ProbError> {
-    let (mut mgr, enc, weights) = bdd_ctx(&cond.vars(), dists)?;
+    let (enc, weights) = bdd_ctx(&cond.vars(), dists)?;
+    let mut mgr = BddManager::new();
     let f = enc.compile(&mut mgr, cond)?;
-    Ok(enc.wmc_with(&mut mgr, f, &weights)?)
+    Ok(mgr.wmc(f, &weights)?)
 }
 
 /// The candidate answer tuples of a pc-table: every row's tuple grounded

@@ -19,7 +19,7 @@
 //! * [`answering`] — the two engines for `P[t ∈ q-answer]`: the
 //!   finite-domain BDD ([`answering::prob_of_condition`],
 //!   [`PcTable::tuple_prob_bdd`] / [`PcTable::answer_dist_bdd`]), which
-//!   one-hot-encodes multi-valued variables and counts event expressions
+//!   ladder-encodes multi-valued variables and counts event expressions
 //!   by weighted model counting instead of walking the §8 valuation
 //!   product space, and valuation enumeration
 //!   ([`PcTable::tuple_prob_enum`] / [`PcTable::answer_dist_enum`]), the

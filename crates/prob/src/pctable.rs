@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use ipdb_bdd::{BddStats, Weight};
+use ipdb_bdd::{BddManager, BddStats, Weight};
 use ipdb_logic::{Condition, Valuation, Var};
 use ipdb_rel::{Domain, Query, Tuple, Value};
 use ipdb_tables::{BooleanCTable, CTable};
@@ -257,12 +257,13 @@ impl<W: Weight> PcTable<W> {
     /// apply-cache behavior. The distribution is computed identically
     /// (same manager, same compilation order).
     pub fn marginals_bdd_traced(&self) -> Result<(Vec<(Tuple, W)>, BddStats), ProbError> {
-        let (mut mgr, enc, bw) = bdd_ctx(&self.table.vars(), &self.dists)?;
+        let (enc, bw) = bdd_ctx(&self.table.vars(), &self.dists)?;
+        let mut mgr = BddManager::new();
         let mut out = Vec::new();
         for t in candidate_tuples(self)? {
             let cond = presence_condition(&self.table, &t);
             let f = enc.compile(&mut mgr, &cond)?;
-            let p = enc.wmc_with(&mut mgr, f, &bw)?;
+            let p = mgr.wmc(f, &bw)?;
             if !p.is_zero() {
                 out.push((t, p));
             }

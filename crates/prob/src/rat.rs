@@ -262,6 +262,9 @@ impl Weight for Rat {
     fn checked_div(&self, other: &Self) -> Option<Self> {
         Rat::checked_div(*self, *other)
     }
+    fn is_below_zero(&self) -> bool {
+        self.num < 0
+    }
 }
 
 /// Shorthand: `rat!(3, 10)` is `Rat::new(3, 10)`; `rat!(2)` is the

@@ -53,7 +53,7 @@ impl<T, W> FiniteSpace<T, W> {
 
 impl<T: Ord + Clone, W: Weight> FiniteSpace<T, W> {
     /// Builds a space, merging duplicates, dropping zeros, and checking
-    /// the total mass is exactly `1`.
+    /// that no weight is negative and the total mass is exactly `1`.
     pub fn new(outcomes: impl IntoIterator<Item = (T, W)>) -> Result<Self, ProbError> {
         let space = Self::new_unnormalized(outcomes)?;
         let mass = space.checked_total_mass()?;
@@ -64,12 +64,18 @@ impl<T: Ord + Clone, W: Weight> FiniteSpace<T, W> {
     }
 
     /// Builds a sub-probability space (no mass check); used internally by
-    /// constructions that assemble mass incrementally. Duplicate merging
-    /// uses checked addition, surfacing [`ProbError::Overflow`] on exact
+    /// constructions that assemble mass incrementally. A negative weight
+    /// is [`ProbError::InvalidProbability`]. Duplicate merging uses
+    /// checked addition, surfacing [`ProbError::Overflow`] on exact
     /// weights that leave their representable range.
     pub fn new_unnormalized(outcomes: impl IntoIterator<Item = (T, W)>) -> Result<Self, ProbError> {
         let mut map: BTreeMap<T, W> = BTreeMap::new();
         for (t, w) in outcomes {
+            if w.is_below_zero() {
+                return Err(ProbError::InvalidProbability(format!(
+                    "negative weight {w:?}"
+                )));
+            }
             match map.get_mut(&t) {
                 Some(acc) => *acc = acc.checked_add(&w).ok_or(ProbError::Overflow)?,
                 None => {
@@ -231,6 +237,20 @@ mod tests {
         assert!(FiniteSpace::new([(1, rat!(1, 2)), (2, rat!(1, 4))]).is_err());
         let ok = FiniteSpace::new([(1, rat!(1, 2)), (2, rat!(1, 2))]).unwrap();
         assert_eq!(ok.len(), 2);
+    }
+
+    #[test]
+    fn negative_weights_rejected() {
+        // Regression: only the total mass was checked, so this signed
+        // "distribution" was accepted and answered with P = -1/2.
+        let signed = FiniteSpace::new([(1, rat!(1)), (2, rat!(1, 2)), (3, rat!(-1, 2))]);
+        assert!(matches!(signed, Err(ProbError::InvalidProbability(_))));
+        let signed = FiniteSpace::new([(1, 1.5f64), (2, -0.5)]);
+        assert!(matches!(signed, Err(ProbError::InvalidProbability(_))));
+        // A negative outcome is rejected even where duplicates would
+        // merge it into a non-negative one.
+        let merged = FiniteSpace::new([(1, rat!(1)), (1, rat!(1, 2)), (1, rat!(-1, 2))]);
+        assert!(matches!(merged, Err(ProbError::InvalidProbability(_))));
     }
 
     #[test]
