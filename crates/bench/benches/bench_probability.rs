@@ -1,8 +1,8 @@
 //! E16–E17 — the two probability engines for `P[t ∈ answer]`: world
 //! enumeration vs finite-domain ROBDD weighted model counting, by
 //! variable count — plus the full answer-distribution pipeline
-//! (`answer_dist_enum` vs the BDD fast path) that `bench_smoke` gates in
-//! CI, and the BDD path over variables of 4 and 8 values.
+//! (`answer_dist_enum` vs the BDD fast path) whose work `tests/floors.rs`
+//! compares, and the BDD path over variables of 4 and 8 values.
 //!
 //! The shape to expect: enumeration is exponential in *all* variables;
 //! the BDD engine encodes only the variables of the tuple's condition and
@@ -40,7 +40,7 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full answer-distribution pipeline on the `bench_smoke` workload:
+/// The full answer-distribution pipeline on the [`PROB_SMOKE_QUERY`] workload:
 /// §8 valuation enumeration vs the shared-manager BDD + WMC path.
 fn bench_answer_dist(c: &mut Criterion) {
     let mut group = c.benchmark_group("answer_dist");

@@ -10,8 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use ipdb_engine::{Catalog, Schema};
-use ipdb_logic::{Condition, Term, Var, VarGen};
-use ipdb_prob::{BooleanPcTable, FiniteSpace, PTable, PcTable, Rat};
+use ipdb_logic::{Condition, Term, Var};
+use ipdb_prob::{BooleanPcTable, FiniteSpace, PcTable, Rat};
 use ipdb_rel::{Domain, IDatabase, Instance, Tuple, Value};
 use ipdb_tables::{BooleanCTable, CRow, CTable};
 
@@ -148,17 +148,6 @@ pub fn random_pctable(
     PcTable::new(t, dists).expect("all vars covered")
 }
 
-/// A random tuple-independent table with `n` distinct unary tuples and
-/// dyadic probabilities.
-pub fn random_ptable(n: usize, seed: u64) -> PTable<Rat> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    PTable::from_rows(
-        1,
-        (0..n as i64).map(|i| (Tuple::new([i]), Rat::new(rng.gen_range(1..=7), 8))),
-    )
-    .expect("distinct tuples")
-}
-
 /// A random non-empty finite i-database: `worlds` instances of the given
 /// arity with at most `max_tuples` tuples each.
 pub fn random_idb(
@@ -184,16 +173,11 @@ pub fn random_idb(
     db
 }
 
-/// Fresh-variable generator disjoint from a table's variables.
-pub fn gen_for(t: &CTable) -> VarGen {
-    VarGen::avoiding(t.vars())
-}
-
 /// The engine benches' σ(×) self-join workload, shared by
-/// `bench_engine` and the CI `bench_smoke` gate so the two always
-/// measure the same query: `#0=1` prunes the left factor to ~1/8 of its
-/// rows, `#2=2` the right factor likewise, and `#1=#3` spans the
-/// product — the optimizer turns it into a hash join key.
+/// `bench_engine` and the plan-quality floors in `tests/floors.rs` so
+/// the two always measure the same query: `#0=1` prunes the left factor
+/// to ~1/8 of its rows, `#2=2` the right factor likewise, and `#1=#3`
+/// spans the product — the optimizer turns it into a hash join key.
 pub const ENGINE_PRODUCT_HEAVY: &str = "pi[1](sigma[and(#0=1, #2=2, #1=#3)](V x V))";
 
 /// The pushdown-only strategy for [`ENGINE_PRODUCT_HEAVY`], written out
@@ -204,13 +188,14 @@ pub const ENGINE_PRODUCT_HEAVY: &str = "pi[1](sigma[and(#0=1, #2=2, #1=#3)](V x 
 pub const ENGINE_PRODUCT_HEAVY_PUSHED: &str =
     "pi[1](sigma[#1=#3](sigma[#0=1](V) x sigma[#0=2](V)))";
 
-/// The `bench_smoke` pc-table probability workload: a query whose answer
+/// The pc-table probability workload of `bench_probability` and the
+/// enumeration-vs-BDD floor in `tests/floors.rs`: a query whose answer
 /// distribution both paths compute — enumeration walks the valuation
 /// product space of the answered table, the BDD path counts models of
 /// the per-tuple presence conditions.
 pub const PROB_SMOKE_QUERY: &str = "sigma[#0!=0](V union {(7)})";
 
-/// A pc-table for the probability smoke series: exactly `nvars` binary
+/// A pc-table for the [`PROB_SMOKE_QUERY`] workload: exactly `nvars` binary
 /// variables, **every one appearing** (so valuation enumeration really
 /// visits `2^nvars` outcomes), one row per variable whose condition
 /// couples it with its ring neighbor, plus skewed dyadic marginals.
@@ -458,18 +443,6 @@ fn zipf_index(rng: &mut StdRng, n: usize) -> usize {
         }
     }
     n - 1
-}
-
-/// The catalog-leaf-reuse series workload: one ground `rows`-row binary
-/// c-table. Ground rows keep the c-table evaluator's own work small, so
-/// the series isolates what `Arc`-shared catalog leaves removed — the
-/// per-query deep clone of every referenced relation.
-pub fn leaf_reuse_ctable(rows: usize) -> CTable {
-    let mut b = CTable::builder(2);
-    for i in 0..rows as i64 {
-        b = b.ground_row([i % 97, i % 13], Condition::True);
-    }
-    b.build().expect("arity fixed")
 }
 
 /// A seeded pc-table catalog for [`ENGINE_CHAIN_NAIVE`]: three binary

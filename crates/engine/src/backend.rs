@@ -568,6 +568,34 @@ mod tests {
     }
 
     #[test]
+    fn rel_leaves_borrow_the_catalog_relation() {
+        // A `Rel` leaf resolves to the catalog's own `Arc`-shared
+        // relation, never a per-query copy, through the same lookups the
+        // c-table and pc-table backends pass to `eval_ctable`.
+        let t = CTable::from_instance(&instance![[1, 2], [3, 4]]);
+        let leaf = Query::rel("R");
+        let ct: Catalog<CTable> = [("R", t.clone())].into_iter().collect();
+        let src = Source::Catalog(&ct);
+        let out = eval_ctable(&|name| src.get(name), &leaf, &mut NoTrace).unwrap();
+        assert!(
+            matches!(out, Cow::Borrowed(got) if std::ptr::eq(got, ct.get("R").unwrap())),
+            "c-table leaf was copied"
+        );
+        let pc: Catalog<PcTable<Rat>> = [("R", PcTable::new(t, []).unwrap())].into_iter().collect();
+        let src = Source::Catalog(&pc);
+        let out = eval_ctable(
+            &|name| src.get(name).map(PcTable::table),
+            &leaf,
+            &mut NoTrace,
+        )
+        .unwrap();
+        assert!(
+            matches!(out, Cow::Borrowed(got) if std::ptr::eq(got, pc.get("R").unwrap().table())),
+            "pc-table leaf was copied"
+        );
+    }
+
+    #[test]
     fn catalog_basics_and_schema() {
         let mut cat: Catalog<Instance> = Catalog::default();
         assert!(cat.is_empty());

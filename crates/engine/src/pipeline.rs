@@ -197,7 +197,7 @@ impl Prepared {
     /// the *naive* plan's result — exponential in the number of
     /// variables. Kept reachable as the differential oracle for
     /// [`Prepared::answer_dist`] (see `tests/prob_oracle.rs` and the
-    /// `bench_smoke` pc-table series).
+    /// enumeration-vs-BDD floors in `crates/bench/tests/floors.rs`).
     pub fn answer_dist_enum<W: Weight>(
         &self,
         pc: &PcTable<W>,

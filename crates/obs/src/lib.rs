@@ -22,8 +22,8 @@
 //! or per morsel, never per row**. The flag initializes from the
 //! `IPDB_METRICS` environment variable (`1`/`true`/`on`, case-
 //! insensitive) and can be flipped at runtime with [`set_enabled`];
-//! `bench_smoke`'s off-vs-on overhead series holds the metrics-off cost
-//! of the instrumented 100k-row probe join within 5%.
+//! `bench_smoke` holds the metrics-on cost of the instrumented 100k-row
+//! probe join within 5% of metrics off.
 //!
 //! [`span`] checks the flag itself (a disabled span skips even the
 //! clock read), so it is safe to leave in cold paths unconditionally.
@@ -247,8 +247,10 @@ impl MetricsSnapshot {
     }
 
     /// The snapshot as a flat JSON object (sorted keys, one per line).
-    /// Counter names never need escaping beyond `"`/`\` — they are
-    /// ASCII identifiers by convention — but both are escaped anyway.
+    /// Names are escaped as RFC 8259 requires: `"`, `\` and every
+    /// control character U+0000–U+001F. Most names are ASCII
+    /// identifiers, but `pool.drained.<thread name>` carries whatever
+    /// name the calling thread was given.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let mut first = true;
@@ -257,8 +259,18 @@ impl MetricsSnapshot {
                 out.push_str(",\n");
             }
             first = false;
-            let escaped = name.replace('\\', "\\\\").replace('"', "\\\"");
-            out.push_str(&format!("  \"{escaped}\": {value}"));
+            out.push_str("  \"");
+            for c in name.chars() {
+                match c {
+                    '"' | '\\' => {
+                        out.push('\\');
+                        out.push(c);
+                    }
+                    '\u{0}'..='\u{1f}' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                    c => out.push(c),
+                }
+            }
+            out.push_str(&format!("\": {value}"));
         }
         out.push_str("\n}\n");
         out
@@ -343,8 +355,14 @@ mod tests {
     fn json_escapes_quotes_and_backslashes() {
         let _g = serialized();
         add("test.esc.\"q\\uote\"", 1);
+        // Control characters reach names through thread names.
+        add("test.esc.tab\there\nnl\u{1}", 1);
         let json = snapshot().to_json();
         assert!(json.contains("\"test.esc.\\\"q\\\\uote\\\"\": 1"));
+        assert!(json.contains("\"test.esc.tab\\u0009here\\u000anl\\u0001\": 1"));
+        // Only the line breaks between entries are raw control characters.
+        assert!(!json.chars().any(|c| c.is_control() && c != '\n'));
+        assert_eq!(json.lines().count(), snapshot().len() + 2);
     }
 
     #[test]
