@@ -51,7 +51,7 @@ fn bench_instances(c: &mut Criterion) {
     let pushed = pushed_stmt.naive_query();
     let join = stmt.query();
     for rows in [16usize, 64, 256] {
-        let i: Catalog<Instance> = [("V", skewed_instance(rows))].into_iter().collect();
+        let i = Catalog::single(skewed_instance(rows));
         let run = |q| Instance::run_catalog(&i, q).unwrap();
         assert_eq!(run(naive), run(join));
         assert_eq!(run(pushed), run(join));
@@ -76,9 +76,7 @@ fn bench_ctables(c: &mut Criterion) {
     let naive = stmt.naive_query();
     let optimized = stmt.query();
     for rows in [4usize, 16, 64] {
-        let t: Catalog<CTable> = [("V", random_ctable(rows, 2, 6, 4, 0xE9 + rows as u64))]
-            .into_iter()
-            .collect();
+        let t = Catalog::single(random_ctable(rows, 2, 6, 4, 0xE9 + rows as u64));
         group.bench_function(BenchmarkId::new("naive", rows), |b| {
             b.iter(|| CTable::run_catalog(&t, naive).unwrap())
         });

@@ -1,7 +1,7 @@
 //! E16–E17 — the two probability engines for `P[t ∈ answer]`: world
 //! enumeration vs finite-domain ROBDD weighted model counting, by
 //! variable count — plus the full answer-distribution pipeline
-//! (`answer_dist_enum` vs the BDD fast path) whose work `tests/floors.rs`
+//! (`answer_dist_catalog_enum` vs the BDD fast path) whose work `tests/floors.rs`
 //! compares, and the BDD path over variables of 4 and 8 values.
 //!
 //! The shape to expect: enumeration is exponential in *all* variables;
@@ -13,7 +13,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ipdb_bench::{prob_smoke_pctable, random_boolean_pctable, random_pctable, PROB_SMOKE_QUERY};
-use ipdb_engine::Engine;
+use ipdb_engine::{Catalog, Engine};
 use ipdb_rel::Tuple;
 
 fn probe() -> Tuple {
@@ -49,15 +49,15 @@ fn bench_answer_dist(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(700));
     for nvars in [6u32, 9, 12] {
-        let pc = prob_smoke_pctable(nvars, 0xBDD);
+        let cat = Catalog::single(prob_smoke_pctable(nvars, 0xBDD));
         let stmt = Engine::new()
             .prepare_text(PROB_SMOKE_QUERY, 1)
             .expect("well-typed");
-        group.bench_with_input(BenchmarkId::new("enumerate", nvars), &pc, |b, pc| {
-            b.iter(|| stmt.answer_dist_enum(pc).unwrap())
+        group.bench_with_input(BenchmarkId::new("enumerate", nvars), &cat, |b, cat| {
+            b.iter(|| stmt.answer_dist_catalog_enum(cat).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("bdd_wmc", nvars), &pc, |b, pc| {
-            b.iter(|| stmt.answer_dist(pc).unwrap())
+        group.bench_with_input(BenchmarkId::new("bdd_wmc", nvars), &cat, |b, cat| {
+            b.iter(|| stmt.answer_dist_catalog(cat).unwrap())
         });
     }
     // Multi-valued variables: with `d` values a variable takes `d − 1`

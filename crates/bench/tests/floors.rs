@@ -24,11 +24,9 @@ use ipdb_bench::{
     ENGINE_PRODUCT_HEAVY, ENGINE_PRODUCT_HEAVY_PUSHED, PROB_SMOKE_QUERY,
 };
 use ipdb_engine::{
-    Backend, Catalog, Engine, ExecConfig, OpReport, PlanCache, Prepared, Query, ReportSink, Source,
+    Backend, Catalog, Engine, ExecConfig, OpReport, PlanCache, Prepared, Query, ReportSink,
 };
 use ipdb_prob::{BddStats, PcTable, Rat};
-use ipdb_rel::Instance;
-use ipdb_tables::CTable;
 
 /// Rows touched by an executed plan: `rows_out` summed over the tree.
 fn rows_touched(op: &OpReport) -> u64 {
@@ -39,7 +37,7 @@ fn rows_touched(op: &OpReport) -> u64 {
 /// thread and returns the answer with the rows it touched.
 fn traced<B: Backend>(cat: &Catalog<B>, q: &Query) -> (B::Output, u64) {
     let mut sink = ReportSink::default();
-    let out = B::execute(Source::Catalog(cat), q, &ExecConfig::serial(), &mut sink).unwrap();
+    let out = B::execute(cat, q, &ExecConfig::serial(), &mut sink).unwrap();
     (out, rows_touched(&sink.finish()))
 }
 
@@ -56,7 +54,7 @@ fn instance_join_touches_a_tenth_of_the_naive_rows() {
     let pushed = Engine::new()
         .prepare_text(ENGINE_PRODUCT_HEAVY_PUSHED, 2)
         .expect("well-typed");
-    let cat: Catalog<Instance> = [("V", skewed_instance(256))].into_iter().collect();
+    let cat = Catalog::single(skewed_instance(256));
     let (naive_out, naive) = traced(&cat, stmt.naive_query());
     let (pushed_out, pushdown) = traced(&cat, pushed.naive_query());
     let (join_out, join) = traced(&cat, stmt.query());
@@ -82,9 +80,7 @@ fn instance_join_touches_a_tenth_of_the_naive_rows() {
 #[test]
 fn ctable_join_touches_fewer_rows_than_the_naive_plan() {
     let stmt = product_heavy();
-    let cat: Catalog<CTable> = [("V", random_ctable(64, 2, 6, 4, 0xE9 + 64))]
-        .into_iter()
-        .collect();
+    let cat = Catalog::single(random_ctable(64, 2, 6, 4, 0xE9 + 64));
     let (_, naive) = traced(&cat, stmt.naive_query());
     let (_, join) = traced(&cat, stmt.query());
     println!("ctable_64 rows touched: naive {naive}, join {join}");
@@ -153,10 +149,9 @@ fn bdd_does_a_tenth_of_the_enumeration_work_on_the_ring_pctable() {
     let stmt = Engine::new()
         .prepare_text(PROB_SMOKE_QUERY, 1)
         .expect("well-typed");
-    let pc = prob_smoke_pctable(14, 0xBDD);
-    let enumerated = stmt.answer_dist_enum(&pc).unwrap();
-    assert_eq!(stmt.answer_dist(&pc).unwrap(), enumerated);
-    let cat: Catalog<PcTable<Rat>> = [("V", pc)].into_iter().collect();
+    let cat = Catalog::single(prob_smoke_pctable(14, 0xBDD));
+    let enumerated = stmt.answer_dist_catalog_enum(&cat).unwrap();
+    assert_eq!(stmt.answer_dist_catalog(&cat).unwrap(), enumerated);
     let (dist, report) = stmt.answer_dist_catalog_analyzed(&cat).unwrap();
     assert_eq!(dist, enumerated);
     let bdd = report.bdd.expect("pc-table reports carry BDD stats");

@@ -1,5 +1,5 @@
 //! The execution backends: one planned query, three semantics — over
-//! one relation or a named catalog of them.
+//! a named catalog of relations.
 //!
 //! [`Backend`] abstracts "something a [`Query`] can run against". The
 //! three models the paper relates all implement it:
@@ -13,11 +13,12 @@
 //!   condition simplification applied).
 //!
 //! Each backend has exactly one evaluator, [`Backend::execute`], which
-//! reads its leaves from a [`Source`] and reports each operator to a
-//! [`TraceSink`]. [`Catalog`] generalizes the input side to the §2
-//! footnote's "arbitrary relational schemas": a `name → relation` map
+//! reads its leaves from a [`Catalog`] and reports each operator to a
+//! [`TraceSink`]. A catalog is the §2 footnote's "arbitrary relational
+//! schemas" made concrete: a `name → relation` map
 //! ([`Backend::run_catalog`] runs one). The reserved names `V`/`W` make the
-//! classic one- and two-relation contexts ordinary catalogs, and a
+//! classic one- and two-relation contexts ordinary catalogs
+//! ([`Catalog::single`] binds a lone input to `V`), and a
 //! pc-table catalog shares **one variable namespace** across all of its
 //! relations — a variable appearing in two relations is the *same*
 //! random variable (its distributions must agree,
@@ -67,6 +68,12 @@ impl<B> Catalog<B> {
         }
     }
 
+    /// The classic one-input context `{V: rel}` — the catalog
+    /// counterpart of [`Schema::single`].
+    pub fn single(rel: B) -> Catalog<B> {
+        [(Schema::INPUT, rel)].into_iter().collect()
+    }
+
     /// Adds (or replaces) a relation; returns the displaced one, if any.
     pub fn insert(&mut self, name: impl Into<String>, rel: B) -> Option<Arc<B>> {
         self.rels.insert(name.into(), Arc::new(rel))
@@ -86,6 +93,14 @@ impl<B> Catalog<B> {
     /// Looks up a relation by name.
     pub fn get(&self, name: &str) -> Option<&B> {
         self.rels.get(name).map(Arc::as_ref)
+    }
+
+    /// The relation a query leaf named `name` reads
+    /// ([`RelError::missing_relation`] when it is absent, so a missing
+    /// `W` still reports [`RelError::NoSecondInput`]).
+    pub fn resolve(&self, name: &str) -> Result<&B, RelError> {
+        self.get(name)
+            .ok_or_else(|| RelError::missing_relation(name))
     }
 
     /// Looks up a relation's shared handle by name (clone it to keep
@@ -149,37 +164,6 @@ impl<B: Backend> Catalog<B> {
         Schema::new(self.iter().map(|(n, b)| (n, b.input_arity())))
             // ipdb-lint: allow(no-panic-on-serve-paths) reason="the names come from the catalog's BTreeMap keys, which are unique by construction — the only failure Schema::new checks for"
             .expect("catalog names are unique by construction")
-    }
-}
-
-/// Where an executor's relation leaves resolve: either a single input
-/// bound to `V`, or a named [`Catalog`]. Both borrow, so running a
-/// single input never copies it into a catalog.
-#[derive(Debug)]
-pub enum Source<'a, B> {
-    /// One relation, bound to the reserved input name `V`.
-    Input(&'a B),
-    /// A named catalog (`Input`/`Second` resolve as `V`/`W`).
-    Catalog(&'a Catalog<B>),
-}
-
-impl<B> Clone for Source<'_, B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<B> Copy for Source<'_, B> {}
-
-impl<'a, B> Source<'a, B> {
-    /// The relation bound to `name` ([`RelError::missing_relation`]
-    /// otherwise — one shared rule for both shapes).
-    pub fn get(self, name: &str) -> Result<&'a B, RelError> {
-        let found = match self {
-            Source::Input(b) => (name == Schema::INPUT).then_some(b),
-            Source::Catalog(cat) => cat.get(name),
-        };
-        found.ok_or_else(|| RelError::missing_relation(name))
     }
 }
 
@@ -285,16 +269,16 @@ pub trait Backend: Sized {
     /// (`"instance"`, `"c-table"`, `"pc-table"`).
     const NAME: &'static str;
 
-    /// Arity of the input relation (checked against the plan's expected
-    /// input arity before execution).
+    /// Arity of this relation (checked against the prepared schema's
+    /// declaration for its catalog name before execution).
     fn input_arity(&self) -> usize;
 
-    /// Runs a planned query against `src`, reporting every operator to
+    /// Runs a planned query against `cat`, reporting every operator to
     /// `sink` ([`crate::report::NoTrace`] for plain execution). Backends
     /// without a parallel executor ignore `cfg`; the [`Instance`]
     /// backend routes it into the morsel executor.
     fn execute<S: TraceSink>(
-        src: Source<'_, Self>,
+        cat: &Catalog<Self>,
         q: &Query,
         cfg: &ExecConfig,
         sink: &mut S,
@@ -303,12 +287,7 @@ pub trait Backend: Sized {
     /// Runs a planned query against a named catalog with the
     /// environment's [`ExecConfig`] and no tracing.
     fn run_catalog(cat: &Catalog<Self>, q: &Query) -> Result<Self::Output, EngineError> {
-        Self::execute(
-            Source::Catalog(cat),
-            q,
-            &ExecConfig::from_env(),
-            &mut NoTrace,
-        )
+        Self::execute(cat, q, &ExecConfig::from_env(), &mut NoTrace)
     }
 }
 
@@ -322,14 +301,14 @@ impl Backend for Instance {
     }
 
     fn execute<S: TraceSink>(
-        src: Source<'_, Instance>,
+        cat: &Catalog<Instance>,
         q: &Query,
         cfg: &ExecConfig,
         sink: &mut S,
     ) -> Result<Instance, EngineError> {
         // Columnar, morsel-parallel executor; bit-identical to
         // `Query::eval` at every thread count (see [`crate::morsel`]).
-        crate::morsel::execute(src, q, cfg, sink)
+        crate::morsel::execute(cat, q, cfg, sink)
     }
 }
 
@@ -343,12 +322,12 @@ impl Backend for CTable {
     }
 
     fn execute<S: TraceSink>(
-        src: Source<'_, CTable>,
+        cat: &Catalog<CTable>,
         q: &Query,
         _: &ExecConfig,
         sink: &mut S,
     ) -> Result<CTable, EngineError> {
-        Ok(eval_ctable(&|name| src.get(name), q, sink)?.into_owned())
+        Ok(eval_ctable(&|name| cat.resolve(name), q, sink)?.into_owned())
     }
 }
 
@@ -362,7 +341,7 @@ impl<W: Weight> Backend for PcTable<W> {
     }
 
     fn execute<S: TraceSink>(
-        src: Source<'_, PcTable<W>>,
+        cat: &Catalog<PcTable<W>>,
         q: &Query,
         _: &ExecConfig,
         sink: &mut S,
@@ -374,13 +353,9 @@ impl<W: Weight> Backend for PcTable<W> {
         // variables the answer no longer mentions marginalizes them,
         // which is exactly the image-space semantics (see
         // `PcTable::eval_query`).
-        let qt = eval_ctable(&|name| src.get(name).map(PcTable::table), q, sink)?;
-        let dists = match src {
-            Source::Input(pc) => pc.dists_restricted(&qt.vars()),
-            Source::Catalog(cat) => {
-                PcTable::merged_dists_restricted(cat.rels.values().map(Arc::as_ref), &qt.vars())?
-            }
-        };
+        let qt = eval_ctable(&|name| cat.resolve(name).map(PcTable::table), q, sink)?;
+        let dists =
+            PcTable::merged_dists_restricted(cat.rels.values().map(Arc::as_ref), &qt.vars())?;
         Ok(PcTable::new(qt.into_owned(), dists)?)
     }
 }
@@ -394,16 +369,21 @@ mod tests {
     use ipdb_rel::{instance, tuple, Pred, Value};
     use ipdb_tables::{t_const, t_var};
 
-    fn run<B: Backend>(b: &B, q: &Query) -> Result<B::Output, EngineError> {
-        B::execute(Source::Input(b), q, &ExecConfig::serial(), &mut NoTrace)
+    fn run<B: Backend + Clone>(b: &B, q: &Query) -> Result<B::Output, EngineError> {
+        B::execute(
+            &Catalog::single(b.clone()),
+            q,
+            &ExecConfig::serial(),
+            &mut NoTrace,
+        )
     }
 
     fn run_analyzed<B: Backend>(
-        src: Source<'_, B>,
+        cat: &Catalog<B>,
         q: &Query,
     ) -> Result<(B::Output, OpReport), EngineError> {
         let mut sink = ReportSink::default();
-        let out = B::execute(src, q, &ExecConfig::serial(), &mut sink)?;
+        let out = B::execute(cat, q, &ExecConfig::serial(), &mut sink)?;
         Ok((out, sink.finish()))
     }
 
@@ -516,7 +496,7 @@ mod tests {
 
         let i = instance![[1], [2]];
         let q = query();
-        let (out, report) = run_analyzed(Source::Input(&i), &q).unwrap();
+        let (out, report) = run_analyzed(&Catalog::single(i.clone()), &q).unwrap();
         assert_eq!(out, run(&i, &q).unwrap());
         assert_eq!(report.label, "pi[0]");
         // pi → sigma → x → (V, V): five operators.
@@ -528,7 +508,7 @@ mod tests {
         // and report having done so.
         let t = CTable::from_instance(&instance![[1], [2]]);
         let qd = Query::diff(Query::Input, Query::Lit(instance![[2]]));
-        let (ct_out, ct_report) = run_analyzed(Source::Input(&t), &qd).unwrap();
+        let (ct_out, ct_report) = run_analyzed(&Catalog::single(t.clone()), &qd).unwrap();
         assert_eq!(ct_out, run(&t, &qd).unwrap());
         assert_eq!(ct_report.label, "diff");
         assert_eq!(ct_report.rows_in, 3);
@@ -550,7 +530,7 @@ mod tests {
         let dist =
             FiniteSpace::new([(Value::from(1), rat!(1, 2)), (Value::from(2), rat!(1, 2))]).unwrap();
         let pc = PcTable::new(ct, [(x, dist)]).unwrap();
-        let (pc_out, pc_report) = run_analyzed(Source::Input(&pc), &q).unwrap();
+        let (pc_out, pc_report) = run_analyzed(&Catalog::single(pc.clone()), &q).unwrap();
         let plain = run(&pc, &q).unwrap();
         assert_eq!(pc_out.table(), plain.table());
         assert_eq!(
@@ -562,7 +542,7 @@ mod tests {
         // Catalog variants agree with their untraced twins too.
         let cat: Catalog<Instance> = [("R", instance![[1, 2], [3, 4]])].into_iter().collect();
         let qr = Query::select(Query::rel("R"), Pred::eq_cols(0, 0));
-        let (cat_out, cat_report) = run_analyzed(Source::Catalog(&cat), &qr).unwrap();
+        let (cat_out, cat_report) = run_analyzed(&cat, &qr).unwrap();
         assert_eq!(cat_out, Instance::run_catalog(&cat, &qr).unwrap());
         assert_eq!(cat_report.children[0].label, "R");
     }
@@ -575,16 +555,14 @@ mod tests {
         let t = CTable::from_instance(&instance![[1, 2], [3, 4]]);
         let leaf = Query::rel("R");
         let ct: Catalog<CTable> = [("R", t.clone())].into_iter().collect();
-        let src = Source::Catalog(&ct);
-        let out = eval_ctable(&|name| src.get(name), &leaf, &mut NoTrace).unwrap();
+        let out = eval_ctable(&|name| ct.resolve(name), &leaf, &mut NoTrace).unwrap();
         assert!(
             matches!(out, Cow::Borrowed(got) if std::ptr::eq(got, ct.get("R").unwrap())),
             "c-table leaf was copied"
         );
         let pc: Catalog<PcTable<Rat>> = [("R", PcTable::new(t, []).unwrap())].into_iter().collect();
-        let src = Source::Catalog(&pc);
         let out = eval_ctable(
-            &|name| src.get(name).map(PcTable::table),
+            &|name| pc.resolve(name).map(PcTable::table),
             &leaf,
             &mut NoTrace,
         )
@@ -608,6 +586,8 @@ mod tests {
         let schema = cat.schema();
         assert_eq!(schema.arity_of("R"), Some(2));
         assert_eq!(schema.arity_of("S"), Some(1));
+        // `single` mirrors `Schema::single`: the input bound to `V`.
+        assert_eq!(Catalog::single(instance![[1]]).schema(), Schema::single(1));
         // FromIterator builds the same catalog.
         let cat2: Catalog<Instance> = [("R", instance![[1, 2]]), ("S", instance![[2]])]
             .into_iter()

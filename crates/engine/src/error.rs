@@ -17,14 +17,6 @@ pub enum EngineError {
         /// What went wrong.
         msg: String,
     },
-    /// The prepared plan expects an input of one arity but the backend
-    /// supplied another.
-    InputArityMismatch {
-        /// Arity the plan was prepared for.
-        expected: usize,
-        /// Arity of the backend's input relation.
-        got: usize,
-    },
     /// A join key column does not address both sides of the join: each
     /// `on` pair must name one column of the left operand (`< left`) and
     /// one of the right (`left ≤ col < left + right`), in either order.
@@ -77,10 +69,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Parse { at, msg } => write!(f, "parse error at byte {at}: {msg}"),
-            EngineError::InputArityMismatch { expected, got } => write!(
-                f,
-                "plan prepared for input arity {expected}, backend has arity {got}"
-            ),
             EngineError::JoinArity { col, left, right } => write!(
                 f,
                 "join key column {col} does not span a join of arities {left}x{right} \
@@ -145,11 +133,6 @@ mod tests {
             msg: "expected ')'".into(),
         };
         assert!(e.to_string().contains("byte 3"));
-        let m = EngineError::InputArityMismatch {
-            expected: 2,
-            got: 3,
-        };
-        assert!(m.to_string().contains("arity 2"));
         let r: EngineError = RelError::NoSecondInput.into();
         assert!(r.to_string().contains("second input"));
         let j = EngineError::JoinArity {

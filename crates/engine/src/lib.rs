@@ -55,25 +55,25 @@
 //! build-side choice, rows pruned by c-table condition simplification,
 //! the optimizer's pass count, and (for probabilistic answering) the
 //! shared `BddManager`'s counters. [`QueryReport::render`] renders it
-//! as an annotated plan tree; a single input runs as the `{V: input}`
-//! catalog. Engine internals additionally report into the `ipdb-obs`
-//! counter registry (worker-pool gauges, morsel/stage counts) when
-//! metrics are enabled via `IPDB_METRICS=1` or
-//! [`ExecConfig::metrics`]; the plain `execute` path records nothing
-//! when metrics are off.
+//! as an annotated plan tree. Engine internals additionally report into
+//! the `ipdb-obs` counter registry (worker-pool gauges, morsel/stage
+//! counts) when metrics are enabled via `IPDB_METRICS=1` or
+//! [`ExecConfig::metrics`]; the untraced execution path records
+//! nothing when metrics are off.
 //!
 //! ```
-//! use ipdb_engine::{parser, Engine};
+//! use ipdb_engine::{parser, Catalog, Engine};
 //! use ipdb_rel::instance;
 //!
 //! // Parse the surface syntax; `#i` and `pi[...]` columns are 0-based.
 //! let q = parser::parse("pi[0](sigma[and(#1=#2, #3!=7)](V x V))").unwrap();
 //! assert_eq!(parser::parse(&parser::render(&q)).unwrap(), q);
 //!
-//! // Prepare once (plan + optimize), execute on any backend.
+//! // Prepare once (plan + optimize), execute on any backend. A single
+//! // input runs as the catalog `{V: input}`.
 //! let stmt = Engine::new().prepare(&q, 2).unwrap();
-//! let chain = instance![[1, 2], [2, 3]];
-//! assert_eq!(stmt.execute(&chain).unwrap(), instance![[1]]);
+//! let chain = Catalog::single(instance![[1, 2], [2, 3]]);
+//! assert_eq!(stmt.execute_catalog(&chain).unwrap(), instance![[1]]);
 //! println!("{}", stmt.explain());
 //! ```
 //!
@@ -101,7 +101,7 @@
 //! [`Catalog`] (`name → relation`) of any backend. `V`/`W` stay as the
 //! reserved names of the classic one- and two-relation contexts, so
 //! every single-input query is the special case of a `{"V": …}`
-//! catalog. A pc-table catalog shares one variable namespace across its
+//! catalog ([`Catalog::single`], the counterpart of [`Schema::single`]). A pc-table catalog shares one variable namespace across its
 //! relations — and [`Prepared::answer_dist_catalog`] compiles the whole
 //! answer's conditions with one shared `BddManager`.
 //!
@@ -150,7 +150,7 @@ pub mod plan;
 pub mod report;
 pub mod serve;
 
-pub use backend::{Backend, Catalog, Source};
+pub use backend::{Backend, Catalog};
 pub use cache::PlanCache;
 pub use error::EngineError;
 pub use morsel::ExecConfig;

@@ -35,8 +35,8 @@
 //! kernels and their `BTreeSet` implementations are already canonical.
 //!
 //! There is one evaluator, generic over a [`TraceSink`] and reading its
-//! leaves from a [`Source`] (a single input bound to `V`, or a named
-//! catalog). Plain execution monomorphizes it with the no-op sink;
+//! leaves from a [`Catalog`] (a single input is the catalog `{V: input}`).
+//! Plain execution monomorphizes it with the no-op sink;
 //! `EXPLAIN ANALYZE` passes a sink that records each operator's
 //! cardinalities, build side and inclusive time — once per operator,
 //! never per morsel.
@@ -47,7 +47,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use ipdb_obs::Counter;
 use ipdb_rel::{ColumnarInstance, Instance, JoinIndex, Pred, Query, RelError, Schema, Tuple};
 
-use crate::backend::Source;
+use crate::backend::Catalog;
 use crate::error::EngineError;
 use crate::report::TraceSink;
 
@@ -366,19 +366,19 @@ fn to_rows_par(ci: &ColumnarInstance, cfg: &ExecConfig) -> Instance {
 /// Runs `q` on the [`Instance`] backend: the columnar evaluator, then
 /// one parallel materialization of the answer rows.
 pub(crate) fn execute<S: TraceSink>(
-    src: Source<'_, Instance>,
+    cat: &Catalog<Instance>,
     q: &Query,
     cfg: &ExecConfig,
     sink: &mut S,
 ) -> Result<Instance, EngineError> {
-    Ok(to_rows_par(&eval_columnar(src, q, cfg, sink)?, cfg))
+    Ok(to_rows_par(&eval_columnar(cat, q, cfg, sink)?, cfg))
 }
 
 /// The columnar/morsel evaluator; mirrors `Query::eval`'s structure (and
 /// errors) operator by operator, reporting each operator to `sink`.
 /// Tracing costs one sink call pair per *operator*, never per row.
 fn eval_columnar<S: TraceSink>(
-    src: Source<'_, Instance>,
+    cat: &Catalog<Instance>,
     q: &Query,
     cfg: &ExecConfig,
     sink: &mut S,
@@ -388,15 +388,15 @@ fn eval_columnar<S: TraceSink>(
     let out = match q {
         // Leaves clone the relation's cached columnar form: `Arc`s only,
         // after the first query of each relation version.
-        Query::Input => src.get(Schema::INPUT)?.columnar().clone(),
-        Query::Second => src.get(Schema::SECOND)?.columnar().clone(),
-        Query::Rel(name) => src.get(name)?.columnar().clone(),
+        Query::Input => cat.resolve(Schema::INPUT)?.columnar().clone(),
+        Query::Second => cat.resolve(Schema::SECOND)?.columnar().clone(),
+        Query::Rel(name) => cat.resolve(name)?.columnar().clone(),
         Query::Lit(i) => i.columnar().clone(),
-        Query::Project(cols, q) => eval_columnar(src, q, cfg, sink)?.project(cols)?,
-        Query::Select(p, q) => par_select(&eval_columnar(src, q, cfg, sink)?, p, cfg)?,
+        Query::Project(cols, q) => eval_columnar(cat, q, cfg, sink)?.project(cols)?,
+        Query::Select(p, q) => par_select(&eval_columnar(cat, q, cfg, sink)?, p, cfg)?,
         Query::Product(a, b) => {
-            let a = eval_columnar(src, a, cfg, sink)?;
-            a.product(&eval_columnar(src, b, cfg, sink)?)
+            let a = eval_columnar(cat, a, cfg, sink)?;
+            a.product(&eval_columnar(cat, b, cfg, sink)?)
         }
         Query::Join {
             on,
@@ -404,8 +404,8 @@ fn eval_columnar<S: TraceSink>(
             left,
             right,
         } => {
-            let l = eval_columnar(src, left, cfg, sink)?;
-            let r = eval_columnar(src, right, cfg, sink)?;
+            let l = eval_columnar(cat, left, cfg, sink)?;
+            let r = eval_columnar(cat, right, cfg, sink)?;
             let (joined, bl) = par_join(&l, &r, on, residual.as_ref(), cfg)?;
             build_left = bl;
             joined
@@ -413,8 +413,8 @@ fn eval_columnar<S: TraceSink>(
         // Set operations go through canonical row form; their BTreeSet
         // implementations are the deterministic merge.
         Query::Union(a, b) | Query::Diff(a, b) | Query::Intersect(a, b) => {
-            let a = to_rows_par(&eval_columnar(src, a, cfg, sink)?, cfg);
-            let b = to_rows_par(&eval_columnar(src, b, cfg, sink)?, cfg);
+            let a = to_rows_par(&eval_columnar(cat, a, cfg, sink)?, cfg);
+            let b = to_rows_par(&eval_columnar(cat, b, cfg, sink)?, cfg);
             let rows = match q {
                 Query::Union(..) => a.union(&b)?,
                 Query::Diff(..) => a.difference(&b)?,
@@ -431,12 +431,11 @@ fn eval_columnar<S: TraceSink>(
 mod tests {
     use super::*;
     use crate::report::{NoTrace, OpReport, ReportSink};
-    use crate::Catalog;
     use ipdb_rel::instance;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn run_instance(i: &Instance, q: &Query, cfg: &ExecConfig) -> Result<Instance, EngineError> {
-        execute(Source::Input(i), q, cfg, &mut NoTrace)
+        execute(&Catalog::single(i.clone()), q, cfg, &mut NoTrace)
     }
 
     fn run_instance_traced(
@@ -445,7 +444,7 @@ mod tests {
         cfg: &ExecConfig,
     ) -> Result<(Instance, OpReport), EngineError> {
         let mut sink = ReportSink::default();
-        let out = execute(Source::Input(i), q, cfg, &mut sink)?;
+        let out = execute(&Catalog::single(i.clone()), q, cfg, &mut sink)?;
         Ok((out, sink.finish()))
     }
 
@@ -757,7 +756,7 @@ mod tests {
                 to_rows_par(&filtered, &cfg);
             });
             let t_whole = med(|| {
-                execute(Source::Catalog(&rels), &q, &cfg, &mut NoTrace).unwrap();
+                execute(&rels, &q, &cfg, &mut NoTrace).unwrap();
             });
             eprintln!(
                 "threads={threads}: build {t_build:.3}ms \
@@ -782,7 +781,7 @@ mod tests {
         let q = Query::intersect(Query::Input, Query::rel("R"));
         let cfg = ExecConfig::serial();
         assert_eq!(
-            execute(Source::Catalog(&rels), &q, &cfg, &mut NoTrace).unwrap(),
+            execute(&rels, &q, &cfg, &mut NoTrace).unwrap(),
             q.eval_catalog(&map).unwrap()
         );
     }

@@ -8,22 +8,24 @@
 //! [`Schema`] ([`Engine::prepare_schema`] /
 //! [`Engine::prepare_text_schema`]).
 //!
-//! Every execution method is a short call into the one evaluator of
-//! its [`Backend`] ([`Backend::execute`]): it checks the input against
-//! the prepared schema, picks the optimized or naive query, a relation
-//! [`Source`] (a single input bound to `V`, or a [`Catalog`]), an
-//! [`ExecConfig`] and a trace sink. Plain methods pass [`NoTrace`]; the
-//! `_analyzed` ones pass a [`ReportSink`] and return a [`QueryReport`]
-//! (`EXPLAIN ANALYZE`; render it with [`QueryReport::render`]). The
-//! `answer_dist*` methods add BDD compilation or valuation enumeration
-//! after the pc-table closure.
+//! Every execution method takes a [`Catalog`] — a single input runs as
+//! [`Catalog::single`], the `{V: input}` catalog — and is a short call
+//! into the one evaluator of its [`Backend`] ([`Backend::execute`]): it
+//! checks the catalog against the prepared schema, picks the optimized
+//! or naive query, an [`ExecConfig`] and a trace sink. Plain methods
+//! pass [`NoTrace`]; the `_analyzed` ones pass a [`ReportSink`] and
+//! return a [`QueryReport`] (`EXPLAIN ANALYZE`; render it with
+//! [`QueryReport::render`]). The `answer_dist_catalog*` methods add BDD
+//! compilation or valuation enumeration after the pc-table closure.
+//! The naive plan stays reachable as a differential baseline through
+//! [`Backend::run_catalog`] on [`Prepared::naive_query`].
 
 use std::time::Instant;
 
 use ipdb_prob::{PcTable, Weight};
 use ipdb_rel::{Instance, Query, Schema, Tuple};
 
-use crate::backend::{Backend, Catalog, Source};
+use crate::backend::{Backend, Catalog};
 use crate::error::EngineError;
 use crate::morsel::ExecConfig;
 use crate::optimize::{optimize_plan_stats, OptimizeStats};
@@ -33,7 +35,7 @@ use crate::report::{NoTrace, QueryReport, ReportSink, TraceSink};
 
 /// The query pipeline: parse, plan, optimize. Every [`Prepared`]
 /// statement keeps its naive plan too ([`Prepared::naive_plan`],
-/// [`Prepared::execute_naive`]), so there is nothing to configure.
+/// [`Prepared::naive_query`]), so there is nothing to configure.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Engine;
 
@@ -88,8 +90,7 @@ impl Engine {
 }
 
 /// A planned (and possibly optimized) query, ready to execute on any
-/// backend whose input arity matches (or any catalog implementing the
-/// prepared schema).
+/// backend's catalog implementing the prepared schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Prepared {
     schema: Schema,
@@ -114,13 +115,6 @@ impl Prepared {
     /// statements as nullary single-input ones.
     pub fn input_arity(&self) -> Option<usize> {
         self.schema.arity_of(Schema::INPUT)
-    }
-
-    /// Whether the prepared schema declares the reserved input `V` —
-    /// i.e. whether [`Prepared::execute`]-style single-input calls can
-    /// apply at all.
-    pub fn has_input(&self) -> bool {
-        self.schema.arity_of(Schema::INPUT).is_some()
     }
 
     /// The plan as written (arity-annotated, unoptimized).
@@ -163,64 +157,12 @@ impl Prepared {
         out
     }
 
-    /// Executes the optimized plan against a single input bound to `V`.
-    pub fn execute<B: Backend>(&self, input: &B) -> Result<B::Output, EngineError> {
-        let cfg = ExecConfig::from_env();
-        self.run(
-            Source::Input(input),
-            &self.optimized_query,
-            &cfg,
-            &mut NoTrace,
-        )
-    }
-
-    /// Executes the *unoptimized* plan (the differential baseline for
-    /// [`Prepared::execute`]).
-    pub fn execute_naive<B: Backend>(&self, input: &B) -> Result<B::Output, EngineError> {
-        let cfg = ExecConfig::from_env();
-        self.run(Source::Input(input), &self.naive_query, &cfg, &mut NoTrace)
-    }
-
-    /// The full answer distribution over a pc-table backend — every
-    /// possible answer tuple with its exact probability — via the **BDD
-    /// fast path**: the optimized plan runs through the pruning c-table
-    /// executor (Thm 9 closure), then every answer tuple's presence
-    /// condition is compiled under the finite-domain ladder encoding
-    /// and weighted-model-counted with one shared `BddManager`
-    /// ([`PcTable::marginals_bdd`]). No walk over the §8 valuation
-    /// product space.
-    pub fn answer_dist<W: Weight>(&self, pc: &PcTable<W>) -> Result<Vec<(Tuple, W)>, EngineError> {
-        Ok(self.execute(pc)?.marginals_bdd()?)
-    }
-
-    /// The same answer distribution by full valuation enumeration over
-    /// the *naive* plan's result — exponential in the number of
-    /// variables. Kept reachable as the differential oracle for
-    /// [`Prepared::answer_dist`] (see `tests/prob_oracle.rs` and the
-    /// enumeration-vs-BDD floors in `crates/bench/tests/floors.rs`).
-    pub fn answer_dist_enum<W: Weight>(
-        &self,
-        pc: &PcTable<W>,
-    ) -> Result<Vec<(Tuple, W)>, EngineError> {
-        Ok(self.execute_naive(pc)?.mod_space()?.marginals())
-    }
-
     /// Executes the optimized plan against a named catalog. The catalog
     /// must supply every relation the prepared schema declares, at the
     /// declared arity ([`EngineError::MissingRelation`] /
     /// [`EngineError::RelationArity`] otherwise).
     pub fn execute_catalog<B: Backend>(&self, cat: &Catalog<B>) -> Result<B::Output, EngineError> {
         self.execute_catalog_cfg(cat, &ExecConfig::from_env())
-    }
-
-    /// Executes the *unoptimized* plan against a named catalog (the
-    /// differential baseline for [`Prepared::execute_catalog`]).
-    pub fn execute_catalog_naive<B: Backend>(
-        &self,
-        cat: &Catalog<B>,
-    ) -> Result<B::Output, EngineError> {
-        let cfg = ExecConfig::from_env();
-        self.run(Source::Catalog(cat), &self.naive_query, &cfg, &mut NoTrace)
     }
 
     /// [`Prepared::execute_catalog`] with an explicit [`ExecConfig`]
@@ -233,12 +175,7 @@ impl Prepared {
         cat: &Catalog<B>,
         cfg: &ExecConfig,
     ) -> Result<B::Output, EngineError> {
-        self.run(
-            Source::Catalog(cat),
-            &self.optimized_query,
-            cfg,
-            &mut NoTrace,
-        )
+        self.run(cat, &self.optimized_query, cfg, &mut NoTrace)
     }
 
     /// [`Prepared::execute_catalog_cfg`] on the [`Instance`] backend,
@@ -251,13 +188,16 @@ impl Prepared {
         self.execute_catalog_cfg(cat, cfg)
     }
 
-    /// The full answer distribution over a pc-table **catalog**: the
-    /// optimized plan runs through the pruning executor across all
-    /// pc-relations (one shared variable namespace — see
-    /// [`Backend::execute`] for [`PcTable`]), then the answer's
-    /// presence conditions are compiled and counted with **one**
-    /// `BddManager` shared across all answer tuples
-    /// ([`PcTable::marginals_bdd`]).
+    /// The full answer distribution over a pc-table **catalog** — every
+    /// possible answer tuple with its exact probability — via the **BDD
+    /// fast path**: the optimized plan runs through the pruning executor
+    /// across all pc-relations (Thm 9 closure, one shared variable
+    /// namespace — see [`Backend::execute`] for [`PcTable`]), then every
+    /// answer tuple's presence condition is compiled under the
+    /// finite-domain ladder encoding and weighted-model-counted with
+    /// **one** `BddManager` shared across all answer tuples
+    /// ([`PcTable::marginals_bdd`]). No walk over the §8 valuation
+    /// product space.
     pub fn answer_dist_catalog<W: Weight>(
         &self,
         cat: &Catalog<PcTable<W>>,
@@ -265,14 +205,18 @@ impl Prepared {
         Ok(self.execute_catalog(cat)?.marginals_bdd()?)
     }
 
-    /// The same catalog answer distribution by full valuation
-    /// enumeration over the naive plan — the differential oracle for
-    /// [`Prepared::answer_dist_catalog`].
+    /// The same answer distribution by full valuation enumeration over
+    /// the *naive* plan's result — exponential in the number of
+    /// variables. Kept reachable as the differential oracle for
+    /// [`Prepared::answer_dist_catalog`] (see `tests/prob_oracle.rs` and
+    /// the enumeration-vs-BDD floors in `crates/bench/tests/floors.rs`).
     pub fn answer_dist_catalog_enum<W: Weight>(
         &self,
         cat: &Catalog<PcTable<W>>,
     ) -> Result<Vec<(Tuple, W)>, EngineError> {
-        Ok(self.execute_catalog_naive(cat)?.mod_space()?.marginals())
+        let cfg = ExecConfig::from_env();
+        let answer = self.run(cat, &self.naive_query, &cfg, &mut NoTrace)?;
+        Ok(answer.mod_space()?.marginals())
     }
 
     /// [`Prepared::execute_catalog_cfg`] with **`EXPLAIN ANALYZE`
@@ -288,7 +232,7 @@ impl Prepared {
     ) -> Result<(B::Output, QueryReport), EngineError> {
         let t0 = Instant::now();
         let mut sink = ReportSink::default();
-        let out = self.run(Source::Catalog(cat), &self.optimized_query, cfg, &mut sink)?;
+        let out = self.run(cat, &self.optimized_query, cfg, &mut sink)?;
         Ok((out, self.report::<B>(sink, t0)))
     }
 
@@ -305,7 +249,7 @@ impl Prepared {
         let t0 = Instant::now();
         let mut sink = ReportSink::default();
         let cfg = ExecConfig::from_env();
-        let answer = self.run(Source::Catalog(cat), &self.optimized_query, &cfg, &mut sink)?;
+        let answer = self.run(cat, &self.optimized_query, &cfg, &mut sink)?;
         let (dist, bdd) = answer.marginals_bdd_traced()?;
         let mut report = self.report::<PcTable<W>>(sink, t0);
         report.bdd = Some(bdd);
@@ -318,20 +262,17 @@ impl Prepared {
         self.optimize_stats
     }
 
-    /// The one execution path: checks `src` against the prepared schema,
+    /// The one execution path: checks `cat` against the prepared schema,
     /// then runs `q` through the backend's evaluator.
     fn run<B: Backend, S: TraceSink>(
         &self,
-        src: Source<'_, B>,
+        cat: &Catalog<B>,
         q: &Query,
         cfg: &ExecConfig,
         sink: &mut S,
     ) -> Result<B::Output, EngineError> {
-        match src {
-            Source::Input(input) => self.check_arity(input)?,
-            Source::Catalog(cat) => self.check_catalog(cat)?,
-        }
-        B::execute(src, q, cfg, sink)
+        self.check_catalog(cat)?;
+        B::execute(cat, q, cfg, sink)
     }
 
     /// Wraps an executed operator tree into a [`QueryReport`] with this
@@ -344,24 +285,6 @@ impl Prepared {
             optimize: self.optimize_stats,
             bdd: None,
         }
-    }
-
-    fn check_arity<B: Backend>(&self, input: &B) -> Result<(), EngineError> {
-        let expected = match self.schema.arity_of(Schema::INPUT) {
-            Some(a) => a,
-            // Prepared over a purely named schema: a bare input has no
-            // name to bind to — same error a `V` leaf would report.
-            None => {
-                return Err(EngineError::Rel(ipdb_rel::RelError::UnknownRelation {
-                    name: Schema::INPUT.to_string(),
-                }))
-            }
-        };
-        let got = input.input_arity();
-        if got != expected {
-            return Err(EngineError::InputArityMismatch { expected, got });
-        }
-        Ok(())
     }
 
     fn check_catalog<B: Backend>(&self, cat: &Catalog<B>) -> Result<(), EngineError> {
@@ -389,7 +312,8 @@ impl Prepared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipdb_rel::{instance, Instance};
+    use ipdb_rel::{instance, Instance, RelError};
+    use ipdb_tables::TableError;
 
     #[test]
     fn prepare_text_and_execute() {
@@ -398,12 +322,14 @@ mod tests {
             .prepare_text("pi[1](sigma[and(#0=1,#1=#3)](V x V))", 2)
             .unwrap();
         assert_eq!(stmt.input_arity(), Some(2));
-        assert!(stmt.has_input());
         assert_eq!(stmt.output_arity(), 1);
-        let i = instance![[1, 10], [2, 10], [2, 20]];
-        let out = stmt.execute(&i).unwrap();
+        let cat = Catalog::single(instance![[1, 10], [2, 10], [2, 20]]);
+        let out = stmt.execute_catalog(&cat).unwrap();
         assert_eq!(out, instance![[10]]);
-        assert_eq!(out, stmt.execute_naive(&i).unwrap());
+        assert_eq!(
+            out,
+            Instance::run_catalog(&cat, stmt.naive_query()).unwrap()
+        );
     }
 
     #[test]
@@ -430,9 +356,13 @@ mod tests {
         let text = stmt.explain();
         assert!(text.contains("join[#0=#2]"), "explain was:\n{text}");
         assert!(!format!("{:?}", stmt.plan()).contains("Product"));
-        let i = instance![[1, 10], [2, 20], [1, 30]];
-        assert_eq!(stmt.execute(&i).unwrap(), stmt.execute_naive(&i).unwrap());
-        assert_eq!(stmt.execute(&i).unwrap().len(), 5);
+        let cat = Catalog::single(instance![[1, 10], [2, 20], [1, 30]]);
+        let out = stmt.execute_catalog(&cat).unwrap();
+        assert_eq!(
+            out,
+            Instance::run_catalog(&cat, stmt.naive_query()).unwrap()
+        );
+        assert_eq!(out.len(), 5);
     }
 
     #[test]
@@ -441,17 +371,51 @@ mod tests {
         assert!(stmt.explain().contains("(unchanged)"));
     }
 
-    #[test]
-    fn arity_mismatch_is_rejected_at_execute() {
-        let stmt = Engine::new().prepare_text("V", 2).unwrap();
-        let narrow = Instance::empty(1);
+    /// The one input check, on one backend: `narrow` is an arity-1
+    /// relation, run as the `{V}` catalog.
+    fn check_single_input<B: Backend>(narrow: B)
+    where
+        B::Output: std::fmt::Debug,
+    {
+        let cat = Catalog::single(narrow);
+        let wide = Engine::new().prepare_text("V", 2).unwrap();
         assert_eq!(
-            stmt.execute(&narrow),
-            Err(EngineError::InputArityMismatch {
+            wide.execute_catalog(&cat).unwrap_err(),
+            EngineError::RelationArity {
+                name: "V".into(),
                 expected: 2,
                 got: 1
-            })
+            }
         );
+        let named = Engine::new()
+            .prepare_text_schema("R x S", &Schema::new([("R", 1), ("S", 1)]).unwrap())
+            .unwrap();
+        assert_eq!(
+            named.execute_catalog(&cat).unwrap_err(),
+            EngineError::MissingRelation { name: "R".into() }
+        );
+        // The c-table executor reports lookups through `TableError`.
+        let second = B::run_catalog(&cat, &Query::Second).unwrap_err();
+        assert!(
+            matches!(
+                second,
+                EngineError::Rel(RelError::NoSecondInput)
+                    | EngineError::Table(TableError::Rel(RelError::NoSecondInput))
+            ),
+            "{second:?}"
+        );
+    }
+
+    #[test]
+    fn arity_mismatch_is_rejected_at_execute() {
+        use ipdb_prob::{PcTable, Rat};
+        use ipdb_tables::CTable;
+
+        let narrow = instance![[1]];
+        let ct = CTable::from_instance(&narrow);
+        check_single_input(PcTable::<Rat>::new(ct.clone(), []).unwrap());
+        check_single_input(ct);
+        check_single_input(narrow);
     }
 
     #[test]
@@ -469,20 +433,17 @@ mod tests {
         assert_eq!(stmt.schema(), &schema);
         assert_eq!(stmt.output_arity(), 4);
         // No V in this schema: the classic accessor says so (`None`,
-        // not a fake arity 0) and single-input execution errors
-        // gracefully.
+        // not a fake arity 0) and a lone input errors gracefully.
         assert_eq!(stmt.input_arity(), None);
-        assert!(!stmt.has_input());
         // ... whereas a genuinely declared nullary `V` is `Some(0)`.
         let nullary = Engine::new()
             .prepare_schema(&Query::Input, &Schema::single(0))
             .unwrap();
         assert_eq!(nullary.input_arity(), Some(0));
-        assert!(nullary.has_input());
-        assert!(matches!(
-            stmt.execute(&instance![[1, 2]]),
-            Err(EngineError::Rel(ipdb_rel::RelError::UnknownRelation { .. }))
-        ));
+        assert_eq!(
+            stmt.execute_catalog(&Catalog::single(instance![[1, 2]])),
+            Err(EngineError::MissingRelation { name: "R".into() })
+        );
 
         let cat: Catalog<Instance> = [
             ("R", instance![[1, 2], [5, 6]]),
@@ -492,7 +453,10 @@ mod tests {
         .collect();
         let out = stmt.execute_catalog(&cat).unwrap();
         assert_eq!(out, instance![[1, 2, 1, 9]]);
-        assert_eq!(out, stmt.execute_catalog_naive(&cat).unwrap());
+        assert_eq!(
+            out,
+            Instance::run_catalog(&cat, stmt.naive_query()).unwrap()
+        );
 
         // Round-trip of the named surface text.
         let text = parser::render(stmt.naive_query());
@@ -525,10 +489,11 @@ mod tests {
             .prepare_text("sigma[#0=#1](V x V)", 1)
             .unwrap();
         let i = instance![[1], [2]];
-        let cat: Catalog<Instance> = [("V", i.clone())].into_iter().collect();
+        let cat = Catalog::single(i.clone());
+        assert_eq!(cat, [("V", i.clone())].into_iter().collect());
         assert_eq!(
             stmt.execute_catalog(&cat).unwrap(),
-            stmt.execute(&i).unwrap()
+            stmt.query().eval(&i).unwrap()
         );
     }
 
@@ -584,13 +549,14 @@ mod tests {
             .build()
             .unwrap();
         let pc = PcTable::new(t, [(x, dist()), (y, dist()), (z, dist())]).unwrap();
+        let cat = Catalog::single(pc);
         let stmt = Engine::new().prepare_text("sigma[#0!=1](V)", 1).unwrap();
         assert_eq!(
-            stmt.answer_dist(&pc),
+            stmt.answer_dist_catalog(&cat),
             Err(EngineError::Prob(ProbError::Overflow))
         );
         assert_eq!(
-            stmt.answer_dist_enum(&pc),
+            stmt.answer_dist_catalog_enum(&cat),
             Err(EngineError::Prob(ProbError::Overflow))
         );
     }
@@ -638,12 +604,11 @@ mod tests {
         let stmt = Engine::new()
             .prepare_text("pi[1](sigma[and(#0=1,#1=#3)](V x V))", 2)
             .unwrap();
-        let i = instance![[1, 10], [2, 10], [2, 20]];
-        let cat: Catalog<Instance> = [("V", i.clone())].into_iter().collect();
+        let cat = Catalog::single(instance![[1, 10], [2, 10], [2, 20]]);
         let (out, report) = stmt
             .execute_catalog_analyzed(&cat, &ExecConfig::from_env())
             .unwrap();
-        assert_eq!(out, stmt.execute(&i).unwrap());
+        assert_eq!(out, stmt.execute_catalog(&cat).unwrap());
         assert_eq!(report.backend, "instance");
         // The caller's clock wraps the operator tree's.
         assert!(report.root.ns <= report.total_ns);
@@ -662,7 +627,7 @@ mod tests {
         assert!(text.contains("rows:"), "{text}");
 
         // Arity mismatches reject before any execution, as in execute.
-        let narrow: Catalog<Instance> = [("V", Instance::empty(1))].into_iter().collect();
+        let narrow = Catalog::single(Instance::empty(1));
         assert!(matches!(
             stmt.execute_catalog_analyzed(&narrow, &ExecConfig::serial()),
             Err(EngineError::RelationArity { .. })
@@ -719,9 +684,9 @@ mod tests {
         let stmt = Engine::new()
             .prepare_text("sigma[#0!=1](V union {(9)})", 1)
             .unwrap();
-        let cat: Catalog<PcTable<Rat>> = [("V", pc.clone())].into_iter().collect();
+        let cat: Catalog<PcTable<Rat>> = Catalog::single(pc);
         let (dist, report) = stmt.answer_dist_catalog_analyzed(&cat).unwrap();
-        assert_eq!(dist, stmt.answer_dist(&pc).unwrap());
+        assert_eq!(dist, stmt.answer_dist_catalog(&cat).unwrap());
         assert_eq!(report.backend, "pc-table");
         let bdd = report.bdd.expect("probabilistic reports carry BDD stats");
         assert!(bdd.nodes_allocated > 0);
@@ -745,20 +710,20 @@ mod tests {
             .unwrap();
         let uniform =
             |n: i64| FiniteSpace::new((0..n).map(|i| (Value::from(i), rat!(1, n)))).unwrap();
-        let pc = PcTable::new(t, [(x, uniform(3)), (y, uniform(3))]).unwrap();
+        let cat = Catalog::single(PcTable::new(t, [(x, uniform(3)), (y, uniform(3))]).unwrap());
         let stmt = Engine::new()
             .prepare_text("sigma[#0!=1](V union {(9)})", 1)
             .unwrap();
-        let bdd = stmt.answer_dist(&pc).unwrap();
-        assert_eq!(bdd, stmt.answer_dist_enum(&pc).unwrap());
+        let bdd = stmt.answer_dist_catalog(&cat).unwrap();
+        assert_eq!(bdd, stmt.answer_dist_catalog_enum(&cat).unwrap());
         // (9) is certain via the literal; (0) and (2) carry P[x=i] = 1/3.
         assert!(bdd.contains(&(tuple![9], rat!(1))));
         assert!(bdd.contains(&(tuple![0], rat!(1, 3))));
         // Arity mismatches are caught before any compilation.
         let stmt2 = Engine::new().prepare_text("V", 2).unwrap();
         assert!(matches!(
-            stmt2.answer_dist(&pc),
-            Err(EngineError::InputArityMismatch { .. })
+            stmt2.answer_dist_catalog(&cat),
+            Err(EngineError::RelationArity { .. })
         ));
     }
 }

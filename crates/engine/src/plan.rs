@@ -78,15 +78,6 @@ impl Plan {
         Plan::build(q, &Schema::single(input_arity))
     }
 
-    /// Builds a plan in a two-relation context (`V` and `W`).
-    pub fn from_query2(
-        q: &Query,
-        input_arity: usize,
-        second_arity: usize,
-    ) -> Result<Plan, EngineError> {
-        Plan::build(q, &Schema::pair(input_arity, second_arity))
-    }
-
     /// Builds a plan over an arbitrary named [`Schema`]; `Input`/`Second`
     /// resolve as the reserved names `V`/`W`.
     pub fn from_query_schema(q: &Query, schema: &Schema) -> Result<Plan, EngineError> {
@@ -408,7 +399,12 @@ mod tests {
         let mix = Query::union(Query::Input, Query::Lit(instance![[1]]));
         assert!(Plan::from_query(&mix, 2).is_err());
         assert!(Plan::from_query(&Query::Second, 2).is_err());
-        assert_eq!(Plan::from_query2(&Query::Second, 2, 4).unwrap().arity, 4);
+        assert_eq!(
+            Plan::from_query_schema(&Query::Second, &Schema::pair(2, 4))
+                .unwrap()
+                .arity,
+            4
+        );
         let sel = Query::select(Query::Input, Pred::eq_cols(0, 7));
         assert!(Plan::from_query(&sel, 2).is_err());
     }

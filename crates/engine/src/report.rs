@@ -230,7 +230,9 @@ pub struct QueryReport {
     pub root: OpReport,
     /// End-to-end nanoseconds as measured by the caller — covers the
     /// operator tree *plus* final result materialization, so it is
-    /// always ≥ `root.ns`.
+    /// always ≥ `root.ns`. On the probabilistic path
+    /// (`answer_dist_catalog_analyzed`) it also covers BDD compilation
+    /// and weighted model counting of the answer tuples.
     pub total_ns: u64,
     /// What the plan optimizer did when the query was prepared.
     pub optimize: OptimizeStats,

@@ -546,7 +546,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Source;
     use crate::report::TraceSink;
     use ipdb_rel::{instance, Instance, Query};
 
@@ -639,7 +638,7 @@ mod tests {
             1
         }
         fn execute<S: TraceSink>(
-            _: Source<'_, Fuse>,
+            _: &Catalog<Fuse>,
             q: &Query,
             _: &ExecConfig,
             _: &mut S,

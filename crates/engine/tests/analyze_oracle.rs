@@ -78,7 +78,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Instance backend: `execute_catalog_analyzed` equals
-    /// `execute_catalog_cfg` (and `execute`) for every sweep
+    /// `execute_catalog_cfg` (and `execute_catalog`) for every sweep
     /// configuration, metrics off and on, and the report is consistent.
     #[test]
     fn analyzed_instance_matches_plain_across_configs(
@@ -86,8 +86,8 @@ proptest! {
         i in arb_instance(2, 6, 3),
     ) {
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let expected = stmt.execute(&i).unwrap();
-        let cat: Catalog<_> = [("V", i)].into_iter().collect();
+        let cat = Catalog::single(i);
+        let expected = stmt.execute_catalog(&cat).unwrap();
         for (threads, morsel_rows) in EXEC_SWEEP {
             for metrics in [false, true] {
                 let cfg = ExecConfig { threads, morsel_rows, metrics };
@@ -120,8 +120,8 @@ proptest! {
         t in arb_finite_ctable(2, 3, 3, 2),
     ) {
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let expected = stmt.execute(&t).unwrap();
-        let cat: Catalog<_> = [("V", t)].into_iter().collect();
+        let cat = Catalog::single(t);
+        let expected = stmt.execute_catalog(&cat).unwrap();
         let (out, report) = stmt.execute_catalog_analyzed(&cat, &ExecConfig::from_env()).unwrap();
         prop_assert_eq!(&out, &expected, "analyzed c-table run diverged on {}", q);
         prop_assert_eq!(report.backend, "c-table");
@@ -136,10 +136,9 @@ proptest! {
         q in arb_query(2, 2, 3, 3),
         t in arb_finite_ctable(2, 2, 2, 1),
     ) {
-        let pc = uniform_pctable(&t);
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let expected = stmt.answer_dist(&pc).unwrap();
-        let cat: Catalog<_> = [("V", pc)].into_iter().collect();
+        let cat = Catalog::single(uniform_pctable(&t));
+        let expected = stmt.answer_dist_catalog(&cat).unwrap();
         let (dist, report) = stmt.answer_dist_catalog_analyzed(&cat).unwrap();
         prop_assert_eq!(&dist, &expected, "analyzed answer_dist diverged on {}", q);
         prop_assert_eq!(report.backend, "pc-table");
@@ -161,9 +160,8 @@ proptest! {
         q in arb_query(2, 2, 3, 3),
         i in arb_instance(2, 6, 3),
     ) {
-        use ipdb_rel::Instance;
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let cat: Catalog<Instance> = [("V", i.clone())].into_iter().collect();
+        let cat = Catalog::single(i);
         let expected = stmt.execute_catalog(&cat).unwrap();
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };

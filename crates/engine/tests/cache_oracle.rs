@@ -245,7 +245,8 @@ fn lru_capacity_one_evicts_and_drops_aliases() {
         "evicted plan resurfaced from a stale alias"
     );
     assert_eq!(
-        b1.execute(&instance![[4, 5], [6, 7]]).unwrap(),
+        b1.execute_catalog(&Catalog::single(instance![[4, 5], [6, 7]]))
+            .unwrap(),
         instance![[4], [6]]
     );
 }

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ipdb_engine::{Backend, Catalog, Engine, ExecConfig, NoTrace, Plan, PlanNode, Schema, Source};
+use ipdb_engine::{Backend, Catalog, Engine, ExecConfig, NoTrace, Plan, PlanNode, Schema};
 use ipdb_logic::{Valuation, Var};
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{
@@ -164,7 +164,11 @@ proptest! {
             "σ(×) with spanning keys should plan to a Join (or fold away):\n{}",
             stmt.explain()
         );
-        prop_assert_eq!(stmt.execute(&i).unwrap(), stmt.execute_naive(&i).unwrap());
+        let cat = Catalog::single(i);
+        prop_assert_eq!(
+            stmt.execute_catalog(&cat).unwrap(),
+            Instance::run_catalog(&cat, stmt.naive_query()).unwrap()
+        );
     }
 }
 
@@ -182,7 +186,7 @@ proptest! {
         let jt = t.eval_query(&join).unwrap();
         let nt = t.eval_query(&naive).unwrap();
         let stmt = Engine::new().prepare(&join, 2).unwrap();
-        let pruned = stmt.execute_naive(&t).unwrap();
+        let pruned = CTable::run_catalog(&Catalog::single(t.clone()), stmt.naive_query()).unwrap();
         for nu in all_valuations(&t) {
             let world = t.apply_valuation(&nu).unwrap();
             let expect = naive.eval(&world).unwrap();
@@ -245,7 +249,7 @@ proptest! {
             "optimized catalog plan diverged on {}", q
         );
         prop_assert_eq!(
-            stmt.execute_catalog_naive(&cat).unwrap(),
+            Instance::run_catalog(&cat, stmt.naive_query()).unwrap(),
             direct,
             "naive catalog plan diverged on {}", q
         );
@@ -266,7 +270,7 @@ proptest! {
         let stmt = Engine::new().prepare_schema(&q, &s).unwrap();
         let cat = catalog_of(&schema, [&t0, &t1, &t2]);
         let optimized = stmt.execute_catalog(&cat).unwrap();
-        let naive = stmt.execute_catalog_naive(&cat).unwrap();
+        let naive = CTable::run_catalog(&cat, stmt.naive_query()).unwrap();
         let mut domains: BTreeMap<Var, Domain> = BTreeMap::new();
         for (_, t) in cat.iter() {
             domains.extend(t.domains().clone());
@@ -302,8 +306,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// Runs `q` on the instance backend's executor with an explicit config.
-fn run_with(i: &Instance, q: &Query, cfg: &ExecConfig) -> Instance {
-    Instance::execute(Source::Input(i), q, cfg, &mut NoTrace).unwrap()
+fn run_with(cat: &Catalog<Instance>, q: &Query, cfg: &ExecConfig) -> Instance {
+    Instance::execute(cat, q, cfg, &mut NoTrace).unwrap()
 }
 
 /// The (threads, morsel_rows) grid every determinism property sweeps.
@@ -332,11 +336,11 @@ proptest! {
     ) {
         let expected = q.eval(&i).unwrap();
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let cat: Catalog<_> = [("V", i.clone())].into_iter().collect();
+        let cat = Catalog::single(i);
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
             prop_assert_eq!(
-                run_with(&i, stmt.naive_query(), &cfg),
+                run_with(&cat, stmt.naive_query(), &cfg),
                 expected.clone(),
                 "naive plan diverged at threads={} morsel={} on {}", threads, morsel_rows, q
             );
@@ -358,10 +362,11 @@ proptest! {
         let (join, naive) = join_and_oracle(l, r, on, residual);
         let expected = naive.eval(&i).unwrap();
         let stmt = Engine::new().prepare(&join, 2).unwrap();
+        let cat = Catalog::single(i);
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
             prop_assert_eq!(
-                run_with(&i, stmt.naive_query(), &cfg),
+                run_with(&cat, stmt.naive_query(), &cfg),
                 expected.clone(),
                 "join {} diverged at threads={} morsel={}", join, threads, morsel_rows
             );
@@ -420,7 +425,7 @@ proptest! {
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
             prop_assert_eq!(
-                Instance::execute(Source::Catalog(&cat), &q, &cfg, &mut NoTrace).unwrap(),
+                run_with(&cat, &q, &cfg),
                 expected.clone(),
                 "morsel join {} diverged at threads={} morsel={}", q, threads, morsel_rows
             );
@@ -487,11 +492,11 @@ proptest! {
         t in arb_finite_ctable(2, 2, 2, 1),
     ) {
         let (join, naive) = join_and_oracle(l, r, on, residual);
-        let pc = uniform_pctable(&t);
+        let cat = Catalog::single(uniform_pctable(&t));
         let stmt_join = Engine::new().prepare(&join, 2).unwrap();
         let stmt_naive = Engine::new().prepare(&naive, 2).unwrap();
-        let dj = stmt_join.execute_naive(&pc).unwrap().mod_space().unwrap();
-        let dn = stmt_naive.execute_naive(&pc).unwrap().mod_space().unwrap();
+        let dj = PcTable::run_catalog(&cat, stmt_join.naive_query()).unwrap().mod_space().unwrap();
+        let dn = PcTable::run_catalog(&cat, stmt_naive.naive_query()).unwrap().mod_space().unwrap();
         prop_assert!(
             dj.same_distribution(&dn),
             "join {} and naive {} induced different distributions", join, naive

@@ -1,10 +1,11 @@
 //! Differential probability oracle: the BDD fast path against valuation
 //! enumeration.
 //!
-//! `Prepared::answer_dist` computes answer distributions by compiling
-//! every answer tuple's presence condition under the finite-domain
-//! ladder encoding and weighted-model-counting it;
-//! `Prepared::answer_dist_enum` walks the §8 valuation product space.
+//! `Prepared::answer_dist_catalog` computes answer distributions by
+//! compiling every answer tuple's presence condition under the
+//! finite-domain ladder encoding and weighted-model-counting it;
+//! `Prepared::answer_dist_catalog_enum` walks the §8 valuation product
+//! space. A single pc-table runs as the catalog `{V: pc}`.
 //! For exact rational weights the two must agree *exactly* — any
 //! discrepancy in the value cubes, the conditional level weights, or
 //! WMC's handling of skipped levels shows up as a distribution mismatch
@@ -18,7 +19,7 @@
 
 use proptest::prelude::*;
 
-use ipdb_engine::{Catalog, Engine, Schema};
+use ipdb_engine::{Backend, Catalog, Engine, Schema};
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{arb_catalog_case, arb_query};
 use ipdb_rel::{Query, Tuple, Value};
@@ -59,10 +60,10 @@ proptest! {
         q in arb_query(2, 2, 3, 2),
         t in arb_finite_ctable(2, 3, 3, 3),
     ) {
-        let pc = skewed_pctable(&t);
+        let cat = Catalog::single(skewed_pctable(&t));
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let bdd = stmt.answer_dist(&pc).unwrap();
-        let brute = stmt.answer_dist_enum(&pc).unwrap();
+        let bdd = stmt.answer_dist_catalog(&cat).unwrap();
+        let brute = stmt.answer_dist_catalog_enum(&cat).unwrap();
         prop_assert_eq!(bdd, brute, "query {}", q);
     }
 
@@ -83,7 +84,7 @@ proptest! {
 
     /// Engine executor vs plain Theorem 9 closure: the pruning,
     /// ground-column-vectorized executor (`Backend::execute`, behind
-    /// `Prepared::execute_naive`) induces exactly the same answer
+    /// `Backend::run_catalog`) induces exactly the same answer
     /// distribution as the term-at-a-time `PcTable::eval_query` —
     /// pruning a row and dropping a marginalized variable must never
     /// change the induced distribution.
@@ -94,8 +95,11 @@ proptest! {
     ) {
         let pc = skewed_pctable(&t);
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let run = stmt.execute_naive(&pc).unwrap().mod_space().unwrap();
         let plain = pc.eval_query(&q).unwrap().mod_space().unwrap();
+        let run = PcTable::run_catalog(&Catalog::single(pc), stmt.naive_query())
+            .unwrap()
+            .mod_space()
+            .unwrap();
         prop_assert!(
             run.same_distribution(&plain),
             "executor changed the distribution of {}", q
@@ -109,11 +113,11 @@ proptest! {
         q in arb_query(2, 2, 2, 2),
         t in arb_finite_ctable(2, 2, 2, 1),
     ) {
-        let pc = skewed_pctable(&t);
+        let cat = Catalog::single(skewed_pctable(&t));
         let stmt = Engine::new().prepare(&q, 2).unwrap();
         prop_assert_eq!(
-            stmt.answer_dist(&pc).unwrap(),
-            stmt.execute_naive(&pc).unwrap().marginals_bdd().unwrap(),
+            stmt.answer_dist_catalog(&cat).unwrap(),
+            PcTable::run_catalog(&cat, stmt.naive_query()).unwrap().marginals_bdd().unwrap(),
             "query {}", q
         );
     }
@@ -149,7 +153,7 @@ proptest! {
         );
         prop_assert_eq!(
             bdd,
-            on.execute_catalog_naive(&cat).unwrap().marginals_bdd().unwrap(),
+            PcTable::run_catalog(&cat, on.naive_query()).unwrap().marginals_bdd().unwrap(),
             "optimizer changed the catalog distribution of {}", q
         );
     }

@@ -14,7 +14,8 @@
 use proptest::prelude::*;
 
 use ipdb_engine::{
-    optimize, optimize_plan, optimize_plan_stats, parser, rewrite_pass, Engine, Plan,
+    optimize, optimize_plan, optimize_plan_stats, parser, rewrite_pass, Backend, Catalog, Engine,
+    Plan, Prepared,
 };
 use ipdb_logic::{Valuation, Var};
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
@@ -22,6 +23,16 @@ use ipdb_rel::strategies::{arb_instance, arb_query};
 use ipdb_rel::{CmpOp, Instance, Operand, Pred, Query, Schema, Value};
 use ipdb_tables::strategies::arb_finite_ctable;
 use ipdb_tables::CTable;
+
+/// Runs `stmt`'s optimized and naive plans on the single input
+/// `{V: input}`.
+fn optimized_and_naive<B: Backend>(stmt: &Prepared, input: B) -> (B::Output, B::Output) {
+    let cat = Catalog::single(input);
+    (
+        stmt.execute_catalog(&cat).unwrap(),
+        B::run_catalog(&cat, stmt.naive_query()).unwrap(),
+    )
+}
 
 /// Every total valuation of the table's variables over their finite
 /// domains (the c-table analogue of "all possible worlds").
@@ -230,7 +241,8 @@ proptest! {
         let passes = passes_with_exact_flags(plan.clone());
         prop_assert_eq!(passes, optimize_plan_stats(&plan).1.passes);
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        prop_assert_eq!(stmt.execute(&i).unwrap(), stmt.execute_naive(&i).unwrap());
+        let (optimized, naive) = optimized_and_naive(&stmt, i);
+        prop_assert_eq!(optimized, naive);
     }
 
     /// Acceptance criterion: the canonical surface syntax round-trips
@@ -274,7 +286,8 @@ proptest! {
         i in arb_instance(2, 4, 3),
     ) {
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        prop_assert_eq!(stmt.execute(&i).unwrap(), stmt.execute_naive(&i).unwrap());
+        let (optimized, naive) = optimized_and_naive(&stmt, i);
+        prop_assert_eq!(optimized, naive);
     }
 }
 
@@ -289,8 +302,7 @@ proptest! {
         t in arb_finite_ctable(2, 3, 3, 2),
     ) {
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let naive = stmt.execute_naive(&t).unwrap();
-        let optimized = stmt.execute(&t).unwrap();
+        let (optimized, naive) = optimized_and_naive(&stmt, t.clone());
         for nu in all_valuations(&t) {
             prop_assert_eq!(
                 naive.apply_valuation(&nu).unwrap(),
@@ -309,8 +321,8 @@ proptest! {
     ) {
         let pc = uniform_pctable(&t);
         let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let naive = stmt.execute_naive(&pc).unwrap().mod_space().unwrap();
-        let optimized = stmt.execute(&pc).unwrap().mod_space().unwrap();
+        let (optimized, naive) = optimized_and_naive(&stmt, pc);
+        let (optimized, naive) = (optimized.mod_space().unwrap(), naive.mod_space().unwrap());
         prop_assert!(
             naive.same_distribution(&optimized),
             "query {} produced different distributions", q

@@ -47,7 +47,10 @@ fn main() {
         .build()
         .expect("well-formed table");
     println!("Example 2 c-table S:\n{s}");
-    let answer = stmt.execute(&s).expect("closed under q̄ (Thm 4)");
+    // A single input runs as the catalog `{V: input}`.
+    let answer = stmt
+        .execute_catalog(&Catalog::single(s))
+        .expect("closed under q̄ (Thm 4)");
     println!("q̄(S), conditions simplified and false rows pruned:\n{answer}");
 
     // ------------------------------------------------------------------
@@ -101,7 +104,10 @@ fn main() {
     let stmt2 = engine.prepare_text(who, 2).expect("well-typed at arity 2");
     println!("query: {who}");
     println!("{}", stmt2.explain());
-    let out = stmt2.execute(&pc).expect("closed under q̄ (Thm 9)");
+    let pc_cat = Catalog::single(pc);
+    let out = stmt2
+        .execute_catalog(&pc_cat)
+        .expect("closed under q̄ (Thm 9)");
     println!("answer pc-table:\n{out}");
     let m = out.mod_space().expect("finite distributions");
     println!(
@@ -112,7 +118,7 @@ fn main() {
 
     // The optimized and naive plans agree on every backend — here,
     // exactly, as distributions (Theorem 9 + soundness of the rewrites).
-    let naive = stmt2.execute_naive(&pc).expect("naive evaluation");
+    let naive = PcTable::run_catalog(&pc_cat, stmt2.naive_query()).expect("naive evaluation");
     assert!(m.same_distribution(&naive.mod_space().expect("finite")));
     println!("optimized ≡ naive on the pc-table backend ✓");
 
@@ -149,17 +155,15 @@ fn main() {
     // pass a reporting one and also return a `QueryReport` — the
     // executed operator tree annotated with exact row counts,
     // selectivities, and wall-clock timings, plus BDD-manager counters
-    // on the probabilistic path. A single input runs as the `{V: input}`
-    // catalog. (`IPDB_METRICS=1` further streams engine-wide counters
-    // into the global `ipdb::obs` registry; the reports below need no
-    // flag.)
+    // on the probabilistic path. (`IPDB_METRICS=1` further streams
+    // engine-wide counters into the global `ipdb::obs` registry; the
+    // reports below need no flag.)
     // ------------------------------------------------------------------
     let (analyzed, report) = joined
         .execute_catalog_analyzed(&cat, &ExecConfig::default())
         .expect("schema matches catalog");
     assert_eq!(analyzed, passed_what_they_take);
     println!("\n{}", report.render());
-    let pc_cat: Catalog<PcTable<Rat>> = [("V", pc)].into_iter().collect();
     let (dist, prob_report) = stmt2
         .answer_dist_catalog_analyzed(&pc_cat)
         .expect("finite distributions");
