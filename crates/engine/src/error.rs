@@ -6,7 +6,7 @@ use ipdb_prob::ProbError;
 use ipdb_rel::RelError;
 use ipdb_tables::TableError;
 
-/// Errors raised by parsing, planning, optimization, or execution.
+/// Errors raised by parsing, checking, optimization, or execution.
 // No `Eq`: `ProbError` wraps weights that are only `PartialEq`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
@@ -29,13 +29,13 @@ pub enum EngineError {
         /// Arity of the join's right operand.
         right: usize,
     },
-    /// A `Join` plan node with an empty `on` list. A join without key
-    /// pairs is just a filtered product — write `sigma(... x ...)` so the
-    /// plan says what it executes.
+    /// A `Join` node with an empty `on` list. A join without key pairs
+    /// is just a filtered product — write `sigma(... x ...)` so the query
+    /// says what it executes.
     EmptyJoinOn,
     /// A `Query::Rel` leaf whose name is not a valid surface-syntax
-    /// relation name (identifier, not reserved). Rejected at plan build
-    /// so every prepared statement renders to re-parseable text.
+    /// relation name (identifier, not reserved). Rejected by the schema
+    /// check so every prepared statement renders to re-parseable text.
     BadRelationName {
         /// The offending name.
         name: String,
@@ -110,9 +110,15 @@ impl From<RelError> for EngineError {
     }
 }
 
+/// A relational error inside the c-table algebra (a missing relation, a
+/// bad column) surfaces as [`EngineError::Rel`], as it does on the
+/// instance backend, so every backend reports it the same way.
 impl From<TableError> for EngineError {
     fn from(e: TableError) -> Self {
-        EngineError::Table(e)
+        match e {
+            TableError::Rel(e) => EngineError::Rel(e),
+            e => EngineError::Table(e),
+        }
     }
 }
 

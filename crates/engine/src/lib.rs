@@ -9,9 +9,10 @@
 //!    (`pi`, `sigma`, `join`, `x`, `union`, `diff`, `intersect`, 0-based
 //!    column refs `#i`, relation literals) producing the [`Query`] AST,
 //!    with a canonical renderer such that `parse(render(q)) == q`;
-//! 2. **plan** ([`plan`]) — an arity-annotated logical plan IR,
-//!    well-typed by construction (join key pairs must span the join's
-//!    operands, and are deduplicated);
+//! 2. **check** ([`optimize()`], against a [`Schema`]) — column
+//!    references, arities and relation names must agree with the schema,
+//!    and join key pairs must span the join's operands (they are
+//!    normalized and deduplicated); only checked queries are rewritten;
 //! 3. **optimize** ([`optimize()`]) — rule-based rewrites (selection
 //!    pushdown, predicate fusion, **equijoin recognition** turning
 //!    `σ_eq(a × b)` into a hash-executed `Join` node, projection
@@ -22,7 +23,7 @@
 //!    [`Instance`](ipdb_rel::Instance), [`CTable`](ipdb_tables::CTable)
 //!    (with [`simplified`](ipdb_tables::CTable::simplified) condition
 //!    pruning), and [`PcTable`](ipdb_prob::PcTable), so one prepared
-//!    plan runs under all three semantics. Joins hash on their key
+//!    query runs under all three semantics. Joins hash on their key
 //!    columns: instances bucket the build side outright, while c-/pc-
 //!    tables bucket the rows whose key columns are *ground* and fall
 //!    back to condition-conjunction pairing for rows with variable keys,
@@ -69,7 +70,7 @@
 //! let q = parser::parse("pi[0](sigma[and(#1=#2, #3!=7)](V x V))").unwrap();
 //! assert_eq!(parser::parse(&parser::render(&q)).unwrap(), q);
 //!
-//! // Prepare once (plan + optimize), execute on any backend. A single
+//! // Prepare once (check + optimize), execute on any backend. A single
 //! // input runs as the catalog `{V: input}`.
 //! let stmt = Engine::new().prepare(&q, 2).unwrap();
 //! let chain = Catalog::single(instance![[1, 2], [2, 3]]);
@@ -87,9 +88,9 @@
 //! let stmt = Engine::new().prepare_text("sigma[#0=#2](V x V)", 2).unwrap();
 //! assert!(stmt.explain().contains("join[#0=#2]  (arity 4)"));
 //!
-//! // The explicit surface form prepares to the same plan.
+//! // The explicit surface form prepares to the same query.
 //! let explicit = Engine::new().prepare_text("join[#0=#2](V, V)", 2).unwrap();
-//! assert_eq!(explicit.plan(), stmt.plan());
+//! assert_eq!(explicit.query(), stmt.query());
 //! ```
 //!
 //! ## Named relations
@@ -146,7 +147,6 @@ pub mod morsel;
 pub mod optimize;
 pub mod parser;
 pub mod pipeline;
-pub mod plan;
 pub mod report;
 pub mod serve;
 
@@ -154,12 +154,9 @@ pub use backend::{Backend, Catalog};
 pub use cache::PlanCache;
 pub use error::EngineError;
 pub use morsel::ExecConfig;
-pub use optimize::{
-    optimize, optimize_in, optimize_plan, optimize_plan_stats, rewrite_pass, OptimizeStats,
-};
+pub use optimize::{optimize, OptimizeStats};
 pub use parser::{is_relation_name, parse, render};
 pub use pipeline::{Engine, Prepared};
-pub use plan::{Plan, PlanNode};
 pub use report::{NoTrace, OpReport, QueryReport, ReportSink, TraceSink};
 pub use serve::{
     Reply, Request, ServeError, Server, ServerConfig, Snapshot, SnapshotCatalog, Ticket,

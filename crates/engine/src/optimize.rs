@@ -1,4 +1,16 @@
-//! The rule-based plan optimizer.
+//! The rule-based optimizer: checks a [`Query`] against a [`Schema`],
+//! then rewrites it to a fixpoint.
+//!
+//! [`optimize`] checks before it rewrites. The check is the validation
+//! [`Query::arity_in`] performs plus three stricter rules: a `Rel` leaf
+//! must be a surface-syntax relation name
+//! ([`EngineError::BadRelationName`]), so every checked query renders to
+//! re-parseable text; a join needs at least one key pair
+//! ([`EngineError::EmptyJoinOn`]); and every pair must span the join's
+//! two operands ([`EngineError::JoinArity`]). Key pairs come out
+//! left-column-first with repeats dropped, so a checked join always
+//! hash-executes on at least one spanning key. The rewrites are private
+//! to this module, so only checked queries reach them.
 //!
 //! Rewrites applied (all are worldwise identities of the relational
 //! algebra, so they are sound on every backend — conventional instances,
@@ -10,74 +22,70 @@
 //!   side), and `×` (conjuncts split by the column ranges they touch,
 //!   with right-side conjuncts re-based);
 //! * **equijoin recognition** — `σ_{… ∧ #i=#j ∧ …}(a × b)` with `#i=#j`
-//!   spanning the product becomes a hash-executed
-//!   [`PlanNode::Join`]: spanning equality conjuncts (extracted
-//!   deterministically by [`Pred::split_equijoin`]) become the key list,
-//!   everything else stays as the join's residual. Selections above a
-//!   join fuse into its residual, and residual conjuncts that touch only
-//!   one operand are pushed down into it;
+//!   spanning the product becomes a hash-executed [`Query::Join`]:
+//!   spanning equality conjuncts (extracted deterministically by
+//!   [`Pred::split_equijoin`]) become the key list, everything else
+//!   stays as the join's residual. Selections above a join fuse into its
+//!   residual, and residual conjuncts that touch only one operand are
+//!   pushed down into it;
 //! * **projection pruning** — `π_cols(π_inner(e)) → π_{inner∘cols}(e)`
 //!   and identity projections dropped;
 //! * **dead-branch elimination** — `q − q → ∅`, `σ_false(e) → ∅`, and
 //!   empty-literal propagation through every operator;
 //! * **idempotent set ops** — `q ∪ q → q`, `q ∩ q → q`;
 //! * **constant folding** — any operator whose children are all literals
-//!   is evaluated at plan time.
+//!   is evaluated at optimization time.
 //!
-//! A pass ([`rewrite_pass`]) runs bottom-up over a plan it owns: it
-//! moves each child out, rewrites it, and moves the result back, so an
-//! operator no rule touches costs a move, not a copy. Every local rule
-//! reports whether it fired, and the pass reports whether any did, so
-//! the fixpoint loop stops at the first pass that reports no change —
-//! without keeping the previous plan to compare against. (Debug builds
-//! keep it anyway and assert that a pass reporting no change returned
-//! its input.)
+//! A pass runs bottom-up over a query it owns: it moves each child out
+//! of its box, rewrites it, and moves the result back, so an operator no
+//! rule touches costs a move, not a copy. Each node's output arity comes
+//! back up the recursion with it (leaf arities come from the schema), so
+//! the rules that need a width — pushdown through a product, empty
+//! literals of the right arity — read it without an annotated copy of
+//! the tree. Every local rule reports whether it fired, and the pass
+//! reports whether any did, so the fixpoint loop stops at the first pass
+//! that reports no change — without keeping the previous query to
+//! compare against. (Debug builds keep it anyway and assert that a pass
+//! reporting no change returned its input.)
 //!
 //! Upward effects (empty propagation, fusion) complete within one pass;
 //! downward effects (pushdown) descend one operator per pass, so the
-//! fixpoint loop is bounded using the plan's [`Query::depth`] measure
+//! fixpoint loop is bounded using the query's [`Query::depth`] measure
 //! rather than iterating blindly.
 
-use ipdb_rel::{CmpOp, Instance, Operand, Pred, Query, Schema};
+use ipdb_rel::{CmpOp, Instance, Operand, Pred, Query, RelError, Schema};
 
 use crate::error::EngineError;
-use crate::plan::{Plan, PlanNode};
+use crate::parser::{is_relation_name, render};
 
-/// Optimizes a query in a single-input context: plan, rewrite to
-/// fixpoint, lower back to an executable [`Query`].
-pub fn optimize(q: &Query, input_arity: usize) -> Result<Query, EngineError> {
-    Ok(optimize_plan(&Plan::from_query(q, input_arity)?).to_query())
-}
-
-/// Optimizes a query over an arbitrary named [`Schema`].
-pub fn optimize_in(q: &Query, schema: &Schema) -> Result<Query, EngineError> {
-    Ok(optimize_plan(&Plan::from_query_schema(q, schema)?).to_query())
-}
-
-/// Rewrites a plan to fixpoint.
+/// Checks `q` against `schema`, then rewrites it to fixpoint: the
+/// optimized query and what the fixpoint loop did.
 ///
-/// In debug builds, asserts that the pass bound derived from the plan's
-/// depth was actually sufficient — a rewrite that oscillates or
-/// descends slower than one level per pass is an optimizer bug, not a
-/// tuning matter. Use [`optimize_plan_stats`] to observe the pass count
-/// and convergence flag directly (the idempotence property
-/// `optimize_plan(optimize_plan(p)) == optimize_plan(p)` holds exactly
-/// when the loop converges, and is pinned by proptest).
-pub fn optimize_plan(plan: &Plan) -> Plan {
-    let (optimized, stats) = optimize_plan_stats(plan);
-    debug_assert!(
-        stats.converged,
-        "optimizer exhausted its fixpoint bound without converging \
-         ({} passes on a depth-{} plan)",
-        stats.passes,
-        plan.depth()
-    );
-    optimized
+/// In debug builds, asserts that the pass bound derived from the
+/// query's depth sufficed — a rewrite that oscillates or descends slower
+/// than one level per pass is an optimizer bug, not a tuning matter. So
+/// optimization is idempotent: a fixpoint re-optimizes to itself in one
+/// pass (pinned by proptest).
+pub fn optimize(q: &Query, schema: &Schema) -> Result<(Query, OptimizeStats), EngineError> {
+    let (naive, _) = check(q, schema)?;
+    Ok(fixpoint(naive, schema))
 }
 
-/// What [`optimize_plan`]'s fixpoint loop did: how many rewrite passes
-/// ran, and whether the loop reached a genuine fixpoint (a pass that
-/// changed nothing) before its bound ran out.
+/// [`optimize`], also returning the checked naive query and its output
+/// arity: `(naive, arity, optimized, stats)`, what
+/// [`Engine::prepare_schema`](crate::Engine::prepare_schema) keeps.
+pub(crate) fn check_and_optimize(
+    q: &Query,
+    schema: &Schema,
+) -> Result<(Query, usize, Query, OptimizeStats), EngineError> {
+    let (naive, arity) = check(q, schema)?;
+    let (optimized, stats) = fixpoint(naive.clone(), schema);
+    Ok((naive, arity, optimized, stats))
+}
+
+/// What the optimizer's fixpoint loop did: how many rewrite passes ran,
+/// and whether the loop reached a genuine fixpoint (a pass that changed
+/// nothing) before its bound ran out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizeStats {
     /// Number of rewrite passes executed (including the final no-op
@@ -85,206 +93,299 @@ pub struct OptimizeStats {
     pub passes: usize,
     /// Whether a no-op pass was observed within the bound. `false`
     /// means the bound was exhausted while rewrites were still firing —
-    /// the returned plan is sound (every rewrite is an identity) but
+    /// the returned query is sound (every rewrite is an identity) but
     /// possibly not fully optimized.
     pub converged: bool,
 }
 
-/// Rewrites a plan to fixpoint, reporting the pass counter and whether
-/// the bound sufficed (see [`OptimizeStats`]).
+/// Checks `q` against `schema` and returns the naive query with its join
+/// keys normalized, and the query's output arity (see the module docs
+/// for the rules).
+fn check(q: &Query, schema: &Schema) -> Result<(Query, usize), EngineError> {
+    let checked = match q {
+        Query::Input => (Query::Input, schema.resolve(Schema::INPUT)?),
+        Query::Second => (Query::Second, schema.resolve(Schema::SECOND)?),
+        Query::Rel(name) => {
+            if !is_relation_name(name) {
+                return Err(EngineError::BadRelationName { name: name.clone() });
+            }
+            (q.clone(), schema.resolve(name)?)
+        }
+        Query::Lit(i) => (q.clone(), i.arity()),
+        Query::Project(cols, c) => {
+            let (c, arity) = check(c, schema)?;
+            if let Some(&col) = cols.iter().find(|&&col| col >= arity) {
+                return Err(RelError::ColumnOutOfRange { col, arity }.into());
+            }
+            (Query::project(c, cols.clone()), cols.len())
+        }
+        Query::Select(p, c) => {
+            let (c, arity) = check(c, schema)?;
+            p.validate(arity)?;
+            (Query::select(c, p.clone()), arity)
+        }
+        Query::Product(a, b) => {
+            let ((a, la), (b, lb)) = (check(a, schema)?, check(b, schema)?);
+            (Query::product(a, b), la + lb)
+        }
+        Query::Join {
+            on,
+            residual,
+            left,
+            right,
+        } => {
+            let ((left, la), (right, lb)) = (check(left, schema)?, check(right, schema)?);
+            let on = join_keys(on, la, lb)?;
+            if let Some(p) = residual {
+                p.validate(la + lb)?;
+            }
+            (Query::join(left, right, on, residual.clone()), la + lb)
+        }
+        Query::Union(a, b) | Query::Diff(a, b) | Query::Intersect(a, b) => {
+            let ((a, la), (b, lb)) = (check(a, schema)?, check(b, schema)?);
+            if la != lb {
+                return Err(RelError::ArityMismatch {
+                    expected: la,
+                    got: lb,
+                }
+                .into());
+            }
+            let q = match q {
+                Query::Union(..) => Query::union(a, b),
+                Query::Diff(..) => Query::diff(a, b),
+                _ => Query::intersect(a, b),
+            };
+            (q, la)
+        }
+    };
+    Ok(checked)
+}
+
+/// A join's key pairs over operands of arities `la` and `lb`, checked
+/// and normalized: at least one pair ([`EngineError::EmptyJoinOn`]),
+/// each spanning the two operands ([`EngineError::JoinArity`]), left
+/// column first, repeats dropped.
+fn join_keys(
+    on: &[(usize, usize)],
+    la: usize,
+    lb: usize,
+) -> Result<Vec<(usize, usize)>, EngineError> {
+    if on.is_empty() {
+        return Err(EngineError::EmptyJoinOn);
+    }
+    let mut norm: Vec<(usize, usize)> = Vec::new();
+    for &(i, j) in on {
+        let (lo, hi) = (i.min(j), i.max(j));
+        // Spanning means lo addresses the left operand and hi the right
+        // one; report the column that lands on the wrong side.
+        let wrong_side = if hi >= la + lb || hi < la {
+            Some(hi)
+        } else if lo >= la {
+            Some(lo)
+        } else {
+            None
+        };
+        if let Some(col) = wrong_side {
+            return Err(EngineError::JoinArity {
+                col,
+                left: la,
+                right: lb,
+            });
+        }
+        if !norm.contains(&(lo, hi)) {
+            norm.push((lo, hi));
+        }
+    }
+    Ok(norm)
+}
+
+/// Rewrites a checked query to fixpoint, counting passes.
 ///
-/// The input is copied once; every pass then consumes the previous
-/// pass's plan. The loop stops at the first pass that reports no
-/// change, which certifies the fixpoint.
-pub fn optimize_plan_stats(plan: &Plan) -> (Plan, OptimizeStats) {
+/// Each pass consumes the previous pass's query. The loop stops at the
+/// first pass that reports no change, which certifies the fixpoint.
+fn fixpoint(q: Query, schema: &Schema) -> (Query, OptimizeStats) {
     // Each pass finishes all upward rewrites and moves pushed-down
     // selections at least one level, so `depth` passes reach the
     // fixpoint. (+2: one pass to observe stability, one for rewrites
     // enabled by the final pushdown step, e.g. fusing into a child
     // selection.) One pass past the bound reports whether the last
     // rewriting pass happened to land on the fixpoint; if that pass
-    // still rewrites, the loop ran out of budget and returns its plan
+    // still rewrites, the loop ran out of budget and returns its query
     // unconverged.
-    let bound = 2 * plan.depth() + 2;
-    let mut cur = plan.clone();
-    for passes in 1..=bound + 1 {
+    let bound = 2 * q.depth() + 2;
+    let mut cur = q;
+    let mut stats = OptimizeStats {
+        passes: 0,
+        converged: false,
+    };
+    while !stats.converged && stats.passes <= bound {
         #[cfg(debug_assertions)]
         let before = cur.clone();
-        let (next, changed) = rewrite_pass(cur);
+        let (next, _, changed) = rewrite_pass(cur, schema);
         #[cfg(debug_assertions)]
         assert!(
             changed || next == before,
-            "an optimizer pass reported no change but rewrote\n{}into\n{}",
-            before.render_tree(),
-            next.render_tree()
+            "an optimizer pass reported no change but rewrote\n{}\ninto\n{}",
+            render(&before),
+            render(&next)
         );
         cur = next;
-        if !changed {
-            return (
-                cur,
-                OptimizeStats {
-                    passes,
-                    converged: true,
-                },
-            );
-        }
+        stats.passes += 1;
+        stats.converged = !changed;
     }
-    (
-        cur,
-        OptimizeStats {
-            passes: bound + 1,
-            converged: false,
-        },
-    )
+    debug_assert!(
+        stats.converged,
+        "optimizer exhausted its fixpoint bound without converging \
+         ({} passes) on\n{}",
+        stats.passes,
+        render(&cur)
+    );
+    (cur, stats)
 }
 
-/// One bottom-up rewrite pass over an owned plan, and whether any rule
-/// fired: `false` exactly when the returned plan equals the input.
-pub fn rewrite_pass(plan: Plan) -> (Plan, bool) {
+/// One bottom-up rewrite pass over an owned, checked query: the
+/// rewritten query, its output arity, and whether any rule fired
+/// (`false` exactly when the returned query equals the input).
+fn rewrite_pass(mut q: Query, schema: &Schema) -> (Query, usize, bool) {
     let mut changed = false;
-    let mut child = |p: Box<Plan>| {
-        let (p, fired) = rewrite_pass(*p);
+    // Rewrites a child in its own box and returns its arity.
+    let mut child = |c: &mut Box<Query>| {
+        let (next, arity, fired) = rewrite_pass(std::mem::replace(&mut **c, Query::Input), schema);
+        **c = next;
         changed |= fired;
-        Box::new(p)
+        arity
     };
-    let node = match plan.node {
-        PlanNode::Project(cols, p) => PlanNode::Project(cols, child(p)),
-        PlanNode::Select(pred, p) => PlanNode::Select(pred, child(p)),
-        PlanNode::Product(a, b) => PlanNode::Product(child(a), child(b)),
-        PlanNode::Join {
-            on,
-            residual,
-            left,
-            right,
-        } => PlanNode::Join {
-            on,
-            residual,
-            left: child(left),
-            right: child(right),
-        },
-        PlanNode::Union(a, b) => PlanNode::Union(child(a), child(b)),
-        PlanNode::Diff(a, b) => PlanNode::Diff(child(a), child(b)),
-        PlanNode::Intersect(a, b) => PlanNode::Intersect(child(a), child(b)),
-        leaf => leaf,
+    // The node's arity, and its first child's (the left operand's, for
+    // a product or join).
+    let (arity, first) = match &mut q {
+        Query::Input => leaf_arity(schema, Schema::INPUT),
+        Query::Second => leaf_arity(schema, Schema::SECOND),
+        Query::Rel(name) => leaf_arity(schema, name),
+        Query::Lit(i) => (i.arity(), i.arity()),
+        Query::Project(cols, c) => (cols.len(), child(c)),
+        Query::Select(_, c) => {
+            let a = child(c);
+            (a, a)
+        }
+        Query::Product(a, b)
+        | Query::Join {
+            left: a, right: b, ..
+        } => {
+            let la = child(a);
+            (la + child(b), la)
+        }
+        Query::Union(a, b) | Query::Diff(a, b) | Query::Intersect(a, b) => {
+            let la = child(a);
+            child(b);
+            (la, la)
+        }
     };
-    let (plan, fired) = rewrite(Plan {
-        node,
-        arity: plan.arity,
-    });
-    (plan, changed || fired)
+    let (q, fired) = rewrite(q, arity, first, schema);
+    (q, arity, changed || fired)
 }
 
-/// Applies the first matching local rule at the root and reports
-/// whether one fired; a plan no rule matches comes back as it is.
-fn rewrite(plan: Plan) -> (Plan, bool) {
-    let arity = plan.arity;
-    let kept = |node| (Plan { node, arity }, false);
-    match plan.node {
-        PlanNode::Project(cols, child) => rewrite_project(cols, *child),
-        PlanNode::Select(pred, child) => rewrite_select(pred, *child, arity),
-        PlanNode::Product(a, b) => {
-            if a.is_empty_lit() || b.is_empty_lit() {
-                return (Plan::empty(arity), true);
+/// A leaf's arity, as `(arity, arity)` for [`rewrite_pass`].
+fn leaf_arity(schema: &Schema, name: &str) -> (usize, usize) {
+    let a = schema
+        .arity_of(name)
+        .expect("leaves are checked against the schema");
+    (a, a)
+}
+
+/// Applies the first matching local rule at the root of a query whose
+/// output arity is `arity` and whose first child's is `first`, and
+/// reports whether one fired; a query no rule matches comes back as it
+/// is.
+fn rewrite(q: Query, arity: usize, first: usize, schema: &Schema) -> (Query, bool) {
+    match q {
+        Query::Project(cols, child) => rewrite_project(cols, child, first),
+        Query::Select(pred, child) => rewrite_select(pred, child, arity, schema),
+        Query::Product(a, b) => {
+            if is_empty_lit(&a) || is_empty_lit(&b) {
+                return (empty(arity), true);
             }
-            if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&a.node, &b.node) {
-                return (lit(x.product(y)), true);
+            if let (Query::Lit(x), Query::Lit(y)) = (&*a, &*b) {
+                return (Query::Lit(x.product(y)), true);
             }
-            kept(PlanNode::Product(a, b))
+            (Query::Product(a, b), false)
         }
-        PlanNode::Join {
+        Query::Join {
             on,
             residual,
             left,
             right,
-        } => rewrite_join(on, residual, *left, *right, arity),
-        PlanNode::Union(a, b) => {
-            if a.is_empty_lit() || a == b {
+        } => rewrite_join(on, residual, left, right, first, arity),
+        Query::Union(a, b) => {
+            if is_empty_lit(&a) || a == b {
                 return (*b, true);
             }
-            if b.is_empty_lit() {
+            if is_empty_lit(&b) {
                 return (*a, true);
             }
-            if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&a.node, &b.node) {
-                return (
-                    lit(x.union(y).expect("arities checked at plan build")),
-                    true,
-                );
+            if let (Query::Lit(x), Query::Lit(y)) = (&*a, &*b) {
+                let u = x.union(y).expect("arities checked");
+                return (Query::Lit(u), true);
             }
-            kept(PlanNode::Union(a, b))
+            (Query::Union(a, b), false)
         }
-        PlanNode::Diff(a, b) => {
-            if a == b || a.is_empty_lit() {
-                return (Plan::empty(arity), true);
+        Query::Diff(a, b) => {
+            if a == b || is_empty_lit(&a) {
+                return (empty(arity), true);
             }
-            if b.is_empty_lit() {
+            if is_empty_lit(&b) {
                 return (*a, true);
             }
-            if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&a.node, &b.node) {
-                return (
-                    lit(x.difference(y).expect("arities checked at plan build")),
-                    true,
-                );
+            if let (Query::Lit(x), Query::Lit(y)) = (&*a, &*b) {
+                let d = x.difference(y).expect("arities checked");
+                return (Query::Lit(d), true);
             }
-            kept(PlanNode::Diff(a, b))
+            (Query::Diff(a, b), false)
         }
-        PlanNode::Intersect(a, b) => {
-            if a.is_empty_lit() || b.is_empty_lit() {
-                return (Plan::empty(arity), true);
+        Query::Intersect(a, b) => {
+            if is_empty_lit(&a) || is_empty_lit(&b) {
+                return (empty(arity), true);
             }
             if a == b {
                 return (*a, true);
             }
-            if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&a.node, &b.node) {
-                return (
-                    lit(x.intersect(y).expect("arities checked at plan build")),
-                    true,
-                );
+            if let (Query::Lit(x), Query::Lit(y)) = (&*a, &*b) {
+                let i = x.intersect(y).expect("arities checked");
+                return (Query::Lit(i), true);
             }
-            kept(PlanNode::Intersect(a, b))
+            (Query::Intersect(a, b), false)
         }
-        leaf => kept(leaf),
+        leaf => (leaf, false),
     }
 }
 
-fn lit(i: Instance) -> Plan {
-    Plan {
-        arity: i.arity(),
-        node: PlanNode::Lit(i),
-    }
+/// Whether `q` is a constant empty relation.
+fn is_empty_lit(q: &Query) -> bool {
+    matches!(q, Query::Lit(i) if i.is_empty())
 }
 
-fn rewrite_project(cols: Vec<usize>, child: Plan) -> (Plan, bool) {
-    if let PlanNode::Lit(i) = &child.node {
-        return (
-            lit(i.project(&cols).expect("columns checked at plan build")),
-            true,
-        );
+/// The empty relation of the given arity (dead branches rewrite to it).
+fn empty(arity: usize) -> Query {
+    Query::Lit(Instance::empty(arity))
+}
+
+fn rewrite_project(cols: Vec<usize>, child: Box<Query>, child_arity: usize) -> (Query, bool) {
+    if let Query::Lit(i) = &*child {
+        let projected = i.project(&cols).expect("columns checked");
+        return (Query::Lit(projected), true);
     }
     // Identity projection: π_{0,1,…,n−1} of an arity-n child.
-    if cols.len() == child.arity && cols.iter().enumerate().all(|(i, &c)| i == c) {
-        return (child, true);
+    if cols.len() == child_arity && cols.iter().enumerate().all(|(i, &c)| i == c) {
+        return (*child, true);
     }
     // π_cols(π_inner(e)) → π_{composed}(e).
-    if let PlanNode::Project(inner, e) = child.node {
+    if let Query::Project(inner, e) = *child {
         let composed: Vec<usize> = cols.iter().map(|&c| inner[c]).collect();
-        return (
-            Plan {
-                arity: composed.len(),
-                node: PlanNode::Project(composed, e),
-            },
-            true,
-        );
+        return (Query::Project(composed, e), true);
     }
-    (
-        Plan {
-            arity: cols.len(),
-            node: PlanNode::Project(cols, Box::new(child)),
-        },
-        false,
-    )
+    (Query::Project(cols, child), false)
 }
 
-fn rewrite_select(pred: Pred, child: Plan, arity: usize) -> (Plan, bool) {
+fn rewrite_select(pred: Pred, child: Box<Query>, arity: usize, schema: &Schema) -> (Query, bool) {
     // Normalize the conjunction structure first: `and()` is `true`,
     // `and(p)` is `p`, nested `and`s flatten, `false` absorbs. This is
     // what lets the `true`/`false` rules below fire on every spelling.
@@ -292,94 +393,80 @@ fn rewrite_select(pred: Pred, child: Plan, arity: usize) -> (Plan, bool) {
     let normalized = !pred.is_flat();
     let pred = pred.into_flat();
     match pred {
-        Pred::True => return (child, true),
-        Pred::False => return (Plan::empty(arity), true),
+        Pred::True => return (*child, true),
+        Pred::False => return (empty(arity), true),
         _ => {}
     }
-    if child.is_empty_lit() {
-        return (Plan::empty(arity), true);
+    if is_empty_lit(&child) {
+        return (empty(arity), true);
     }
-    let plan = match child.node {
-        // Constant folding: plans are validated, so `Pred::eval` cannot
+    let q = match *child {
+        // Constant folding: queries are checked, so `Pred::eval` cannot
         // report out-of-range columns here.
-        PlanNode::Lit(i) => {
+        Query::Lit(i) => {
             let mut out = Instance::empty(i.arity());
             for t in i.iter() {
                 if pred.eval(t.values()).expect("predicate validated") {
                     out.insert(t.clone()).expect("same arity");
                 }
             }
-            lit(out)
+            Query::Lit(out)
         }
         // Fusion: σ_p(σ_q(e)) filters by q then p, i.e. by q ∧ p.
-        PlanNode::Select(q, e) => Plan {
-            arity,
-            node: PlanNode::Select(q.conj(pred), e),
-        },
-        PlanNode::Union(a, b) => Plan {
-            arity,
-            node: PlanNode::Union(
-                Box::new(select(pred.clone(), *a)),
-                Box::new(select(pred, *b)),
-            ),
-        },
+        Query::Select(q, e) => Query::Select(q.conj(pred), e),
+        Query::Union(a, b) => Query::Union(
+            Box::new(Query::Select(pred.clone(), a)),
+            Box::new(Query::Select(pred, b)),
+        ),
         // σ_p(a − b) = σ_p(a) − b and σ_p(a ∩ b) = σ_p(a) ∩ b: the
         // right side only decides membership, the surviving tuples come
         // from the left.
-        PlanNode::Diff(a, b) => Plan {
-            arity,
-            node: PlanNode::Diff(Box::new(select(pred, *a)), b),
-        },
-        PlanNode::Intersect(a, b) => Plan {
-            arity,
-            node: PlanNode::Intersect(Box::new(select(pred, *a)), b),
-        },
-        PlanNode::Product(a, b) => {
-            let (plan, pushed) = push_through_product(pred, *a, *b, arity);
-            return (plan, pushed || normalized);
+        Query::Diff(a, b) => Query::Diff(Box::new(Query::Select(pred, a)), b),
+        Query::Intersect(a, b) => Query::Intersect(Box::new(Query::Select(pred, a)), b),
+        Query::Product(a, b) => {
+            // The one rule that needs a grandchild's width.
+            let la = a.arity_in(schema).expect("queries are checked");
+            let (q, pushed) = push_through_product(pred, a, b, la, arity);
+            return (q, pushed || normalized);
         }
         // σ_p over a join fuses into the residual; the join rewrite then
         // re-partitions the enlarged residual (pushing one-sided
         // conjuncts down, promoting spanning equalities to keys).
-        PlanNode::Join {
+        Query::Join {
             on,
             residual,
             left,
             right,
-        } => Plan {
-            arity,
-            node: PlanNode::Join {
-                on,
-                residual: some_pred(match residual {
-                    Some(r) => r.conj(pred),
-                    None => pred,
-                }),
-                left,
-                right,
-            },
+        } => Query::Join {
+            on,
+            residual: some_pred(match residual {
+                Some(r) => r.conj(pred),
+                None => pred,
+            }),
+            left,
+            right,
         },
-        other => return (select(pred, Plan { node: other, arity }), normalized),
+        other => return (Query::select(other, pred), normalized),
     };
-    (plan, true)
+    (q, true)
 }
 
-fn select(pred: Pred, child: Plan) -> Plan {
-    Plan {
-        arity: child.arity,
-        node: PlanNode::Select(pred, Box::new(child)),
-    }
-}
-
-/// Splits `σ_p(a × b)` by the column ranges each top-level conjunct of
-/// `p` touches: left-only conjuncts move onto `a`, right-only conjuncts
-/// are re-based and move onto `b`, column-free conjuncts are decided
-/// now. Spanning conjuncts either *become the join*: if any are
-/// column–column equalities, the product is rewritten into a hash
-/// [`PlanNode::Join`] keyed on them (the other spanning conjuncts ride
-/// along as the residual) — or, with no equality to key on, stay as a
-/// selection above the product. Reports whether anything moved.
-fn push_through_product(pred: Pred, a: Plan, b: Plan, arity: usize) -> (Plan, bool) {
-    let la = a.arity;
+/// Splits `σ_p(a × b)`, where `a` has arity `la`, by the column ranges
+/// each top-level conjunct of `p` touches: left-only conjuncts move onto
+/// `a`, right-only conjuncts are re-based and move onto `b`, column-free
+/// conjuncts are decided now. Spanning conjuncts either *become the
+/// join*: if any are column–column equalities, the product is rewritten
+/// into a hash [`Query::Join`] keyed on them (the other spanning
+/// conjuncts ride along as the residual) — or, with no equality to key
+/// on, stay as a selection above the product. Reports whether anything
+/// moved.
+fn push_through_product(
+    pred: Pred,
+    a: Box<Query>,
+    b: Box<Query>,
+    la: usize,
+    arity: usize,
+) -> (Query, bool) {
     let mut left = Vec::new();
     let mut right = Vec::new();
     let mut rest = Vec::new();
@@ -391,7 +478,7 @@ fn push_through_product(pred: Pred, a: Plan, b: Plan, arity: usize) -> (Plan, bo
                 if c.eval(&[]).expect("no column references") {
                     dropped_const = true;
                 } else {
-                    return (Plan::empty(arity), true);
+                    return (empty(arity), true);
                 }
             }
             (_, Some(max)) if max < la => left.push(c),
@@ -401,52 +488,43 @@ fn push_through_product(pred: Pred, a: Plan, b: Plan, arity: usize) -> (Plan, bo
     }
     let (on, residual) = Pred::conj_all(rest).split_equijoin(la);
     if !on.is_empty() {
-        let a = maybe_select(Pred::conj_all(left), a);
-        let b = maybe_select(Pred::conj_all(right), b);
-        let join = Plan {
-            arity,
-            node: PlanNode::Join {
-                on,
-                residual: some_pred(residual),
-                left: Box::new(a),
-                right: Box::new(b),
-            },
+        let join = Query::Join {
+            on,
+            residual: some_pred(residual),
+            left: maybe_select(Pred::conj_all(left), a),
+            right: maybe_select(Pred::conj_all(right), b),
         };
         return (join, true);
     }
     if left.is_empty() && right.is_empty() && !dropped_const {
         // Nothing to push and nothing to key on: the input comes back.
-        let prod = Plan {
-            arity,
-            node: PlanNode::Product(Box::new(a), Box::new(b)),
-        };
-        return (select(pred, prod), false);
+        return (Query::select(Query::Product(a, b), pred), false);
     }
     let a = maybe_select(Pred::conj_all(left), a);
     let b = maybe_select(Pred::conj_all(right), b);
-    let prod = Plan {
-        arity,
-        node: PlanNode::Product(Box::new(a), Box::new(b)),
-    };
-    (maybe_select(residual, prod), true)
+    (
+        *maybe_select(residual, Box::new(Query::Product(a, b))),
+        true,
+    )
 }
 
-/// Local rules at a join node: empty operands annihilate, the residual
-/// is re-partitioned (one-sided conjuncts push into the operands,
-/// spanning equalities promote to key pairs, column-free conjuncts are
-/// decided now), and an all-literal join is folded at plan time.
-/// Reports whether any of them fired.
+/// Local rules at a join node whose left operand has arity `la`: empty
+/// operands annihilate, the residual is re-partitioned (one-sided
+/// conjuncts push into the operands, spanning equalities promote to key
+/// pairs, column-free conjuncts are decided now), and an all-literal
+/// join is folded at optimization time. Reports whether any of them
+/// fired.
 fn rewrite_join(
     on: Vec<(usize, usize)>,
     residual: Option<Pred>,
-    left: Plan,
-    right: Plan,
+    left: Box<Query>,
+    right: Box<Query>,
+    la: usize,
     arity: usize,
-) -> (Plan, bool) {
-    if left.is_empty_lit() || right.is_empty_lit() {
-        return (Plan::empty(arity), true);
+) -> (Query, bool) {
+    if is_empty_lit(&left) || is_empty_lit(&right) {
+        return (empty(arity), true);
     }
-    let la = left.arity;
     let mut on = on;
     let mut push_left = Vec::new();
     let mut push_right = Vec::new();
@@ -470,7 +548,7 @@ fn rewrite_join(
                     if c.eval(&[]).expect("no column references") {
                         changed = true; // constant true conjunct: drop it
                     } else {
-                        return (Plan::empty(arity), true);
+                        return (empty(arity), true);
                     }
                 }
                 (_, Some(max)) if max < la => {
@@ -487,43 +565,34 @@ fn rewrite_join(
     }
     if !changed {
         // Residual is irreducible; fold the join if both operands are
-        // literals (keys and residual were validated at plan build).
-        if let (PlanNode::Lit(x), PlanNode::Lit(y)) = (&left.node, &right.node) {
-            let folded = x
-                .equijoin(y, &on, residual.as_ref())
-                .expect("join validated at plan build");
-            return (lit(folded), true);
+        // literals (keys and residual were checked).
+        if let (Query::Lit(x), Query::Lit(y)) = (&*left, &*right) {
+            let folded = x.equijoin(y, &on, residual.as_ref()).expect("join checked");
+            return (Query::Lit(folded), true);
         }
-        let join = Plan {
-            arity,
-            node: PlanNode::Join {
-                on,
-                residual,
-                left: Box::new(left),
-                right: Box::new(right),
-            },
+        let join = Query::Join {
+            on,
+            residual,
+            left,
+            right,
         };
         return (join, false);
     }
-    let left = maybe_select(Pred::conj_all(push_left), left);
-    let right = maybe_select(Pred::conj_all(push_right), right);
-    let join = Plan {
-        arity,
-        node: PlanNode::Join {
-            on,
-            residual: some_pred(Pred::conj_all(rest)),
-            left: Box::new(left),
-            right: Box::new(right),
-        },
+    let join = Query::Join {
+        on,
+        residual: some_pred(Pred::conj_all(rest)),
+        left: maybe_select(Pred::conj_all(push_left), left),
+        right: maybe_select(Pred::conj_all(push_right), right),
     };
     (join, true)
 }
 
-fn maybe_select(pred: Pred, child: Plan) -> Plan {
+/// `σ_pred(child)`, or `child` itself when `pred` is `true`.
+fn maybe_select(pred: Pred, child: Box<Query>) -> Box<Query> {
     if pred == Pred::True {
         child
     } else {
-        select(pred, child)
+        Box::new(Query::Select(pred, child))
     }
 }
 
@@ -539,11 +608,18 @@ fn some_pred(p: Pred) -> Option<Pred> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse, render};
+    use crate::parser::parse;
+    use crate::{Backend, Catalog, Engine};
     use ipdb_rel::instance;
+    use ipdb_rel::strategies::{arb_instance, arb_query};
+    use proptest::prelude::*;
 
     fn opt(src: &str, input_arity: usize) -> String {
-        render(&optimize(&parse(src).unwrap(), input_arity).unwrap())
+        opt_in(src, &Schema::single(input_arity))
+    }
+
+    fn opt_in(src: &str, schema: &Schema) -> String {
+        render(&optimize(&parse(src).unwrap(), schema).unwrap().0)
     }
 
     #[test]
@@ -720,14 +796,14 @@ mod tests {
             "pi[0,1](V) intersect pi[0,1](V)",
         ] {
             let q = parse(src).unwrap();
-            let o = optimize(&q, 2).unwrap();
+            let (o, _) = optimize(&q, &Schema::single(2)).unwrap();
             assert_eq!(q.eval(&i).unwrap(), o.eval(&i).unwrap(), "query {src}");
         }
     }
 
     #[test]
     fn optimize_rejects_ill_typed_input() {
-        assert!(optimize(&parse("pi[9](V)").unwrap(), 2).is_err());
+        assert!(optimize(&parse("pi[9](V)").unwrap(), &Schema::single(2)).is_err());
     }
 
     #[test]
@@ -741,34 +817,31 @@ mod tests {
 
     #[test]
     fn stats_report_convergence_and_pass_counts() {
-        // Already-optimal plan: one certifying pass.
-        let flat = Plan::from_query(&parse("V").unwrap(), 2).unwrap();
-        let (out, stats) = optimize_plan_stats(&flat);
+        // Already-optimal query: one certifying pass.
+        let flat = parse("V").unwrap();
+        let (out, stats) = optimize(&flat, &Schema::single(2)).unwrap();
         assert_eq!(out, flat);
         assert_eq!(stats.passes, 1);
         assert!(stats.converged);
 
-        // A rewrite-heavy plan converges within its bound, strictly
+        // A rewrite-heavy query converges within its bound, strictly
         // under the budget, and the pass counter says how fast.
-        let deep =
-            Plan::from_query(&parse("sigma[#0=1](sigma[#1=2](V x (V x V)))").unwrap(), 1).unwrap();
-        let (opt1, stats) = optimize_plan_stats(&deep);
+        let v = Schema::single(1);
+        let deep = parse("sigma[#0=1](sigma[#1=2](V x (V x V)))").unwrap();
+        let (opt1, stats) = optimize(&deep, &v).unwrap();
         assert!(stats.converged);
         assert!(stats.passes <= 2 * deep.depth() + 2);
         // Convergence is exactly idempotence: re-optimizing is a no-op
         // that certifies in one pass.
-        let (opt2, stats2) = optimize_plan_stats(&opt1);
+        let (opt2, stats2) = optimize(&opt1, &v).unwrap();
         assert_eq!(opt1, opt2);
         assert_eq!(stats2.passes, 1);
     }
 
     #[test]
     fn optimizer_passes_through_named_relations() {
-        use ipdb_rel::Schema;
         let schema = Schema::new([("R", 2), ("S", 2)]).unwrap();
-        let q = parse("sigma[#0=#2](R x S)").unwrap();
-        let o = optimize_in(&q, &schema).unwrap();
-        assert_eq!(render(&o), "join[#0=#2](R, S)");
+        assert_eq!(opt_in("sigma[#0=#2](R x S)", &schema), "join[#0=#2](R, S)");
         // Idempotent-set-op collapse compares whole subtrees, so two
         // *different* relations do not collapse but equal ones do.
         assert_eq!(opt_in("R union R", &schema), "R");
@@ -776,7 +849,275 @@ mod tests {
         assert_eq!(opt_in("R diff R", &schema), "{:2}");
     }
 
-    fn opt_in(src: &str, schema: &ipdb_rel::Schema) -> String {
-        render(&optimize_in(&parse(src).unwrap(), schema).unwrap())
+    #[test]
+    fn rejects_ill_typed_queries() {
+        let v = Schema::single(2);
+        let bad = Query::project(Query::Input, vec![5]);
+        assert_eq!(
+            optimize(&bad, &v),
+            Err(EngineError::Rel(RelError::ColumnOutOfRange {
+                col: 5,
+                arity: 2
+            }))
+        );
+        let mix = Query::union(Query::Input, Query::Lit(instance![[1]]));
+        assert!(optimize(&mix, &v).is_err());
+        assert!(optimize(&Query::Second, &v).is_err());
+        assert_eq!(
+            Engine::new()
+                .prepare_schema(&Query::Second, &Schema::pair(2, 4))
+                .unwrap()
+                .output_arity(),
+            4
+        );
+        let sel = Query::select(Query::Input, Pred::eq_cols(0, 7));
+        assert!(optimize(&sel, &v).is_err());
+    }
+
+    #[test]
+    fn join_queries_validate_and_normalize() {
+        let v = Schema::single(2);
+        // Reversed and duplicated pairs normalize to one (left, right) key.
+        let q = Query::join(Query::Input, Query::Input, [(2, 0), (0, 2)], None);
+        let stmt = Engine::new().prepare(&q, 2).unwrap();
+        assert_eq!(stmt.output_arity(), 4);
+        assert_eq!(
+            stmt.naive_query(),
+            &Query::join(Query::Input, Query::Input, [(0, 2)], None)
+        );
+
+        // Empty `on` is rejected by the check.
+        let empty = Query::join(Query::Input, Query::Input, [], None);
+        assert_eq!(optimize(&empty, &v), Err(EngineError::EmptyJoinOn));
+
+        // Key out of the combined arity.
+        let oob = Query::join(Query::Input, Query::Input, [(0, 9)], None);
+        assert_eq!(
+            optimize(&oob, &v),
+            Err(EngineError::JoinArity {
+                col: 9,
+                left: 2,
+                right: 2
+            })
+        );
+        // Both key columns on the left side.
+        let left_only = Query::join(Query::Input, Query::Input, [(0, 1)], None);
+        assert_eq!(
+            optimize(&left_only, &v),
+            Err(EngineError::JoinArity {
+                col: 1,
+                left: 2,
+                right: 2
+            })
+        );
+        // Both key columns on the right side.
+        let right_only = Query::join(Query::Input, Query::Input, [(2, 3)], None);
+        assert_eq!(
+            optimize(&right_only, &v),
+            Err(EngineError::JoinArity {
+                col: 2,
+                left: 2,
+                right: 2
+            })
+        );
+        // Residual is arity-checked against the combined width.
+        let bad_resid = Query::join(
+            Query::Input,
+            Query::Input,
+            [(0, 2)],
+            Some(Pred::eq_cols(0, 7)),
+        );
+        assert!(optimize(&bad_resid, &v).is_err());
+    }
+
+    #[test]
+    fn empty_lit_helpers() {
+        assert!(is_empty_lit(&empty(3)));
+        assert_eq!(empty(3), Query::Lit(Instance::empty(3)));
+        assert!(!is_empty_lit(&Query::Lit(instance![[1]])));
+        assert!(!is_empty_lit(&Query::Input));
+    }
+
+    /// Runs a query's fixpoint one pass at a time, checking that each
+    /// pass's change flag is exactly `output != input` and that the
+    /// arity it reports is the output's; returns the number of passes,
+    /// counted like [`OptimizeStats::passes`].
+    fn passes_with_exact_flags(q: &Query, schema: &Schema) -> usize {
+        let (mut q, arity) = check(q, schema).unwrap();
+        let bound = 2 * q.depth() + 2;
+        for passes in 1..=bound + 1 {
+            let (next, next_arity, changed) = rewrite_pass(q.clone(), schema);
+            assert_eq!(
+                changed,
+                next != q,
+                "pass {} flag disagrees with its rewrite of\n{}",
+                passes,
+                render(&q)
+            );
+            assert_eq!(next_arity, arity, "pass {passes} arity of\n{}", render(&q));
+            if !changed {
+                return passes;
+            }
+            q = next;
+        }
+        panic!("fixpoint bound exhausted")
+    }
+
+    /// A comparison atom over columns `0..6` (callers wrap the numbers into
+    /// their arity) or small constants, so const–const atoms occur too.
+    fn arb_atom() -> BoxedStrategy<Pred> {
+        let operand = || {
+            prop_oneof![
+                (0usize..6).prop_map(Operand::Col),
+                (0i64..=3).prop_map(Operand::val),
+            ]
+        };
+        (
+            prop_oneof![Just(CmpOp::Eq), Just(CmpOp::Neq)],
+            operand(),
+            operand(),
+        )
+            .prop_map(|(op, l, r)| Pred::Cmp(op, l, r))
+            .boxed()
+    }
+
+    /// A selection guard as machines write them: an `and` of 0–10 members
+    /// — atoms, `true`, `false`, and nested `and`s of 0–3 atoms — so every
+    /// unflattened spelling (`and()`, `and(p)`, nested, with units or an
+    /// absorbing `false`) occurs.
+    fn arb_wide_conj() -> BoxedStrategy<Pred> {
+        let member = prop_oneof![
+            10 => arb_atom(),
+            1 => Just(Pred::True),
+            1 => Just(Pred::False),
+            3 => proptest::collection::vec(arb_atom(), 0..=3).prop_map(Pred::And),
+        ];
+        proptest::collection::vec(member, 0..=10)
+            .prop_map(Pred::And)
+            .boxed()
+    }
+
+    /// One layer stacked on a query by [`arb_guarded_query`]; column
+    /// numbers are taken modulo the arity underneath.
+    #[derive(Debug, Clone)]
+    enum Layer {
+        Select(Pred),
+        Project(Vec<usize>),
+    }
+
+    /// Stacks of 1–6 selection and projection layers (σ-over-π-over-σ, the
+    /// serving templates' shape) over a single-input product chain or a
+    /// literal, for inputs of arity 2.
+    fn arb_guarded_query() -> BoxedStrategy<Query> {
+        let layer = prop_oneof![
+            3 => arb_wide_conj().prop_map(Layer::Select),
+            2 => proptest::collection::vec(0usize..6, 1..=3).prop_map(Layer::Project),
+        ];
+        (0usize..4, proptest::collection::vec(layer, 1..=6))
+            .prop_map(|(base, layers)| {
+                let v = || Query::Input;
+                let (mut q, mut arity) = match base {
+                    0 => (v(), 2),
+                    1 => (Query::product(v(), v()), 4),
+                    2 => (Query::product(Query::product(v(), v()), v()), 6),
+                    _ => {
+                        let lit = Instance::from_rows(2, [[0i64, 1], [1, 1], [2, 3]]).unwrap();
+                        (Query::product(Query::Lit(lit), v()), 4)
+                    }
+                };
+                for l in layers {
+                    q = match l {
+                        Layer::Select(p) => Query::select(q, p.map_cols(move |c| c % arity)),
+                        Layer::Project(cols) => {
+                            let cols: Vec<usize> = cols.into_iter().map(|c| c % arity).collect();
+                            arity = cols.len();
+                            Query::project(q, cols)
+                        }
+                    };
+                }
+                q
+            })
+            .boxed()
+    }
+
+    /// The text `serve_query_pool` (in `ipdb-bench`) generates for template
+    /// `i` over relations `Z{a}`..`Z{d}`.
+    fn serve_template(i: i64, [a, b, c, d]: [usize; 4]) -> String {
+        let (g0, g1) = (
+            serve_guard(0, 9_000_001 + 10 * i, ", "),
+            serve_guard(1, 9_100_001 + 10 * i, ", "),
+        );
+        format!(
+            "pi[0](sigma[and({g0})](pi[0](sigma[and({g1})](pi[0,1](\
+             sigma[and(#1=#2, #3=#4, #5=#6)](((pi[0,1](sigma[and({g0})](Z{a})) x \
+             pi[0,1](sigma[and({g1})](Z{b}))) x Z{c}) x pi[0,1](Z{d})))))))"
+        )
+    }
+
+    /// A template's always-true 8-atom guard on column `col`, its atoms
+    /// joined by `sep` (`", "` in the template text, `","` when rendered).
+    fn serve_guard(col: usize, first: i64, sep: &str) -> String {
+        (first..first + 8)
+            .map(|k| format!("#{col}!={k}"))
+            .collect::<Vec<_>>()
+            .join(sep)
+    }
+
+    /// Pins the optimizer's output on three `serve_query_pool(2048, 7)`
+    /// templates (indices 0–2): the guards fuse and push onto the chain's
+    /// leaves, the three spanning equalities become hash joins, and the
+    /// fixpoint certifies on the fourth pass.
+    #[test]
+    fn optimize_pins_serve_pool_templates() {
+        let schema = Schema::new((0..8).map(|r| (format!("Z{r}"), 2))).unwrap();
+        for (i, rels) in [(0, [0, 5, 1, 1]), (1, [0, 1, 0, 0]), (2, [1, 0, 7, 6])] {
+            let [a, b, c, d] = rels;
+            let (g0, g1) = (
+                serve_guard(0, 9_000_001 + 10 * i, ","),
+                serve_guard(1, 9_100_001 + 10 * i, ","),
+            );
+            let expected = format!(
+                "sigma[and({g0})](pi[0](sigma[and({g1})](pi[0,1](\
+                 join[#5=#6](join[#3=#4](join[#1=#2](\
+                 sigma[and({g0})](Z{a}), sigma[and({g1})](Z{b})), Z{c}), Z{d})))))"
+            );
+            let q = parse(&serve_template(i, rels)).unwrap();
+            let (out, stats) = optimize(&q, &schema).unwrap();
+            assert_eq!(render(&out), expected, "template {i}");
+            assert_eq!(stats.passes, 4, "template {i}");
+            assert!(stats.converged);
+            assert_eq!(passes_with_exact_flags(&q, &schema), 4, "template {i}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every pass of the fixpoint reports a change iff it rewrote the
+        /// query, and the loop takes as many passes as the stats say.
+        #[test]
+        fn optimize_pass_flags_are_exact(q in arb_query(2, 3, 4, 3)) {
+            let v = Schema::single(2);
+            let passes = passes_with_exact_flags(&q, &v);
+            prop_assert_eq!(passes, optimize(&q, &v).unwrap().1.passes);
+        }
+
+        /// The same over wide, oddly nested guards stacked σ-over-π-over-σ;
+        /// the optimized query also still answers like the naive one.
+        #[test]
+        fn optimize_pass_flags_are_exact_on_wide_guards(
+            q in arb_guarded_query(),
+            i in arb_instance(2, 4, 3),
+        ) {
+            let v = Schema::single(2);
+            let passes = passes_with_exact_flags(&q, &v);
+            prop_assert_eq!(passes, optimize(&q, &v).unwrap().1.passes);
+            let stmt = Engine::new().prepare(&q, 2).unwrap();
+            let cat = Catalog::single(i);
+            prop_assert_eq!(
+                stmt.execute_catalog(&cat).unwrap(),
+                Instance::run_catalog(&cat, stmt.naive_query()).unwrap()
+            );
+        }
     }
 }

@@ -1,10 +1,10 @@
-//! The front door: parse/plan/optimize once, execute anywhere.
+//! The front door: parse/check/optimize once, execute anywhere.
 //!
 //! [`Engine::prepare`] (or [`Engine::prepare_text`] for the surface
-//! syntax) runs the first three pipeline stages — parse, plan,
-//! optimize — and returns a [`Prepared`] statement holding both the
-//! naive and the optimized plan. [`Prepared::explain`] shows what the
-//! optimizer did. Multi-relation queries prepare against a named
+//! syntax) runs the first three pipeline stages — parse, check against
+//! the schema, optimize — and returns a [`Prepared`] statement holding
+//! both the naive and the optimized query. [`Prepared::explain`] shows
+//! what the optimizer did. Multi-relation queries prepare against a named
 //! [`Schema`] ([`Engine::prepare_schema`] /
 //! [`Engine::prepare_text_schema`]).
 //!
@@ -17,7 +17,7 @@
 //! return a [`QueryReport`] (`EXPLAIN ANALYZE`; render it with
 //! [`QueryReport::render`]). The `answer_dist_catalog*` methods add BDD
 //! compilation or valuation enumeration after the pc-table closure.
-//! The naive plan stays reachable as a differential baseline through
+//! The naive query stays reachable as a differential baseline through
 //! [`Backend::run_catalog`] on [`Prepared::naive_query`].
 
 use std::time::Instant;
@@ -28,14 +28,13 @@ use ipdb_rel::{Instance, Query, Schema, Tuple};
 use crate::backend::{Backend, Catalog};
 use crate::error::EngineError;
 use crate::morsel::ExecConfig;
-use crate::optimize::{optimize_plan_stats, OptimizeStats};
+use crate::optimize::{check_and_optimize, OptimizeStats};
 use crate::parser;
-use crate::plan::Plan;
-use crate::report::{NoTrace, QueryReport, ReportSink, TraceSink};
+use crate::report::{render_tree, NoTrace, QueryReport, ReportSink, TraceSink};
 
-/// The query pipeline: parse, plan, optimize. Every [`Prepared`]
-/// statement keeps its naive plan too ([`Prepared::naive_plan`],
-/// [`Prepared::naive_query`]), so there is nothing to configure.
+/// The query pipeline: parse, check, optimize. Every [`Prepared`]
+/// statement keeps its naive query too ([`Prepared::naive_query`]), so
+/// there is nothing to configure.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Engine;
 
@@ -45,59 +44,44 @@ impl Engine {
         Engine
     }
 
-    /// Plans and optimizes a query for inputs of the given arity.
+    /// Checks and optimizes a query for inputs of the given arity.
     pub fn prepare(&self, q: &Query, input_arity: usize) -> Result<Prepared, EngineError> {
         self.prepare_schema(q, &Schema::single(input_arity))
     }
 
-    /// Plans and optimizes a query over an arbitrary named [`Schema`].
+    /// Checks and optimizes a query over an arbitrary named [`Schema`]
+    /// (see [`mod@crate::optimize`] for what the check rejects).
     pub fn prepare_schema(&self, q: &Query, schema: &Schema) -> Result<Prepared, EngineError> {
-        let naive = Plan::from_query_schema(q, schema)?;
-        let (optimized, optimize_stats) = optimize_plan_stats(&naive);
-        // Same invariant `optimize_plan` pins: the pass bound must have
-        // sufficed (see `crate::optimize`).
-        debug_assert!(
-            optimize_stats.converged,
-            "optimizer exhausted its fixpoint bound without converging \
-             ({} passes on a depth-{} plan)",
-            optimize_stats.passes,
-            naive.depth()
-        );
-        // Lower both plans once here so repeated `execute` calls don't
-        // pay a per-call plan-to-AST conversion.
-        let naive_query = naive.to_query();
-        let optimized_query = optimized.to_query();
+        let (naive, output_arity, optimized, optimize_stats) = check_and_optimize(q, schema)?;
         Ok(Prepared {
             schema: schema.clone(),
             naive,
             optimized,
-            naive_query,
-            optimized_query,
+            output_arity,
             optimize_stats,
         })
     }
 
-    /// Parses the surface syntax, then plans and optimizes.
+    /// Parses the surface syntax, then checks and optimizes.
     pub fn prepare_text(&self, src: &str, input_arity: usize) -> Result<Prepared, EngineError> {
         self.prepare(&parser::parse(src)?, input_arity)
     }
 
-    /// Parses the surface syntax, then plans and optimizes over a named
+    /// Parses the surface syntax, then checks and optimizes over a named
     /// [`Schema`].
     pub fn prepare_text_schema(&self, src: &str, schema: &Schema) -> Result<Prepared, EngineError> {
         self.prepare_schema(&parser::parse(src)?, schema)
     }
 }
 
-/// A planned (and possibly optimized) query, ready to execute on any
+/// A checked (and possibly optimized) query, ready to execute on any
 /// backend's catalog implementing the prepared schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Prepared {
     schema: Schema,
-    naive: Plan,
-    optimized: Plan,
-    naive_query: Query,
-    optimized_query: Query,
+    naive: Query,
+    optimized: Query,
+    output_arity: usize,
     optimize_stats: OptimizeStats,
 }
 
@@ -117,42 +101,32 @@ impl Prepared {
         self.schema.arity_of(Schema::INPUT)
     }
 
-    /// The plan as written (arity-annotated, unoptimized).
-    pub fn naive_plan(&self) -> &Plan {
-        &self.naive
-    }
-
-    /// The optimized plan.
-    pub fn plan(&self) -> &Plan {
+    /// The optimized query.
+    pub fn query(&self) -> &Query {
         &self.optimized
     }
 
-    /// The optimized query, lowered back to the executable AST (cached
-    /// at `prepare` time).
-    pub fn query(&self) -> &Query {
-        &self.optimized_query
-    }
-
-    /// The original query, lowered back without optimization.
+    /// The query as written, checked but not optimized (join key pairs
+    /// normalized).
     pub fn naive_query(&self) -> &Query {
-        &self.naive_query
+        &self.naive
     }
 
     /// Output arity of the statement.
     pub fn output_arity(&self) -> usize {
-        self.optimized.arity
+        self.output_arity
     }
 
-    /// Before/after plan trees, for humans.
+    /// Before/after operator trees with each node's arity, for humans.
     pub fn explain(&self) -> String {
         let mut out = String::new();
         out.push_str("naive plan:\n");
-        out.push_str(&self.naive.render_tree());
+        out.push_str(&render_tree(&self.naive, &self.schema));
         if self.optimized == self.naive {
             out.push_str("optimized plan: (unchanged)\n");
         } else {
             out.push_str("optimized plan:\n");
-            out.push_str(&self.optimized.render_tree());
+            out.push_str(&render_tree(&self.optimized, &self.schema));
         }
         out
     }
@@ -175,7 +149,7 @@ impl Prepared {
         cat: &Catalog<B>,
         cfg: &ExecConfig,
     ) -> Result<B::Output, EngineError> {
-        self.run(cat, &self.optimized_query, cfg, &mut NoTrace)
+        self.run(cat, &self.optimized, cfg, &mut NoTrace)
     }
 
     /// [`Prepared::execute_catalog_cfg`] on the [`Instance`] backend,
@@ -215,7 +189,7 @@ impl Prepared {
         cat: &Catalog<PcTable<W>>,
     ) -> Result<Vec<(Tuple, W)>, EngineError> {
         let cfg = ExecConfig::from_env();
-        let answer = self.run(cat, &self.naive_query, &cfg, &mut NoTrace)?;
+        let answer = self.run(cat, &self.naive, &cfg, &mut NoTrace)?;
         Ok(answer.mod_space()?.marginals())
     }
 
@@ -232,7 +206,7 @@ impl Prepared {
     ) -> Result<(B::Output, QueryReport), EngineError> {
         let t0 = Instant::now();
         let mut sink = ReportSink::default();
-        let out = self.run(cat, &self.optimized_query, cfg, &mut sink)?;
+        let out = self.run(cat, &self.optimized, cfg, &mut sink)?;
         Ok((out, self.report::<B>(sink, t0)))
     }
 
@@ -249,7 +223,7 @@ impl Prepared {
         let t0 = Instant::now();
         let mut sink = ReportSink::default();
         let cfg = ExecConfig::from_env();
-        let answer = self.run(cat, &self.optimized_query, &cfg, &mut sink)?;
+        let answer = self.run(cat, &self.optimized, &cfg, &mut sink)?;
         let (dist, bdd) = answer.marginals_bdd_traced()?;
         let mut report = self.report::<PcTable<W>>(sink, t0);
         report.bdd = Some(bdd);
@@ -313,7 +287,6 @@ impl Prepared {
 mod tests {
     use super::*;
     use ipdb_rel::{instance, Instance, RelError};
-    use ipdb_tables::TableError;
 
     #[test]
     fn prepare_text_and_execute() {
@@ -341,8 +314,8 @@ mod tests {
         assert!(text.contains("naive plan:"));
         assert!(text.contains("optimized plan:"));
         assert!(text.contains("and(#1=2,#0=1)"));
-        // The fused plan is strictly shallower.
-        assert!(stmt.plan().depth() < stmt.naive_plan().depth());
+        // The fused query is strictly shallower.
+        assert!(stmt.query().depth() < stmt.naive_query().depth());
     }
 
     #[test]
@@ -355,7 +328,7 @@ mod tests {
             .unwrap();
         let text = stmt.explain();
         assert!(text.contains("join[#0=#2]"), "explain was:\n{text}");
-        assert!(!format!("{:?}", stmt.plan()).contains("Product"));
+        assert!(!format!("{:?}", stmt.query()).contains("Product"));
         let cat = Catalog::single(instance![[1, 10], [2, 20], [1, 30]]);
         let out = stmt.execute_catalog(&cat).unwrap();
         assert_eq!(
@@ -363,6 +336,56 @@ mod tests {
             Instance::run_catalog(&cat, stmt.naive_query()).unwrap()
         );
         assert_eq!(out.len(), 5);
+    }
+
+    #[test]
+    fn explain_tree_shows_arities() {
+        // A join, a literal and a selection: every node carries its
+        // arity, a literal also its row count.
+        let stmt = Engine::new()
+            .prepare_text("sigma[#0=1](join[#1=#2](V, {(1),(2)}))", 2)
+            .unwrap();
+        assert_eq!(
+            stmt.explain(),
+            "\
+naive plan:
+sigma[#0=1]  (arity 3)
+  join[#1=#2]  (arity 3)
+    V  (arity 2)
+    lit {(1), (2)}  (arity 1, 2 rows)
+optimized plan:
+join[#1=#2]  (arity 3)
+  sigma[#0=1]  (arity 2)
+    V  (arity 2)
+  lit {(1), (2)}  (arity 1, 2 rows)
+"
+        );
+    }
+
+    #[test]
+    fn join_renders_in_explain_tree() {
+        let stmt = Engine::new()
+            .prepare_text("join[#1=#2; #0!=3](V, V)", 2)
+            .unwrap();
+        assert!(
+            stmt.explain()
+                .starts_with("naive plan:\njoin[#1=#2; #0!=3]  (arity 4)\n"),
+            "got:\n{}",
+            stmt.explain()
+        );
+        let bare = Engine::new()
+            .prepare_text("join[#0=#2,#1=#3](V, V)", 2)
+            .unwrap();
+        assert_eq!(
+            bare.explain(),
+            "\
+naive plan:
+join[#0=#2,#1=#3]  (arity 4)
+  V  (arity 2)
+  V  (arity 2)
+optimized plan: (unchanged)
+"
+        );
     }
 
     #[test]
@@ -394,15 +417,10 @@ mod tests {
             named.execute_catalog(&cat).unwrap_err(),
             EngineError::MissingRelation { name: "R".into() }
         );
-        // The c-table executor reports lookups through `TableError`.
-        let second = B::run_catalog(&cat, &Query::Second).unwrap_err();
-        assert!(
-            matches!(
-                second,
-                EngineError::Rel(RelError::NoSecondInput)
-                    | EngineError::Table(TableError::Rel(RelError::NoSecondInput))
-            ),
-            "{second:?}"
+        // Every backend reports a missing relation the same way.
+        assert_eq!(
+            B::run_catalog(&cat, &Query::Second).unwrap_err(),
+            EngineError::Rel(RelError::NoSecondInput)
         );
     }
 

@@ -1,10 +1,11 @@
 //! `EXPLAIN ANALYZE`: per-operator execution reports.
 //!
-//! Where [`crate::plan::Plan::render_tree`] shows the *static* optimized
-//! plan, the types here capture what actually happened when a query ran:
-//! per-operator input/output cardinalities, selectivity, wall-clock
-//! time, the hash join's build-side choice, and (on the c-/pc-table
-//! paths) how many rows condition simplification pruned. A
+//! Where [`Prepared::explain`](crate::Prepared::explain) shows the
+//! *static* optimized query, the types here capture what actually
+//! happened when a query ran: per-operator input/output cardinalities,
+//! selectivity, wall-clock time, the hash join's build-side choice, and
+//! (on the c-/pc-table paths) how many rows condition simplification
+//! pruned. A
 //! [`QueryReport`] bundles the operator tree with whole-query totals,
 //! the optimizer's pass count, and — for probabilistic answering — the
 //! BDD manager's counters ([`ipdb_prob::BddStats`]).
@@ -24,7 +25,7 @@ use std::fmt;
 use std::time::Instant;
 
 use ipdb_prob::BddStats;
-use ipdb_rel::Query;
+use ipdb_rel::{Query, Schema};
 
 use crate::optimize::OptimizeStats;
 use crate::parser::render_pred_string;
@@ -128,7 +129,8 @@ impl TraceSink for ReportSink {
 /// beneath it in plan order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpReport {
-    /// Operator label, same vocabulary as `Plan::render_tree` (`join[…]`,
+    /// Operator label, same vocabulary as
+    /// [`Prepared::explain`](crate::Prepared::explain) (`join[…]`,
     /// `sigma[…]`, `pi[…]`, `x`, `union`, `V`, `lit …`).
     pub label: String,
     /// Output arity of the operator.
@@ -307,9 +309,54 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// The operator label for a query node — same vocabulary as
-/// `Plan::render_tree`, but over the executed [`Query`] (the executors
-/// run compiled queries, not plans).
+/// Renders a checked query as an indented operator tree, one
+/// [`query_label`] per line with the node's arity (and a literal's row
+/// count) — the body of [`Prepared::explain`](crate::Prepared::explain).
+pub(crate) fn render_tree(q: &Query, schema: &Schema) -> String {
+    let mut out = String::new();
+    render_tree_into(q, schema, 0, &mut out);
+    out
+}
+
+/// Appends `q`'s subtree to `out` at `indent` and returns its arity. A
+/// node's arity comes from its children, so its line is inserted in
+/// front of theirs once they are written.
+fn render_tree_into(q: &Query, schema: &Schema, indent: usize, out: &mut String) -> usize {
+    use std::fmt::Write as _;
+    let at = out.len();
+    let mut child = |c: &Query| render_tree_into(c, schema, indent + 1, out);
+    let arity = match q {
+        Query::Input | Query::Second | Query::Rel(_) => {
+            q.arity_in(schema).expect("leaves are checked at prepare")
+        }
+        Query::Lit(i) => i.arity(),
+        Query::Project(cols, c) => {
+            child(c);
+            cols.len()
+        }
+        Query::Select(_, c) => child(c),
+        Query::Product(a, b)
+        | Query::Join {
+            left: a, right: b, ..
+        } => child(a) + child(b),
+        Query::Union(a, b) | Query::Diff(a, b) | Query::Intersect(a, b) => {
+            let arity = child(a);
+            child(b);
+            arity
+        }
+    };
+    let mut line = "  ".repeat(indent) + &query_label(q);
+    let _ = match q {
+        Query::Lit(i) => writeln!(line, "  (arity {arity}, {} rows)", i.len()),
+        _ => writeln!(line, "  (arity {arity})"),
+    };
+    out.insert_str(at, &line);
+    arity
+}
+
+/// The operator label for a query node: the vocabulary of both
+/// [`Prepared::explain`](crate::Prepared::explain) and the
+/// `EXPLAIN ANALYZE` operator tree.
 fn query_label(q: &Query) -> String {
     match q {
         Query::Input => "V".to_string(),

@@ -149,29 +149,3 @@ proptest! {
         check_report(&report.root)?;
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Catalog form on the instance backend: analyzed equals plain for
-    /// every configuration.
-    #[test]
-    fn analyzed_catalog_matches_plain_across_configs(
-        q in arb_query(2, 2, 3, 3),
-        i in arb_instance(2, 6, 3),
-    ) {
-        let stmt = Engine::new().prepare(&q, 2).unwrap();
-        let cat = Catalog::single(i);
-        let expected = stmt.execute_catalog(&cat).unwrap();
-        for (threads, morsel_rows) in EXEC_SWEEP {
-            let cfg = ExecConfig { threads, morsel_rows, metrics: false };
-            let (out, report) = stmt.execute_catalog_analyzed(&cat, &cfg).unwrap();
-            prop_assert_eq!(
-                out,
-                expected.clone(),
-                "analyzed catalog run diverged at threads={} morsel={}", threads, morsel_rows
-            );
-            check_report(&report.root)?;
-        }
-    }
-}

@@ -1,6 +1,6 @@
 //! The differential join oracle.
 //!
-//! The hash-equijoin path (`Query::Join` / `PlanNode::Join`) must be
+//! The hash-equijoin path (`Query::Join`) must be
 //! *observably identical* to the naive filtered product
 //! `σ_{⋀ #i=#j ∧ residual}(left × right)` it replaces, on every backend:
 //!
@@ -14,8 +14,8 @@
 //!
 //! On top of the random join shapes, the optimizer's σ(×) → Join
 //! rewrite is checked differentially: a selection-over-product query
-//! whose predicate contains spanning equalities must plan to a `Join`
-//! and still execute identically to the unoptimized plan.
+//! whose predicate contains spanning equalities must optimize to a
+//! `Join` and still execute identically to the unoptimized query.
 //!
 //! Run counts are deliberately modest for CI; soak with
 //! `PROPTEST_CASES=256 cargo test -p ipdb-engine --test join_oracle`
@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ipdb_engine::{Backend, Catalog, Engine, ExecConfig, NoTrace, Plan, PlanNode, Schema};
+use ipdb_engine::{Backend, Catalog, Engine, ExecConfig, NoTrace, Schema};
 use ipdb_logic::{Valuation, Var};
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{
@@ -120,16 +120,15 @@ fn uniform_pctable(t: &CTable) -> PcTable<Rat> {
     PcTable::new(t.clone(), dists).expect("every variable has a distribution")
 }
 
-/// Whether any node of the plan is a `Join`.
-fn contains_join(p: &Plan) -> bool {
-    match &p.node {
-        PlanNode::Join { .. } => true,
-        PlanNode::Input | PlanNode::Second | PlanNode::Rel(_) | PlanNode::Lit(_) => false,
-        PlanNode::Project(_, c) | PlanNode::Select(_, c) => contains_join(c),
-        PlanNode::Product(a, b)
-        | PlanNode::Union(a, b)
-        | PlanNode::Diff(a, b)
-        | PlanNode::Intersect(a, b) => contains_join(a) || contains_join(b),
+/// Whether any node of the query is a `Join`.
+fn contains_join(q: &Query) -> bool {
+    match q {
+        Query::Join { .. } => true,
+        Query::Input | Query::Second | Query::Rel(_) | Query::Lit(_) => false,
+        Query::Project(_, c) | Query::Select(_, c) => contains_join(c),
+        Query::Product(a, b) | Query::Union(a, b) | Query::Diff(a, b) | Query::Intersect(a, b) => {
+            contains_join(a) || contains_join(b)
+        }
     }
 }
 
@@ -150,8 +149,8 @@ proptest! {
         );
     }
 
-    /// The optimizer's σ(×) → Join rewrite: the prepared plan contains a
-    /// Join node, and optimized execution matches naive execution.
+    /// The optimizer's σ(×) → Join rewrite: the optimized query contains
+    /// a Join node, and optimized execution matches naive execution.
     #[test]
     fn optimizer_join_extraction_is_sound(
         (l, r, on, residual) in arb_join_shape(),
@@ -160,8 +159,8 @@ proptest! {
         let (_, naive) = join_and_oracle(l, r, on, residual);
         let stmt = Engine::new().prepare(&naive, 2).unwrap();
         prop_assert!(
-            contains_join(stmt.plan()) || !format!("{:?}", stmt.plan()).contains("Product"),
-            "σ(×) with spanning keys should plan to a Join (or fold away):\n{}",
+            contains_join(stmt.query()) || !format!("{:?}", stmt.query()).contains("Product"),
+            "σ(×) with spanning keys should optimize to a Join (or fold away):\n{}",
             stmt.explain()
         );
         let cat = Catalog::single(i);

@@ -63,9 +63,9 @@ fn ctable_algebra_errors_surface() {
 
 #[test]
 fn join_errors_surface() {
-    use ipdb::engine::{Engine, EngineError, PlanNode};
+    use ipdb::engine::{Engine, EngineError};
 
-    // A join key column past the combined arity fails at plan build with
+    // A join key column past the combined arity fails the schema check with
     // the dedicated JoinArity error...
     let oob = Query::join(Query::Input, Query::Input, [(0, 9)], None);
     assert_eq!(
@@ -81,8 +81,8 @@ fn join_errors_surface() {
         oob.eval(&ipdb::rel::instance![[1, 2]]),
         Err(RelError::ColumnOutOfRange { col: 9, arity: 4 })
     ));
-    // Key pairs that do not span the two operands are rejected: the plan
-    // layer insists a Join can actually hash on its keys.
+    // Key pairs that do not span the two operands are rejected: the
+    // check insists a Join can actually hash on its keys.
     let one_sided = Query::join(Query::Input, Query::Input, [(0, 1)], None);
     assert_eq!(
         Engine::new().prepare(&one_sided, 2).unwrap_err(),
@@ -92,7 +92,7 @@ fn join_errors_surface() {
             right: 2
         }
     );
-    // An empty `on` list is rejected at plan build (write sigma(... x ...)).
+    // An empty `on` list is rejected by the check (write sigma(... x ...)).
     let empty = Query::join(Query::Input, Query::Input, [], None);
     assert_eq!(
         Engine::new().prepare(&empty, 2).unwrap_err(),
@@ -103,12 +103,12 @@ fn join_errors_surface() {
         Engine::new().prepare_text("join[](V, V)", 2).unwrap_err(),
         EngineError::EmptyJoinOn
     );
-    // Duplicate (and reversed) key pairs are deduplicated at plan build.
+    // Duplicate (and reversed) key pairs are deduplicated by the check.
     let dup = Query::join(Query::Input, Query::Input, [(0, 2), (2, 0), (0, 2)], None);
     let stmt = Engine::new().prepare(&dup, 2).unwrap();
-    match &stmt.naive_plan().node {
-        PlanNode::Join { on, .. } => assert_eq!(on, &vec![(0, 2)]),
-        other => panic!("expected a Join plan node, got {other:?}"),
+    match stmt.naive_query() {
+        Query::Join { on, .. } => assert_eq!(on, &vec![(0, 2)]),
+        other => panic!("expected a Join node, got {other:?}"),
     }
     // A residual referencing a column outside the combined tuple.
     let bad_resid = Query::join(
