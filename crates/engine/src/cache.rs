@@ -34,8 +34,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use ipdb_obs::Counter;
 use ipdb_rel::{Query, Schema};
 
 use crate::error::EngineError;
@@ -354,7 +355,9 @@ impl PlanCache {
         // concurrent bumps; nothing reads other data through it.
         self.hits.fetch_add(1, Ordering::Relaxed);
         if ipdb_obs::enabled() {
-            ipdb_obs::incr(OBS_CACHE_HITS);
+            static HITS: OnceLock<&'static Counter> = OnceLock::new();
+            HITS.get_or_init(|| ipdb_obs::counter(OBS_CACHE_HITS))
+                .incr();
         }
     }
 
@@ -362,7 +365,10 @@ impl PlanCache {
         // ORDERING: Relaxed — same exact-tally contract as `record_hit`.
         self.misses.fetch_add(1, Ordering::Relaxed);
         if ipdb_obs::enabled() {
-            ipdb_obs::incr(OBS_CACHE_MISSES);
+            static MISSES: OnceLock<&'static Counter> = OnceLock::new();
+            MISSES
+                .get_or_init(|| ipdb_obs::counter(OBS_CACHE_MISSES))
+                .incr();
         }
     }
 }

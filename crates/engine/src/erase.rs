@@ -34,6 +34,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
+use ipdb_obs::Counter;
+
 /// A type-erased pool job. Jobs are `'static`: [`fan_out`] erases the
 /// borrow lifetime of its task and re-establishes safety by never
 /// returning (or unwinding) before every job it submitted has finished.
@@ -88,12 +90,18 @@ impl Pool {
                                 None => {
                                     // Park/wake gauges use the global flag:
                                     // no ExecConfig reaches the worker loop.
+                                    static PARKS: OnceLock<&'static Counter> = OnceLock::new();
+                                    static WAKES: OnceLock<&'static Counter> = OnceLock::new();
                                     if ipdb_obs::enabled() {
-                                        ipdb_obs::incr("pool.parks");
+                                        PARKS
+                                            .get_or_init(|| ipdb_obs::counter("pool.parks"))
+                                            .incr();
                                     }
                                     q = shared.wake.wait(q).unwrap_or_else(PoisonError::into_inner);
                                     if ipdb_obs::enabled() {
-                                        ipdb_obs::incr("pool.wakes");
+                                        WAKES
+                                            .get_or_init(|| ipdb_obs::counter("pool.wakes"))
+                                            .incr();
                                     }
                                 }
                             }
@@ -111,7 +119,8 @@ impl Pool {
 
     fn submit(&self, job: Job) {
         if ipdb_obs::enabled() {
-            ipdb_obs::incr("pool.jobs");
+            static JOBS: OnceLock<&'static Counter> = OnceLock::new();
+            JOBS.get_or_init(|| ipdb_obs::counter("pool.jobs")).incr();
         }
         self.shared
             .queue

@@ -24,10 +24,12 @@
 //!    (with [`simplified`](ipdb_tables::CTable::simplified) condition
 //!    pruning), and [`PcTable`](ipdb_prob::PcTable), so one prepared
 //!    query runs under all three semantics. Joins hash on their key
-//!    columns: instances bucket the build side outright, while c-/pc-
-//!    tables bucket the rows whose key columns are *ground* and fall
-//!    back to condition-conjunction pairing for rows with variable keys,
-//!    preserving the c-table semantics exactly.
+//!    columns through one index, `ipdb-rel`'s
+//!    [`JoinIndex`](ipdb_rel::JoinIndex): instances bucket the build
+//!    side outright, while c-/pc-tables bucket the rows whose key
+//!    columns are *ground* and fall back to condition-conjunction
+//!    pairing for rows with variable keys, preserving the c-table
+//!    semantics exactly.
 //!
 //! The `Instance` backend executes through the columnar, morsel-parallel
 //! evaluator in [`morsel`]: leaves read `ipdb-rel`'s

@@ -645,6 +645,88 @@ mod tests {
         }
     }
 
+    /// `par_join` configs at one and four threads, with morsels small
+    /// enough that the four-thread probe fans out.
+    fn join_configs() -> [ExecConfig; 2] {
+        [1, 4].map(|threads| ExecConfig {
+            threads,
+            morsel_rows: 2,
+            metrics: false,
+        })
+    }
+
+    #[test]
+    fn equijoin_matches_row_path() {
+        let l = instance![[1, 10], [2, 20], [3, 10]];
+        let r = instance![[10, 7], [20, 8], [40, 9]];
+        let (cl, cr) = (l.columnar(), r.columnar());
+        type JoinCase<'a> = (&'a [(usize, usize)], Option<Pred>);
+        let cases: &[JoinCase] = &[
+            (&[(1, 2)], None),
+            (&[(1, 2)], Some(Pred::neq_const(0, 3))),
+            (&[(2, 1)], None),
+            (&[], None),
+            (&[], Some(Pred::eq_cols(1, 2))),
+            (&[(0, 1)], None), // non-spanning → filter
+        ];
+        for cfg in join_configs() {
+            for (on, residual) in cases {
+                let row = l.equijoin(&r, on, residual.as_ref()).unwrap();
+                let (col, _) = par_join(cl, cr, on, residual.as_ref(), &cfg).unwrap();
+                assert_eq!(col.to_rows(), row, "on {on:?}, threads {}", cfg.threads);
+            }
+            // Errors mirror the row path.
+            assert!(par_join(cl, cr, &[(0, 9)], None, &cfg).is_err());
+            assert!(par_join(cl, cr, &[(1, 2)], Some(&Pred::eq_cols(0, 9)), &cfg).is_err());
+        }
+    }
+
+    #[test]
+    fn equijoin_build_side_is_size_independent() {
+        let small = Instance::from_rows(2, (0..3i64).map(|i| [i, i])).unwrap();
+        let big = Instance::from_rows(2, (0..40i64).map(|i| [i % 5, i])).unwrap();
+        for cfg in join_configs() {
+            for (l, r) in [(&small, &big), (&big, &small)] {
+                let row = l.equijoin(r, &[(0, 2)], None).unwrap();
+                let (col, build_left) =
+                    par_join(l.columnar(), r.columnar(), &[(0, 2)], None, &cfg).unwrap();
+                assert_eq!(col.to_rows(), row);
+                assert_eq!(build_left, Some(l.len() <= r.len()));
+            }
+        }
+    }
+
+    #[test]
+    fn equijoin_of_selected_inputs_matches_row_join() {
+        let l = Instance::from_rows(2, (0..30i64).map(|x| [x % 7, x])).unwrap();
+        let r = Instance::from_rows(3, (0..25i64).map(|x| [x, x % 5, x % 7])).unwrap();
+        let (cl, cr) = (l.columnar(), r.columnar());
+        // Selection vectors on both sides, the right one out of
+        // physical order.
+        let sl = cl.select(&Pred::neq_const(0, 3)).unwrap();
+        let sr = cr.gather_rows(
+            &(0..cr.len())
+                .rev()
+                .filter(|x| x % 4 != 1)
+                .collect::<Vec<_>>(),
+        );
+        let (rl, rr) = (sl.to_rows(), sr.to_rows());
+        for cfg in join_configs() {
+            for on in [vec![(0, 4)], vec![(0, 4), (1, 2)], vec![(1, 2), (0, 4)]] {
+                let expected = rl.equijoin(&rr, &on, None).unwrap();
+                assert!(!expected.is_empty());
+                let (joined, _) = par_join(&sl, &sr, &on, None, &cfg).unwrap();
+                assert_eq!(joined.to_rows(), expected);
+                // The other build side, with the operands swapped.
+                let swapped: Vec<(usize, usize)> =
+                    on.iter().map(|&(i, j)| (j - 2, i + 3)).collect();
+                let flipped = rr.equijoin(&rl, &swapped, None).unwrap();
+                let (joined, _) = par_join(&sr, &sl, &swapped, None, &cfg).unwrap();
+                assert_eq!(joined.to_rows(), flipped);
+            }
+        }
+    }
+
     #[test]
     fn executor_mirrors_row_path_errors() {
         let i = instance![[1, 2]];

@@ -22,8 +22,10 @@
 //! [`ReportSink`] builds the [`OpReport`] tree.
 
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
+use ipdb_obs::Counter;
 use ipdb_prob::BddStats;
 use ipdb_rel::{Query, Schema};
 
@@ -104,7 +106,10 @@ impl TraceSink for ReportSink {
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let children = self.done.split_off(first_child);
         if rows_pruned > 0 && ipdb_obs::enabled() {
-            ipdb_obs::add("prune.rows", rows_pruned);
+            static PRUNED: OnceLock<&'static Counter> = OnceLock::new();
+            PRUNED
+                .get_or_init(|| ipdb_obs::counter("prune.rows"))
+                .add(rows_pruned);
         }
         let rows_in = if children.is_empty() {
             rows_out

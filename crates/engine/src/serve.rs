@@ -35,9 +35,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread;
 
+use ipdb_obs::Counter;
 use ipdb_rel::Schema;
 
 use crate::backend::{Backend, Catalog};
@@ -144,7 +145,10 @@ impl<B: Backend> SnapshotCatalog<B> {
         });
         drop(cur);
         if ipdb_obs::enabled() {
-            ipdb_obs::incr(OBS_SNAPSHOT_INSTALLS);
+            static INSTALLS: OnceLock<&'static Counter> = OnceLock::new();
+            INSTALLS
+                .get_or_init(|| ipdb_obs::counter(OBS_SNAPSHOT_INSTALLS))
+                .incr();
         }
         version
     }
@@ -363,7 +367,10 @@ where
                 }
             };
             if ipdb_obs::enabled() {
-                ipdb_obs::incr(OBS_REQUESTS);
+                static REQUESTS: OnceLock<&'static Counter> = OnceLock::new();
+                REQUESTS
+                    .get_or_init(|| ipdb_obs::counter(OBS_REQUESTS))
+                    .incr();
             }
             // Panic isolation (the morsel pool's catch-unwind pattern):
             // a poisoned request answers an error; the worker survives.

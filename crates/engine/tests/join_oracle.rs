@@ -31,7 +31,7 @@ use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{
     arb_catalog_case, arb_instance, arb_mixed_instance, arb_pred, arb_query, arb_query_with_arity,
 };
-use ipdb_rel::{ColumnarInstance, Domain, Fragment, Instance, Pred, Query, Value};
+use ipdb_rel::{Domain, Fragment, Instance, Pred, Query, Value};
 use ipdb_tables::strategies::arb_finite_ctable;
 use ipdb_tables::CTable;
 
@@ -386,9 +386,10 @@ proptest! {
 
     /// Join keys of every value variant — `Bool`, `Int` and `Str`, with
     /// strings long enough to take the key hasher's multi-word byte path
-    /// and sharing prefixes: the row hash join, the columnar hash join
-    /// and the morsel executor under every configuration all equal the
-    /// naive filtered product.
+    /// and sharing prefixes: the row hash join, the morsel executor under
+    /// every configuration, and the c-table join of the same (ground)
+    /// relations — `join_bar` and the pruning executor under the empty
+    /// valuation — all equal the naive filtered product.
     #[test]
     fn mixed_type_keys_join_like_the_filtered_product(
         l in arb_mixed_instance(2, 10),
@@ -411,15 +412,20 @@ proptest! {
             expected.clone(),
             "row equijoin on {:?}", on
         );
-        prop_assert_eq!(
-            ColumnarInstance::from_rows(&l)
-                .equijoin(&ColumnarInstance::from_rows(&r), &on, residual.as_ref())
-                .unwrap()
-                .to_rows(),
-            expected.clone(),
-            "columnar equijoin on {:?}", on
-        );
         let q = Query::join(Query::Input, Query::Second, on.clone(), residual.clone());
+        let (tl, tr) = (CTable::from_instance(&l), CTable::from_instance(&r));
+        let nu = Valuation::new();
+        prop_assert_eq!(
+            tl.join_bar(&tr, &on, residual.as_ref()).unwrap().apply_valuation(&nu).unwrap(),
+            expected.clone(),
+            "join_bar on {:?}", on
+        );
+        let tcat: Catalog<CTable> = [("V", tl), ("W", tr)].into_iter().collect();
+        prop_assert_eq!(
+            CTable::run_catalog(&tcat, &q).unwrap().apply_valuation(&nu).unwrap(),
+            expected.clone(),
+            "c-table executor on {:?}", on
+        );
         let cat: Catalog<Instance> = [("V", l), ("W", r)].into_iter().collect();
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };

@@ -4,12 +4,9 @@
 //! morsel-parallel columnar executor, c-/pc-table pruning executor, BDD
 //! compile + WMC); this crate is the substrate they all report into:
 //!
-//! * a process-wide **counter registry** ([`counter`] / [`add`] /
-//!   [`incr`]): named monotonic `AtomicU64`s, registered on first use
-//!   and alive for the rest of the process;
-//! * **monotonic timers** ([`Timer`]) and a lightweight **span/scope
-//!   API** ([`span`]) that accumulates `<name>.ns` / `<name>.calls`
-//!   pairs into the registry;
+//! * a process-wide **counter registry** ([`counter`]): named monotonic
+//!   `AtomicU64`s, registered on first use and alive for the rest of the
+//!   process;
 //! * **snapshots** ([`snapshot`] → [`MetricsSnapshot`]) with JSON and
 //!   pretty-text export.
 //!
@@ -25,8 +22,9 @@
 //! `bench_smoke` holds the metrics-on cost of the instrumented 100k-row
 //! probe join within 5% of metrics off.
 //!
-//! [`span`] checks the flag itself (a disabled span skips even the
-//! clock read), so it is safe to leave in cold paths unconditionally.
+//! [`counter`] looks its name up under the registry mutex, so a call
+//! site resolves its `&'static` [`Counter`] once (in a `OnceLock`, say)
+//! and bumps it lock-free from then on.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -35,7 +33,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // The global enabled flag.
@@ -128,8 +125,8 @@ fn registry() -> MutexGuard<'static, BTreeMap<String, &'static Counter>> {
 
 /// The registered counter named `name`, creating (and leaking — one
 /// allocation per distinct name, alive for the process) it on first
-/// use. The lookup takes the registry mutex: call per stage, not per
-/// row, and gate hot paths on [`enabled`] first.
+/// use. The lookup takes the registry mutex: resolve a call site's
+/// handle once and keep it, and gate hot paths on [`enabled`] first.
 pub fn counter(name: &str) -> &'static Counter {
     let mut reg = registry();
     if let Some(c) = reg.get(name) {
@@ -138,16 +135,6 @@ pub fn counter(name: &str) -> &'static Counter {
     let c: &'static Counter = Box::leak(Box::new(Counter::new()));
     reg.insert(name.to_string(), c);
     c
-}
-
-/// `counter(name).add(n)` — registry convenience.
-pub fn add(name: &str, n: u64) {
-    counter(name).add(n);
-}
-
-/// `counter(name).incr()` — registry convenience.
-pub fn incr(name: &str) {
-    counter(name).incr();
 }
 
 /// Zeroes every registered counter (names stay registered). Benchmarks
@@ -164,54 +151,6 @@ pub fn snapshot() -> MetricsSnapshot {
     let reg = registry();
     MetricsSnapshot {
         entries: reg.iter().map(|(n, c)| (n.clone(), c.get())).collect(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Timers and spans.
-// ---------------------------------------------------------------------
-
-/// A monotonic wall-clock timer (`std::time::Instant` underneath).
-#[derive(Debug, Clone, Copy)]
-pub struct Timer(Instant);
-
-impl Timer {
-    /// Starts the clock.
-    pub fn start() -> Timer {
-        Timer(Instant::now())
-    }
-
-    /// Nanoseconds elapsed since [`Timer::start`], saturating at
-    /// `u64::MAX` (≈ 584 years).
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// A scope guard recording its lifetime into the registry: on drop,
-/// adds the elapsed nanoseconds to `<name>.ns` and 1 to `<name>.calls`.
-/// Created disarmed (no clock read, nothing recorded) when metrics are
-/// globally [`enabled`]`() == false`.
-#[derive(Debug)]
-pub struct Span {
-    name: String,
-    started: Option<Timer>,
-}
-
-/// Opens a [`Span`] named `name`; see the type docs for the contract.
-pub fn span(name: impl Into<String>) -> Span {
-    Span {
-        name: name.into(),
-        started: enabled().then(Timer::start),
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(t) = self.started {
-            add(&format!("{}.ns", self.name), t.elapsed_ns());
-            incr(&format!("{}.calls", self.name));
-        }
     }
 }
 
@@ -319,10 +258,10 @@ mod tests {
         c.incr();
         assert_eq!(c.get(), 4);
         // Same name → same counter.
-        add("test.alpha", 1);
+        counter("test.alpha").add(1);
         assert_eq!(counter("test.alpha").get(), 5);
         // Distinct names are independent.
-        incr("test.beta");
+        counter("test.beta").incr();
         assert_eq!(counter("test.beta").get(), 1);
         assert_eq!(counter("test.alpha").get(), 5);
     }
@@ -330,8 +269,8 @@ mod tests {
     #[test]
     fn snapshot_captures_and_exports() {
         let _g = serialized();
-        add("test.snap.x", 7);
-        add("test.snap.y", 2);
+        counter("test.snap.x").add(7);
+        counter("test.snap.y").add(2);
         let snap = snapshot();
         assert!(!snap.is_empty());
         assert!(snap.len() >= 2);
@@ -354,9 +293,9 @@ mod tests {
     #[test]
     fn json_escapes_quotes_and_backslashes() {
         let _g = serialized();
-        add("test.esc.\"q\\uote\"", 1);
+        counter("test.esc.\"q\\uote\"").incr();
         // Control characters reach names through thread names.
-        add("test.esc.tab\there\nnl\u{1}", 1);
+        counter("test.esc.tab\there\nnl\u{1}").incr();
         let json = snapshot().to_json();
         assert!(json.contains("\"test.esc.\\\"q\\\\uote\\\"\": 1"));
         assert!(json.contains("\"test.esc.tab\\u0009here\\u000anl\\u0001\": 1"));
@@ -366,38 +305,9 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_only_when_enabled() {
-        let _g = serialized();
-        let was = enabled();
-        set_enabled(false);
-        drop(span("test.span.off"));
-        let snap = snapshot();
-        assert_eq!(snap.get("test.span.off.calls"), None);
-
-        set_enabled(true);
-        assert!(enabled());
-        {
-            let _s = span("test.span.on");
-            std::hint::black_box(0u64);
-        }
-        let snap = snapshot();
-        assert_eq!(snap.get("test.span.on.calls"), Some(1));
-        assert!(snap.get("test.span.on.ns").is_some());
-        set_enabled(was);
-    }
-
-    #[test]
-    fn timers_are_monotonic() {
-        let t = Timer::start();
-        let a = t.elapsed_ns();
-        let b = t.elapsed_ns();
-        assert!(b >= a);
-    }
-
-    #[test]
     fn reset_zeroes_but_keeps_registration() {
         let _g = serialized();
-        add("test.reset.me", 41);
+        counter("test.reset.me").add(41);
         reset();
         assert_eq!(counter("test.reset.me").get(), 0);
         assert_eq!(snapshot().get("test.reset.me"), Some(0));
@@ -428,7 +338,7 @@ mod tests {
             panic!("poison the metrics registry");
         });
         assert!(poisoner.join().is_err());
-        incr("test.poisoned");
+        counter("test.poisoned").incr();
         assert_eq!(snapshot().get("test.poisoned"), Some(1));
         reset();
         assert_eq!(snapshot().get("test.poisoned"), Some(0));

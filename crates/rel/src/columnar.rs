@@ -20,8 +20,9 @@
 //! * **project** — column gathering plus an index-sort deduplication
 //!   (projection is the one operator that can merge distinct rows);
 //! * **product** — positional materialization of the cross product;
-//! * **equijoin** — hash join via [`JoinIndex`], always building on the
-//!   smaller side. Key hashes are computed a column at a time
+//! * **equijoin** — the hash-join kernel [`JoinIndex`]; the engine's
+//!   morsel executor drives it (building on the smaller side) and so
+//!   does the c-table join. Key hashes are computed a column at a time
 //!   ([`ColumnarInstance::key_hashes`]): each key column is folded into
 //!   a buffer of per-row hasher states, which are then finished. The
 //!   steps are those of the row path's [`Instance::equijoin`], in the
@@ -29,8 +30,9 @@
 //!   map takes that `u64` as is rather than hashing it again. Probes
 //!   re-verify key equality, so hash collisions cost a comparison, never
 //!   a wrong match;
-//! * **gather** — the join's output rows are copied column by column,
-//!   after each side's physical rows are resolved once.
+//! * **gather** — the join's output rows are copied column by column
+//!   ([`ColumnarInstance::concat_pairs`]), after each side's physical
+//!   rows are resolved once.
 //!
 //! Columns are `Arc`-shared, so selection and projection are cheap: they
 //! produce a new selection vector (or column subset) over the same
@@ -48,7 +50,7 @@ use std::sync::Arc;
 
 use crate::error::RelError;
 use crate::keyhash::{BuildPassThrough, KeyHasher};
-use crate::pred::{normalize_join_keys, Pred};
+use crate::pred::Pred;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Instance;
@@ -447,60 +449,6 @@ impl ColumnarInstance {
         })
     }
 
-    /// Hash equijoin with the same key normalization as
-    /// [`Instance::equijoin`] ([`normalize_join_keys`], so the columnar
-    /// and row paths can never diverge on key classification): builds a
-    /// [`JoinIndex`] on the smaller side, probes with the other, and
-    /// applies unhashable pairs plus `residual` as a vectorized
-    /// post-filter. With no spanning keys it short-circuits to a
-    /// (filtered) product.
-    pub fn equijoin(
-        &self,
-        other: &ColumnarInstance,
-        on: &[(usize, usize)],
-        residual: Option<&Pred>,
-    ) -> Result<ColumnarInstance, RelError> {
-        let total = self.arity + other.arity;
-        let (keys, extra) = normalize_join_keys(on, self.arity, total)?;
-        if let Some(p) = residual {
-            p.validate(total)?;
-        }
-        let filter = Pred::conj_all(extra.into_iter().chain(residual.cloned()));
-        if keys.is_empty() {
-            let prod = self.product(other);
-            return if filter == Pred::True {
-                Ok(prod)
-            } else {
-                prod.select(&filter)
-            };
-        }
-        let build_left = self.len() <= other.len();
-        let (build, probe) = if build_left {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let (build_cols, probe_cols): (Vec<usize>, Vec<usize>) = if build_left {
-            keys.iter().copied().unzip()
-        } else {
-            keys.iter().map(|&(i, j)| (j, i)).unzip()
-        };
-        let index = JoinIndex::build(build, build_cols);
-        let mut matches = Vec::new();
-        index.probe_range(build, probe, &probe_cols, 0, probe.len(), &mut matches);
-        let pairs: Vec<(usize, usize)> = if build_left {
-            matches
-        } else {
-            matches.into_iter().map(|(b, p)| (p, b)).collect()
-        };
-        let joined = ColumnarInstance::concat_pairs(self, other, &pairs);
-        if filter == Pred::True {
-            Ok(joined)
-        } else {
-            joined.select(&filter)
-        }
-    }
-
     /// The join-key hash of each logical row in `lo..hi`, keyed on the
     /// columns `cols` in that order (repeats allowed) — the hashes
     /// [`JoinIndex::build`] buckets and [`JoinIndex::probe_range`] looks
@@ -823,46 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn equijoin_matches_row_path() {
-        let l = instance![[1, 10], [2, 20], [3, 10]];
-        let r = instance![[10, 7], [20, 8], [40, 9]];
-        let cl = ColumnarInstance::from_rows(&l);
-        let cr = ColumnarInstance::from_rows(&r);
-        type JoinCase<'a> = (&'a [(usize, usize)], Option<Pred>);
-        let cases: &[JoinCase] = &[
-            (&[(1, 2)], None),
-            (&[(1, 2)], Some(Pred::neq_const(0, 3))),
-            (&[(2, 1)], None),
-            (&[], None),
-            (&[], Some(Pred::eq_cols(1, 2))),
-            (&[(0, 1)], None), // non-spanning → filter
-        ];
-        for (on, residual) in cases {
-            let row = l.equijoin(&r, on, residual.as_ref()).unwrap();
-            let col = cl.equijoin(&cr, on, residual.as_ref()).unwrap();
-            assert_eq!(col.to_rows(), row, "on {on:?}");
-        }
-        // Errors mirror the row path.
-        assert!(cl.equijoin(&cr, &[(0, 9)], None).is_err());
-        assert!(cl
-            .equijoin(&cr, &[(1, 2)], Some(&Pred::eq_cols(0, 9)))
-            .is_err());
-    }
-
-    #[test]
-    fn equijoin_build_side_is_size_independent() {
-        let small = Instance::from_rows(2, (0..3i64).map(|i| [i, i])).unwrap();
-        let big = Instance::from_rows(2, (0..40i64).map(|i| [i % 5, i])).unwrap();
-        for (l, r) in [(&small, &big), (&big, &small)] {
-            let row = l.equijoin(r, &[(0, 2)], None).unwrap();
-            let col = ColumnarInstance::from_rows(l)
-                .equijoin(&ColumnarInstance::from_rows(r), &[(0, 2)], None)
-                .unwrap();
-            assert_eq!(col.to_rows(), row);
-        }
-    }
-
-    #[test]
     fn masks_chunk_consistently() {
         // eval_mask over morsel-sized ranges concatenates to the full
         // mask — the invariant the parallel executor relies on — and any
@@ -974,12 +882,6 @@ mod tests {
         for on in [vec![(0, 4)], vec![(0, 4), (1, 2)], vec![(1, 2), (0, 4)]] {
             let expected = rl.equijoin(&rr, &on, None).unwrap();
             assert!(!expected.is_empty());
-            // Both build sides through `equijoin`...
-            assert_eq!(sl.equijoin(&sr, &on, None).unwrap().to_rows(), expected);
-            let swapped: Vec<(usize, usize)> = on.iter().map(|&(i, j)| (j - 2, i + 3)).collect();
-            let flipped = rr.equijoin(&rl, &swapped, None).unwrap();
-            assert_eq!(sr.equijoin(&sl, &swapped, None).unwrap().to_rows(), flipped);
-            // ...and the index, probe and gather stages directly.
             let (lk, rk): (Vec<usize>, Vec<usize>) = on.iter().map(|&(i, j)| (i, j - 2)).unzip();
             let index = JoinIndex::build(&sl, lk);
             let mut pairs = Vec::new();

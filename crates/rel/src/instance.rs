@@ -490,6 +490,7 @@ macro_rules! instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::JoinIndex;
     use crate::tuple;
 
     #[test]
@@ -675,8 +676,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(side.equijoin(&side, &[(0, 2)], None).unwrap(), expected);
-        let col = side.columnar().equijoin(side.columnar(), &[(0, 2)], None);
-        assert_eq!(col.unwrap().to_rows(), expected);
+        let col = side.columnar();
+        let mut pairs = Vec::new();
+        JoinIndex::build(col, vec![0]).probe_range(col, col, &[0], 0, col.len(), &mut pairs);
+        assert_eq!(
+            ColumnarInstance::concat_pairs(col, col, &pairs).to_rows(),
+            expected
+        );
     }
 
     #[test]

@@ -1,5 +1,8 @@
-//! Join-key hashing shared by the row ([`Instance::equijoin`]) and
-//! columnar ([`JoinIndex`]) hash joins.
+//! Join-key hashing shared by every hash join: the row-path reference
+//! ([`Instance::equijoin`]) and the two drivers of the columnar
+//! [`JoinIndex`], the engine's morsel executor and the c-table join
+//! (`CTable::join_bar` in `ipdb-tables`, which indexes the ground-key
+//! rows of each side).
 //!
 //! A key is hashed by [`KeyHasher`]: a multiplicative word hasher
 //! (FxHash-style rotate–xor–multiply per 8-byte word) finished by a

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use ipdb_logic::Condition;
 use ipdb_logic::Term;
-use ipdb_rel::{CmpOp, Instance, Operand, Pred, Query, RelError};
+use ipdb_rel::{CmpOp, ColumnarInstance, Instance, JoinIndex, Operand, Pred, Query, RelError};
 
 use crate::ctable::{CRow, CTable};
 use crate::error::TableError;
@@ -93,6 +93,29 @@ pub fn tuples_neq(t: &[Term], s: &[Term]) -> Condition {
     )
 }
 
+/// Splits `t`'s rows on whether their `cols` entries are all constants.
+/// Returns the ground rows' `cols` values as a batch (column `k` holds
+/// entry `cols[k]`, one row per ground row in row order), the indexes of
+/// those rows, and the indexes of the rest. With no `cols`, every row is
+/// ground.
+fn ground_keys(t: &CTable, cols: &[usize]) -> (ColumnarInstance, Vec<usize>, Vec<usize>) {
+    let mut columns = vec![Vec::new(); cols.len()];
+    let (mut ground, mut var) = (Vec::new(), Vec::new());
+    for (r, row) in t.rows().iter().enumerate() {
+        if cols.iter().all(|&c| row.tuple[c].is_ground()) {
+            for (col, &c) in columns.iter_mut().zip(cols) {
+                col.extend(row.tuple[c].as_const().cloned());
+            }
+            ground.push(r);
+        } else {
+            var.push(r);
+        }
+    }
+    let batch = ColumnarInstance::from_columns(columns, ground.len())
+        .expect("each key column holds one value per ground row");
+    (batch, ground, var)
+}
+
 impl CTable {
     /// `π̄_cols(T)`: projected rows, with coinciding projections merged
     /// under the disjunction of their conditions.
@@ -144,23 +167,6 @@ impl CTable {
             })
             .collect::<Result<Vec<_>, TableError>>()?;
         CTable::with_domains(self.arity(), rows, self.domains().clone())
-    }
-
-    /// The **ground columns** of this table: columns whose entry is a
-    /// constant in *every* row. This is the ground/symbolic column
-    /// partition of the columnar execution core — the ground prefix of a
-    /// c-table behaves exactly like a conventional relation, so it can be
-    /// handed to `ipdb-rel`'s columnar kernels, while symbolic columns
-    /// (those containing at least one variable) stay on the
-    /// condition-composing term path.
-    pub fn ground_columns(&self) -> Vec<usize> {
-        (0..self.arity())
-            .filter(|&c| {
-                self.rows()
-                    .iter()
-                    .all(|r| matches!(r.tuple[c], Term::Const(_)))
-            })
-            .collect()
     }
 
     /// A columnar view of the given (all-ground) columns, one row per
@@ -247,25 +253,30 @@ impl CTable {
     /// `σ̄_{⋀ #i=#j ∧ residual}(T₁ ×̄ T₂)` but executed with build-side
     /// hashing wherever the key columns are *ground*.
     ///
-    /// Rows whose key columns are all constants can be bucketed by key
-    /// value: pairing two ground-key rows with unequal keys would produce
-    /// a row whose instantiated key condition is `false` — a row that
-    /// holds in no possible world — so the hash join's skipping of those
-    /// pairs is exactly the `simplified().without_false_rows()` pruning
-    /// done eagerly, and Lemma 1 is preserved. Rows with a *variable* in
-    /// some key column fall back to condition-conjunction pairing: they
-    /// are paired with every row of the other side and the key equalities
-    /// are instantiated on the terms (via [`pred_on_terms`]) and conjoined
-    /// onto the row condition, just as `σ̄` would.
+    /// Rows whose key columns are all constants are gathered into a
+    /// columnar batch of their key values on each side; a [`JoinIndex`]
+    /// over the right batch, probed with the left one, pairs them — the
+    /// hash-join kernel the instance executor uses. Pairing two
+    /// ground-key rows with unequal keys would produce a row whose
+    /// instantiated key condition is `false` — a row that holds in no
+    /// possible world — so the hash join's skipping of those pairs is
+    /// exactly the `simplified().without_false_rows()` pruning done
+    /// eagerly, and Lemma 1 is preserved. Rows with a *variable* in some
+    /// key column fall back to condition-conjunction pairing: they are
+    /// paired with every row of the other side and the key equalities
+    /// are instantiated on the terms (via [`pred_on_terms`]) and
+    /// conjoined onto the row condition, just as `σ̄` would.
+    ///
+    /// Output order: each left row in turn; a ground-key left row meets
+    /// its ground-key matches in right-row order, then every
+    /// variable-key right row; a variable-key left row meets every
+    /// right row.
     pub fn join_bar(
         &self,
         other: &CTable,
         on: &[(usize, usize)],
         residual: Option<&Pred>,
     ) -> Result<CTable, TableError> {
-        use ipdb_rel::Value;
-        use std::collections::HashMap;
-
         let (la, lb) = (self.arity(), other.arity());
         let total = la + lb;
         let domains = CTable::merge_domains(self.domains(), other.domains())?;
@@ -297,41 +308,40 @@ impl CTable {
             Ok(())
         };
 
-        let ground_key = |row: &CRow, cols: &dyn Fn(&(usize, usize)) -> usize| {
-            keys.iter()
-                .map(|k| match &row.tuple[cols(k)] {
-                    Term::Const(v) => Some(v.clone()),
-                    Term::Var(_) => None,
-                })
-                .collect::<Option<Vec<Value>>>()
-        };
-        // Build side: bucket ground-key right rows; keep variable-key
-        // rows aside for the fallback pairing.
-        let mut index: HashMap<Vec<Value>, Vec<&CRow>> = HashMap::new();
-        let mut var_right: Vec<&CRow> = Vec::new();
-        for r2 in other.rows() {
-            match ground_key(r2, &|&(_, j)| j) {
-                Some(key) => index.entry(key).or_default().push(r2),
-                None => var_right.push(r2),
-            }
-        }
-        for r1 in self.rows() {
-            match ground_key(r1, &|&(i, _)| i) {
-                Some(key) => {
-                    // Ground × ground: hash probe, keys equal by
-                    // construction. Ground × variable-key: fall back.
-                    if let Some(matches) = index.get(&key) {
-                        for r2 in matches {
-                            pair(r1, r2, true)?;
-                        }
+        let (left_cols, right_cols): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
+        let (left_keys, left_ground, _) = ground_keys(self, &left_cols);
+        let (right_keys, right_ground, right_var) = ground_keys(other, &right_cols);
+        // Ground × ground: one probe of the left key batch, matches in
+        // left-row-major order with right rows ascending.
+        let key_cols: Vec<usize> = (0..keys.len()).collect();
+        let index = JoinIndex::build(&right_keys, key_cols.clone());
+        let mut matches = Vec::new();
+        index.probe_range(
+            &right_keys,
+            &left_keys,
+            &key_cols,
+            0,
+            left_keys.len(),
+            &mut matches,
+        );
+        let mut matches = matches.into_iter().peekable();
+        let mut left_ground = left_ground.into_iter().enumerate().peekable();
+        let right_rows = other.rows();
+        for (l, r1) in self.rows().iter().enumerate() {
+            match left_ground.next_if(|&(_, row)| row == l) {
+                Some((probe, _)) => {
+                    // Keys equal by construction. Ground × variable-key:
+                    // fall back.
+                    while let Some((build, _)) = matches.next_if(|&(_, p)| p == probe) {
+                        pair(r1, &right_rows[right_ground[build]], true)?;
                     }
-                    for r2 in &var_right {
-                        pair(r1, r2, false)?;
+                    for &r in &right_var {
+                        pair(r1, &right_rows[r], false)?;
                     }
                 }
                 None => {
                     // Variable-key left rows pair with *every* right row.
-                    for r2 in other.rows() {
+                    for r2 in right_rows {
                         pair(r1, r2, false)?;
                     }
                 }
@@ -555,17 +565,16 @@ mod tests {
     }
 
     #[test]
-    fn ground_columns_partition() {
-        let t = sample();
-        // Column 0 holds t_var(x) in row 2, column 1 holds variables in
-        // both rows — only fully-constant columns are ground.
-        assert_eq!(t.ground_columns(), Vec::<usize>::new());
+    fn ground_column_view_needs_ground_columns() {
+        // Only fully-constant columns have a view: `sample`'s column 0
+        // holds a variable in one row, `g`'s column 1 in every row, and
+        // column 9 does not exist.
+        assert!(sample().ground_column_view(&[0]).is_none());
         let g = CTable::builder(2)
             .row([t_const(1), t_var(Var(0))], Condition::True)
             .row([t_const(2), t_var(Var(1))], Condition::True)
             .build()
             .unwrap();
-        assert_eq!(g.ground_columns(), vec![0]);
         assert!(g.ground_column_view(&[0]).is_some());
         assert!(g.ground_column_view(&[1]).is_none());
         assert!(g.ground_column_view(&[9]).is_none());
@@ -708,6 +717,78 @@ mod tests {
                     .unwrap()
             );
         }
+    }
+
+    #[test]
+    fn join_bar_output_is_pinned_row_for_row() {
+        // Ground keys repeat on both sides (1), miss on both sides (9
+        // left, 3 right), and meet variable keys (x left, y right); the
+        // residual folds on ground payloads and stays symbolic on z.
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        let left = CTable::builder(2)
+            .ground_row([1i64, 10], Condition::True)
+            .row([t_var(x), t_const(11)], Condition::True)
+            .ground_row([2i64, 12], Condition::eq_vc(y, 1))
+            .ground_row([1i64, 13], Condition::True)
+            .ground_row([9i64, 14], Condition::True)
+            .build()
+            .unwrap();
+        let right = CTable::builder(2)
+            .ground_row([1i64, 20], Condition::True)
+            .row([t_var(y), t_var(z)], Condition::True)
+            .ground_row([1i64, 10], Condition::neq_vv(x, y))
+            .ground_row([3i64, 23], Condition::True)
+            .ground_row([2i64, 24], Condition::True)
+            .build()
+            .unwrap();
+        let j = left
+            .join_bar(&right, &[(0, 2)], Some(&Pred::neq_cols(1, 3)))
+            .unwrap();
+        let c = |v: i64| t_const(v);
+        let row = |t: [Term; 4], conds: Vec<Condition>| CRow::new(t, Condition::and(conds));
+        let expected = vec![
+            // A ground-key left row: its ground matches in right-row
+            // order, then every variable-key right row.
+            row([c(1), c(10), c(1), c(20)], vec![]),
+            row([c(1), c(10), c(1), c(10)], vec![Condition::False]),
+            row(
+                [c(1), c(10), t_var(y), t_var(z)],
+                vec![Condition::eq_vc(y, 1), Condition::neq_vc(z, 10)],
+            ),
+            // A variable-key left row pairs with every right row.
+            row([t_var(x), c(11), c(1), c(20)], vec![Condition::eq_vc(x, 1)]),
+            row(
+                [t_var(x), c(11), t_var(y), t_var(z)],
+                vec![Condition::eq_vv(x, y), Condition::neq_vc(z, 11)],
+            ),
+            row(
+                [t_var(x), c(11), c(1), c(10)],
+                vec![Condition::neq_vv(x, y), Condition::eq_vc(x, 1)],
+            ),
+            row([t_var(x), c(11), c(3), c(23)], vec![Condition::eq_vc(x, 3)]),
+            row([t_var(x), c(11), c(2), c(24)], vec![Condition::eq_vc(x, 2)]),
+            row([c(2), c(12), c(2), c(24)], vec![Condition::eq_vc(y, 1)]),
+            row(
+                [c(2), c(12), t_var(y), t_var(z)],
+                vec![
+                    Condition::eq_vc(y, 1),
+                    Condition::eq_vc(y, 2),
+                    Condition::neq_vc(z, 12),
+                ],
+            ),
+            row([c(1), c(13), c(1), c(20)], vec![]),
+            row([c(1), c(13), c(1), c(10)], vec![Condition::neq_vv(x, y)]),
+            row(
+                [c(1), c(13), t_var(y), t_var(z)],
+                vec![Condition::eq_vc(y, 1), Condition::neq_vc(z, 13)],
+            ),
+            // Key 9 meets only the variable-key right row.
+            row(
+                [c(9), c(14), t_var(y), t_var(z)],
+                vec![Condition::eq_vc(y, 9), Condition::neq_vc(z, 14)],
+            ),
+        ];
+        assert_eq!(j.rows(), expected.as_slice());
     }
 
     #[test]

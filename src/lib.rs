@@ -16,7 +16,7 @@
 //! | [`provenance`] | `ipdb-provenance` | semiring provenance; the §9 lineage connection |
 //! | [`theory`] | `ipdb-core` | RA-completeness, finite completeness, algebraic completion, non-closure, probabilistic completeness/closure |
 //! | [`engine`] | `ipdb-engine` | query pipeline: RA surface parser, logical plans, rule-based optimizer, unified executor over all three backends |
-//! | [`obs`] | `ipdb-obs` | observability: global metric counters/timers behind a zero-cost-when-off flag (`IPDB_METRICS`) |
+//! | [`obs`] | `ipdb-obs` | observability: global metric counters behind a zero-cost-when-off flag (`IPDB_METRICS`) |
 //!
 //! ## Quickstart
 //!
