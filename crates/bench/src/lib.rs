@@ -361,8 +361,8 @@ pub fn serve_catalog(rows: usize) -> Catalog<Instance> {
 /// each template to a small 3-join plan, so execution is cheap while
 /// preparation is the dominant per-request cost — exactly the workload
 /// a plan cache amortizes. The guard constants embed the template index
-/// `i`, so every template has a distinct canonical text: a cold cache
-/// misses once per template, never by accident twice.
+/// `i`, so every template is a distinct text, the plan cache's key: a
+/// cold cache misses once per template, never by accident twice.
 pub fn serve_query_pool(n: usize, seed: u64) -> Vec<String> {
     use std::fmt::Write as _;
     let mut rng = StdRng::seed_from_u64(seed);

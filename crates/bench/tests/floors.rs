@@ -18,6 +18,8 @@
 //! Each test prints its measured figures; run with `--nocapture` to
 //! see them.
 
+use std::collections::BTreeMap;
+
 use ipdb_bench::{
     chain_pc_catalog, chain_schema, prob_smoke_pctable, random_chain_catalog, random_ctable,
     serve_catalog, serve_query_pool, serve_schema, skewed_instance, ENGINE_CHAIN_NAIVE,
@@ -26,6 +28,7 @@ use ipdb_bench::{
 use ipdb_engine::{
     Backend, Catalog, Engine, ExecConfig, OpReport, PlanCache, Prepared, Query, ReportSink,
 };
+use ipdb_logic::Var;
 use ipdb_prob::{BddStats, PcTable, Rat};
 
 /// Rows touched by an executed plan: `rows_out` summed over the tree.
@@ -132,11 +135,11 @@ fn chain_joins_touch_a_tenth_of_the_naive_rows() {
 /// How many valuations the enumeration oracle walks over `tables`:
 /// the product of every shared variable's domain size.
 fn valuation_count<'a>(tables: impl IntoIterator<Item = &'a PcTable<Rat>>) -> u64 {
-    PcTable::merged_dists(tables)
-        .unwrap()
-        .values()
-        .map(|d| d.len() as u64)
-        .product()
+    let domain_sizes: BTreeMap<Var, u64> = tables
+        .into_iter()
+        .flat_map(|t| t.dists().iter().map(|(v, d)| (*v, d.len() as u64)))
+        .collect();
+    domain_sizes.values().product()
 }
 
 /// The BDD path's work: fresh nodes plus uncached `apply` recursions.

@@ -111,8 +111,8 @@
 //! ## Serving
 //!
 //! The [`serve`] module stacks a serving layer on top of catalogs: a
-//! [`PlanCache`] (LRU of `Arc<`[`Prepared`]`>` keyed by canonical query
-//! text **and** schema — see [`cache`]), [`SnapshotCatalog`]
+//! [`PlanCache`] (LRU of `Arc<`[`Prepared`]`>` keyed by the request
+//! text as sent **and** the schema — see [`cache`]), [`SnapshotCatalog`]
 //! (copy-on-write catalog versions; readers take `Arc` snapshots and
 //! never block on writers), and a multithreaded [`Server`] request
 //! loop with per-request panic isolation. Catalog relations are

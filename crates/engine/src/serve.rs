@@ -11,7 +11,7 @@
 //!   on an in-progress write and can never observe a torn catalog —
 //!   every snapshot is some complete installed version.
 //! * [`PlanCache`] (see [`crate::cache`]) — prepared statements shared
-//!   across workers, keyed by (canonical text, schema).
+//!   across workers, keyed by (request text, schema).
 //! * [`Server`] — N worker threads pulling [`Request`]s off one queue.
 //!   Each query request resolves its plan through the cache and
 //!   executes against the snapshot current *at dequeue time*; write

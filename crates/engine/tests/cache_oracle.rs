@@ -4,7 +4,7 @@
 //! cached `Arc<Prepared>` gives exactly the answer a fresh
 //! `Engine::prepare_schema` would, on every backend — instances,
 //! c-tables, and pc-tables — across random queries and random
-//! multi-relation schemas. On top of the differential sweep, two
+//! multi-relation schemas. On top of the differential sweep, three
 //! deterministic regressions pin the cache's key discipline:
 //!
 //! * **cross-schema collision** — the same query text prepared under two
@@ -13,14 +13,16 @@
 //!   arity-mismatched plan, the latent bug this cache is built not to
 //!   have);
 //! * **LRU at capacity 1** — the degenerate cache still serves correct
-//!   answers while evicting on every alternation, and never leaks alias
-//!   entries past their evicted plan;
+//!   answers while evicting on every alternation, and two spellings of
+//!   one query are two entries;
 //! * **concurrent churn** — threads racing on overlapping keys through a
 //!   tiny cache (so misses adopt each other's inserts) are always served
 //!   the fresh plan, and the counters account for every call.
 //!
-//! Run counts are deliberately modest for CI; soak with
-//! `PROPTEST_CASES=256 cargo test -p ipdb-engine --test cache_oracle`
+//! Run counts are deliberately modest for the tier-1 run; CI soaks this
+//! suite and `serve_oracle` at 2048 cases in release ("Soak serving
+//! oracles"):
+//! `PROPTEST_CASES=2048 cargo test --release -q -p ipdb-engine --test cache_oracle --test serve_oracle`
 //! (the vendored proptest honors the env override globally).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,10 +68,10 @@ fn uniform_pctable(t: &CTable) -> PcTable<Rat> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Instance backend: a cold miss, a warm hit, and a hit through the
-    /// rendered (canonical) spelling all execute to exactly the fresh
-    /// `prepare_schema` answer — and the warm calls return the *same*
-    /// `Arc` without re-planning.
+    /// Instance backend: a cold miss and a warm hit execute to exactly
+    /// the fresh `prepare_schema` answer, and the warm call returns the
+    /// *same* `Arc` without re-preparing. A second spelling of the query
+    /// misses once and executes to the same answer.
     #[test]
     fn cached_equals_fresh_on_instances(
         (schema, q, i0, i1, i2) in arb_catalog_case(2, 3, 3, |a| arb_instance(a, 4, 3).boxed())
@@ -81,17 +83,24 @@ proptest! {
         let expected = fresh.execute_catalog(&cat).unwrap();
 
         let cache = PlanCache::new(8);
-        let cold = cache.prepare(&engine, &q, &s).unwrap();
-        let warm = cache.prepare(&engine, &q, &s).unwrap();
-        let by_text = cache.prepare_text(&engine, &parser::render(&q), &s).unwrap();
-        prop_assert!(Arc::ptr_eq(&cold, &warm), "warm hit re-planned {}", q);
-        prop_assert!(Arc::ptr_eq(&cold, &by_text), "canonical spelling missed {}", q);
-        prop_assert_eq!(cache.misses(), 1);
-        prop_assert_eq!(cache.hits(), 2);
+        let text = parser::render(&q);
+        let cold = cache.prepare_text(&engine, &text, &s).unwrap();
+        let warm = cache.prepare_text(&engine, &text, &s).unwrap();
+        prop_assert!(Arc::ptr_eq(&cold, &warm), "warm hit re-prepared {}", q);
+        prop_assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // The trailing space respells a bare relation name too.
+        let respelled = format!("{} ", text.replace('(', "( "));
+        let respelled = cache.prepare_text(&engine, &respelled, &s).unwrap();
+        prop_assert_eq!((cache.hits(), cache.misses()), (1, 2), "second spelling of {}", q);
         prop_assert_eq!(
             cold.execute_catalog(&cat).unwrap(),
-            expected,
+            expected.clone(),
             "cached plan diverged from fresh prepare on {}", q
+        );
+        prop_assert_eq!(
+            respelled.execute_catalog(&cat).unwrap(),
+            expected,
+            "second spelling diverged from fresh prepare on {}", q
         );
     }
 
@@ -106,16 +115,17 @@ proptest! {
         let engine = Engine::new();
         let cat = catalog_of(&schema, [&i0, &i1, &i2]);
         // A second query guaranteed distinct from `q` (it contains `q`
-        // as a strict subterm, so the canonical texts differ).
+        // as a strict subterm, so the rendered texts differ).
         let other = ipdb_rel::Query::union(q.clone(), q.clone());
         let expect_q = engine.prepare_schema(&q, &s).unwrap().execute_catalog(&cat).unwrap();
         let expect_other =
             engine.prepare_schema(&other, &s).unwrap().execute_catalog(&cat).unwrap();
 
+        let (q_text, other_text) = (parser::render(&q), parser::render(&other));
         let cache = PlanCache::new(1);
         for round in 0..3u64 {
-            let a = cache.prepare(&engine, &q, &s).unwrap();
-            let b = cache.prepare(&engine, &other, &s).unwrap();
+            let a = cache.prepare_text(&engine, &q_text, &s).unwrap();
+            let b = cache.prepare_text(&engine, &other_text, &s).unwrap();
             prop_assert!(cache.len() <= 1, "capacity-1 cache held {} entries", cache.len());
             prop_assert_eq!(cache.misses(), 2 * (round + 1), "alternation should evict");
             prop_assert_eq!(a.execute_catalog(&cat).unwrap(), expect_q.clone());
@@ -139,8 +149,9 @@ proptest! {
         let cat = catalog_of(&schema, [&t0, &t1, &t2]);
         let expected = engine.prepare_schema(&q, &s).unwrap().execute_catalog(&cat).unwrap();
         let cache = PlanCache::new(4);
-        cache.prepare(&engine, &q, &s).unwrap();
-        let warm = cache.prepare(&engine, &q, &s).unwrap();
+        let text = parser::render(&q);
+        cache.prepare_text(&engine, &text, &s).unwrap();
+        let warm = cache.prepare_text(&engine, &text, &s).unwrap();
         prop_assert_eq!(cache.hits(), 1);
         prop_assert_eq!(
             warm.execute_catalog(&cat).unwrap(),
@@ -164,8 +175,9 @@ proptest! {
             .collect();
         let expected = engine.prepare_schema(&q, &s).unwrap().execute_catalog(&cat).unwrap();
         let cache = PlanCache::new(4);
-        cache.prepare(&engine, &q, &s).unwrap();
-        let warm = cache.prepare(&engine, &q, &s).unwrap();
+        let text = parser::render(&q);
+        cache.prepare_text(&engine, &text, &s).unwrap();
+        let warm = cache.prepare_text(&engine, &text, &s).unwrap();
         prop_assert_eq!(cache.hits(), 1);
         prop_assert_eq!(
             warm.execute_catalog(&cat).unwrap(),
@@ -213,37 +225,32 @@ fn same_text_under_different_schemas_never_collides() {
     assert_eq!(stmt_wide.input_arity(), None);
 }
 
-/// LRU at capacity 1, pinned deterministically: the second distinct
-/// query evicts the first (so re-preparing the first misses again), and
-/// non-canonical alias spellings die with their entry instead of
-/// dangling.
+/// LRU at capacity 1, pinned deterministically: two spellings of one
+/// query are two entries, so each evicts the other, and the second
+/// distinct query evicts the first (so re-preparing the first misses
+/// again).
 #[test]
-fn lru_capacity_one_evicts_and_drops_aliases() {
+fn lru_capacity_one_evicts_each_spelling() {
     let engine = Engine::new();
     let cache = PlanCache::new(1);
     let s = Schema::single(2);
 
-    // A non-canonical spelling (extra whitespace) registers an alias.
+    // Two spellings of one query: two misses, equal statements.
     let a1 = cache.prepare_text(&engine, "pi[0]( V )", &s).unwrap();
     let a2 = cache.prepare_text(&engine, "pi[0](V)", &s).unwrap();
-    assert!(
-        Arc::ptr_eq(&a1, &a2),
-        "alias should hit the canonical entry"
-    );
-    assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    assert_eq!(*a1, *a2, "both spellings prepare the same statement");
+    assert_eq!((cache.hits(), cache.misses()), (0, 2));
+    assert_eq!(cache.len(), 1);
 
     // A second query evicts the first...
     cache.prepare_text(&engine, "sigma[#0=#1](V)", &s).unwrap();
     assert_eq!(cache.len(), 1);
-    assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    assert_eq!((cache.hits(), cache.misses()), (0, 3));
 
     // ...so both spellings of the first are cold again.
     let b1 = cache.prepare_text(&engine, "pi[0]( V )", &s).unwrap();
-    assert_eq!((cache.hits(), cache.misses()), (1, 3));
-    assert!(
-        !Arc::ptr_eq(&a1, &b1),
-        "evicted plan resurfaced from a stale alias"
-    );
+    assert_eq!((cache.hits(), cache.misses()), (0, 4));
+    assert!(!Arc::ptr_eq(&a1, &b1), "evicted plan resurfaced");
     assert_eq!(
         b1.execute_catalog(&Catalog::single(instance![[4, 5], [6, 7]]))
             .unwrap(),
@@ -253,7 +260,7 @@ fn lru_capacity_one_evicts_and_drops_aliases() {
 
 /// Four threads share a capacity-2 cache and step in lockstep over
 /// overlapping texts under two schemas: each round every thread asks for
-/// the same query, half of them through a non-canonical spelling, so
+/// the same query, half of them through a second spelling, so
 /// concurrent misses on one key race and the later inserts adopt the
 /// first. Every served plan equals a fresh prepare of its text, the
 /// cache stays within capacity, and every call is a hit or a miss.

@@ -15,9 +15,9 @@
 //! and a half-written tuple fails the `row[0] == row[1]` check. Snapshot
 //! versions observed by any single reader must also be monotone.
 //!
-//! Run counts are deliberately modest for CI; soak with
-//! `PROPTEST_CASES=256 cargo test -p ipdb-engine --test serve_oracle`
-//! (the vendored proptest honors the env override globally).
+//! Run counts are deliberately modest for the tier-1 run; CI soaks this
+//! suite with `cache_oracle` at 2048 cases in release ("Soak serving
+//! oracles"; the vendored proptest honors `PROPTEST_CASES` globally).
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};

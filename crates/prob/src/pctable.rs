@@ -51,7 +51,7 @@ pub struct PcTable<W> {
 }
 
 /// A variable-to-distribution assignment, in the list form accepted by
-/// [`PcTable::new`] and produced by the `dists_restricted` family.
+/// [`PcTable::new`] and produced by [`PcTable::merged_dists_restricted`].
 pub type VarDists<W> = Vec<(Var, FiniteSpace<Value, W>)>;
 
 impl<W: Weight> PcTable<W> {
@@ -135,56 +135,19 @@ impl<W: Weight> PcTable<W> {
         ))
     }
 
-    /// The union of several pc-tables' variable distributions — the
-    /// shared-namespace contract of catalog execution: a variable
-    /// appearing in more than one relation is *one* random variable, so
-    /// its distributions must coincide exactly
-    /// ([`ProbError::ConflictingDistribution`] otherwise).
-    pub fn merged_dists<'a>(
-        tables: impl IntoIterator<Item = &'a PcTable<W>>,
-    ) -> Result<BTreeMap<Var, FiniteSpace<Value, W>>, ProbError>
-    where
-        W: 'a,
-    {
-        let mut out: BTreeMap<Var, FiniteSpace<Value, W>> = BTreeMap::new();
-        for t in tables {
-            for (v, d) in &t.dists {
-                match out.get(v) {
-                    None => {
-                        out.insert(*v, d.clone());
-                    }
-                    Some(existing) if existing == d => {}
-                    Some(_) => return Err(ProbError::ConflictingDistribution(*v)),
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The distributions restricted to `keep ∩ dom(dists)` — the
-    /// marginalization step of the Theorem 9 closure. A variable absent
-    /// from the answered table is independent of every surviving
-    /// condition, so dropping its distribution integrates it out
-    /// exactly; a variable a selection pruned away *with its row* is
-    /// dropped for the same reason (pinned by the `marginalization_*`
-    /// regression tests). Walks the smaller of the two sets and clones
-    /// only the kept distributions.
-    pub fn dists_restricted(&self, keep: &BTreeSet<Var>) -> VarDists<W> {
-        if keep.len() <= self.dists.len() {
-            keep.iter()
-                .filter_map(|v| self.dists.get(v).map(|d| (*v, d.clone())))
-                .collect()
-        } else {
-            self.dists
-                .iter()
-                .filter(|(v, _)| keep.contains(v))
-                .map(|(v, d)| (*v, d.clone()))
-                .collect()
-        }
-    }
-
-    /// [`PcTable::merged_dists`] restricted to `keep`: the conflict
-    /// check still covers **every** variable shared between tables (two
+    /// The union of several pc-tables' variable distributions,
+    /// restricted to `keep` — the marginalization step of the Theorem 9
+    /// closure. A variable absent from the answered table is
+    /// independent of every surviving condition, so dropping its
+    /// distribution integrates it out exactly; a variable a selection
+    /// pruned away *with its row* is dropped for the same reason (pinned
+    /// by the `marginalization_*` regression tests).
+    ///
+    /// The union is the shared-namespace contract of catalog execution:
+    /// a variable appearing in more than one relation is *one* random
+    /// variable, so its distributions must coincide exactly
+    /// ([`ProbError::ConflictingDistribution`] otherwise). The conflict
+    /// check covers **every** variable shared between tables (two
     /// relations disagreeing on a marginalized-out variable is still an
     /// inconsistent catalog), but distributions are compared by
     /// reference and only the kept ones are cloned.
@@ -220,7 +183,7 @@ impl<W: Weight> PcTable<W> {
     /// space semantics).
     pub fn eval_query(&self, q: &Query) -> Result<PcTable<W>, ProbError> {
         let qt = self.table.eval_query(q)?;
-        let dists = self.dists_restricted(&qt.vars());
+        let dists = PcTable::merged_dists_restricted([self], &qt.vars())?;
         PcTable::new(qt, dists)
     }
 
@@ -517,20 +480,20 @@ mod tests {
     fn restricted_dists_marginalize_without_losing_conflicts() {
         let pc = running_example();
         let all: BTreeSet<Var> = pc.dists().keys().copied().collect();
+        let restricted =
+            |keep: &BTreeSet<Var>| PcTable::merged_dists_restricted([&pc], keep).unwrap();
         // keep = ∅ clones nothing; keep = dom(dists) clones everything.
-        assert!(pc.dists_restricted(&BTreeSet::new()).is_empty());
-        assert_eq!(pc.dists_restricted(&all).len(), pc.dists().len());
-        // A keep-set larger than dom(dists) flips the walk direction and
-        // silently ignores the unknown variables.
+        assert!(restricted(&BTreeSet::new()).is_empty());
+        assert_eq!(restricted(&all).len(), pc.dists().len());
+        // A keep-set larger than dom(dists) silently ignores the unknown
+        // variables.
         let mut g = VarGen::new();
         let x = g.fresh();
         let mut big = all.clone();
         for _ in 0..8 {
             big.insert(g.fresh());
         }
-        let from_small = pc.dists_restricted(&all);
-        let from_big = pc.dists_restricted(&big);
-        assert_eq!(from_small, from_big);
+        assert_eq!(restricted(&all), restricted(&big));
 
         // merged_dists_restricted: the conflict check covers variables
         // the keep-set drops — two relations disagreeing on a

@@ -423,10 +423,10 @@ impl Pred {
         out
     }
 
-    /// Rewrites every column reference through `f` (generalizing
-    /// [`Pred::shift_cols`]/[`Pred::unshift_cols`] to an arbitrary
-    /// renumbering, e.g. compacting a predicate onto a gathered subset of
-    /// columns).
+    /// Rewrites every column reference through `f`: an arbitrary
+    /// renumbering, e.g. shifting a predicate across a product with
+    /// `|c| c + delta` or compacting it onto a gathered subset of
+    /// columns.
     pub fn map_cols(&self, f: impl Fn(usize) -> usize + Copy) -> Pred {
         let operand = |o: &Operand| match o {
             Operand::Col(c) => Operand::Col(f(*c)),
@@ -480,27 +480,8 @@ impl Pred {
         }
     }
 
-    /// Shifts every column reference by `delta` (used when pushing a
-    /// predicate across a product).
-    pub fn shift_cols(&self, delta: usize) -> Pred {
-        match self {
-            Pred::True => Pred::True,
-            Pred::False => Pred::False,
-            Pred::Cmp(op, l, r) => {
-                let f = |o: &Operand| match o {
-                    Operand::Col(c) => Operand::Col(c + delta),
-                    Operand::Const(v) => Operand::Const(v.clone()),
-                };
-                Pred::Cmp(*op, f(l), f(r))
-            }
-            Pred::And(ps) => Pred::And(ps.iter().map(|p| p.shift_cols(delta)).collect()),
-            Pred::Or(ps) => Pred::Or(ps.iter().map(|p| p.shift_cols(delta)).collect()),
-            Pred::Not(p) => Pred::Not(Box::new(p.shift_cols(delta))),
-        }
-    }
-
     /// Re-bases every column reference *downward* by `delta` — the
-    /// inverse of [`Pred::shift_cols`], used when moving a predicate
+    /// inverse of `map_cols(|c| c + delta)`, used when moving a predicate
     /// onto the right factor of a product.
     ///
     /// Every referenced column must be `≥ delta` (i.e.
@@ -810,9 +791,10 @@ mod tests {
 
     #[test]
     fn shift_cols() {
-        let p = Pred::eq_cols(0, 1).shift_cols(2);
+        // Shifting across a product is `map_cols(|c| c + delta)`.
+        let p = Pred::eq_cols(0, 1).map_cols(|c| c + 2);
         assert_eq!(p, Pred::eq_cols(2, 3));
-        let q = Pred::eq_const(0, 7).shift_cols(1);
+        let q = Pred::eq_const(0, 7).map_cols(|c| c + 1);
         assert!(q.eval(&t(&[0, 7])).unwrap());
     }
 
@@ -834,7 +816,7 @@ mod tests {
     #[test]
     fn unshift_cols_inverts_shift_cols() {
         let p = Pred::and([Pred::eq_cols(1, 3), Pred::neq_const(2, 9)]);
-        assert_eq!(p.shift_cols(4).unshift_cols(4), p);
+        assert_eq!(p.map_cols(|c| c + 4).unshift_cols(4), p);
         assert_eq!(
             Pred::not(Pred::eq_cols(2, 3)).unshift_cols(2),
             Pred::not(Pred::eq_cols(0, 1))
@@ -868,8 +850,6 @@ mod tests {
         let p = Pred::and([Pred::eq_cols(2, 5), Pred::neq_const(5, 9)]);
         let q = p.map_cols(|c| if c == 2 { 0 } else { 1 });
         assert_eq!(q, Pred::and([Pred::eq_cols(0, 1), Pred::neq_const(1, 9)]));
-        // shift_cols is the special case map_cols(|c| c + d).
-        assert_eq!(p.map_cols(|c| c + 3), p.shift_cols(3));
         assert_eq!(
             Pred::not(Pred::eq_const(1, 4)).map_cols(|c| c * 2),
             Pred::not(Pred::eq_const(2, 4))

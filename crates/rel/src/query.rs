@@ -426,21 +426,6 @@ impl Query {
             Query::Join { left, right, .. } => 1 + left.depth().max(right.depth()),
         }
     }
-
-    /// Whether the query mentions the input relation at all (queries that
-    /// don't are constant, e.g. the `I_i` world-builders of Thm 7).
-    pub fn uses_input(&self) -> bool {
-        match self {
-            Query::Input | Query::Second | Query::Rel(_) => true,
-            Query::Lit(_) => false,
-            Query::Project(_, q) | Query::Select(_, q) => q.uses_input(),
-            Query::Product(a, b)
-            | Query::Union(a, b)
-            | Query::Diff(a, b)
-            | Query::Intersect(a, b) => a.uses_input() || b.uses_input(),
-            Query::Join { left, right, .. } => left.uses_input() || right.uses_input(),
-        }
-    }
 }
 
 /// Evaluation context: where relation-name lookups resolve. The classic
@@ -524,8 +509,6 @@ mod tests {
         assert_eq!(Query::Input.eval(&i).unwrap(), i);
         let lit = Query::singleton([9i64]);
         assert_eq!(lit.eval(&i).unwrap(), instance![[9]]);
-        assert!(!lit.uses_input());
-        assert!(Query::Input.uses_input());
     }
 
     #[test]
@@ -534,7 +517,6 @@ mod tests {
         assert_eq!(Query::rel("W"), Query::Second);
         assert_eq!(Query::rel("R"), Query::Rel("R".into()));
         assert_eq!(Query::rel("R").to_string(), "R");
-        assert!(Query::rel("R").uses_input());
         assert_eq!(Query::rel("R").size(), 1);
         assert_eq!(Query::rel("R").depth(), 1);
         assert_eq!(Query::rel("R").op_set(), OpSet::default());
@@ -659,14 +641,6 @@ mod tests {
         let q = Query::join(Query::Input, Query::singleton([1i64]), [(0, 1)], None);
         assert_eq!(q.size(), 3);
         assert_eq!(q.depth(), 2);
-        assert!(q.uses_input());
-        assert!(!Query::join(
-            Query::singleton([1i64]),
-            Query::singleton([2i64]),
-            [(0, 1)],
-            None
-        )
-        .uses_input());
         let ops = q.op_set();
         assert!(ops.product && ops.select && !ops.nonpositive_select && !ops.non_coleq_select);
         assert!(Fragment::SPJU.admits(ops));

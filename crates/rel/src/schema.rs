@@ -27,7 +27,7 @@ use crate::error::RelError;
 /// assert_eq!(q.arity_in(&schema).unwrap(), 5);
 /// ```
 /// Ordered and hashable so schemas can key caches (the engine's plan
-/// cache keys on `(canonical query text, Schema)` — the schema part is
+/// cache keys on `(request text, Schema)` — the schema part is
 /// what keeps the same text prepared against different schemas apart).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Schema {

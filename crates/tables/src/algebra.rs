@@ -265,7 +265,10 @@ impl CTable {
     /// key column fall back to condition-conjunction pairing: they are
     /// paired with every row of the other side and the key equalities
     /// are instantiated on the terms (via [`pred_on_terms`]) and
-    /// conjoined onto the row condition, just as `σ̄` would.
+    /// conjoined onto the row condition, just as `σ̄` would. A pair
+    /// whose composed condition is `false` (a residual that folds to
+    /// `false` on ground terms, say) is not built either: like the
+    /// skipped key mismatches, it holds in no possible world.
     ///
     /// Output order: each left row in turn; a ground-key left row meets
     /// its ground-key matches in right-row order, then every
@@ -304,7 +307,10 @@ impl CTable {
             if filter != Pred::True {
                 cond.push(pred_on_terms(&filter, &tuple)?);
             }
-            rows.push(CRow::new(tuple, Condition::and(cond)));
+            let cond = Condition::and(cond);
+            if cond != Condition::False {
+                rows.push(CRow::new(tuple, cond));
+            }
             Ok(())
         };
 
@@ -749,8 +755,9 @@ mod tests {
         let expected = vec![
             // A ground-key left row: its ground matches in right-row
             // order, then every variable-key right row.
+            // The residual `#1 != #3` folds to `false` on the ground
+            // pair ([1, 10], [1, 10]), so that pair is not built.
             row([c(1), c(10), c(1), c(20)], vec![]),
-            row([c(1), c(10), c(1), c(10)], vec![Condition::False]),
             row(
                 [c(1), c(10), t_var(y), t_var(z)],
                 vec![Condition::eq_vc(y, 1), Condition::neq_vc(z, 10)],

@@ -129,8 +129,9 @@ pub fn arb_valuation_for(table: &CTable, max_int: i64) -> BoxedStrategy<Valuatio
 mod tests {
     use super::*;
     use crate::repsys::RepresentationSystem;
+    use ipdb_logic::Condition;
     use ipdb_logic::VarGen;
-    use ipdb_rel::strategies::arb_query;
+    use ipdb_rel::strategies::{arb_pred, arb_query};
 
     const NVARS: u32 = 3;
     const MAXI: i64 = 2;
@@ -160,6 +161,24 @@ mod tests {
             let lhs = qbar_t.apply_valuation(&nu).unwrap();
             let rhs = q.eval(&t.apply_valuation(&nu).unwrap()).unwrap();
             prop_assert_eq!(lhs, rhs);
+        }
+
+        /// `join_bar` builds no pair whose composed condition is `false`,
+        /// whatever the keys (spanning, one-sided or self pairs) and the
+        /// residual.
+        #[test]
+        fn join_bar_builds_no_false_rows(
+            t1 in arb_ctable(2, 3, NVARS, MAXI),
+            t2 in arb_ctable(2, 3, NVARS, MAXI),
+            on in proptest::collection::vec((0usize..4, 0usize..4), 0..3),
+            (with_residual, residual) in (any::<bool>(), arb_pred(4, MAXI, false))
+        ) {
+            let residual = with_residual.then_some(&residual);
+            let j = t1.join_bar(&t2, &on, residual).unwrap();
+            prop_assert!(
+                j.rows().iter().all(|r| r.cond != Condition::False),
+                "false row in {:?}", j.rows()
+            );
         }
 
         /// **Theorem 4** for finite-domain c-tables:

@@ -180,7 +180,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Serving: a long-lived `Server` answers many queries over the same
     // catalog through a shared LRU `PlanCache` — each distinct query
-    // text is parsed/planned/optimized once, then every repeat is an
+    // text is parsed, checked and optimized once, then every repeat is an
     // `Arc<Prepared>` clone. With metrics on, the per-request counters
     // land in the global `ipdb::obs` registry.
     // ------------------------------------------------------------------
