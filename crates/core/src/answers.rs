@@ -27,9 +27,13 @@ pub fn certain_answers(t: &CTable, q: &Query) -> Result<Instance, CoreError> {
 /// decision slice*: every possible ground answer over the table's
 /// active constants appears; answers that exist only by choosing fresh
 /// domain values are represented up to renaming of the fresh constants.
+///
+/// The slice is seeded with `T`'s active constants, not only `q̄(T)`'s:
+/// the algebra drops rows that hold in no world, and with them
+/// constants a variable of `q̄(T)` can still take.
 pub fn possible_answers_over_slice(t: &CTable, q: &Query) -> Result<Instance, CoreError> {
     let answered = t.eval_query(q)?;
-    let slice = answered.decision_slice(&ipdb_rel::Domain::empty());
+    let slice = answered.decision_slice(&t.active_constants());
     Ok(answered.mod_over(&slice)?.possible_tuples())
 }
 

@@ -79,12 +79,6 @@ impl<B> Catalog<B> {
         self.rels.insert(name.into(), Arc::new(rel))
     }
 
-    /// [`Catalog::insert`] for a relation that is already shared —
-    /// no data is copied, the catalog just retains the `Arc`.
-    pub fn insert_shared(&mut self, name: impl Into<String>, rel: Arc<B>) -> Option<Arc<B>> {
-        self.rels.insert(name.into(), rel)
-    }
-
     /// Removes a relation by name; returns it if it was present.
     pub fn remove(&mut self, name: &str) -> Option<Arc<B>> {
         self.rels.remove(name)
@@ -176,11 +170,13 @@ impl<B: Backend> Catalog<B> {
 ///
 /// Pruning between operators is sound — a row whose condition folds to
 /// `false` contributes to no possible world, so `ν(T)` is unchanged for
-/// every valuation `ν`, and by Lemma 1 so is every `ν(q̄(T))` — and it
-/// is what lets the optimizer's selection pushdown actually shrink a
-/// product: ground rows that fail a pushed-down selection drop out of
-/// the factor instead of entering the cross product carrying a `false`
-/// condition.
+/// every valuation `ν`, and by Lemma 1 so is every `ν(q̄(T))`. `σ̄` and
+/// `⋈̄` ([`CTable::select_bar`], [`CTable::join_bar`]) build no row whose
+/// condition is `false` in the first place: ground rows that fail a
+/// pushed-down selection never enter the cross product above it, so
+/// the optimizer's pushdown shrinks it. Pruning after those two
+/// operators only drops rows whose composed condition folds to `false`
+/// once simplified.
 ///
 /// Leaves come back **borrowed** (`Cow::Borrowed` straight out of the
 /// lookup context) — a query touching a 100k-row relation no longer
@@ -210,10 +206,10 @@ where
         // domain declarations merge in from the other operands.
         Query::Lit(i) => (Cow::Owned(CTable::from_instance(i)), 0),
         Query::Project(cols, q) => prune(eval_ctable(lookup, q, sink)?.project_bar(cols)?),
-        // Vectorized when every referenced column is ground (falls back
-        // to the term-at-a-time path otherwise); `prune` makes the two
-        // paths byte-identical (see `select_bar_vectorized`).
-        Query::Select(p, q) => prune(eval_ctable(lookup, q, sink)?.select_bar_vectorized(p)?),
+        // `select_bar` masks the rows that are ground in the columns `p`
+        // reads and builds no `false` row, so pruning here only re-folds
+        // the variable rows' composed conditions.
+        Query::Select(p, q) => prune(eval_ctable(lookup, q, sink)?.select_bar(p)?),
         Query::Product(a, b) => {
             let a = eval_ctable(lookup, a, sink)?;
             prune(a.product_bar(eval_ctable(lookup, b, sink)?.as_ref())?)

@@ -147,7 +147,10 @@ pub struct OpReport {
     pub rows_out: u64,
     /// Rows discarded by condition simplification (`simplified()` +
     /// `without_false_rows()`) right after this operator — always 0 on
-    /// the instance path, where tuples carry no conditions.
+    /// the instance path, where tuples carry no conditions. Selections
+    /// and joins build no row whose condition is `false`, so on them it
+    /// counts only rows whose composed condition folds to `false` once
+    /// simplified.
     pub rows_pruned: u64,
     /// Inclusive wall-clock nanoseconds: this operator *and* its
     /// children (see the module docs).

@@ -554,7 +554,7 @@ where
 mod tests {
     use super::*;
     use crate::report::TraceSink;
-    use ipdb_rel::{instance, Instance, Query};
+    use ipdb_rel::{instance, Instance, Query, RelError};
 
     fn catalog() -> Catalog<Instance> {
         [
@@ -616,6 +616,46 @@ mod tests {
         // Schema changes flow through too (plan-cache keys on schema).
         srv.install("R", instance![[1], [2]]).unwrap();
         assert_eq!(srv.query("R").unwrap(), instance![[1], [2]]);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn remove_drops_one_relation_in_a_new_version() {
+        let srv: Server<Instance> = Server::start(catalog(), ServerConfig::with_threads(1));
+        let remove = |name: &str| match srv
+            .submit(Request::Remove { name: name.into() })
+            .wait()
+            .unwrap()
+        {
+            Reply::Installed { version } => version,
+            Reply::Answer(_) => panic!("a remove answers with a version"),
+        };
+        let before = srv.snapshot();
+        let v = remove("R");
+        assert!(v > before.version());
+        let after = srv.snapshot();
+        assert_eq!(after.version(), v);
+        assert!(after.catalog().get("R").is_none());
+        // A query naming `R` is a typed engine error; `S` still answers.
+        assert!(matches!(
+            srv.query("pi[0](R)"),
+            Err(ServeError::Engine(EngineError::Rel(
+                RelError::UnknownRelation { .. }
+            )))
+        ));
+        assert_eq!(srv.query("S").unwrap(), instance![[2, 9], [4, 7]]);
+        // Removing an absent name installs a new version holding the
+        // same relations.
+        let w = remove("R");
+        assert!(w > v);
+        let again = srv.snapshot();
+        assert_eq!(again.version(), w);
+        assert_eq!(again.schema(), after.schema());
+        assert!(Arc::ptr_eq(
+            after.catalog().get_shared("S").unwrap(),
+            again.catalog().get_shared("S").unwrap()
+        ));
+        assert_eq!(srv.query("S").unwrap(), instance![[2, 9], [4, 7]]);
         srv.shutdown();
     }
 

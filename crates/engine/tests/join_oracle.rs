@@ -465,25 +465,6 @@ proptest! {
             );
         }
     }
-
-    /// C-table backend: the vectorized ground-column selection agrees
-    /// with the term-at-a-time path after condition pruning — the same
-    /// normal form the engine's executor applies — and mirrors its
-    /// error behavior exactly.
-    #[test]
-    fn vectorized_select_equals_term_path_on_ctables(
-        p in arb_pred(2, 3, false),
-        t in arb_finite_ctable(2, 3, 3, 2),
-    ) {
-        match (t.select_bar_vectorized(&p), t.select_bar(&p)) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(
-                a.simplified().without_false_rows(),
-                b.simplified().without_false_rows(),
-                "vectorized σ diverged from term path on {}", p
-            ),
-            (a, b) => prop_assert_eq!(a, b, "paths disagreed on the error for {}", p),
-        }
-    }
 }
 
 proptest! {

@@ -82,8 +82,8 @@ proptest! {
         prop_assert_eq!(pc.tuple_prob_enum(&absent).unwrap(), Rat::ZERO);
     }
 
-    /// Engine executor vs plain Theorem 9 closure: the pruning,
-    /// ground-column-vectorized executor (`Backend::execute`, behind
+    /// Engine executor vs plain Theorem 9 closure: the pruning
+    /// executor (`Backend::execute`, behind
     /// `Backend::run_catalog`) induces exactly the same answer
     /// distribution as the term-at-a-time `PcTable::eval_query` —
     /// pruning a row and dropping a marginalized variable must never

@@ -399,10 +399,10 @@ impl Pred {
 
     /// Every column index referenced by this predicate.
     ///
-    /// The columnar executor uses this to decide whether a predicate
-    /// touches only the *ground* columns of a c-table (see
-    /// `ipdb-tables`), in which case it can be evaluated as a vectorized
-    /// mask instead of being instantiated row by row.
+    /// The c-table selection (`select_bar` in `ipdb-tables`) uses this
+    /// to split rows that are *ground* in these columns, which it
+    /// evaluates as one vectorized mask, from rows it instantiates the
+    /// predicate on one by one.
     pub fn referenced_cols(&self) -> std::collections::BTreeSet<usize> {
         fn walk(p: &Pred, out: &mut std::collections::BTreeSet<usize>) {
             match p {

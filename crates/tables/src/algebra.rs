@@ -93,18 +93,22 @@ pub fn tuples_neq(t: &[Term], s: &[Term]) -> Condition {
     )
 }
 
-/// Splits `t`'s rows on whether their `cols` entries are all constants.
+/// Splits `t`'s rows on whether their `cols` entries are all constants:
+/// the one ground/variable split `σ̄` (on the columns its predicate
+/// reads) and `⋈̄` (on each side's key columns) share.
 /// Returns the ground rows' `cols` values as a batch (column `k` holds
 /// entry `cols[k]`, one row per ground row in row order), the indexes of
 /// those rows, and the indexes of the rest. With no `cols`, every row is
 /// ground.
 fn ground_keys(t: &CTable, cols: &[usize]) -> (ColumnarInstance, Vec<usize>, Vec<usize>) {
-    let mut columns = vec![Vec::new(); cols.len()];
-    let (mut ground, mut var) = (Vec::new(), Vec::new());
+    let mut columns: Vec<Vec<_>> = cols.iter().map(|_| Vec::with_capacity(t.len())).collect();
+    let (mut ground, mut var) = (Vec::with_capacity(t.len()), Vec::new());
     for (r, row) in t.rows().iter().enumerate() {
         if cols.iter().all(|&c| row.tuple[c].is_ground()) {
             for (col, &c) in columns.iter_mut().zip(cols) {
-                col.extend(row.tuple[c].as_const().cloned());
+                if let Term::Const(v) = &row.tuple[c] {
+                    col.push(v.clone());
+                }
             }
             ground.push(r);
         } else {
@@ -152,78 +156,43 @@ impl CTable {
         CTable::with_domains(cols.len(), rows, self.domains().clone())
     }
 
-    /// `σ̄_p(T)`: each row keeps its tuple, with `p` instantiated on the
-    /// row's terms conjoined onto its condition.
-    pub fn select_bar(&self, pred: &Pred) -> Result<CTable, TableError> {
-        let rows = self
-            .rows()
-            .iter()
-            .map(|row| {
-                let c = pred_on_terms(pred, &row.tuple)?;
-                Ok(CRow::new(
-                    row.tuple.iter().cloned(),
-                    Condition::and([row.cond.clone(), c]),
-                ))
-            })
-            .collect::<Result<Vec<_>, TableError>>()?;
-        CTable::with_domains(self.arity(), rows, self.domains().clone())
-    }
-
-    /// A columnar view of the given (all-ground) columns, one row per
-    /// c-table row in row order; `None` if any requested column holds a
-    /// variable anywhere (or is out of range).
-    pub fn ground_column_view(&self, cols: &[usize]) -> Option<ipdb_rel::ColumnarInstance> {
-        let arity = self.arity();
-        let mut columns: Vec<Vec<ipdb_rel::Value>> = Vec::with_capacity(cols.len());
-        for &c in cols {
-            if c >= arity {
-                return None;
-            }
-            let mut col = Vec::with_capacity(self.len());
-            for r in self.rows() {
-                match &r.tuple[c] {
-                    Term::Const(v) => col.push(v.clone()),
-                    Term::Var(_) => return None,
-                }
-            }
-            columns.push(col);
-        }
-        ipdb_rel::ColumnarInstance::from_columns(columns, self.len()).ok()
-    }
-
-    /// `σ̄_p(T)` with a vectorized fast path: when `p` touches only
-    /// ground columns, `c(t)` is a concrete boolean per row, so the
-    /// predicate is evaluated as one columnar mask over the ground
-    /// column view and rows failing it are dropped outright (their
-    /// conjoined condition would fold to `false`), with the surviving
-    /// rows' conditions left untouched. Otherwise falls back to
-    /// [`CTable::select_bar`].
+    /// `σ̄_p(T)`: each row keeps its tuple, with `c(t)` — `p`
+    /// instantiated on the row's terms — conjoined onto its condition.
     ///
-    /// Equivalent to `select_bar` *up to condition simplification*: the
-    /// fast path skips the `cond ∧ true` wrappers the term path
-    /// produces, so callers that prune intermediates (the engine's
-    /// executor passes every result through
-    /// [`CTable::simplified`] + [`CTable::without_false_rows`]) get
-    /// byte-identical tables from either path.
-    pub fn select_bar_vectorized(&self, pred: &Pred) -> Result<CTable, TableError> {
+    /// Rows whose columns read by `p` are all constants are split off
+    /// into one columnar batch of those columns (the split `join_bar`
+    /// makes on its keys), and `p` runs over it as one mask. On such a
+    /// row `c(t)` is a concrete boolean, so a row that passes keeps its
+    /// condition as it is and a row that fails is dropped. Only rows
+    /// with a variable in a read column instantiate `p` on their terms
+    /// (via [`pred_on_terms`]). No row whose condition is `false` is
+    /// built, an input row that was already `false` included: it holds
+    /// in no possible world.
+    ///
+    /// Output order: the surviving rows in input row order.
+    pub fn select_bar(&self, pred: &Pred) -> Result<CTable, TableError> {
+        pred.validate(self.arity()).map_err(TableError::Rel)?;
         let cols: Vec<usize> = pred.referenced_cols().into_iter().collect();
-        let Some(view) = self.ground_column_view(&cols) else {
-            return self.select_bar(pred);
-        };
+        let (batch, ground, _) = ground_keys(self, &cols);
         // Compact the predicate onto the gathered columns. `cols` is
         // sorted (BTreeSet order), so this is a binary-searchable map.
         let compact = pred.map_cols(|c| {
             cols.binary_search(&c)
                 .expect("referenced_cols listed every referenced column")
         });
-        let mask = view.eval_mask(&compact)?;
-        let rows = self
-            .rows()
-            .iter()
-            .zip(mask)
-            .filter(|(_, keep)| *keep)
-            .map(|(r, _)| r.clone())
-            .collect();
+        let mask = batch.eval_mask(&compact)?;
+        let mut ground = ground.into_iter().zip(mask).peekable();
+        let mut rows = Vec::new();
+        for (r, row) in self.rows().iter().enumerate() {
+            let cond = match ground.next_if(|&(g, _)| g == r) {
+                Some((_, false)) => continue,
+                Some((_, true)) => row.cond.clone(),
+                None => Condition::and([row.cond.clone(), pred_on_terms(pred, &row.tuple)?]),
+            };
+            if cond != Condition::False {
+                rows.push(CRow::new(row.tuple.iter().cloned(), cond));
+            }
+        }
         CTable::with_domains(self.arity(), rows, self.domains().clone())
     }
 
@@ -571,59 +540,57 @@ mod tests {
     }
 
     #[test]
-    fn ground_column_view_needs_ground_columns() {
-        // Only fully-constant columns have a view: `sample`'s column 0
-        // holds a variable in one row, `g`'s column 1 in every row, and
-        // column 9 does not exist.
-        assert!(sample().ground_column_view(&[0]).is_none());
-        let g = CTable::builder(2)
-            .row([t_const(1), t_var(Var(0))], Condition::True)
-            .row([t_const(2), t_var(Var(1))], Condition::True)
+    fn select_bar_output_is_pinned_row_for_row() {
+        // Ground rows that pass and fail `#0 != 1`, rows with a variable
+        // in column 0, and an input row whose condition is `false`.
+        let (x, y) = (Var(0), Var(1));
+        let t = CTable::builder(2)
+            .ground_row([2i64, 10], Condition::eq_vc(y, 1))
+            .row([t_var(x), t_const(11)], Condition::neq_vc(y, 2))
+            .ground_row([1i64, 12], Condition::True)
+            .row([t_const(3), t_var(y)], Condition::False)
+            .row([t_var(y), t_var(x)], Condition::True)
+            .ground_row([4i64, 14], Condition::True)
             .build()
             .unwrap();
-        assert!(g.ground_column_view(&[0]).is_some());
-        assert!(g.ground_column_view(&[1]).is_none());
-        assert!(g.ground_column_view(&[9]).is_none());
-        let view = g.ground_column_view(&[0]).unwrap();
-        assert_eq!(view.len(), 2);
-        assert_eq!(view.value(1, 0), &Value::from(2));
+        let s = t.select_bar(&Pred::neq_const(0, 1)).unwrap();
+        let row = |tuple: [Term; 2], cond: Condition| CRow::new(tuple, cond);
+        let expected = vec![
+            // A ground row that passes keeps its condition as it is.
+            row([t_const(2), t_const(10)], Condition::eq_vc(y, 1)),
+            // A variable row gets `c(t)` conjoined.
+            row(
+                [t_var(x), t_const(11)],
+                Condition::and([Condition::neq_vc(y, 2), Condition::neq_vc(x, 1)]),
+            ),
+            // [1, 12] fails the mask; the `false` row passes it but is
+            // not built.
+            row([t_var(y), t_var(x)], Condition::neq_vc(y, 1)),
+            row([t_const(4), t_const(14)], Condition::True),
+        ];
+        assert_eq!(s.rows(), expected.as_slice());
+        // A predicate that reads no column: every row is ground for it.
+        let all = t.select_bar(&Pred::True).unwrap();
+        assert_eq!(all.len(), 5, "only the `false` row goes");
+        assert_eq!(all.rows()[1], t.rows()[1]);
+        assert!(t.select_bar(&Pred::False).unwrap().is_empty());
+        // A variable row whose `c(t)` contradicts its condition.
+        let z = CTable::builder(1)
+            .row([t_var(x)], Condition::eq_vc(x, 1))
+            .build()
+            .unwrap();
+        assert!(z.select_bar(&Pred::neq_const(0, 1)).unwrap().is_empty());
     }
 
     #[test]
-    fn select_bar_vectorized_agrees_with_term_path_after_pruning() {
-        let (x, y) = (Var(0), Var(1));
-        let t = CTable::builder(2)
-            .row([t_const(1), t_var(x)], Condition::eq_vc(y, 1))
-            .row([t_const(2), t_var(x)], Condition::True)
-            .row([t_const(3), t_var(y)], Condition::neq_vv(x, y))
-            .build()
-            .unwrap();
-        // Ground-only predicate: vectorized path drops row 1 outright.
-        let p = Pred::neq_const(0, 1);
-        let fast = t.select_bar_vectorized(&p).unwrap();
-        let slow = t.select_bar(&p).unwrap();
-        assert_eq!(
-            fast.simplified().without_false_rows(),
-            slow.simplified().without_false_rows()
-        );
-        assert_eq!(fast.len(), 2);
-        // Conditions of surviving rows are untouched (no ∧true wrapper).
-        assert_eq!(fast.rows()[0].cond, Condition::True);
-        // Predicate touching a symbolic column falls back to the term
-        // path — results are identical, conditions composed.
-        let sym = Pred::eq_cols(0, 1);
-        assert_eq!(
-            t.select_bar_vectorized(&sym).unwrap(),
-            t.select_bar(&sym).unwrap()
-        );
-        // Column-free predicates vectorize trivially.
-        assert!(t.select_bar_vectorized(&Pred::False).unwrap().is_empty());
-        assert_eq!(t.select_bar_vectorized(&Pred::True).unwrap().len(), 3);
-        // Out-of-range predicates keep the term path's per-row error
-        // behavior (errors only when rows exist).
-        assert!(t.select_bar_vectorized(&Pred::eq_cols(0, 9)).is_err());
+    fn select_bar_checks_columns_even_on_an_empty_table() {
+        let out_of_range = Err(TableError::Rel(RelError::ColumnOutOfRange {
+            col: 9,
+            arity: 2,
+        }));
         let empty = CTable::new(2, Vec::new()).unwrap();
-        assert!(empty.select_bar_vectorized(&Pred::eq_cols(0, 9)).is_ok());
+        assert_eq!(empty.select_bar(&Pred::eq_cols(0, 9)), out_of_range);
+        assert_eq!(sample().select_bar(&Pred::eq_cols(0, 9)), out_of_range);
     }
 
     #[test]
@@ -687,14 +654,13 @@ mod tests {
         let j = t1.join_bar(&t2, &[(0, 1)], None).unwrap();
         assert_eq!(j.len(), 1, "only the (2,2) pair should be produced");
         assert_eq!(j.rows()[0].cond, Condition::True);
-        // The naive σ̄(×̄) keeps 4 rows (3 with false conditions).
+        // The naive σ̄(×̄) masks the 4 ground pairs down to the same row.
         let naive = t1
             .product_bar(&t2)
             .unwrap()
             .select_bar(&Pred::eq_cols(0, 1))
             .unwrap();
-        assert_eq!(naive.len(), 4);
-        assert_eq!(naive.simplified().without_false_rows().len(), 1);
+        assert_eq!(naive, j);
     }
 
     #[test]

@@ -46,6 +46,10 @@ pub enum TableError {
     /// unsatisfiable constraints), which no c-table can represent:
     /// `Mod(T)` of a c-table always contains at least one instance.
     Unrepresentable(String),
+    /// World enumeration walks one `u64` bitmask per subset of the rows
+    /// whose presence varies (`?` rows, `R_⊕≡` tuples, `R_A^prop`
+    /// rows), so it takes at most 63 of them; the table has this many.
+    TooManyOptionalRows(usize),
 }
 
 impl fmt::Display for TableError {
@@ -76,6 +80,10 @@ impl fmt::Display for TableError {
             TableError::Unrepresentable(s) => {
                 write!(f, "no c-table represents this table: {s}")
             }
+            TableError::TooManyOptionalRows(n) => write!(
+                f,
+                "world enumeration takes at most 63 rows of varying presence; the table has {n}"
+            ),
         }
     }
 }

@@ -17,7 +17,7 @@ use ipdb_rel::{Domain, IDatabase, Instance, Tuple, Value};
 
 use crate::ctable::{CRow, CTable};
 use crate::error::TableError;
-use crate::repsys::RepresentationSystem;
+use crate::repsys::{presence_masks, RepresentationSystem};
 
 /// An or-set value: one or more candidate values, exactly one of which is
 /// the (unknown) actual value. A singleton or-set is just a constant.
@@ -200,9 +200,10 @@ impl OrSetTable {
                     .collect()
             })
             .unwrap_or_default();
+        let masks = presence_masks(opt_rows.len())?;
         let mut out = IDatabase::empty(arity);
         loop {
-            for mask in 0u64..(1u64 << opt_rows.len()) {
+            for mask in masks.clone() {
                 let mut inst = Instance::empty(arity);
                 for (r, row) in rows.iter().enumerate() {
                     if let Some(pos) = opt_rows.iter().position(|&i| i == r) {

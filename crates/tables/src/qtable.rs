@@ -16,7 +16,7 @@ use ipdb_rel::{IDatabase, Instance, Tuple};
 
 use crate::ctable::{CRow, CTable};
 use crate::error::TableError;
-use crate::repsys::RepresentationSystem;
+use crate::repsys::{presence_masks, RepresentationSystem};
 
 /// A `?`-table: required tuples plus optional ("?") tuples.
 ///
@@ -108,7 +108,7 @@ impl RepresentationSystem for QTable {
             .map(|(t, _)| t)
             .collect();
         let mut out = IDatabase::empty(self.arity);
-        for mask in 0u64..(1u64 << optional.len()) {
+        for mask in presence_masks(optional.len())? {
             let mut inst = Instance::empty(self.arity);
             for t in &required {
                 inst.insert((*t).clone())?;

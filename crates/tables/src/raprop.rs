@@ -20,7 +20,7 @@ use ipdb_rel::{Domain, IDatabase, Instance, Tuple, Value};
 use crate::ctable::{CRow, CTable};
 use crate::error::TableError;
 use crate::orset::OrSetValue;
-use crate::repsys::RepresentationSystem;
+use crate::repsys::{presence_masks, RepresentationSystem};
 
 /// An `R_A^prop` table: or-set tuples constrained by a propositional
 /// formula over their presence.
@@ -109,9 +109,8 @@ impl RepresentationSystem for RAProp {
 
     fn worlds(&self) -> Result<IDatabase, TableError> {
         let m = self.rows.len();
-        assert!(m < 64, "R_A^prop world enumeration caps at 63 tuples");
         let mut out = IDatabase::empty(self.arity);
-        for mask in 0u64..(1u64 << m) {
+        for mask in presence_masks(m)? {
             let nu: Valuation = (0..m)
                 .map(|i| (Var(i as u32), Value::from((mask >> i) & 1 == 1)))
                 .collect();
@@ -137,9 +136,8 @@ impl RepresentationSystem for RAProp {
     /// formula is unsatisfiable (`Mod(T) = ∅` has no c-table).
     fn to_ctable(&self, gen: &mut VarGen) -> Result<CTable, TableError> {
         let m = self.rows.len();
-        assert!(m < 64, "R_A^prop embedding caps at 63 tuples");
         let mut satisfying: Vec<u64> = Vec::new();
-        for mask in 0u64..(1u64 << m) {
+        for mask in presence_masks(m)? {
             let nu: Valuation = (0..m)
                 .map(|i| (Var(i as u32), Value::from((mask >> i) & 1 == 1)))
                 .collect();

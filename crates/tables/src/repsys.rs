@@ -18,6 +18,17 @@ use ipdb_rel::IDatabase;
 use crate::ctable::CTable;
 use crate::error::TableError;
 
+/// The presence masks of `n` rows whose presence varies: bit `i` of a
+/// mask says whether row `i` is in the world. Errors with
+/// [`TableError::TooManyOptionalRows`] before any world is built when
+/// the masks do not fit a `u64` range (`n ≥ 64`).
+pub(crate) fn presence_masks(n: usize) -> Result<std::ops::Range<u64>, TableError> {
+    if n >= 64 {
+        return Err(TableError::TooManyOptionalRows(n));
+    }
+    Ok(0..1u64 << n)
+}
+
 /// A representation system with finite semantics (Def. 2 restricted to
 /// finitely many worlds, as in all systems of §3).
 pub trait RepresentationSystem {
@@ -55,8 +66,9 @@ impl RepresentationSystem for CTable {
 mod tests {
     use super::*;
     use crate::ctable::t_var;
+    use crate::{OrSetQTable, OrSetValue, QTable, RAProp, RXorEquiv};
     use ipdb_logic::{Condition, Var};
-    use ipdb_rel::Domain;
+    use ipdb_rel::{Domain, Tuple};
 
     #[test]
     fn ctable_implements_the_trait() {
@@ -70,5 +82,25 @@ mod tests {
         assert_eq!(t.worlds().unwrap().len(), 3);
         let mut g = VarGen::new();
         assert_eq!(t.to_ctable(&mut g).unwrap(), t);
+    }
+
+    #[test]
+    fn sixty_four_rows_of_varying_presence_are_refused() {
+        // 2⁶⁴ presence masks do not fit a `u64` range: each system
+        // errors before building a single world.
+        let too_many = TableError::TooManyOptionalRows(64);
+        let tuples: Vec<Tuple> = (0..64i64).map(|i| Tuple::new([i])).collect();
+        let cells: Vec<Vec<OrSetValue>> = (0..64i64).map(|i| vec![OrSetValue::single(i)]).collect();
+        let q = QTable::from_rows(1, tuples.iter().map(|t| (t.clone(), true))).unwrap();
+        assert_eq!(q.worlds().unwrap_err(), too_many);
+        let oq = OrSetQTable::from_rows(1, cells.iter().map(|r| (r.clone(), true))).unwrap();
+        assert_eq!(oq.worlds().unwrap_err(), too_many);
+        let x = RXorEquiv::new(1, tuples, Vec::new()).unwrap();
+        assert_eq!(x.worlds().unwrap_err(), too_many);
+        assert_eq!(x.to_ctable(&mut VarGen::new()).unwrap_err(), too_many);
+        let a = RAProp::new(1, cells, Condition::True).unwrap();
+        assert_eq!(a.worlds().unwrap_err(), too_many);
+        assert_eq!(a.to_ctable(&mut VarGen::new()).unwrap_err(), too_many);
+        assert!(presence_masks(63).is_ok());
     }
 }

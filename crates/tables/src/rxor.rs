@@ -12,7 +12,7 @@ use ipdb_rel::{IDatabase, Instance, Tuple};
 
 use crate::ctable::{CRow, CTable};
 use crate::error::TableError;
-use crate::repsys::RepresentationSystem;
+use crate::repsys::{presence_masks, RepresentationSystem};
 
 /// One `R_⊕≡` assertion over 0-based tuple indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,10 +123,9 @@ impl RepresentationSystem for RXorEquiv {
 
     fn worlds(&self) -> Result<IDatabase, TableError> {
         let m = self.tuples.len();
-        assert!(m < 64, "R_xor-equiv world enumeration caps at 63 tuples");
         let mut out = IDatabase::empty(self.arity);
         let mut present = vec![false; m];
-        for mask in 0u64..(1u64 << m) {
+        for mask in presence_masks(m)? {
             for (i, p) in present.iter_mut().enumerate() {
                 *p = (mask >> i) & 1 == 1;
             }
@@ -157,10 +156,9 @@ impl RepresentationSystem for RXorEquiv {
     /// are unsatisfiable (`Mod(T) = ∅` has no c-table).
     fn to_ctable(&self, gen: &mut VarGen) -> Result<CTable, TableError> {
         let m = self.tuples.len();
-        assert!(m < 64, "R_xor-equiv embedding caps at 63 tuples");
         let mut satisfying: Vec<u64> = Vec::new();
         let mut present = vec![false; m];
-        for mask in 0u64..(1u64 << m) {
+        for mask in presence_masks(m)? {
             for (i, p) in present.iter_mut().enumerate() {
                 *p = (mask >> i) & 1 == 1;
             }

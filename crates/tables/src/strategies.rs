@@ -181,6 +181,21 @@ mod tests {
             );
         }
 
+        /// `select_bar` builds no row whose condition is `false`,
+        /// whether the predicate reads ground columns, variable ones or
+        /// none, and whatever the input rows' conditions.
+        #[test]
+        fn select_bar_builds_no_false_rows(
+            t in arb_ctable(2, 4, NVARS, MAXI),
+            p in arb_pred(2, MAXI, false)
+        ) {
+            let s = t.select_bar(&p).unwrap();
+            prop_assert!(
+                s.rows().iter().all(|r| r.cond != Condition::False),
+                "false row in {:?}", s.rows()
+            );
+        }
+
         /// **Theorem 4** for finite-domain c-tables:
         /// `Mod(q̄(T)) = q(Mod(T))`.
         #[test]
