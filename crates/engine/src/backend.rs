@@ -5,12 +5,10 @@
 //! three models the paper relates all implement it:
 //!
 //! * [`Instance`] — conventional evaluation (§2);
-//! * [`CTable`] — the c-table algebra `q̄` of Theorem 4, with the output
-//!   passed through [`CTable::simplified`] so composed row conditions
-//!   are re-folded;
+//! * [`CTable`] — the c-table algebra `q̄` of Theorem 4, whose operators
+//!   build no row whose condition is `false`;
 //! * [`PcTable`] — Theorem 9 closure: `q̄` on the underlying c-table
-//!   with the variable distributions carried along (and the same
-//!   condition simplification applied).
+//!   with the variable distributions carried along.
 //!
 //! Each backend has exactly one evaluator, [`Backend::execute`], which
 //! reads its leaves from a [`Catalog`] and reports each operator to a
@@ -162,21 +160,13 @@ impl<B: Backend> Catalog<B> {
 }
 
 /// The engine's c-table executor: the same `q̄` operators as
-/// [`CTable::eval_query`], but resolving relation leaves through a
-/// name-lookup context and passing every intermediate result through
-/// [`CTable::simplified`] + [`CTable::without_false_rows`]. Each
-/// operator reports to `sink`, including how many rows pruning removed
-/// (rows whose composed condition folded to `false`).
+/// [`CTable::eval_query`], row for row, but resolving relation leaves
+/// through a name-lookup context. Each operator reports to `sink`.
 ///
-/// Pruning between operators is sound — a row whose condition folds to
-/// `false` contributes to no possible world, so `ν(T)` is unchanged for
-/// every valuation `ν`, and by Lemma 1 so is every `ν(q̄(T))`. `σ̄` and
-/// `⋈̄` ([`CTable::select_bar`], [`CTable::join_bar`]) build no row whose
-/// condition is `false` in the first place: ground rows that fail a
-/// pushed-down selection never enter the cross product above it, so
-/// the optimizer's pushdown shrinks it. Pruning after those two
-/// operators only drops rows whose composed condition folds to `false`
-/// once simplified.
+/// The operators build no row whose condition is `false` (see
+/// `ipdb_tables::algebra`), so ground rows that fail a pushed-down
+/// selection never enter the cross product above it, and the
+/// optimizer's pushdown shrinks it.
 ///
 /// Leaves come back **borrowed** (`Cow::Borrowed` straight out of the
 /// lookup context) — a query touching a 100k-row relation no longer
@@ -188,35 +178,20 @@ where
     F: Fn(&str) -> Result<&'a CTable, RelError>,
     S: TraceSink,
 {
-    fn prune<'a>(raw: CTable) -> (Cow<'a, CTable>, u64) {
-        let before = raw.rows().len();
-        let out = raw.simplified().without_false_rows();
-        let pruned = (before - out.rows().len()) as u64;
-        (Cow::Owned(out), pruned)
-    }
     let mark = sink.enter();
-    let (out, rows_pruned) = match q {
-        // Leaves carry no freshly-composed conditions, so pruning them
-        // would only re-simplify the (possibly shared) input once per
-        // occurrence; operators below prune their own outputs.
-        Query::Input => (Cow::Borrowed(lookup(Schema::INPUT)?), 0),
-        Query::Second => (Cow::Borrowed(lookup(Schema::SECOND)?), 0),
-        Query::Rel(name) => (Cow::Borrowed(lookup(name)?), 0),
+    let out = match q {
+        Query::Input => Cow::Borrowed(lookup(Schema::INPUT)?),
+        Query::Second => Cow::Borrowed(lookup(Schema::SECOND)?),
+        Query::Rel(name) => Cow::Borrowed(lookup(name)?),
         // A literal is a ground subtable; it carries no variables, so
         // domain declarations merge in from the other operands.
-        Query::Lit(i) => (Cow::Owned(CTable::from_instance(i)), 0),
-        Query::Project(cols, q) => prune(eval_ctable(lookup, q, sink)?.project_bar(cols)?),
-        // `select_bar` masks the rows that are ground in the columns `p`
-        // reads and builds no `false` row, so pruning here only re-folds
-        // the variable rows' composed conditions.
-        Query::Select(p, q) => prune(eval_ctable(lookup, q, sink)?.select_bar(p)?),
+        Query::Lit(i) => Cow::Owned(CTable::from_instance(i)),
+        Query::Project(cols, q) => Cow::Owned(eval_ctable(lookup, q, sink)?.project_bar(cols)?),
+        Query::Select(p, q) => Cow::Owned(eval_ctable(lookup, q, sink)?.select_bar(p)?),
         Query::Product(a, b) => {
             let a = eval_ctable(lookup, a, sink)?;
-            prune(a.product_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
+            Cow::Owned(a.product_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
         }
-        // The hash path of `join_bar` already skips ground-key pairs
-        // whose conditions would fold to `false`; pruning still re-folds
-        // the fallback pairs' composed conditions.
         Query::Join {
             on,
             residual,
@@ -224,7 +199,7 @@ where
             right,
         } => {
             let l = eval_ctable(lookup, left, sink)?;
-            prune(l.join_bar(
+            Cow::Owned(l.join_bar(
                 eval_ctable(lookup, right, sink)?.as_ref(),
                 on,
                 residual.as_ref(),
@@ -232,25 +207,18 @@ where
         }
         Query::Union(a, b) => {
             let a = eval_ctable(lookup, a, sink)?;
-            prune(a.union_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
+            Cow::Owned(a.union_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
         }
         Query::Diff(a, b) => {
             let a = eval_ctable(lookup, a, sink)?;
-            prune(a.diff_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
+            Cow::Owned(a.diff_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
         }
         Query::Intersect(a, b) => {
             let a = eval_ctable(lookup, a, sink)?;
-            prune(a.intersect_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
+            Cow::Owned(a.intersect_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
         }
     };
-    sink.exit(
-        mark,
-        q,
-        out.arity(),
-        out.rows().len() as u64,
-        rows_pruned,
-        None,
-    );
+    sink.exit(mark, q, out.arity(), out.rows().len() as u64, None);
     Ok(out)
 }
 
@@ -342,7 +310,7 @@ impl<W: Weight> Backend for PcTable<W> {
         _: &ExecConfig,
         sink: &mut S,
     ) -> Result<PcTable<W>, EngineError> {
-        // Theorem 9 closure via the pruning executor. All pc-relations
+        // Theorem 9 closure via the c-table executor. All pc-relations
         // of a catalog live in one variable namespace: attach the union
         // of their distributions (conflict-checked across *all* shared
         // variables, cloned only for the survivors). Dropping the
@@ -419,8 +387,8 @@ mod tests {
                 query().eval(&t.apply_valuation(&nu).unwrap()).unwrap()
             );
         }
-        // And the composed conditions were re-folded: the self-join of a
-        // row with itself gets condition x=x ∧ … which simplifies away.
+        // And the composed conditions fold: the self-join of a row with
+        // itself gets condition x=x ∧ …, which folds away.
         assert!(out
             .rows()
             .iter()
@@ -449,8 +417,8 @@ mod tests {
     #[test]
     fn pc_run_marginalizes_variables_of_pruned_rows() {
         // x survives; y appears only in the condition of a row whose
-        // ground tuple fails the selection, so the pruning executor
-        // drops the row AND y's distribution. Dropping must equal
+        // ground tuple fails the selection, so the executor drops the
+        // row AND y's distribution. Dropping must equal
         // summing y out: the answer distribution has to match full
         // valuation enumeration over the *input* pc-table.
         let mut g = VarGen::new();
@@ -497,11 +465,10 @@ mod tests {
         assert_eq!(report.label, "pi[0]");
         // pi → sigma → x → (V, V): five operators.
         assert_eq!(report.node_count(), 5);
-        assert_eq!(report.rows_pruned, 0, "instances have nothing to prune");
 
         // c-table: V − {[2]} folds row [2]'s composed condition
-        // (¬(2=2)) to false; the traced executor must both drop the row
-        // and report having done so.
+        // (¬(2=2)) to false, so `diff_bar` does not build it: three rows
+        // in, one out.
         let t = CTable::from_instance(&instance![[1], [2]]);
         let qd = Query::diff(Query::Input, Query::Lit(instance![[2]]));
         let (ct_out, ct_report) = run_analyzed(&Catalog::single(t.clone()), &qd).unwrap();
@@ -509,10 +476,6 @@ mod tests {
         assert_eq!(ct_report.label, "diff");
         assert_eq!(ct_report.rows_in, 3);
         assert_eq!(ct_report.rows_out, 1);
-        assert!(
-            ct_report.rows_pruned >= 1,
-            "the false-condition row must be counted: {ct_report:?}"
-        );
         assert_eq!(ct_report.total_exclusive_ns(), ct_report.ns);
 
         // pc-table: same answer table as the untraced Theorem 9 run,

@@ -21,9 +21,9 @@
 //!    bounded by [`Query::depth`];
 //! 4. **execute** ([`backend`]) — the [`Backend`] trait, implemented by
 //!    [`Instance`](ipdb_rel::Instance), [`CTable`](ipdb_tables::CTable)
-//!    (with [`simplified`](ipdb_tables::CTable::simplified) condition
-//!    pruning), and [`PcTable`](ipdb_prob::PcTable), so one prepared
-//!    query runs under all three semantics. Joins hash on their key
+//!    (whose operators build no row whose condition is `false`), and
+//!    [`PcTable`](ipdb_prob::PcTable), so one prepared query runs under
+//!    all three semantics. Joins hash on their key
 //!    columns through one index, `ipdb-rel`'s
 //!    [`JoinIndex`](ipdb_rel::JoinIndex): instances bucket the build
 //!    side outright, while c-/pc-tables bucket the rows whose key
@@ -55,9 +55,8 @@
 //! [`Prepared::answer_dist_catalog_analyzed`] return the identical
 //! output plus a [`QueryReport`] — per-operator cardinalities,
 //! selectivities, inclusive/exclusive timings, the hash join's
-//! build-side choice, rows pruned by c-table condition simplification,
-//! the optimizer's pass count, and (for probabilistic answering) the
-//! shared `BddManager`'s counters. [`QueryReport::render`] renders it
+//! build-side choice, the optimizer's pass count, and (for
+//! probabilistic answering) the shared `BddManager`'s counters. [`QueryReport::render`] renders it
 //! as an annotated plan tree. Engine internals additionally report into
 //! the `ipdb-obs` counter registry (worker-pool gauges, morsel/stage
 //! counts) when metrics are enabled via `IPDB_METRICS=1` or

@@ -423,7 +423,7 @@ fn eval_columnar<S: TraceSink>(
             ColumnarInstance::from_rows(&rows)
         }
     };
-    sink.exit(mark, q, out.arity(), out.len() as u64, 0, build_left);
+    sink.exit(mark, q, out.arity(), out.len() as u64, build_left);
     Ok(out)
 }
 

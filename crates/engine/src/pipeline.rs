@@ -164,7 +164,7 @@ impl Prepared {
 
     /// The full answer distribution over a pc-table **catalog** — every
     /// possible answer tuple with its exact probability — via the **BDD
-    /// fast path**: the optimized plan runs through the pruning executor
+    /// fast path**: the optimized plan runs through the c-table executor
     /// across all pc-relations (Thm 9 closure, one shared variable
     /// namespace — see [`Backend::execute`] for [`PcTable`]), then every
     /// answer tuple's presence condition is compiled under the
@@ -196,9 +196,8 @@ impl Prepared {
     /// [`Prepared::execute_catalog_cfg`] with **`EXPLAIN ANALYZE`
     /// instrumentation**: the identical output, plus a [`QueryReport`]
     /// recording what every operator of the optimized plan did —
-    /// cardinalities, selectivity, inclusive/exclusive timings, the
-    /// hash join's build side, and (on the c-/pc-table backends) rows
-    /// pruned by condition simplification.
+    /// cardinalities, selectivity, inclusive/exclusive timings and the
+    /// hash join's build side.
     pub fn execute_catalog_analyzed<B: Backend>(
         &self,
         cat: &Catalog<B>,
@@ -212,8 +211,8 @@ impl Prepared {
 
     /// [`Prepared::answer_dist_catalog`] with `EXPLAIN ANALYZE`
     /// instrumentation: the identical distribution, plus a
-    /// [`QueryReport`] whose operator tree covers the pruning c-table
-    /// execution and whose [`QueryReport::bdd`] reports the shared
+    /// [`QueryReport`] whose operator tree covers the c-table execution
+    /// and whose [`QueryReport::bdd`] reports the shared
     /// `BddManager`'s counters from the WMC phase (node allocations,
     /// unique-table and apply-cache hit rates, WMC call count).
     pub fn answer_dist_catalog_analyzed<W: Weight>(

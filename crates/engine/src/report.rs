@@ -3,10 +3,8 @@
 //! Where [`Prepared::explain`](crate::Prepared::explain) shows the
 //! *static* optimized query, the types here capture what actually
 //! happened when a query ran: per-operator input/output cardinalities,
-//! selectivity, wall-clock time, the hash join's build-side choice, and
-//! (on the c-/pc-table paths) how many rows condition simplification
-//! pruned. A
-//! [`QueryReport`] bundles the operator tree with whole-query totals,
+//! selectivity, wall-clock time and the hash join's build-side choice.
+//! A [`QueryReport`] bundles the operator tree with whole-query totals,
 //! the optimizer's pass count, and — for probabilistic answering — the
 //! BDD manager's counters ([`ipdb_prob::BddStats`]).
 //!
@@ -22,10 +20,8 @@
 //! [`ReportSink`] builds the [`OpReport`] tree.
 
 use std::fmt;
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use ipdb_obs::Counter;
 use ipdb_prob::BddStats;
 use ipdb_rel::{Query, Schema};
 
@@ -44,15 +40,13 @@ pub trait TraceSink {
     fn enter(&mut self) -> Self::Mark;
 
     /// Operator `q` finished with an output of `arity` columns and
-    /// `rows_out` rows, after condition pruning removed `rows_pruned`
-    /// rows; `build_left` is the hash join's build side.
+    /// `rows_out` rows; `build_left` is the hash join's build side.
     fn exit(
         &mut self,
         mark: Self::Mark,
         q: &Query,
         arity: usize,
         rows_out: u64,
-        rows_pruned: u64,
         build_left: Option<bool>,
     );
 }
@@ -66,12 +60,11 @@ impl TraceSink for NoTrace {
 
     fn enter(&mut self) {}
 
-    fn exit(&mut self, _: (), _: &Query, _: usize, _: u64, _: u64, _: Option<bool>) {}
+    fn exit(&mut self, _: (), _: &Query, _: usize, _: u64, _: Option<bool>) {}
 }
 
 /// The `EXPLAIN ANALYZE` sink: builds the [`OpReport`] tree with
-/// inclusive timings, and adds pruned rows to the `prune.rows` counter
-/// when metrics are enabled.
+/// inclusive timings.
 #[derive(Debug, Default)]
 pub struct ReportSink {
     /// Finished subtrees whose parent has not exited yet, in
@@ -100,17 +93,10 @@ impl TraceSink for ReportSink {
         q: &Query,
         arity: usize,
         rows_out: u64,
-        rows_pruned: u64,
         build_left: Option<bool>,
     ) {
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let children = self.done.split_off(first_child);
-        if rows_pruned > 0 && ipdb_obs::enabled() {
-            static PRUNED: OnceLock<&'static Counter> = OnceLock::new();
-            PRUNED
-                .get_or_init(|| ipdb_obs::counter("prune.rows"))
-                .add(rows_pruned);
-        }
         let rows_in = if children.is_empty() {
             rows_out
         } else {
@@ -121,7 +107,6 @@ impl TraceSink for ReportSink {
             arity,
             rows_in,
             rows_out,
-            rows_pruned,
             ns,
             build_left,
             children,
@@ -145,13 +130,6 @@ pub struct OpReport {
     pub rows_in: u64,
     /// Rows the operator produced.
     pub rows_out: u64,
-    /// Rows discarded by condition simplification (`simplified()` +
-    /// `without_false_rows()`) right after this operator — always 0 on
-    /// the instance path, where tuples carry no conditions. Selections
-    /// and joins build no row whose condition is `false`, so on them it
-    /// counts only rows whose composed condition folds to `false` once
-    /// simplified.
-    pub rows_pruned: u64,
     /// Inclusive wall-clock nanoseconds: this operator *and* its
     /// children (see the module docs).
     pub ns: u64,
@@ -218,9 +196,6 @@ impl OpReport {
         }
         if let Some(build_left) = self.build_left {
             let _ = write!(out, "  build={}", if build_left { "left" } else { "right" });
-        }
-        if self.rows_pruned > 0 {
-            let _ = write!(out, "  pruned={}", self.rows_pruned);
         }
         out.push('\n');
         for c in &self.children {
@@ -401,7 +376,6 @@ mod tests {
             arity: 2,
             rows_in: rows,
             rows_out: rows,
-            rows_pruned: 0,
             ns,
             build_left: None,
             children: Vec::new(),
@@ -414,7 +388,6 @@ mod tests {
             arity: 4,
             rows_in: 30,
             rows_out: 12,
-            rows_pruned: 2,
             ns: 10_000,
             build_left: Some(true),
             children: vec![leaf("V", 10, 3_000), leaf("W", 20, 4_000)],
@@ -457,7 +430,6 @@ mod tests {
         ));
         assert!(text.contains("join[#1=#2]  (arity 4) rows: 30 -> 12 (sel 0.400)"));
         assert!(text.contains("build=left"));
-        assert!(text.contains("pruned=2"));
         assert!(text.contains("\n  V  (arity 2)"));
         assert_eq!(text, report.to_string());
     }

@@ -112,7 +112,7 @@ proptest! {
         }
     }
 
-    /// C-table backend: the traced pruning executor returns exactly the
+    /// C-table backend: the traced c-table executor returns exactly the
     /// untraced executor's table, and reports consistently.
     #[test]
     fn analyzed_ctable_matches_plain(

@@ -7,8 +7,8 @@
 //! * **instances** — exact relation equality;
 //! * **c-tables** — equality of `ν(q̄(T))` under **every** valuation of
 //!   the table's (≤ 3) variables over their finite domains, for both the
-//!   plain `q̄` algebra (`eval_query`) and the engine's pruning executor
-//!   (`Backend::execute`);
+//!   plain `q̄` algebra (`eval_query`) and the engine's c-table executor
+//!   (`Backend::execute`), which also equal each other row for row;
 //! * **pc-tables** — exact equality of the induced distribution over
 //!   answer worlds.
 //!
@@ -32,7 +32,7 @@ use ipdb_rel::strategies::{
     arb_catalog_case, arb_instance, arb_mixed_instance, arb_pred, arb_query, arb_query_with_arity,
 };
 use ipdb_rel::{Domain, Fragment, Instance, Pred, Query, Value};
-use ipdb_tables::strategies::arb_finite_ctable;
+use ipdb_tables::strategies::{arb_ctable, arb_finite_ctable};
 use ipdb_tables::CTable;
 
 /// Operands, key pairs, and optional residual of a random join.
@@ -175,7 +175,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// C-table backend: both the plain `q̄` algebra and the engine's
-    /// pruning executor agree with the naive form under every valuation.
+    /// c-table executor agree with the naive form under every valuation.
     #[test]
     fn join_equals_naive_on_ctables(
         (l, r, on, residual) in arb_join_shape(),
@@ -185,7 +185,7 @@ proptest! {
         let jt = t.eval_query(&join).unwrap();
         let nt = t.eval_query(&naive).unwrap();
         let stmt = Engine::new().prepare(&join, 2).unwrap();
-        let pruned = CTable::run_catalog(&Catalog::single(t.clone()), stmt.naive_query()).unwrap();
+        let run = CTable::run_catalog(&Catalog::single(t.clone()), stmt.naive_query()).unwrap();
         for nu in all_valuations(&t) {
             let world = t.apply_valuation(&nu).unwrap();
             let expect = naive.eval(&world).unwrap();
@@ -200,17 +200,29 @@ proptest! {
                 "naive q̄ vs per-world eval: query {} under {}", naive, nu
             );
             prop_assert_eq!(
-                pruned.apply_valuation(&nu).unwrap(),
+                run.apply_valuation(&nu).unwrap(),
                 expect,
-                "pruning executor vs per-world eval: query {} under {}", join, nu
+                "c-table executor vs per-world eval: query {} under {}", join, nu
             );
         }
+    }
+
+    /// The engine and the algebra give one answer: on raw (unsimplified)
+    /// input conditions, the c-table executor equals `CTable::eval_query`
+    /// row for row, order and conditions included.
+    #[test]
+    fn ctable_executor_equals_eval_query_row_for_row(
+        t in arb_ctable(2, 4, 3, 2),
+        q in arb_query(2, 3, 3, 2),
+    ) {
+        let run = CTable::run_catalog(&Catalog::single(t.clone()), &q).unwrap();
+        prop_assert_eq!(run, t.eval_query(&q).unwrap(), "query {}", q);
     }
 }
 
 // ---------------------------------------------------------------------
 // Catalog oracles: random 2–3 relation schemas. Catalog execution (the
-// optimized plan through the pruning executor) must equal naive
+// optimized plan through the c-table executor) must equal naive
 // evaluation — directly on instances, and worldwise on c-tables, where
 // relations may *share* variables (one namespace: a shared variable is
 // the same unknown in every relation).
@@ -388,7 +400,7 @@ proptest! {
     /// strings long enough to take the key hasher's multi-word byte path
     /// and sharing prefixes: the row hash join, the morsel executor under
     /// every configuration, and the c-table join of the same (ground)
-    /// relations — `join_bar` and the pruning executor under the empty
+    /// relations — `join_bar` and the c-table executor under the empty
     /// valuation — all equal the naive filtered product.
     #[test]
     fn mixed_type_keys_join_like_the_filtered_product(

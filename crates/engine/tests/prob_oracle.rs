@@ -11,8 +11,9 @@
 //! WMC's handling of skipped levels shows up as a distribution mismatch
 //! here. Queries come
 //! from `arb_query` (the same generator as the optimizer-equivalence
-//! props), so the oracle also exercises the pruning executor and the
-//! optimizer on the probabilistic path.
+//! props), so the oracle also exercises the c-table executor, whose
+//! operators build no row whose condition is `false`, and the optimizer
+//! on the probabilistic path.
 //!
 //! Soak with `PROPTEST_CASES=256 cargo test -p ipdb-engine --test
 //! prob_oracle`.
@@ -82,12 +83,11 @@ proptest! {
         prop_assert_eq!(pc.tuple_prob_enum(&absent).unwrap(), Rat::ZERO);
     }
 
-    /// Engine executor vs plain Theorem 9 closure: the pruning
-    /// executor (`Backend::execute`, behind
-    /// `Backend::run_catalog`) induces exactly the same answer
-    /// distribution as the term-at-a-time `PcTable::eval_query` —
-    /// pruning a row and dropping a marginalized variable must never
-    /// change the induced distribution.
+    /// Engine executor vs plain Theorem 9 closure: the executor
+    /// (`Backend::execute`, behind `Backend::run_catalog`) induces
+    /// exactly the same answer distribution as the term-at-a-time
+    /// `PcTable::eval_query` — dropping a `false` row and a variable it
+    /// alone mentioned must never change the induced distribution.
     #[test]
     fn pruned_executor_preserves_distributions(
         q in arb_query(2, 2, 2, 2),

@@ -1,7 +1,7 @@
 //! # `ipdb-obs` — engine-wide metrics, std-only
 //!
 //! The answering pipeline spans four hot subsystems (plan optimizer,
-//! morsel-parallel columnar executor, c-/pc-table pruning executor, BDD
+//! morsel-parallel columnar executor, c-/pc-table executor, BDD
 //! compile + WMC); this crate is the substrate they all report into:
 //!
 //! * a process-wide **counter registry** ([`counter`]): named monotonic

@@ -15,6 +15,13 @@
 //!   subtrahend, `¬ψ_s ∨ t ≠ s`, where `t ≠ s` is the disjunction of
 //!   component-wise inequalities; intersection is the dual.
 //!
+//! No operator builds a row whose condition is `Condition::False`, an
+//! input row that was already `false` included: such a row holds in no
+//! possible world, so leaving it out changes no `ν(q̄(T))`. Conditions
+//! are composed through `Condition`'s folding constructors and input
+//! conditions are not re-simplified, so a condition that is false in
+//! every world without folding to `False` (say `x = 1 ∧ x = 2`) is kept.
+//!
 //! Lemma 1 is enforced by property tests (`strategies` module and the
 //! crate's integration tests).
 
@@ -22,7 +29,7 @@ use std::collections::BTreeMap;
 
 use ipdb_logic::Condition;
 use ipdb_logic::Term;
-use ipdb_rel::{CmpOp, ColumnarInstance, Instance, JoinIndex, Operand, Pred, Query, RelError};
+use ipdb_rel::{CmpOp, ColumnarInstance, JoinIndex, Operand, Pred, Query, RelError};
 
 use crate::ctable::{CRow, CTable};
 use crate::error::TableError;
@@ -148,9 +155,9 @@ impl CTable {
         }
         let rows = order
             .into_iter()
-            .map(|proj| {
-                let conds = groups.remove(&proj).expect("grouped above");
-                CRow::new(proj, Condition::or(conds))
+            .filter_map(|proj| {
+                let cond = Condition::or(groups.remove(&proj).expect("grouped above"));
+                (cond != Condition::False).then(|| CRow::new(proj, cond))
             })
             .collect();
         CTable::with_domains(cols.len(), rows, self.domains().clone())
@@ -165,9 +172,7 @@ impl CTable {
     /// row `c(t)` is a concrete boolean, so a row that passes keeps its
     /// condition as it is and a row that fails is dropped. Only rows
     /// with a variable in a read column instantiate `p` on their terms
-    /// (via [`pred_on_terms`]). No row whose condition is `false` is
-    /// built, an input row that was already `false` included: it holds
-    /// in no possible world.
+    /// (via [`pred_on_terms`]).
     ///
     /// Output order: the surviving rows in input row order.
     pub fn select_bar(&self, pred: &Pred) -> Result<CTable, TableError> {
@@ -206,13 +211,10 @@ impl CTable {
         let mut rows = Vec::with_capacity(self.len() * other.len());
         for r1 in self.rows() {
             for r2 in other.rows() {
-                let mut tuple = Vec::with_capacity(self.arity() + other.arity());
-                tuple.extend(r1.tuple.iter().cloned());
-                tuple.extend(r2.tuple.iter().cloned());
-                rows.push(CRow::new(
-                    tuple,
-                    Condition::and([r1.cond.clone(), r2.cond.clone()]),
-                ));
+                let cond = Condition::and([r1.cond.clone(), r2.cond.clone()]);
+                if cond != Condition::False {
+                    rows.push(CRow::new(r1.tuple.iter().chain(&r2.tuple).cloned(), cond));
+                }
             }
         }
         CTable::with_domains(self.arity() + other.arity(), rows, domains)
@@ -225,19 +227,14 @@ impl CTable {
     /// Rows whose key columns are all constants are gathered into a
     /// columnar batch of their key values on each side; a [`JoinIndex`]
     /// over the right batch, probed with the left one, pairs them — the
-    /// hash-join kernel the instance executor uses. Pairing two
-    /// ground-key rows with unequal keys would produce a row whose
-    /// instantiated key condition is `false` — a row that holds in no
-    /// possible world — so the hash join's skipping of those pairs is
-    /// exactly the `simplified().without_false_rows()` pruning done
-    /// eagerly, and Lemma 1 is preserved. Rows with a *variable* in some
-    /// key column fall back to condition-conjunction pairing: they are
-    /// paired with every row of the other side and the key equalities
-    /// are instantiated on the terms (via [`pred_on_terms`]) and
-    /// conjoined onto the row condition, just as `σ̄` would. A pair
-    /// whose composed condition is `false` (a residual that folds to
-    /// `false` on ground terms, say) is not built either: like the
-    /// skipped key mismatches, it holds in no possible world.
+    /// hash-join kernel the instance executor uses. Two ground-key rows
+    /// with unequal keys would pair under a `false` key condition, so the
+    /// hash join skips them and Lemma 1 is preserved. Rows with a
+    /// *variable* in some key column fall back to condition-conjunction
+    /// pairing: they are paired with every row of the other side and the
+    /// key equalities are instantiated on the terms (via
+    /// [`pred_on_terms`]) and conjoined onto the row condition, just as
+    /// `σ̄` would.
     ///
     /// Output order: each left row in turn; a ground-key left row meets
     /// its ground-key matches in right-row order, then every
@@ -334,9 +331,13 @@ impl CTable {
             }));
         }
         let domains = CTable::merge_domains(self.domains(), other.domains())?;
-        let mut rows = Vec::with_capacity(self.len() + other.len());
-        rows.extend(self.rows().iter().cloned());
-        rows.extend(other.rows().iter().cloned());
+        let rows = self
+            .rows()
+            .iter()
+            .chain(other.rows())
+            .filter(|r| r.cond != Condition::False)
+            .cloned()
+            .collect();
         CTable::with_domains(self.arity(), rows, domains)
     }
 
@@ -354,14 +355,12 @@ impl CTable {
         let rows = self
             .rows()
             .iter()
-            .map(|r1| {
+            .filter_map(|r1| {
                 let guards = other.rows().iter().map(|r2| {
                     Condition::or([r2.cond.clone().negate(), tuples_neq(&r1.tuple, &r2.tuple)])
                 });
-                CRow::new(
-                    r1.tuple.iter().cloned(),
-                    Condition::and(std::iter::once(r1.cond.clone()).chain(guards)),
-                )
+                let cond = Condition::and(std::iter::once(r1.cond.clone()).chain(guards));
+                (cond != Condition::False).then(|| CRow::new(r1.tuple.iter().cloned(), cond))
             })
             .collect();
         CTable::with_domains(self.arity(), rows, domains)
@@ -381,14 +380,12 @@ impl CTable {
         let rows =
             self.rows()
                 .iter()
-                .map(|r1| {
+                .filter_map(|r1| {
                     let hits = other.rows().iter().map(|r2| {
                         Condition::and([r2.cond.clone(), tuples_eq(&r1.tuple, &r2.tuple)])
                     });
-                    CRow::new(
-                        r1.tuple.iter().cloned(),
-                        Condition::and([r1.cond.clone(), Condition::or(hits)]),
-                    )
+                    let cond = Condition::and([r1.cond.clone(), Condition::or(hits)]);
+                    (cond != Condition::False).then(|| CRow::new(r1.tuple.iter().cloned(), cond))
                 })
                 .collect();
         CTable::with_domains(self.arity(), rows, domains)
@@ -396,7 +393,7 @@ impl CTable {
 
     /// The translation `q ↦ q̄` applied to this table: evaluates the
     /// whole query in the c-table algebra (`Lit` nodes become ground
-    /// subtables, `Input` is `self`).
+    /// subtables with no domain declarations, `Input` is `self`).
     pub fn eval_query(&self, q: &Query) -> Result<CTable, TableError> {
         Ok(match q {
             Query::Input => self.clone(),
@@ -408,7 +405,7 @@ impl CTable {
                     name: name.clone(),
                 }))
             }
-            Query::Lit(i) => lit_table(i, self)?,
+            Query::Lit(i) => CTable::from_instance(i),
             Query::Project(cols, q) => self.eval_query(q)?.project_bar(cols)?,
             Query::Select(p, q) => self.eval_query(q)?.select_bar(p)?,
             Query::Product(a, b) => self.eval_query(a)?.product_bar(&self.eval_query(b)?)?,
@@ -438,29 +435,6 @@ impl CTable {
         CTable::with_domains(self.arity(), rows, self.domains().clone())
             .expect("same arities and domains")
     }
-
-    /// A copy without rows whose condition is syntactically `false`
-    /// (sound cleanup after `−̄`/`σ̄`).
-    pub fn without_false_rows(&self) -> CTable {
-        let rows = self
-            .rows()
-            .iter()
-            .filter(|r| r.cond != Condition::False)
-            .cloned()
-            .collect();
-        CTable::with_domains(self.arity(), rows, self.domains().clone())
-            .expect("same arities and domains")
-    }
-}
-
-/// A constant relation literal as a ground c-table, carrying the host
-/// table's domain declarations so later merges cannot conflict.
-fn lit_table(i: &Instance, host: &CTable) -> Result<CTable, TableError> {
-    let mut t = CTable::from_instance(i);
-    for (v, d) in host.domains() {
-        t.set_domain(*v, d.clone())?;
-    }
-    Ok(t)
 }
 
 #[cfg(test)]
@@ -860,17 +834,6 @@ mod tests {
                 q.eval(&t.apply_valuation(&v).unwrap()).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn without_false_rows_drops_contradictions() {
-        let x = Var(0);
-        let t = CTable::builder(1)
-            .row([t_var(x)], Condition::False)
-            .row([t_const(1)], Condition::True)
-            .build()
-            .unwrap();
-        assert_eq!(t.without_false_rows().len(), 1);
     }
 
     #[test]

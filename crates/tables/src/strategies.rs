@@ -163,37 +163,36 @@ mod tests {
             prop_assert_eq!(lhs, rhs);
         }
 
-        /// `join_bar` builds no pair whose composed condition is `false`,
-        /// whatever the keys (spanning, one-sided or self pairs) and the
-        /// residual.
+        /// No `_bar` operator builds a row whose condition is `false`,
+        /// whatever the input rows' conditions: `select_bar` over
+        /// ground, variable or no columns, `join_bar` over spanning,
+        /// one-sided or self key pairs with or without a residual, and
+        /// the other five operators.
         #[test]
-        fn join_bar_builds_no_false_rows(
-            t1 in arb_ctable(2, 3, NVARS, MAXI),
+        fn bar_operators_build_no_false_rows(
+            t1 in arb_ctable(2, 4, NVARS, MAXI),
             t2 in arb_ctable(2, 3, NVARS, MAXI),
+            p in arb_pred(2, MAXI, false),
+            cols in proptest::collection::vec(0usize..2, 0..3),
             on in proptest::collection::vec((0usize..4, 0usize..4), 0..3),
             (with_residual, residual) in (any::<bool>(), arb_pred(4, MAXI, false))
         ) {
             let residual = with_residual.then_some(&residual);
-            let j = t1.join_bar(&t2, &on, residual).unwrap();
-            prop_assert!(
-                j.rows().iter().all(|r| r.cond != Condition::False),
-                "false row in {:?}", j.rows()
-            );
-        }
-
-        /// `select_bar` builds no row whose condition is `false`,
-        /// whether the predicate reads ground columns, variable ones or
-        /// none, and whatever the input rows' conditions.
-        #[test]
-        fn select_bar_builds_no_false_rows(
-            t in arb_ctable(2, 4, NVARS, MAXI),
-            p in arb_pred(2, MAXI, false)
-        ) {
-            let s = t.select_bar(&p).unwrap();
-            prop_assert!(
-                s.rows().iter().all(|r| r.cond != Condition::False),
-                "false row in {:?}", s.rows()
-            );
+            for (op, out) in [
+                ("select_bar", t1.select_bar(&p)),
+                ("project_bar", t1.project_bar(&cols)),
+                ("product_bar", t1.product_bar(&t2)),
+                ("join_bar", t1.join_bar(&t2, &on, residual)),
+                ("union_bar", t1.union_bar(&t2)),
+                ("diff_bar", t1.diff_bar(&t2)),
+                ("intersect_bar", t1.intersect_bar(&t2)),
+            ] {
+                let out = out.unwrap();
+                prop_assert!(
+                    out.rows().iter().all(|r| r.cond != Condition::False),
+                    "{} built a false row in {:?}", op, out.rows()
+                );
+            }
         }
 
         /// **Theorem 4** for finite-domain c-tables:
@@ -208,12 +207,11 @@ mod tests {
             prop_assert_eq!(lhs, rhs);
         }
 
-        /// `simplified` and `without_false_rows` preserve Mod.
+        /// `simplified` preserves Mod.
         #[test]
         fn cleanup_preserves_mod(t in arb_finite_ctable(2, 4, NVARS, MAXI)) {
             let m = t.mod_finite().unwrap();
-            prop_assert_eq!(t.simplified().mod_finite().unwrap(), m.clone());
-            prop_assert_eq!(t.without_false_rows().mod_finite().unwrap(), m);
+            prop_assert_eq!(t.simplified().mod_finite().unwrap(), m);
         }
 
         /// Renaming variables preserves Mod.

@@ -1,12 +1,11 @@
 //! Fixpoint properties of condition cleanup.
 //!
 //! [`CTable::simplified`] runs one bottom-up pass of the condition smart
-//! constructors per row. The pruning executor in `ipdb-engine` calls it
-//! after *every* operator and relies on one pass being enough — i.e. on
-//! `simplify` being idempotent — otherwise conditions would keep
+//! constructors per row, and callers rely on one pass being enough —
+//! i.e. on `simplify` being idempotent — otherwise conditions would keep
 //! shrinking pass over pass and "simplified" output would depend on how
-//! many operators happened to run. These properties pin the fixpoint on
-//! raw (un-smart-constructed) nested `And`/`Or`/`Not` shapes.
+//! often it was applied. These properties pin the fixpoint on raw
+//! (un-smart-constructed) nested `And`/`Or`/`Not` shapes.
 
 use proptest::prelude::*;
 

@@ -51,7 +51,7 @@ fn main() {
     let answer = stmt
         .execute_catalog(&Catalog::single(s))
         .expect("closed under q̄ (Thm 4)");
-    println!("q̄(S), conditions simplified and false rows pruned:\n{answer}");
+    println!("q̄(S), with no row whose condition is false:\n{answer}");
 
     // ------------------------------------------------------------------
     // Stage 4b: the same pipeline over a pc-table (§1): Alice's course
