@@ -30,8 +30,9 @@
 //!
 //! `ipdb-prob::answering` has two probability engines: this finite-domain
 //! BDD + WMC path, and valuation enumeration as its exact oracle. They are
-//! checked against each other; the benches in `ipdb-bench` measure where
-//! the BDD pays off.
+//! checked against each other, and the floors in `ipdb-bench`'s
+//! `tests/floors.rs` count where the BDD pays off: its nodes and
+//! uncached `apply` calls against the valuations enumeration walks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -148,7 +148,7 @@ impl BddManager {
         self.nodes.len()
     }
 
-    /// Number of nodes reachable from `f` (a size measure for benches).
+    /// Number of nodes reachable from `f`: the size of the BDD rooted there.
     pub fn reachable_count(&self, f: NodeRef) -> usize {
         let mut seen = std::collections::HashSet::new();
         let mut stack = vec![f];

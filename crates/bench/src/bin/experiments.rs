@@ -471,7 +471,8 @@ fn e17_theorem9() {
         all_ok,
     );
 
-    // Engine agreement + a timing glimpse (the benches do this properly).
+    // Engine agreement + a timing glimpse (tests/floors.rs compares the
+    // engines' work by count).
     let bpc = random_boolean_pctable(6, 1, 10, 0xE17F);
     // Probe a tuple the table can actually produce.
     let probe = bpc.as_pctable().table().rows()[0]

@@ -1,5 +1,6 @@
-//! Shared workload generators for the benches and the experiments
-//! harness.
+//! Shared workload generators for the work-count floors
+//! (`tests/floors.rs`), the `bench_smoke` clock floors, the repository
+//! benchmark (`perfbench`) and the experiments harness.
 //!
 //! Everything is seeded (`StdRng::seed_from_u64`) so benchmark inputs
 //! and experiment rows are reproducible run to run.
@@ -173,11 +174,11 @@ pub fn random_idb(
     db
 }
 
-/// The engine benches' σ(×) self-join workload, shared by
-/// `bench_engine` and the plan-quality floors in `tests/floors.rs` so
-/// the two always measure the same query: `#0=1` prunes the left factor
-/// to ~1/8 of its rows, `#2=2` the right factor likewise, and `#1=#3`
-/// spans the product — the optimizer turns it into a hash join key.
+/// The σ(×) self-join workload of the plan-quality floors in
+/// `tests/floors.rs`, on instances and c-tables: `#0=1` prunes the left
+/// factor to ~1/8 of its rows, `#2=2` the right factor likewise, and
+/// `#1=#3` spans the product — the optimizer turns it into a hash join
+/// key.
 pub const ENGINE_PRODUCT_HEAVY: &str = "pi[1](sigma[and(#0=1, #2=2, #1=#3)](V x V))";
 
 /// The pushdown-only strategy for [`ENGINE_PRODUCT_HEAVY`], written out
@@ -188,11 +189,11 @@ pub const ENGINE_PRODUCT_HEAVY: &str = "pi[1](sigma[and(#0=1, #2=2, #1=#3)](V x 
 pub const ENGINE_PRODUCT_HEAVY_PUSHED: &str =
     "pi[1](sigma[#1=#3](sigma[#0=1](V) x sigma[#0=2](V)))";
 
-/// The pc-table probability workload of `bench_probability` and the
-/// enumeration-vs-BDD floor in `tests/floors.rs`: a query whose answer
-/// distribution both paths compute — enumeration walks the valuation
-/// product space of the answered table, the BDD path counts models of
-/// the per-tuple presence conditions.
+/// The pc-table probability workload of the enumeration-vs-BDD floor in
+/// `tests/floors.rs`: a query whose answer distribution both paths
+/// compute — enumeration walks the valuation product space of the
+/// answered table, the BDD path counts models of the per-tuple presence
+/// conditions.
 pub const PROB_SMOKE_QUERY: &str = "sigma[#0!=0](V union {(7)})";
 
 /// A pc-table for the [`PROB_SMOKE_QUERY`] workload: exactly `nvars` binary

@@ -14,6 +14,9 @@
 //!   valuation, while the BDD path's work is the nodes it allocates
 //!   plus the `apply` calls it cannot answer from its cache
 //!   ([`BddStats`]). The two distributions must be exactly equal.
+//! * **Wide domains.** One exactness check without a floor: the BDD
+//!   answer distribution equals enumeration on variables of 4 and 8
+//!   values, where every other test stops at 4.
 //!
 //! Each test prints its measured figures; run with `--nocapture` to
 //! see them.
@@ -22,14 +25,14 @@ use std::collections::BTreeMap;
 
 use ipdb_bench::{
     chain_pc_catalog, chain_schema, prob_smoke_pctable, random_chain_catalog, random_ctable,
-    serve_catalog, serve_query_pool, serve_schema, skewed_instance, ENGINE_CHAIN_NAIVE,
-    ENGINE_PRODUCT_HEAVY, ENGINE_PRODUCT_HEAVY_PUSHED, PROB_SMOKE_QUERY,
+    random_finite_ctable, serve_catalog, serve_query_pool, serve_schema, skewed_instance,
+    ENGINE_CHAIN_NAIVE, ENGINE_PRODUCT_HEAVY, ENGINE_PRODUCT_HEAVY_PUSHED, PROB_SMOKE_QUERY,
 };
 use ipdb_engine::{
-    Backend, Catalog, Engine, ExecConfig, OpReport, PlanCache, Prepared, Query, ReportSink,
+    Backend, Catalog, Engine, ExecConfig, OpReport, PlanCache, Pred, Prepared, Query, ReportSink,
 };
 use ipdb_logic::Var;
-use ipdb_prob::{BddStats, PcTable, Rat};
+use ipdb_prob::{BddStats, FiniteSpace, PcTable, Rat};
 
 /// Rows touched by an executed plan: `rows_out` summed over the tree.
 fn rows_touched(op: &OpReport) -> u64 {
@@ -198,6 +201,35 @@ fn bdd_does_a_third_of_the_enumeration_work_on_the_chain_pc_catalog() {
         "the catalog BDD path must do >= 3x less work than valuation \
          enumeration on the 13-variable chain: {valuations} valuations, {bdd:?}"
     );
+}
+
+/// A variable of `d` values takes `d − 1` BDD levels, and `x = vᵢ` is a
+/// cube of up to `i + 1` literals; every other check stops at four
+/// values. Here `σ[#0=#1]` over 4 variables, each with 4 and then 8
+/// values under distinct weights (value `i` of `d` has mass
+/// `(i + 1) / (1 + … + d)`), adds var–var atoms between tuple variables,
+/// and the BDD answer distribution must equal valuation enumeration
+/// exactly.
+#[test]
+fn bdd_answers_exactly_on_eight_valued_domains() {
+    let q = Query::select(Query::Input, Pred::eq_cols(0, 1));
+    for d in [4i64, 8] {
+        let t = random_finite_ctable(8, 2, 4, d, 0xD0 + d as u64);
+        let total = d * (d + 1) / 2;
+        let dists = t.vars().into_iter().map(|v| {
+            let skewed = (0..d).map(|i| (i.into(), Rat::new(i as i128 + 1, total as i128)));
+            (v, FiniteSpace::new(skewed).expect("masses sum to 1"))
+        });
+        let pc = PcTable::new(t, dists).expect("every variable has a distribution");
+        let answered = pc.eval_query(&q).unwrap();
+        assert_eq!(valuation_count([&answered]), (d as u64).pow(4));
+        let enumerated = pc.answer_dist_enum(&q).unwrap();
+        assert!(
+            enumerated.iter().any(|(_, p)| *p != Rat::ONE),
+            "{d}-valued answer must have uncertain tuples: {enumerated:?}"
+        );
+        assert_eq!(pc.answer_dist_bdd(&q).unwrap(), enumerated, "{d} values");
+    }
 }
 
 #[test]

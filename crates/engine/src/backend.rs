@@ -453,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn analyzed_run_matches_plain_and_counts_pruned_rows() {
+    fn analyzed_run_matches_plain_and_counts_rows() {
         assert_eq!(Instance::NAME, "instance");
         assert_eq!(CTable::NAME, "c-table");
         assert_eq!(<PcTable<Rat> as Backend>::NAME, "pc-table");

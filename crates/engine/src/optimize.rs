@@ -671,6 +671,11 @@ mod tests {
             opt("sigma[and(#0=#2,#2=#0)](V x V)", 2),
             "join[#0=#2](V, V)"
         );
+        // Two keys on one right column, over a selected right input.
+        assert_eq!(
+            opt("sigma[and(#1=#2,#0=#2,#1!=0)](V x sigma[#1!=1](V))", 2),
+            "join[#1=#2,#0=#2](sigma[#1!=0](V), sigma[#1!=1](V))"
+        );
     }
 
     #[test]

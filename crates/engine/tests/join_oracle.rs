@@ -471,7 +471,7 @@ proptest! {
         for (threads, morsel_rows) in EXEC_SWEEP {
             let cfg = ExecConfig { threads, morsel_rows, metrics: false };
             prop_assert_eq!(
-                stmt.execute_catalog_with(&cat, &cfg).unwrap(),
+                stmt.execute_catalog_cfg(&cat, &cfg).unwrap(),
                 expected.clone(),
                 "catalog query {} diverged at threads={} morsel={}", q, threads, morsel_rows
             );

@@ -19,8 +19,9 @@
 //!    variables): the Def. 13 semantics itself, kept as the oracle.
 //!
 //! The engines agree exactly (property-tested with `Rat`, including the
-//! `prob_oracle` differential suite in `ipdb-engine`); the benches in
-//! `ipdb-bench` measure the crossover.
+//! `prob_oracle` differential suite in `ipdb-engine`); the floors in
+//! `ipdb-bench`'s `tests/floors.rs` count the BDD's work against the
+//! valuations enumeration walks.
 
 use std::collections::{BTreeMap, BTreeSet};
 

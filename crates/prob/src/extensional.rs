@@ -17,8 +17,8 @@
 //!   non-hierarchical queries;
 //! * [`forced_extensional`] — the same recursion with the safety check
 //!   disabled (eliminates the most frequent variable even when unsound):
-//!   the "wrong plan" whose divergence from [`exact_prob`] the benches
-//!   measure;
+//!   the "wrong plan" whose divergence from [`exact_prob`] on `H₀` the
+//!   experiments harness shows (E20);
 //! * [`exact_prob`] — ground the query, build its *lineage* (event
 //!   expression over per-tuple Bernoulli variables — §7/§9), and compute
 //!   its probability with the BDD engine ([`prob_of_condition`]). Always

@@ -140,7 +140,8 @@ proptest! {
     }
 }
 
-/// E07 — Example 5 series (small sizes; the benches sweep further).
+/// E07 — Example 5 series (small sizes; the experiments harness sweeps
+/// m up to 10).
 #[test]
 fn e07_example5_blowup() {
     for (m, n) in [(2usize, 2i64), (2, 3), (3, 2)] {
