@@ -8,8 +8,8 @@
 //! takes a few seconds, prints its figures to stdout, writes no file,
 //! and asserts five floors:
 //!
-//! * on the 100k-row probe join, columnar execution at least matches
-//!   the row-at-a-time evaluator;
+//! * on the 100k-row probe join ([`ENGINE_PARALLEL_PROBE`]), columnar
+//!   execution at least matches the row-at-a-time evaluator;
 //! * morsel fan-out is ≥ 2× single-thread on 4+ cores and breaks even
 //!   on 2–3 (which floor ran is printed, so a log shows it);
 //! * metrics on stay within 5% of metrics off on the same join;
@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use ipdb_bench::{
     parallel_build_side, parallel_probe_side, parallel_schema, serve_catalog, serve_query_pool,
-    serve_relation, serve_trace, ServeOp, ENGINE_PARALLEL_JOIN,
+    serve_relation, serve_trace, ServeOp, ENGINE_PARALLEL_PROBE,
 };
 use ipdb_engine::{
     Catalog, Engine, ExecConfig, PlanCache, Request, Server, ServerConfig, Snapshot,
@@ -68,10 +68,13 @@ fn main() {
     // small build relation R probed by a 100k-row scan of S — run by the
     // row-at-a-time evaluator (`Query::eval_catalog`), the columnar
     // executor pinned to one thread, and the columnar executor on every
-    // core. `report_metrics.rs` checks that all three agree.
+    // core. The probe side is a selection of S that keeps every row: a
+    // join over the stored S itself would probe S's cached index with
+    // R's rows, one morsel, and time no fan-out. `report_metrics.rs`
+    // checks that all three agree.
     const PAR_PROBE: usize = 100_000;
     let par_stmt = Engine::new()
-        .prepare_text_schema(ENGINE_PARALLEL_JOIN, &parallel_schema())
+        .prepare_text_schema(ENGINE_PARALLEL_PROBE, &parallel_schema())
         .expect("well-typed");
     let (r, s) = (parallel_build_side(1024), parallel_probe_side(PAR_PROBE));
     let par_map: BTreeMap<String, Instance> =
@@ -228,7 +231,7 @@ fn main() {
     let speedup_server_multi = serve_srv1 / serve_srvn;
 
     let ms = |ns: f64| ns / 1e6;
-    println!("bench_smoke: {PAR_PROBE}-row probe join ({ENGINE_PARALLEL_JOIN}), {cores} threads");
+    println!("bench_smoke: {PAR_PROBE}-row probe join ({ENGINE_PARALLEL_PROBE}), {cores} threads");
     println!(
         "  row-at-a-time {:.2} ms, columnar {:.2} ms, parallel {:.2} ms",
         ms(par_row),

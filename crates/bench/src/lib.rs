@@ -258,6 +258,15 @@ pub fn skewed_instance(rows: usize) -> Instance {
 /// shape morsel fan-out parallelizes.
 pub const ENGINE_PARALLEL_JOIN: &str = "sigma[and(#1=#2, #0!=#3, #1!=0)](R x S)";
 
+/// [`ENGINE_PARALLEL_JOIN`] with a probe side that is not a stored
+/// relation. Over the stored `S` the join builds `S`'s index once per
+/// relation version and probes it with `σ(R)`'s 1023 rows — one morsel,
+/// nothing to fan out. `#1!=5` keeps every row of
+/// [`parallel_probe_side`] (its `#1` is `j mod 3`) but makes that side a
+/// selection, which keeps no index: the join builds on `σ(R)` and probes
+/// all of `S`'s rows, the work morsel fan-out splits. Same answer.
+pub const ENGINE_PARALLEL_PROBE: &str = "sigma[and(#1=#2, #0!=#3, #1!=0)](R x sigma[#1!=5](S))";
+
 /// The schema of the scaling workload: build side `R`, probe side `S`.
 pub fn parallel_schema() -> Schema {
     Schema::new([("R", 2), ("S", 2)]).expect("distinct names")

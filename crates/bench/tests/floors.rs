@@ -14,6 +14,10 @@
 //!   valuation, while the BDD path's work is the nodes it allocates
 //!   plus the `apply` calls it cannot answer from its cache
 //!   ([`BddStats`]). The two distributions must be exactly equal.
+//! * **Index reuse.** A stored relation is indexed once per version:
+//!   the rows a hash join indexes for one execution are the build
+//!   side's when it builds, and none when it reuses the index a stored
+//!   relation kept from an earlier execution.
 //! * **Wide domains.** One exactness check without a floor: the BDD
 //!   answer distribution equals enumeration on variables of 4 and 8
 //!   values, where every other test stops at 4.
@@ -24,15 +28,18 @@
 use std::collections::BTreeMap;
 
 use ipdb_bench::{
-    chain_pc_catalog, chain_schema, prob_smoke_pctable, random_chain_catalog, random_ctable,
-    random_finite_ctable, serve_catalog, serve_query_pool, serve_schema, skewed_instance,
-    ENGINE_CHAIN_NAIVE, ENGINE_PRODUCT_HEAVY, ENGINE_PRODUCT_HEAVY_PUSHED, PROB_SMOKE_QUERY,
+    chain_pc_catalog, chain_schema, parallel_build_side, parallel_probe_side, parallel_schema,
+    prob_smoke_pctable, random_chain_catalog, random_ctable, random_finite_ctable, serve_catalog,
+    serve_query_pool, serve_schema, skewed_instance, ENGINE_CHAIN_NAIVE, ENGINE_PARALLEL_JOIN,
+    ENGINE_PRODUCT_HEAVY, ENGINE_PRODUCT_HEAVY_PUSHED, PROB_SMOKE_QUERY,
 };
 use ipdb_engine::{
     Backend, Catalog, Engine, ExecConfig, OpReport, PlanCache, Pred, Prepared, Query, ReportSink,
+    SnapshotCatalog,
 };
 use ipdb_logic::Var;
 use ipdb_prob::{BddStats, FiniteSpace, PcTable, Rat};
+use ipdb_rel::Instance;
 
 /// Rows touched by an executed plan: `rows_out` summed over the tree.
 fn rows_touched(op: &OpReport) -> u64 {
@@ -245,4 +252,57 @@ fn cached_plans_answer_like_fresh_ones() {
             "cached plan diverged on {text}"
         );
     }
+}
+
+#[test]
+fn a_stored_relation_is_indexed_once_per_version() {
+    let stmt = Engine::new()
+        .prepare_text_schema(ENGINE_PARALLEL_JOIN, &parallel_schema())
+        .expect("well-typed");
+    let mut cat = Catalog::new();
+    cat.insert("R", parallel_build_side(64));
+    cat.insert("S", parallel_probe_side(4096));
+    let snaps = SnapshotCatalog::new(cat);
+    // One execution on the current snapshot: (rows the join indexed,
+    // rows it probed). The plan's root is the join of σ(R) and S.
+    let run = || {
+        let snap = snaps.snapshot();
+        let (out, report) = stmt
+            .execute_catalog_analyzed(snap.catalog(), &ExecConfig::serial())
+            .unwrap();
+        assert_eq!(
+            out,
+            Instance::run_catalog(snap.catalog(), stmt.naive_query()).unwrap()
+        );
+        let join = report.root;
+        let build = join.build.expect("a hash join");
+        assert!(!build.left, "S is stored, so S is built:\n{join}");
+        let indexed = if build.reused {
+            0
+        } else {
+            join.children[1].rows_out
+        };
+        (indexed, join.children[0].rows_out)
+    };
+    let first = run();
+    let second = run();
+    // A new version of S is indexed once more; a new version of R (the
+    // probe side) leaves S's index as it was.
+    snaps.update(|c| {
+        c.insert("S", parallel_probe_side(4097));
+    });
+    let after_install = run();
+    let again = run();
+    snaps.update(|c| {
+        c.insert("R", parallel_build_side(32));
+    });
+    let other_install = run();
+    println!(
+        "stored S (rows indexed, rows probed): first {first:?}, second {second:?}, \
+         new S {after_install:?}, again {again:?}, new R {other_install:?}"
+    );
+    assert_eq!(
+        [first, second, after_install, again, other_install],
+        [(4096, 63), (0, 63), (4097, 63), (0, 63), (0, 31)]
+    );
 }

@@ -11,8 +11,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use ipdb_bench::{
     chain_pc_catalog, chain_schema, parallel_build_side, parallel_probe_side, parallel_schema,
     serve_catalog, serve_query_pool, serve_relation, ENGINE_CHAIN_NAIVE, ENGINE_PARALLEL_JOIN,
+    ENGINE_PARALLEL_PROBE,
 };
-use ipdb_engine::{Catalog, Engine, ExecConfig, Prepared, Server, ServerConfig};
+use ipdb_engine::{Catalog, Engine, ExecConfig, JoinBuild, Prepared, Server, ServerConfig};
 use ipdb_rel::Instance;
 
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
@@ -21,17 +22,25 @@ fn serialized() -> MutexGuard<'static, ()> {
     GLOBAL_STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Rows of the build side `R`; the probe side `S` has 100k.
+/// Rows of the build side `R`.
 const PAR_BUILD: usize = 1024;
+
+/// Rows of the probe side `S`.
+const PAR_PROBE: usize = 100_000;
 
 /// [`ENGINE_PARALLEL_JOIN`] prepared over its catalog.
 fn probe_join() -> (Prepared, Catalog<Instance>) {
+    prepared_over_catalog(ENGINE_PARALLEL_JOIN)
+}
+
+/// `text` prepared over the probe-join catalog.
+fn prepared_over_catalog(text: &str) -> (Prepared, Catalog<Instance>) {
     let stmt = Engine::new()
-        .prepare_text_schema(ENGINE_PARALLEL_JOIN, &parallel_schema())
+        .prepare_text_schema(text, &parallel_schema())
         .expect("well-typed");
     let mut cat = Catalog::new();
     cat.insert("R", parallel_build_side(PAR_BUILD));
-    cat.insert("S", parallel_probe_side(100_000));
+    cat.insert("S", parallel_probe_side(PAR_PROBE));
     (stmt, cat)
 }
 
@@ -43,10 +52,40 @@ fn metered(threads: usize, metrics: bool) -> ExecConfig {
     }
 }
 
+/// Both spellings of the probe join: over the stored `S` the join
+/// builds `S`'s cached index and probes it with `σ(R)`'s rows; over a
+/// selection of `S` (the `bench_smoke` series) it builds `σ(R)` afresh
+/// and probes all of `S`. Each tuple: text, expected build, and the
+/// rows probed.
+const PROBE_JOINS: [(&str, JoinBuild, u64); 2] = [
+    (
+        ENGINE_PARALLEL_JOIN,
+        JoinBuild {
+            left: false,
+            reused: true,
+        },
+        (PAR_BUILD - 1) as u64,
+    ),
+    (
+        ENGINE_PARALLEL_PROBE,
+        JoinBuild {
+            left: true,
+            reused: false,
+        },
+        PAR_PROBE as u64,
+    ),
+];
+
 #[test]
 fn explain_analyze_reports_the_probe_join_consistently() {
     let _g = serialized();
-    let (stmt, cat) = probe_join();
+    for (text, build, probed) in PROBE_JOINS {
+        check_probe_join(text, build, probed);
+    }
+}
+
+fn check_probe_join(text: &str, build: JoinBuild, probed: u64) {
+    let (stmt, cat) = prepared_over_catalog(text);
     assert!(
         stmt.explain().contains("join["),
         "the probe join must plan to a hash join:\n{}",
@@ -75,6 +114,15 @@ fn explain_analyze_reports_the_probe_join_consistently() {
             report.root.ns <= report.total_ns,
             "operator tree time must fit inside the measured total"
         );
+        // The root is the join; the plain run before it built any
+        // stored index it needed, so this run reuses it.
+        let join = &report.root;
+        assert_eq!(join.build, Some(build), "{text}\n{}", report.render());
+        let probe = &join.children[usize::from(build.left)];
+        assert_eq!(probe.rows_out, probed, "{text}\n{}", report.render());
+        let side = if build.left { "left" } else { "right" };
+        let how = if build.reused { "stored" } else { "built" };
+        assert!(report.render().contains(&format!("build={side} ({how})")));
     }
 }
 

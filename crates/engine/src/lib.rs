@@ -26,7 +26,8 @@
 //!    all three semantics. Joins hash on their key
 //!    columns through one index, `ipdb-rel`'s
 //!    [`JoinIndex`](ipdb_rel::JoinIndex): instances bucket the build
-//!    side outright, while c-/pc-tables bucket the rows whose key
+//!    side outright (a stored relation keeps its index per version),
+//!    while c-/pc-tables bucket the rows whose key
 //!    columns are *ground* and fall back to condition-conjunction
 //!    pairing for rows with variable keys, preserving the c-table
 //!    semantics exactly.
@@ -158,7 +159,7 @@ pub use morsel::ExecConfig;
 pub use optimize::{optimize, OptimizeStats};
 pub use parser::{is_relation_name, parse, render};
 pub use pipeline::{Engine, Prepared};
-pub use report::{NoTrace, OpReport, QueryReport, ReportSink, TraceSink};
+pub use report::{JoinBuild, NoTrace, OpReport, QueryReport, ReportSink, TraceSink};
 pub use serve::{
     Reply, Request, ServeError, Server, ServerConfig, Snapshot, SnapshotCatalog, Ticket,
 };

@@ -30,26 +30,33 @@
 //! columnar form each [`Instance`] caches ([`Instance::columnar`]): it is
 //! built on the first query after the relation is created or changed and
 //! shared, column storage and all, by every later query — so a catalog
-//! leaf is never re-converted per query. Set operations (`∪`, `−`, `∩`)
-//! convert through row form — they are cheap relative to the join/select
-//! kernels and their `BTreeSet` implementations are already canonical.
+//! leaf is never re-converted per query. That stored form also keeps its
+//! join indexes, one per key-column list
+//! ([`ColumnarInstance::join_index`]), so a hash join whose build side is
+//! a leaf indexes it once per relation version, not once per query. The
+//! build side is the one that minimizes rows indexed plus rows probed,
+//! where a leaf indexes none (see `par_join`); a batch a kernel derived
+//! (a selection, projection or join output) always builds afresh. Set
+//! operations (`∪`, `−`, `∩`) convert through row form — they are cheap
+//! relative to the join/select kernels and their `BTreeSet`
+//! implementations are already canonical.
 //!
 //! There is one evaluator, generic over a [`TraceSink`] and reading its
 //! leaves from a [`Catalog`] (a single input is the catalog `{V: input}`).
 //! Plain execution monomorphizes it with the no-op sink;
 //! `EXPLAIN ANALYZE` passes a sink that records each operator's
-//! cardinalities, build side and inclusive time — once per operator,
-//! never per morsel.
+//! cardinalities, build side (and whether its index was reused) and
+//! inclusive time — once per operator, never per morsel.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use ipdb_obs::Counter;
-use ipdb_rel::{ColumnarInstance, Instance, JoinIndex, Pred, Query, RelError, Schema, Tuple};
+use ipdb_rel::{ColumnarInstance, Instance, Pred, Query, RelError, Schema, Tuple};
 
 use crate::backend::Catalog;
 use crate::error::EngineError;
-use crate::report::TraceSink;
+use crate::report::{JoinBuild, TraceSink};
 
 /// Default morsel size (rows per scheduling unit).
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
@@ -281,20 +288,24 @@ fn par_select(
     Ok(ci.gather_rows(&keep))
 }
 
-/// Parallel hash equijoin: serial build on the smaller side, morsel-
-/// parallel probe, serial gather, parallel residual mask. Key
-/// normalization is the shared [`ipdb_rel::normalize_join_keys`], so
-/// this can never classify keys differently from the row path. Also
-/// returns the build side for `EXPLAIN ANALYZE`: `Some(build_left)` on
-/// the hash path, `None` when empty keys degrade the join to product +
-/// filter.
+/// Parallel hash equijoin: serial build, morsel-parallel probe,
+/// gather within each morsel, parallel residual mask. The build side is
+/// the one that minimizes rows indexed plus rows probed; a stored
+/// relation's side ([`ColumnarInstance::is_stored`]) indexes no rows,
+/// since its index is built once per relation version and then reused
+/// ([`ColumnarInstance::join_index`]). On a tie the smaller side is
+/// built. Key normalization is the shared
+/// [`ipdb_rel::normalize_join_keys`], so this can never classify keys
+/// differently from the row path. Also returns what was built for
+/// `EXPLAIN ANALYZE`: `Some` on the hash path, `None` when empty keys
+/// degrade the join to product + filter.
 fn par_join(
     left: &ColumnarInstance,
     right: &ColumnarInstance,
     on: &[(usize, usize)],
     residual: Option<&Pred>,
     cfg: &ExecConfig,
-) -> Result<(ColumnarInstance, Option<bool>), RelError> {
+) -> Result<(ColumnarInstance, Option<JoinBuild>), RelError> {
     let total = left.arity() + right.arity();
     let (keys, extra) = ipdb_rel::normalize_join_keys(on, left.arity(), total)?;
     if let Some(p) = residual {
@@ -309,7 +320,12 @@ fn par_join(
             par_select(&prod, &filter, cfg).map(|out| (out, None))
         };
     }
-    let build_left = left.len() <= right.len();
+    let cost = |build: &ColumnarInstance, probe: &ColumnarInstance| {
+        probe.len() + if build.is_stored() { 0 } else { build.len() }
+    };
+    let (cost_left, cost_right) = (cost(left, right), cost(right, left));
+    let build_left =
+        cost_left < cost_right || (cost_left == cost_right && left.len() <= right.len());
     let (build, probe) = if build_left {
         (left, right)
     } else {
@@ -320,7 +336,7 @@ fn par_join(
     } else {
         keys.iter().map(|&(i, j)| (j, i)).unzip()
     };
-    let index = JoinIndex::build(build, build_cols);
+    let (index, reused) = build.join_index(build_cols);
     // Each morsel probes AND gathers its own output batch, so the value
     // copies of the join result happen in parallel; the batches then
     // stack by moving column storage (`vstack`), preserving morsel
@@ -341,7 +357,13 @@ fn par_join(
     } else {
         par_select(&joined, &filter, cfg)?
     };
-    Ok((out, Some(build_left)))
+    Ok((
+        out,
+        Some(JoinBuild {
+            left: build_left,
+            reused,
+        }),
+    ))
 }
 
 /// Parallel row materialization: each morsel builds and *sorts* its
@@ -384,7 +406,7 @@ fn eval_columnar<S: TraceSink>(
     sink: &mut S,
 ) -> Result<ColumnarInstance, RelError> {
     let mark = sink.enter();
-    let mut build_left = None;
+    let mut build = None;
     let out = match q {
         // Leaves clone the relation's cached columnar form: `Arc`s only,
         // after the first query of each relation version.
@@ -406,8 +428,8 @@ fn eval_columnar<S: TraceSink>(
         } => {
             let l = eval_columnar(cat, left, cfg, sink)?;
             let r = eval_columnar(cat, right, cfg, sink)?;
-            let (joined, bl) = par_join(&l, &r, on, residual.as_ref(), cfg)?;
-            build_left = bl;
+            let (joined, b) = par_join(&l, &r, on, residual.as_ref(), cfg)?;
+            build = b;
             joined
         }
         // Set operations go through canonical row form; their BTreeSet
@@ -423,7 +445,7 @@ fn eval_columnar<S: TraceSink>(
             ColumnarInstance::from_rows(&rows)
         }
     };
-    sink.exit(mark, q, out.arity(), out.len() as u64, build_left);
+    sink.exit(mark, q, out.arity(), out.len() as u64, build);
     Ok(out)
 }
 
@@ -431,7 +453,7 @@ fn eval_columnar<S: TraceSink>(
 mod tests {
     use super::*;
     use crate::report::{NoTrace, OpReport, ReportSink};
-    use ipdb_rel::instance;
+    use ipdb_rel::{instance, tuple, JoinIndex};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn run_instance(i: &Instance, q: &Query, cfg: &ExecConfig) -> Result<Instance, EngineError> {
@@ -520,7 +542,7 @@ mod tests {
             assert_eq!(report.label, "union");
             assert_eq!(report.children.len(), 2);
             assert!(report.children[0].label.starts_with("join["));
-            assert_eq!(report.children[0].build_left, Some(true));
+            assert_eq!(report.children[0].build.map(|b| b.left), Some(true));
             assert_eq!(report.children[1].label, "x");
             assert_eq!(report.node_count(), 7);
             // Cardinalities are real: the union's input is its children's
@@ -681,6 +703,19 @@ mod tests {
         }
     }
 
+    /// Each operand as its stored form (`true`) or as a fresh batch of
+    /// the same rows (`false`).
+    fn operand(i: &Instance, stored: bool) -> ColumnarInstance {
+        if stored {
+            i.columnar().clone()
+        } else {
+            ColumnarInstance::from_rows(i)
+        }
+    }
+
+    const STORED_OR_FRESH: [(bool, bool); 4] =
+        [(true, true), (true, false), (false, true), (false, false)];
+
     #[test]
     fn equijoin_build_side_is_size_independent() {
         let small = Instance::from_rows(2, (0..3i64).map(|i| [i, i])).unwrap();
@@ -688,11 +723,94 @@ mod tests {
         for cfg in join_configs() {
             for (l, r) in [(&small, &big), (&big, &small)] {
                 let row = l.equijoin(r, &[(0, 2)], None).unwrap();
-                let (col, build_left) =
-                    par_join(l.columnar(), r.columnar(), &[(0, 2)], None, &cfg).unwrap();
-                assert_eq!(col.to_rows(), row);
-                assert_eq!(build_left, Some(l.len() <= r.len()));
+                for (l_stored, r_stored) in STORED_OR_FRESH {
+                    let (cl, cr) = (operand(l, l_stored), operand(r, r_stored));
+                    let (col, build) = par_join(&cl, &cr, &[(0, 2)], None, &cfg).unwrap();
+                    assert_eq!(col.to_rows(), row);
+                    // A stored side is built whatever its size; with both
+                    // stored, the smaller one is probed; with neither, the
+                    // smaller one is built.
+                    let build_left = match (l_stored, r_stored) {
+                        (true, false) => true,
+                        (false, true) => false,
+                        (true, true) => l.len() >= r.len(),
+                        (false, false) => l.len() <= r.len(),
+                    };
+                    assert_eq!(build.map(|b| b.left), Some(build_left));
+                }
             }
+        }
+    }
+
+    #[test]
+    fn stored_and_fresh_indexes_join_like_the_row_path() {
+        let small = Instance::from_rows(2, (0..4i64).map(|i| [i, i * 10])).unwrap();
+        let big = Instance::from_rows(2, (0..40i64).map(|i| [i % 6, i])).unwrap();
+        let residual = Pred::neq_cols(1, 3);
+        for cfg in join_configs() {
+            for (l, r) in [(&small, &big), (&big, &small)] {
+                for on in [vec![(0, 2)], vec![(2, 0), (1, 3)]] {
+                    for resid in [None, Some(&residual)] {
+                        let row = l.equijoin(r, &on, resid).unwrap();
+                        for (l_stored, r_stored) in STORED_OR_FRESH {
+                            let (cl, cr) = (operand(l, l_stored), operand(r, r_stored));
+                            // Twice: a stored side's index is built at the
+                            // latest by the first run and reused by the
+                            // second; a fresh side's is never reused.
+                            for run in 0..2 {
+                                let (col, build) = par_join(&cl, &cr, &on, resid, &cfg).unwrap();
+                                assert_eq!(col.to_rows(), row, "on {on:?}, run {run}");
+                                let b = build.unwrap();
+                                let stored = if b.left { l_stored } else { r_stored };
+                                assert!(!b.reused || stored);
+                                assert!(run == 0 || b.reused == stored);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selected_inputs_never_use_a_stored_index() {
+        let s = Instance::from_rows(2, (0..20i64).map(|i| [i % 5, i])).unwrap();
+        let stored = s.columnar();
+        let all = stored.gather_rows(&(0..stored.len()).collect::<Vec<_>>());
+        let kept = stored.select(&Pred::neq_const(0, 1)).unwrap();
+        for cfg in join_configs() {
+            for side in [&all, &kept] {
+                assert!(!side.is_stored());
+                let row = side.to_rows().equijoin(&side.to_rows(), &[(0, 2)], None);
+                for _ in 0..2 {
+                    let (col, build) = par_join(side, side, &[(0, 2)], None, &cfg).unwrap();
+                    assert_eq!(col.to_rows(), row.clone().unwrap());
+                    assert!(!build.unwrap().reused);
+                }
+            }
+        }
+        // Nor did they fill the stored form's cache.
+        assert!(!stored.join_index(vec![0]).1);
+    }
+
+    #[test]
+    fn a_join_after_insert_sees_the_new_row() {
+        let probe = instance![[9, 0], [3, 1]];
+        for cfg in join_configs() {
+            let mut s = Instance::from_rows(2, (0..8i64).map(|i| [i, i])).unwrap();
+            let join = |s: &Instance| {
+                let (col, build) =
+                    par_join(probe.columnar(), s.columnar(), &[(0, 2)], None, &cfg).unwrap();
+                assert_eq!(col.to_rows(), probe.equijoin(s, &[(0, 2)], None).unwrap());
+                (col.to_rows(), build.unwrap())
+            };
+            let (before, _) = join(&s);
+            assert_eq!(before, instance![[3, 1, 3, 3]]);
+            assert!(join(&s).1.reused);
+            assert!(s.insert(tuple![9, 90]).unwrap());
+            let (after, build) = join(&s);
+            assert!(!build.reused, "the new version builds its own index");
+            assert_eq!(after, instance![[3, 1, 3, 3], [9, 0, 9, 90]]);
         }
     }
 
@@ -766,9 +884,13 @@ mod tests {
         let r = Instance::from_rows(2, (0..build_rows as i64).map(|k| [k, k])).unwrap();
         let i = Instance::from_rows(2, (0..probe_rows as i64).map(|j| [j, j % 3])).unwrap();
         let rels: Catalog<Instance> = [("R", r.clone()), ("S", i.clone())].into_iter().collect();
+        // `#1!=5` keeps every row of S but makes the probe side a
+        // selection rather than the stored relation, whose cached index
+        // would otherwise be built once and probed with R's 1023 rows.
+        let keep_all = Pred::neq_const(1, 5);
         let q = Query::join(
             Query::select(Query::rel("R"), Pred::neq_const(1, 0)),
-            Query::rel("S"),
+            Query::select(Query::rel("S"), keep_all.clone()),
             [(1, 2)],
             Some(Pred::neq_cols(0, 3)),
         );
@@ -796,7 +918,7 @@ mod tests {
         for threads in [1usize, 2] {
             let cfg = ExecConfig::with_threads(threads);
             let left = r.columnar().clone();
-            let right = i.columnar().clone();
+            let right = i.columnar().select(&keep_all).unwrap();
             let index = JoinIndex::build(&left, vec![1]);
             let t_build = med(|| {
                 JoinIndex::build(&left, vec![1]);

@@ -197,7 +197,7 @@ impl Prepared {
     /// instrumentation**: the identical output, plus a [`QueryReport`]
     /// recording what every operator of the optimized plan did —
     /// cardinalities, selectivity, inclusive/exclusive timings and the
-    /// hash join's build side.
+    /// hash join's build side, with whether its index was reused.
     pub fn execute_catalog_analyzed<B: Backend>(
         &self,
         cat: &Catalog<B>,
@@ -669,7 +669,7 @@ optimized plan: (unchanged)
             .unwrap();
         assert_eq!(out, expected);
         assert!(report.root.label.starts_with("join["));
-        assert_eq!(report.root.build_left, Some(true));
+        assert_eq!(report.root.build.map(|b| b.left), Some(true));
         let cfg = ExecConfig {
             threads: 2,
             morsel_rows: 1,

@@ -3,7 +3,9 @@
 //! Where [`Prepared::explain`](crate::Prepared::explain) shows the
 //! *static* optimized query, the types here capture what actually
 //! happened when a query ran: per-operator input/output cardinalities,
-//! selectivity, wall-clock time and the hash join's build-side choice.
+//! selectivity, wall-clock time and the hash join's build side — and
+//! whether that side's index was reused from a stored relation or built
+//! for this query ([`JoinBuild`]).
 //! A [`QueryReport`] bundles the operator tree with whole-query totals,
 //! the optimizer's pass count, and — for probabilistic answering — the
 //! BDD manager's counters ([`ipdb_prob::BddStats`]).
@@ -40,15 +42,26 @@ pub trait TraceSink {
     fn enter(&mut self) -> Self::Mark;
 
     /// Operator `q` finished with an output of `arity` columns and
-    /// `rows_out` rows; `build_left` is the hash join's build side.
+    /// `rows_out` rows; `build` is what a hash join built.
     fn exit(
         &mut self,
         mark: Self::Mark,
         q: &Query,
         arity: usize,
         rows_out: u64,
-        build_left: Option<bool>,
+        build: Option<JoinBuild>,
     );
+}
+
+/// A hash join's build side and where its index came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JoinBuild {
+    /// Whether the left input was the build side.
+    pub left: bool,
+    /// Whether the index was reused from a stored relation
+    /// ([`ipdb_rel::ColumnarInstance::join_index`]) rather than built
+    /// for this query.
+    pub reused: bool,
 }
 
 /// The sink that records nothing: plain execution.
@@ -60,7 +73,7 @@ impl TraceSink for NoTrace {
 
     fn enter(&mut self) {}
 
-    fn exit(&mut self, _: (), _: &Query, _: usize, _: u64, _: Option<bool>) {}
+    fn exit(&mut self, _: (), _: &Query, _: usize, _: u64, _: Option<JoinBuild>) {}
 }
 
 /// The `EXPLAIN ANALYZE` sink: builds the [`OpReport`] tree with
@@ -93,7 +106,7 @@ impl TraceSink for ReportSink {
         q: &Query,
         arity: usize,
         rows_out: u64,
-        build_left: Option<bool>,
+        build: Option<JoinBuild>,
     ) {
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let children = self.done.split_off(first_child);
@@ -108,7 +121,7 @@ impl TraceSink for ReportSink {
             rows_in,
             rows_out,
             ns,
-            build_left,
+            build,
             children,
         });
     }
@@ -133,10 +146,10 @@ pub struct OpReport {
     /// Inclusive wall-clock nanoseconds: this operator *and* its
     /// children (see the module docs).
     pub ns: u64,
-    /// For hash joins: `Some(true)` if the left input was the build
-    /// side, `Some(false)` for the right. `None` for every other
-    /// operator and for joins that fell back to product + filter.
-    pub build_left: Option<bool>,
+    /// For hash joins: the build side, and whether its index was reused
+    /// from a stored relation. `None` for every other operator and for
+    /// joins that fell back to product + filter.
+    pub build: Option<JoinBuild>,
     /// Child operator reports, in plan order (left before right).
     pub children: Vec<OpReport>,
 }
@@ -194,8 +207,13 @@ impl OpReport {
         if !self.children.is_empty() {
             let _ = write!(out, " (self {})", fmt_ns(self.exclusive_ns()));
         }
-        if let Some(build_left) = self.build_left {
-            let _ = write!(out, "  build={}", if build_left { "left" } else { "right" });
+        if let Some(b) = self.build {
+            let _ = write!(
+                out,
+                "  build={} ({})",
+                if b.left { "left" } else { "right" },
+                if b.reused { "stored" } else { "built" }
+            );
         }
         out.push('\n');
         for c in &self.children {
@@ -377,7 +395,7 @@ mod tests {
             rows_in: rows,
             rows_out: rows,
             ns,
-            build_left: None,
+            build: None,
             children: Vec::new(),
         }
     }
@@ -389,7 +407,10 @@ mod tests {
             rows_in: 30,
             rows_out: 12,
             ns: 10_000,
-            build_left: Some(true),
+            build: Some(JoinBuild {
+                left: true,
+                reused: false,
+            }),
             children: vec![leaf("V", 10, 3_000), leaf("W", 20, 4_000)],
         }
     }
@@ -429,7 +450,13 @@ mod tests {
             "EXPLAIN ANALYZE (backend: instance, total: 15.0us, optimizer: 2 passes, converged)"
         ));
         assert!(text.contains("join[#1=#2]  (arity 4) rows: 30 -> 12 (sel 0.400)"));
-        assert!(text.contains("build=left"));
+        assert!(text.contains("build=left (built)"));
+        let mut stored = report.clone();
+        stored.root.build = Some(JoinBuild {
+            left: false,
+            reused: true,
+        });
+        assert!(stored.render().contains("build=right (stored)"));
         assert!(text.contains("\n  V  (arity 2)"));
         assert_eq!(text, report.to_string());
     }

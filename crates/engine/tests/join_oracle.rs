@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ipdb_engine::{Backend, Catalog, Engine, ExecConfig, NoTrace, Schema};
+use ipdb_engine::{Backend, Catalog, Engine, ExecConfig, NoTrace, ReportSink, Schema};
 use ipdb_logic::{Valuation, Var};
 use ipdb_prob::{FiniteSpace, PcTable, Rat};
 use ipdb_rel::strategies::{
@@ -475,6 +475,76 @@ proptest! {
                 expected.clone(),
                 "catalog query {} diverged at threads={} morsel={}", q, threads, morsel_rows
             );
+        }
+    }
+}
+
+/// A join operand over the stored relation `leaf`: the relation itself,
+/// or a selection of it (a derived batch, which keeps no index).
+fn arb_leaf_operand(leaf: Query) -> BoxedStrategy<Query> {
+    prop_oneof![
+        1 => Just(leaf.clone()),
+        1 => arb_pred(2, 2, false).prop_map(move |p| Query::select(leaf.clone(), p)),
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Stored join indexes: a join of `V` and `W` (each the stored
+    /// relation or a selection of it) runs twice on one catalog — the
+    /// first run builds a stored side's index, the second reuses it —
+    /// and once on relations rebuilt from their tuples, which start
+    /// without one. Every run equals the naive filtered product, under
+    /// every configuration.
+    #[test]
+    fn stored_join_indexes_answer_like_the_naive_product(
+        l in arb_instance(2, 6, 3),
+        r in arb_instance(2, 6, 3),
+        left in arb_leaf_operand(Query::Input),
+        right in arb_leaf_operand(Query::Second),
+        on in arb_spanning_keys(),
+        residual in prop_oneof![
+            2 => Just(None),
+            1 => arb_pred(4, 2, false).prop_map(Some),
+        ],
+    ) {
+        let (join, naive) = join_and_oracle(left, right, on, residual);
+        let map: BTreeMap<String, Instance> =
+            [("V".to_string(), l.clone()), ("W".to_string(), r.clone())].into_iter().collect();
+        let expected = naive.eval_catalog(&map).unwrap();
+        let rebuild = |i: &Instance| Instance::from_tuples(2, i.iter().cloned()).unwrap();
+        let cat: Catalog<Instance> = [("V", l.clone()), ("W", r.clone())].into_iter().collect();
+        // Whether a run on `cat` came before: from then on its stored
+        // sides' indexes exist.
+        let mut cat_ran = false;
+        for (threads, morsel_rows) in EXEC_SWEEP {
+            let cfg = ExecConfig { threads, morsel_rows, metrics: false };
+            let rebuilt: Catalog<Instance> =
+                [("V", rebuild(&l)), ("W", rebuild(&r))].into_iter().collect();
+            for (run, c, ran_before) in
+                [("first", &cat, cat_ran), ("second", &cat, true), ("rebuilt", &rebuilt, false)]
+            {
+                let mut sink = ReportSink::default();
+                prop_assert_eq!(
+                    Instance::execute(c, &join, &cfg, &mut sink).unwrap(),
+                    expected.clone(),
+                    "{} run of {} diverged at threads={} morsel={}",
+                    run, join, threads, morsel_rows
+                );
+                // Only a leaf keeps its index, and only a run after the
+                // one that built it reuses it.
+                let report = sink.finish();
+                let build = report.build.expect("spanning keys make a hash join");
+                let leaf = report.children[usize::from(!build.left)].children.is_empty();
+                prop_assert_eq!(
+                    build.reused,
+                    leaf && ran_before,
+                    "{} run of {} at threads={} morsel={}", run, join, threads, morsel_rows
+                );
+            }
+            cat_ran = true;
         }
     }
 }

@@ -21,8 +21,11 @@
 //!   (projection is the one operator that can merge distinct rows);
 //! * **product** — positional materialization of the cross product;
 //! * **equijoin** — the hash-join kernel [`JoinIndex`]; the engine's
-//!   morsel executor drives it (building on the smaller side) and so
-//!   does the c-table join. Key hashes are computed a column at a time
+//!   morsel executor drives it and so does the c-table join. The
+//!   executor builds the side that minimizes rows indexed plus rows
+//!   probed, where a stored relation's side indexes none (its index is
+//!   kept, see below); on a tie it builds the smaller side. Key hashes
+//!   are computed a column at a time
 //!   ([`ColumnarInstance::key_hashes`]): each key column is folded into
 //!   a buffer of per-row hasher states, which are then finished. The
 //!   steps are those of the row path's [`Instance::equijoin`], in the
@@ -38,15 +41,23 @@
 //! produce a new selection vector (or column subset) over the same
 //! physical data. A stored relation's columns are built once per
 //! version and cached on it ([`Instance::columnar`]), so the executor's
-//! leaves are a clone of that `Arc`-shared form. `ipdb-engine` builds its morsel-parallel executor on
+//! leaves are a clone of that `Arc`-shared form. That stored form also
+//! keeps the join indexes built over it, one per key-column list, each
+//! built by the first join that needs it and shared by every clone
+//! ([`ColumnarInstance::join_index`]); the next [`Instance::insert`]
+//! drops them with the form. They cost one index, O(rows), per distinct
+//! key-column list. A batch a kernel derives — a selection vector, a
+//! projection, a gather — keeps no index and builds one per join.
+//! `ipdb-engine` builds its morsel-parallel executor on
 //! the range-based entry points ([`ColumnarInstance::eval_mask_range`],
 //! [`JoinIndex::probe_range`]): every kernel's output is independent of
 //! how the input rows were chunked, which is what makes parallel
 //! execution bit-identical to serial execution under set semantics.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::error::RelError;
 use crate::keyhash::{BuildPassThrough, KeyHasher};
@@ -82,6 +93,24 @@ pub struct ColumnarInstance {
     /// Logical row `i` lives at physical row `sel[i]`; `None` means the
     /// identity selection over all physical rows.
     sel: Option<Arc<Vec<usize>>>,
+    /// The join indexes built over this batch. `Some` only on a stored
+    /// relation's form ([`Instance::columnar`]), whose rows never change;
+    /// every kernel output starts without one.
+    indexes: Option<Arc<IndexCache>>,
+}
+
+/// A stored batch's join indexes, at most one per distinct key-column
+/// list, each built on first use.
+#[derive(Default)]
+struct IndexCache(Mutex<Vec<Arc<JoinIndex>>>);
+
+impl fmt::Debug for IndexCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let built = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        f.debug_list()
+            .entries(built.iter().map(|ix| &ix.key_cols))
+            .finish()
+    }
 }
 
 impl ColumnarInstance {
@@ -92,6 +121,7 @@ impl ColumnarInstance {
             phys_rows: 0,
             cols: (0..arity).map(|_| Arc::new(Vec::new())).collect(),
             sel: None,
+            indexes: None,
         }
     }
 
@@ -110,6 +140,7 @@ impl ColumnarInstance {
             phys_rows: i.len(),
             cols: cols.into_iter().map(Arc::new).collect(),
             sel: None,
+            indexes: None,
         }
     }
 
@@ -130,7 +161,18 @@ impl ColumnarInstance {
             phys_rows: rows,
             cols: columns.into_iter().map(Arc::new).collect(),
             sel: None,
+            indexes: None,
         })
+    }
+
+    /// This batch as a stored relation's form, which keeps the join
+    /// indexes built over it ([`ColumnarInstance::join_index`]). Only
+    /// [`Instance::columnar`] makes one: its rows never change.
+    pub(crate) fn stored(self) -> Self {
+        ColumnarInstance {
+            indexes: Some(Arc::default()),
+            ..self
+        }
     }
 
     /// Converts back to a row-major instance; duplicate rows (possible
@@ -203,6 +245,7 @@ impl ColumnarInstance {
             phys_rows: self.phys_rows,
             cols: self.cols.clone(),
             sel: Some(Arc::new(sel)),
+            indexes: None,
         }
     }
 
@@ -333,6 +376,7 @@ impl ColumnarInstance {
             phys_rows: self.phys_rows,
             cols: cols.iter().map(|&c| self.cols[c].clone()).collect(),
             sel: Some(Arc::new(order)),
+            indexes: None,
         })
     }
 
@@ -363,6 +407,7 @@ impl ColumnarInstance {
             phys_rows: rows,
             cols: cols.into_iter().map(Arc::new).collect(),
             sel: None,
+            indexes: None,
         }
     }
 
@@ -398,6 +443,7 @@ impl ColumnarInstance {
             phys_rows: pairs.len(),
             cols: left_cols.chain(right_cols).collect(),
             sel: None,
+            indexes: None,
         }
     }
 
@@ -446,7 +492,48 @@ impl ColumnarInstance {
             phys_rows: total,
             cols: cols.into_iter().map(Arc::new).collect(),
             sel: None,
+            indexes: None,
         })
+    }
+
+    /// Whether this batch is a stored relation's form
+    /// ([`Instance::columnar`], or a clone of it), whose join indexes
+    /// [`ColumnarInstance::join_index`] keeps. Kernel outputs never are.
+    pub fn is_stored(&self) -> bool {
+        self.indexes.is_some()
+    }
+
+    /// A [`JoinIndex`] over this batch on `key_cols`, and whether it was
+    /// reused rather than built by this call. A stored batch builds the
+    /// index for each key-column list once, on first use, and returns
+    /// that index to every later call, from any clone of the batch; the
+    /// indexes live as long as the batch, so they cost one index, O(rows),
+    /// per distinct key-column list. Any other batch builds a fresh index
+    /// on every call.
+    ///
+    /// ```
+    /// use ipdb_rel::{instance, ColumnarInstance};
+    /// let i = instance![[1, 10], [2, 20]];
+    /// assert!(!i.columnar().join_index(vec![1]).1); // built
+    /// assert!(i.columnar().join_index(vec![1]).1); // reused
+    /// let fresh = ColumnarInstance::from_rows(&i);
+    /// assert!(!fresh.join_index(vec![1]).1);
+    /// assert!(!fresh.join_index(vec![1]).1); // never kept
+    /// ```
+    pub fn join_index(&self, key_cols: Vec<usize>) -> (Arc<JoinIndex>, bool) {
+        let Some(cache) = &self.indexes else {
+            return (Arc::new(JoinIndex::build(self, key_cols)), false);
+        };
+        // The lock is held across the build, so concurrent first uses
+        // build the index once. A panic in the build leaves the list as
+        // it was (the push comes after), so a poisoned lock is sound.
+        let mut built = cache.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(ix) = built.iter().find(|ix| ix.key_cols == key_cols) {
+            return (Arc::clone(ix), true);
+        }
+        let ix = Arc::new(JoinIndex::build(self, key_cols));
+        built.push(Arc::clone(&ix));
+        (ix, false)
     }
 
     /// The join-key hash of each logical row in `lo..hi`, keyed on the
@@ -619,6 +706,25 @@ mod tests {
             );
         }
         assert_eq!(c.project(&[0]).unwrap().len(), 6, "mixed keys dedup");
+    }
+
+    #[test]
+    fn concurrent_first_uses_build_one_index() {
+        let i = Instance::from_rows(2, (0..1000i64).map(|k| [k, k % 7])).unwrap();
+        let start = std::sync::Barrier::new(4);
+        let got: Vec<(Arc<JoinIndex>, bool)> = std::thread::scope(|s| {
+            let joins: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        i.columnar().join_index(vec![1])
+                    })
+                })
+                .collect();
+            joins.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(got.iter().filter(|(_, reused)| !reused).count(), 1);
+        assert!(got.iter().all(|(ix, _)| Arc::ptr_eq(ix, &got[0].0)));
     }
 
     #[test]

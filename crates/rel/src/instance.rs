@@ -6,9 +6,10 @@
 //! denote the same relation, which is what every theorem check relies on.
 //!
 //! Each instance also carries its column-major form
-//! ([`Instance::columnar`]), built on first use and kept until the next
-//! [`Instance::insert`]. The cache is invisible to equality, ordering,
-//! hashing and `Debug`, which all look at `(arity, tuples)` only.
+//! ([`Instance::columnar`]) and the join indexes built over it, each
+//! built on first use and kept until the next [`Instance::insert`]. The
+//! cache is invisible to equality, ordering, hashing and `Debug`, which
+//! all look at `(arity, tuples)` only.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -153,7 +154,12 @@ impl Instance {
     ///
     /// The cached form is a second copy of the data — one `Value`
     /// (24 bytes, plus the bytes of each string, which are cloned) per
-    /// cell — held for as long as the instance lives.
+    /// cell — held for as long as the instance lives. It also keeps the
+    /// join indexes built over it ([`ColumnarInstance::join_index`]):
+    /// each is built by the first join that keys this version on its
+    /// column list and reused by every later one, and they go with the
+    /// form at the next `insert`. That is one index, O(rows), per
+    /// distinct key-column list a query has joined this version on.
     ///
     /// ```
     /// use ipdb_rel::{instance, tuple};
@@ -164,7 +170,7 @@ impl Instance {
     /// ```
     pub fn columnar(&self) -> &ColumnarInstance {
         self.columnar
-            .get_or_init(|| Arc::new(ColumnarInstance::from_rows(self)))
+            .get_or_init(|| Arc::new(ColumnarInstance::from_rows(self).stored()))
     }
 
     /// Iterates over the tuples in canonical order.
@@ -628,6 +634,32 @@ mod tests {
         // A failed insert leaves both forms alone.
         assert!(i.insert(tuple![5]).is_err());
         assert_eq!(i.columnar().to_rows(), i);
+    }
+
+    #[test]
+    fn join_indexes_are_kept_per_version() {
+        let mut i = instance![[1, 10], [2, 20]];
+        let (first, reused) = i.columnar().join_index(vec![1]);
+        assert!(!reused);
+        // Clones share the stored form, and so its indexes; another key
+        // list gets an index of its own.
+        let copy = i.clone();
+        let (again, reused) = copy.columnar().join_index(vec![1]);
+        assert!(reused && Arc::ptr_eq(&first, &again));
+        assert!(!i.columnar().join_index(vec![1, 0]).1);
+        assert!(i.columnar().join_index(vec![1, 0]).1);
+        // A duplicate insert keeps them; a new tuple drops them with the
+        // form, and the clone keeps the old version's.
+        assert!(!i.insert(tuple![1, 10]).unwrap());
+        assert!(i.columnar().join_index(vec![1]).1);
+        assert!(i.insert(tuple![3, 30]).unwrap());
+        assert!(!i.columnar().join_index(vec![1]).1);
+        assert!(copy.columnar().join_index(vec![1]).1);
+        // Kernel outputs and batches built from rows keep none.
+        let kept = i.columnar().select(&crate::Pred::True).unwrap();
+        assert!(i.columnar().is_stored() && !kept.is_stored());
+        assert!(!kept.join_index(vec![1]).1 && !kept.join_index(vec![1]).1);
+        assert!(!ColumnarInstance::from_rows(&i).is_stored());
     }
 
     #[test]

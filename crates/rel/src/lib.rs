@@ -29,7 +29,7 @@
 //!   column-major execution representation with lossless row round-trip
 //!   and vectorized kernels (selection masks, projection, product, the
 //!   hash-join index); [`Instance::columnar`] caches an instance's columnar
-//!   form until it changes. The kernels are *chunk-consistent* —
+//!   form, and the join indexes built over it, until it changes. The kernels are *chunk-consistent* —
 //!   evaluating a row range in pieces gives the same rows as evaluating
 //!   it whole — which is what lets `ipdb-engine` parallelize them
 //!   morsel-wise without changing any answer.
