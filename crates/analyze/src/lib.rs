@@ -22,7 +22,8 @@
 //! * [`Lint::NoPanicOnServePaths`] (`no-panic-on-serve-paths`) — no
 //!   `.unwrap()`, `.expect(..)`, `panic!`, `todo!`, or `unreachable!` in
 //!   non-`#[cfg(test)]` code of the serving hot-path modules (`serve.rs`,
-//!   `cache.rs`, `backend.rs`, `pipeline.rs`, `morsel.rs`).
+//!   `cache.rs`, `backend.rs`, `pipeline.rs`, `morsel.rs`, and
+//!   `algebra.rs`, whose `q̄` evaluator the c-table backends run).
 //! * [`Lint::ForbidUnsafeDrift`] (`forbid-unsafe-drift`) — a package with no
 //!   `unsafe` at all must pin that state with `#![forbid(unsafe_code)]` in
 //!   its crate root, and `unsafe` is only permitted inside the audited
@@ -171,6 +172,7 @@ impl Default for Config {
                 "backend.rs",
                 "pipeline.rs",
                 "morsel.rs",
+                "algebra.rs",
             ]
             .map(str::to_string)
             .to_vec(),

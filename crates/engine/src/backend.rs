@@ -12,8 +12,12 @@
 //!
 //! Each backend has exactly one evaluator, [`Backend::execute`], which
 //! reads its leaves from a [`Catalog`] and reports each operator to a
-//! [`TraceSink`]. A catalog is the §2 footnote's "arbitrary relational
-//! schemas" made concrete: a `name → relation` map
+//! [`TraceSink`]. For instances it is the columnar executor in
+//! [`crate::morsel`]; the c-table and pc-table backends run the one
+//! `q̄` evaluator, [`CTable::eval_in`], with the catalog as its lookup
+//! (a pc-table leaf lends its underlying c-table). A catalog is the §2
+//! footnote's "arbitrary relational schemas" made concrete: a
+//! `name → relation` map
 //! ([`Backend::run_catalog`] runs one). The reserved names `V`/`W` make the
 //! classic one- and two-relation contexts ordinary catalogs
 //! ([`Catalog::single`] binds a lone input to `V`), and a
@@ -29,13 +33,12 @@
 //!
 //! [`ProbError::ConflictingDistribution`]: ipdb_prob::ProbError::ConflictingDistribution
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ipdb_prob::{PcTable, Weight};
 use ipdb_rel::{Instance, Query, RelError, Schema};
-use ipdb_tables::{CTable, TableError};
+use ipdb_tables::CTable;
 
 use crate::error::EngineError;
 use crate::morsel::ExecConfig;
@@ -159,69 +162,6 @@ impl<B: Backend> Catalog<B> {
     }
 }
 
-/// The engine's c-table executor: the same `q̄` operators as
-/// [`CTable::eval_query`], row for row, but resolving relation leaves
-/// through a name-lookup context. Each operator reports to `sink`.
-///
-/// The operators build no row whose condition is `false` (see
-/// `ipdb_tables::algebra`), so ground rows that fail a pushed-down
-/// selection never enter the cross product above it, and the
-/// optimizer's pushdown shrinks it.
-///
-/// Leaves come back **borrowed** (`Cow::Borrowed` straight out of the
-/// lookup context) — a query touching a 100k-row relation no longer
-/// deep-clones it per request; only operator outputs are owned. The
-/// sole remaining copy is the top-level `into_owned` a caller pays when
-/// the *whole* query is a bare leaf.
-fn eval_ctable<'a, F, S>(lookup: &F, q: &Query, sink: &mut S) -> Result<Cow<'a, CTable>, TableError>
-where
-    F: Fn(&str) -> Result<&'a CTable, RelError>,
-    S: TraceSink,
-{
-    let mark = sink.enter();
-    let out = match q {
-        Query::Input => Cow::Borrowed(lookup(Schema::INPUT)?),
-        Query::Second => Cow::Borrowed(lookup(Schema::SECOND)?),
-        Query::Rel(name) => Cow::Borrowed(lookup(name)?),
-        // A literal is a ground subtable; it carries no variables, so
-        // domain declarations merge in from the other operands.
-        Query::Lit(i) => Cow::Owned(CTable::from_instance(i)),
-        Query::Project(cols, q) => Cow::Owned(eval_ctable(lookup, q, sink)?.project_bar(cols)?),
-        Query::Select(p, q) => Cow::Owned(eval_ctable(lookup, q, sink)?.select_bar(p)?),
-        Query::Product(a, b) => {
-            let a = eval_ctable(lookup, a, sink)?;
-            Cow::Owned(a.product_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
-        }
-        Query::Join {
-            on,
-            residual,
-            left,
-            right,
-        } => {
-            let l = eval_ctable(lookup, left, sink)?;
-            Cow::Owned(l.join_bar(
-                eval_ctable(lookup, right, sink)?.as_ref(),
-                on,
-                residual.as_ref(),
-            )?)
-        }
-        Query::Union(a, b) => {
-            let a = eval_ctable(lookup, a, sink)?;
-            Cow::Owned(a.union_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
-        }
-        Query::Diff(a, b) => {
-            let a = eval_ctable(lookup, a, sink)?;
-            Cow::Owned(a.diff_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
-        }
-        Query::Intersect(a, b) => {
-            let a = eval_ctable(lookup, a, sink)?;
-            Cow::Owned(a.intersect_bar(eval_ctable(lookup, b, sink)?.as_ref())?)
-        }
-    };
-    sink.exit(mark, q, out.arity(), out.rows().len() as u64, None);
-    Ok(out)
-}
-
 /// An input relation a planned query can execute against.
 pub trait Backend: Sized {
     /// The result type (each semantics is closed: instances produce
@@ -291,7 +231,7 @@ impl Backend for CTable {
         _: &ExecConfig,
         sink: &mut S,
     ) -> Result<CTable, EngineError> {
-        Ok(eval_ctable(&|name| cat.resolve(name), q, sink)?.into_owned())
+        Ok(CTable::eval_in(&|name| cat.resolve(name), q, sink)?.into_owned())
     }
 }
 
@@ -310,14 +250,14 @@ impl<W: Weight> Backend for PcTable<W> {
         _: &ExecConfig,
         sink: &mut S,
     ) -> Result<PcTable<W>, EngineError> {
-        // Theorem 9 closure via the c-table executor. All pc-relations
+        // Theorem 9 closure via the c-table evaluator. All pc-relations
         // of a catalog live in one variable namespace: attach the union
         // of their distributions (conflict-checked across *all* shared
         // variables, cloned only for the survivors). Dropping the
         // variables the answer no longer mentions marginalizes them,
         // which is exactly the image-space semantics (see
         // `PcTable::eval_query`).
-        let qt = eval_ctable(&|name| cat.resolve(name).map(PcTable::table), q, sink)?;
+        let qt = CTable::eval_in(&|name| cat.resolve(name).map(PcTable::table), q, sink)?;
         let dists =
             PcTable::merged_dists_restricted(cat.rels.values().map(Arc::as_ref), &qt.vars())?;
         Ok(PcTable::new(qt.into_owned(), dists)?)
@@ -332,6 +272,7 @@ mod tests {
     use ipdb_prob::{rat, FiniteSpace, ProbError, Rat};
     use ipdb_rel::{instance, tuple, Pred, Value};
     use ipdb_tables::{t_const, t_var};
+    use std::borrow::Cow;
 
     fn run<B: Backend + Clone>(b: &B, q: &Query) -> Result<B::Output, EngineError> {
         B::execute(
@@ -510,17 +451,17 @@ mod tests {
     fn rel_leaves_borrow_the_catalog_relation() {
         // A `Rel` leaf resolves to the catalog's own `Arc`-shared
         // relation, never a per-query copy, through the same lookups the
-        // c-table and pc-table backends pass to `eval_ctable`.
+        // c-table and pc-table backends pass to `CTable::eval_in`.
         let t = CTable::from_instance(&instance![[1, 2], [3, 4]]);
         let leaf = Query::rel("R");
         let ct: Catalog<CTable> = [("R", t.clone())].into_iter().collect();
-        let out = eval_ctable(&|name| ct.resolve(name), &leaf, &mut NoTrace).unwrap();
+        let out = CTable::eval_in(&|name| ct.resolve(name), &leaf, &mut NoTrace).unwrap();
         assert!(
             matches!(out, Cow::Borrowed(got) if std::ptr::eq(got, ct.get("R").unwrap())),
             "c-table leaf was copied"
         );
         let pc: Catalog<PcTable<Rat>> = [("R", PcTable::new(t, []).unwrap())].into_iter().collect();
-        let out = eval_ctable(
+        let out = CTable::eval_in(
             &|name| pc.resolve(name).map(PcTable::table),
             &leaf,
             &mut NoTrace,

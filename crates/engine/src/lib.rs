@@ -51,7 +51,12 @@
 //!
 //! Each backend has exactly one evaluator ([`Backend::execute`]),
 //! generic over a [`TraceSink`]: plain execution passes the zero-sized
-//! [`NoTrace`], and **`EXPLAIN ANALYZE`** passes a [`ReportSink`].
+//! [`NoTrace`], and **`EXPLAIN ANALYZE`** passes a [`ReportSink`]. The
+//! c-table and pc-table backends share one: `ipdb-tables`'
+//! [`CTable::eval_in`](ipdb_tables::CTable::eval_in), the `q̄`
+//! translation that `CTable::eval_query` runs over a single table. The
+//! trace hooks live in `ipdb-rel` ([`ipdb_rel::trace`]) and are
+//! re-exported here.
 //! [`Prepared::execute_catalog_analyzed`] and
 //! [`Prepared::answer_dist_catalog_analyzed`] return the identical
 //! output plus a [`QueryReport`] — per-operator cardinalities,

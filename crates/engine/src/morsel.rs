@@ -284,8 +284,8 @@ fn par_select(
             .filter_map(|(k, keep)| keep.then_some(lo + k))
             .collect::<Vec<usize>>()
     });
-    let keep: Vec<usize> = chunks.into_iter().flatten().collect();
-    Ok(ci.gather_rows(&keep))
+    // `concat` allocates the summed morsel lengths once, then copies.
+    Ok(ci.gather_rows(&chunks.concat()))
 }
 
 /// Parallel hash equijoin: serial build, morsel-parallel probe,
@@ -777,7 +777,7 @@ mod tests {
         let s = Instance::from_rows(2, (0..20i64).map(|i| [i % 5, i])).unwrap();
         let stored = s.columnar();
         let all = stored.gather_rows(&(0..stored.len()).collect::<Vec<_>>());
-        let kept = stored.select(&Pred::neq_const(0, 1)).unwrap();
+        let kept = par_select(stored, &Pred::neq_const(0, 1), &ExecConfig::serial()).unwrap();
         for cfg in join_configs() {
             for side in [&all, &kept] {
                 assert!(!side.is_stored());
@@ -821,7 +821,7 @@ mod tests {
         let (cl, cr) = (l.columnar(), r.columnar());
         // Selection vectors on both sides, the right one out of
         // physical order.
-        let sl = cl.select(&Pred::neq_const(0, 3)).unwrap();
+        let sl = par_select(cl, &Pred::neq_const(0, 3), &ExecConfig::serial()).unwrap();
         let sr = cr.gather_rows(
             &(0..cr.len())
                 .rev()
@@ -918,7 +918,7 @@ mod tests {
         for threads in [1usize, 2] {
             let cfg = ExecConfig::with_threads(threads);
             let left = r.columnar().clone();
-            let right = i.columnar().select(&keep_all).unwrap();
+            let right = par_select(i.columnar(), &keep_all, &ExecConfig::serial()).unwrap();
             let index = JoinIndex::build(&left, vec![1]);
             let t_build = med(|| {
                 JoinIndex::build(&left, vec![1]);

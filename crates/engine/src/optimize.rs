@@ -17,7 +17,7 @@
 //! c-tables via Lemma 1, and pc-tables via Theorem 9):
 //!
 //! * **predicate fusion** — `σ_p(σ_q(e)) → σ_{q∧p}(e)` (via
-//!   [`Pred::conj`], so conjunctions stay flat);
+//!   [`Pred::conj_all`], so conjunctions stay flat);
 //! * **selection pushdown** — through `∪` (both sides), `−`/`∩` (left
 //!   side), and `×` (conjuncts split by the column ranges they touch,
 //!   with right-side conjuncts re-based);
@@ -413,7 +413,7 @@ fn rewrite_select(pred: Pred, child: Box<Query>, arity: usize, schema: &Schema) 
             Query::Lit(out)
         }
         // Fusion: σ_p(σ_q(e)) filters by q then p, i.e. by q ∧ p.
-        Query::Select(q, e) => Query::Select(q.conj(pred), e),
+        Query::Select(q, e) => Query::Select(Pred::conj_all([q, pred]), e),
         Query::Union(a, b) => Query::Union(
             Box::new(Query::Select(pred.clone(), a)),
             Box::new(Query::Select(pred, b)),
@@ -440,7 +440,7 @@ fn rewrite_select(pred: Pred, child: Box<Query>, arity: usize, schema: &Schema) 
         } => Query::Join {
             on,
             residual: some_pred(match residual {
-                Some(r) => r.conj(pred),
+                Some(r) => Pred::conj_all([r, pred]),
                 None => pred,
             }),
             left,

@@ -80,7 +80,9 @@ use crate::Instance;
 /// let i = instance![[1, 10], [2, 20], [3, 10]];
 /// let c = ColumnarInstance::from_rows(&i);
 /// assert_eq!(c.to_rows(), i); // lossless round trip
-/// let kept = c.select(&Pred::eq_const(1, 10)).unwrap();
+/// let mask = c.eval_mask(&Pred::eq_const(1, 10)).unwrap();
+/// assert_eq!(mask, [true, false, true]);
+/// let kept = c.gather_rows(&[0, 2]); // σ: the rows the mask keeps
 /// assert_eq!(kept.to_rows(), instance![[1, 10], [3, 10]]);
 /// ```
 #[derive(Debug, Clone)]
@@ -237,7 +239,8 @@ impl ColumnarInstance {
     }
 
     /// A batch of the given logical rows (any order, repeats allowed) —
-    /// the selection-vector composition at the heart of `select`.
+    /// the selection-vector composition at the heart of `σ`, which
+    /// gathers the rows whose [`ColumnarInstance::eval_mask`] bit is set.
     pub fn gather_rows(&self, rows: &[usize]) -> Self {
         let sel: Vec<usize> = rows.iter().map(|&r| self.phys(r)).collect();
         ColumnarInstance {
@@ -327,18 +330,6 @@ impl ColumnarInstance {
                 }
             }
         }
-    }
-
-    /// `σ_p`: rows whose mask bit is set, as a new selection vector over
-    /// the shared columns.
-    pub fn select(&self, p: &Pred) -> Result<Self, RelError> {
-        let mask = self.eval_mask(p)?;
-        let keep: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(row, &m)| m.then_some(row))
-            .collect();
-        Ok(self.gather_rows(&keep))
     }
 
     /// `π_cols`: column gathering plus deduplication (projection is the
@@ -791,6 +782,13 @@ mod tests {
         ]
     }
 
+    /// `σ_p` as the engine runs it: the rows `p`'s mask keeps, gathered.
+    fn select(c: &ColumnarInstance, p: &Pred) -> Result<ColumnarInstance, RelError> {
+        let mask = c.eval_mask(p)?;
+        let keep: Vec<usize> = (0..mask.len()).filter(|&r| mask[r]).collect();
+        Ok(c.gather_rows(&keep))
+    }
+
     #[test]
     fn select_matches_row_path() {
         let i = instance![[1, 10], [2, 20], [3, 10], [2, 10], [4, 4], [5, 10]];
@@ -799,7 +797,7 @@ mod tests {
         // first, in physical order).
         let keep = Pred::neq_const(0, 1);
         let sub = Query::select(Query::Input, keep.clone()).eval(&i).unwrap();
-        let selected = c.select(&keep).unwrap();
+        let selected = select(&c, &keep).unwrap();
         assert!(selected.sel.is_some());
         // And behind a selection vector out of physical order, with a
         // repeat: the same rows as a set.
@@ -807,22 +805,22 @@ mod tests {
         assert_eq!(shuffled.to_rows(), sub);
         for p in mask_preds() {
             let row = Query::select(Query::Input, p.clone()).eval(&i).unwrap();
-            assert_eq!(c.select(&p).unwrap().to_rows(), row, "pred {p}");
+            assert_eq!(select(&c, &p).unwrap().to_rows(), row, "pred {p}");
             let row = Query::select(Query::Input, p.clone()).eval(&sub).unwrap();
             assert_eq!(
-                selected.select(&p).unwrap().to_rows(),
+                select(&selected, &p).unwrap().to_rows(),
                 row,
                 "selected, pred {p}"
             );
             assert_eq!(
-                shuffled.select(&p).unwrap().to_rows(),
+                select(&shuffled, &p).unwrap().to_rows(),
                 row,
                 "shuffled, pred {p}"
             );
         }
         // Out-of-range columns are rejected up front.
         assert_eq!(
-            c.select(&Pred::eq_cols(0, 9)).unwrap_err(),
+            select(&c, &Pred::eq_cols(0, 9)).unwrap_err(),
             RelError::ColumnOutOfRange { col: 9, arity: 2 }
         );
     }
@@ -884,7 +882,7 @@ mod tests {
         // selection vector underneath.
         let i = Instance::from_rows(2, (0..37i64).map(|x| [x % 5, x % 3])).unwrap();
         let c = ColumnarInstance::from_rows(&i);
-        let selected = c.select(&Pred::neq_const(1, 1)).unwrap();
+        let selected = select(&c, &Pred::neq_const(1, 1)).unwrap();
         let backwards: Vec<usize> = (0..c.len()).rev().chain([3, 3, 0]).collect();
         let shuffled = c.gather_rows(&backwards);
         let mut preds = mask_preds();
@@ -932,7 +930,7 @@ mod tests {
         let cr = ColumnarInstance::from_rows(&r);
         // Probe batches with and without a selection vector, one of them
         // out of physical order with repeats.
-        let picked = cr.select(&Pred::neq_const(0, 1)).unwrap();
+        let picked = select(&cr, &Pred::neq_const(0, 1)).unwrap();
         let backwards: Vec<usize> = (0..cr.len()).rev().chain([2, 2]).collect();
         let shuffled = cr.gather_rows(&backwards);
         // One- and two-column keys, the latter in both column orders.
@@ -977,7 +975,7 @@ mod tests {
             ColumnarInstance::from_rows(&l),
             ColumnarInstance::from_rows(&r),
         );
-        let sl = cl.select(&Pred::neq_const(0, 3)).unwrap();
+        let sl = select(&cl, &Pred::neq_const(0, 3)).unwrap();
         let sr = cr.gather_rows(
             &(0..cr.len())
                 .rev()
@@ -1013,12 +1011,10 @@ mod tests {
     fn gather_rows_composes_selections() {
         let i = instance![[1], [2], [3], [4]];
         let c = ColumnarInstance::from_rows(&i);
-        let odd = c
-            .select(&Pred::or([Pred::eq_const(0, 1), Pred::eq_const(0, 3)]))
-            .unwrap();
+        let odd = select(&c, &Pred::or([Pred::eq_const(0, 1), Pred::eq_const(0, 3)])).unwrap();
         // Selecting over an already-selected batch goes through the
         // composed selection vector.
-        let three = odd.select(&Pred::eq_const(0, 3)).unwrap();
+        let three = select(&odd, &Pred::eq_const(0, 3)).unwrap();
         assert_eq!(three.to_rows(), instance![[3]]);
         assert_eq!(odd.gather_rows(&[1, 0]).to_rows(), instance![[1], [3]]);
     }
@@ -1029,9 +1025,11 @@ mod tests {
         let b = ColumnarInstance::from_rows(&instance![[3, 30]]);
         // A selected batch (non-identity selection) exercises the
         // gather branch; the others the move branch.
-        let c = ColumnarInstance::from_rows(&instance![[4, 40], [5, 50]])
-            .select(&Pred::eq_const(0, 5))
-            .unwrap();
+        let c = select(
+            &ColumnarInstance::from_rows(&instance![[4, 40], [5, 50]]),
+            &Pred::eq_const(0, 5),
+        )
+        .unwrap();
         let stacked = ColumnarInstance::vstack(2, [a, b.clone(), c]).unwrap();
         assert_eq!(stacked.len(), 4);
         assert_eq!(stacked.tuple_at(0), Tuple::new([1, 10].map(Value::from)));
@@ -1051,7 +1049,7 @@ mod tests {
         assert!(stacked.sel.is_none());
         assert!(Arc::ptr_eq(&stacked.cols[0], &lone.cols[0]));
         assert_eq!(stacked.to_rows(), lone.to_rows());
-        let picked = lone.select(&Pred::eq_const(0, 7)).unwrap();
+        let picked = select(&lone, &Pred::eq_const(0, 7)).unwrap();
         let stacked = ColumnarInstance::vstack(2, [picked.clone()]).unwrap();
         assert!(stacked.sel.is_none());
         assert!(!Arc::ptr_eq(&stacked.cols[0], &lone.cols[0]));

@@ -596,8 +596,7 @@ mod tests {
         let oracle = |l: &Instance, r: &Instance, filter: &Pred| {
             let mut out = Instance::empty(4);
             for t in l.product(r).iter() {
-                if Pred::eq_cols(0, 2)
-                    .conj(filter.clone())
+                if Pred::conj_all([Pred::eq_cols(0, 2), filter.clone()])
                     .eval(t.values())
                     .unwrap()
                 {
@@ -656,7 +655,7 @@ mod tests {
         assert!(!i.columnar().join_index(vec![1]).1);
         assert!(copy.columnar().join_index(vec![1]).1);
         // Kernel outputs and batches built from rows keep none.
-        let kept = i.columnar().select(&crate::Pred::True).unwrap();
+        let kept = i.columnar().gather_rows(&[0, 1, 2]);
         assert!(i.columnar().is_stored() && !kept.is_stored());
         assert!(!kept.join_index(vec![1]).1 && !kept.join_index(vec![1]).1);
         assert!(!ColumnarInstance::from_rows(&i).is_stored());

@@ -33,6 +33,10 @@
 //!   evaluating a row range in pieces gives the same rows as evaluating
 //!   it whole — which is what lets `ipdb-engine` parallelize them
 //!   morsel-wise without changing any answer.
+//! * [`TraceSink`], [`NoTrace`] and [`JoinBuild`] ([`trace`]) — the
+//!   per-operator hooks every query evaluator reports through: the
+//!   engine's instance executor and `ipdb-tables`' c-table evaluator
+//!   alike, with `EXPLAIN ANALYZE` as a sink in `ipdb-engine`.
 //!
 //! The incomplete/probabilistic layers ([`ipdb-tables`], [`ipdb-prob`])
 //! build on these types; nothing in this crate knows about variables or
@@ -53,6 +57,7 @@ mod keyhash;
 pub mod pred;
 pub mod query;
 pub mod schema;
+pub mod trace;
 pub mod tuple;
 pub mod value;
 
@@ -67,5 +72,6 @@ pub use instance::Instance;
 pub use pred::{normalize_join_keys, CmpOp, Operand, Pred};
 pub use query::Query;
 pub use schema::Schema;
+pub use trace::{JoinBuild, NoTrace, TraceSink};
 pub use tuple::Tuple;
 pub use value::{Domain, Value};

@@ -135,44 +135,6 @@ impl Pred {
         Pred::Not(Box::new(p))
     }
 
-    /// Binary conjunction with on-the-fly simplification: `True` is the
-    /// unit, `False` absorbs, and [`Pred::And`]s are flattened *deeply*
-    /// (nested `And`s at any depth of the conjunction spine unfold,
-    /// preserving left-to-right conjunct order, so short-circuit
-    /// evaluation order is unchanged).
-    ///
-    /// This is the conjunction predicate fusion needs: fusing
-    /// `σ_p(σ_q(e))` into `σ_{q ∧ p}(e)` repeatedly must not pile up
-    /// nested `And` wrappers. Deep flattening is what makes
-    /// [`Pred::conj_all`] associative — `a.conj(b).conj(c)` and
-    /// `a.conj(b.conj(c))` produce the *same* conjunct list — which in
-    /// turn makes [`Pred::split_equijoin`] extraction deterministic: the
-    /// order join keys are discovered in never depends on how the
-    /// conjunction was assembled. (The `True`/`False` arms short-circuit
-    /// *before* flattening, returning the other operand unchanged; see
-    /// the caveat on [`Pred::conj_all`].)
-    ///
-    /// ```
-    /// use ipdb_rel::Pred;
-    /// let p = Pred::eq_cols(0, 1).conj(Pred::eq_const(2, 7));
-    /// assert_eq!(p, Pred::and([Pred::eq_cols(0, 1), Pred::eq_const(2, 7)]));
-    /// assert_eq!(Pred::True.conj(Pred::eq_cols(0, 1)), Pred::eq_cols(0, 1));
-    /// assert_eq!(Pred::eq_cols(0, 1).conj(Pred::False), Pred::False);
-    /// ```
-    pub fn conj(self, other: Pred) -> Pred {
-        match (self, other) {
-            (Pred::True, p) | (p, Pred::True) => p,
-            (Pred::False, _) | (_, Pred::False) => Pred::False,
-            (a, b) => {
-                let mut out = Vec::new();
-                if !Pred::flatten_into(a, &mut out) || !Pred::flatten_into(b, &mut out) {
-                    return Pred::False;
-                }
-                Pred::from_flat(out)
-            }
-        }
-    }
-
     /// Appends the deep-flattened conjuncts of `p` to `out`, dropping
     /// `True` units; returns `false` iff a `False` conjunct was hit (the
     /// whole conjunction is absorbed).
@@ -188,9 +150,25 @@ impl Pred {
         }
     }
 
-    /// Conjunction of several predicates: exactly
-    /// `preds.fold(Pred::True, Pred::conj)`, so the result is flat and
-    /// `True`/`False` fold away; `True` if empty.
+    /// Conjunction of several predicates with on-the-fly simplification:
+    /// `True` is the unit, `False` absorbs, and [`Pred::And`]s are
+    /// flattened *deeply* (nested `And`s at any depth of the conjunction
+    /// spine unfold, preserving left-to-right conjunct order, so
+    /// short-circuit evaluation order is unchanged); `True` if empty.
+    /// The result is exactly the left fold of the binary case
+    /// `conj_all([acc, p])` from `True`.
+    ///
+    /// This is the conjunction predicate fusion needs: fusing
+    /// `σ_p(σ_q(e))` into `σ_{q ∧ p}(e)` repeatedly must not pile up
+    /// nested `And` wrappers.
+    ///
+    /// ```
+    /// use ipdb_rel::Pred;
+    /// let p = Pred::conj_all([Pred::eq_cols(0, 1), Pred::eq_const(2, 7)]);
+    /// assert_eq!(p, Pred::and([Pred::eq_cols(0, 1), Pred::eq_const(2, 7)]));
+    /// assert_eq!(Pred::conj_all([Pred::True, Pred::eq_cols(0, 1)]), Pred::eq_cols(0, 1));
+    /// assert_eq!(Pred::conj_all([Pred::eq_cols(0, 1), Pred::False]), Pred::False);
+    /// ```
     ///
     /// Associative and order-preserving *as a conjunct sequence*:
     /// whenever two non-trivial predicates actually combine, their
@@ -201,7 +179,10 @@ impl Pred {
     /// contains nested `And`s passes through unnormalized. Callers that
     /// need the canonical flat list regardless of input shape should read
     /// it via [`Pred::conjuncts`] (as [`Pred::split_equijoin`] does), or
-    /// normalize with [`Pred::into_flat`].
+    /// normalize with [`Pred::into_flat`]. Associativity is what makes
+    /// [`Pred::split_equijoin`] extraction deterministic: the order join
+    /// keys are discovered in never depends on how the conjunction was
+    /// assembled.
     ///
     /// Runs in one pass that appends every conjunct to a single `Vec`.
     pub fn conj_all(preds: impl IntoIterator<Item = Pred>) -> Pred {
@@ -634,23 +615,23 @@ mod tests {
         let b = Pred::eq_const(1, 2);
         let c = Pred::neq_cols(0, 2);
         // Unit and absorbing elements.
-        assert_eq!(Pred::True.conj(a.clone()), a);
-        assert_eq!(a.clone().conj(Pred::True), a);
-        assert_eq!(Pred::False.conj(a.clone()), Pred::False);
-        assert_eq!(a.clone().conj(Pred::False), Pred::False);
+        assert_eq!(Pred::conj_all([Pred::True, a.clone()]), a);
+        assert_eq!(Pred::conj_all([a.clone(), Pred::True]), a);
+        assert_eq!(Pred::conj_all([Pred::False, a.clone()]), Pred::False);
+        assert_eq!(Pred::conj_all([a.clone(), Pred::False]), Pred::False);
         // Flattening on both sides, order preserved.
-        let ab = a.clone().conj(b.clone());
+        let ab = Pred::conj_all([a.clone(), b.clone()]);
         assert_eq!(ab, Pred::And(vec![a.clone(), b.clone()]));
         assert_eq!(
-            ab.clone().conj(c.clone()),
+            Pred::conj_all([ab.clone(), c.clone()]),
             Pred::And(vec![a.clone(), b.clone(), c.clone()])
         );
         assert_eq!(
-            c.clone().conj(ab.clone()),
+            Pred::conj_all([c.clone(), ab.clone()]),
             Pred::And(vec![c.clone(), a.clone(), b.clone()])
         );
         assert_eq!(
-            ab.clone().conj(Pred::And(vec![c.clone()])),
+            Pred::conj_all([ab.clone(), Pred::And(vec![c.clone()])]),
             Pred::And(vec![a.clone(), b.clone(), c.clone()])
         );
         // Evaluation agrees with the unfused pair.
@@ -686,23 +667,29 @@ mod tests {
         // this is what makes split_equijoin extraction deterministic.
         let flat = Pred::And(vec![a.clone(), b.clone(), c.clone()]);
         assert_eq!(Pred::conj_all([a.clone(), b.clone(), c.clone()]), flat);
-        assert_eq!(a.clone().conj(b.clone()).conj(c.clone()), flat);
-        assert_eq!(a.clone().conj(b.clone().conj(c.clone())), flat);
         assert_eq!(
-            Pred::and([a.clone(), b.clone()]).conj(c.clone()),
+            Pred::conj_all([Pred::conj_all([a.clone(), b.clone()]), c.clone()]),
+            flat
+        );
+        assert_eq!(
+            Pred::conj_all([a.clone(), Pred::conj_all([b.clone(), c.clone()])]),
+            flat
+        );
+        assert_eq!(
+            Pred::conj_all([Pred::and([a.clone(), b.clone()]), c.clone()]),
             flat,
             "left-nested And flattens"
         );
         assert_eq!(
-            a.clone().conj(Pred::and([b.clone(), c.clone()])),
+            Pred::conj_all([a.clone(), Pred::and([b.clone(), c.clone()])]),
             flat,
             "right-nested And flattens"
         );
         // Deep nesting flattens too (the pre-fix instability: an And
-        // inside an And survived one level of conj). `True` short-circuits
+        // inside an And survived one level of conjunction). `True` short-circuits
         // without normalizing, so conjoin with a real predicate.
         let deep = Pred::And(vec![Pred::And(vec![a.clone()]), b.clone()]);
-        assert_eq!(deep.conj(c.clone()), flat);
+        assert_eq!(Pred::conj_all([deep, c.clone()]), flat);
         assert_eq!(
             Pred::conj_all([
                 Pred::And(vec![Pred::And(vec![a.clone()]), b.clone()]),
@@ -763,10 +750,14 @@ mod tests {
         let (on, _) = Pred::eq_cols(2, 2).split_equijoin(2);
         assert!(on.is_empty());
         // Extraction is stable under re-association of the conjunction.
-        let q1 = Pred::eq_cols(0, 2).conj(Pred::eq_cols(1, 3).conj(Pred::neq_const(0, 5)));
-        let q2 = Pred::eq_cols(0, 2)
-            .conj(Pred::eq_cols(1, 3))
-            .conj(Pred::neq_const(0, 5));
+        let q1 = Pred::conj_all([
+            Pred::eq_cols(0, 2),
+            Pred::conj_all([Pred::eq_cols(1, 3), Pred::neq_const(0, 5)]),
+        ]);
+        let q2 = Pred::conj_all([
+            Pred::conj_all([Pred::eq_cols(0, 2), Pred::eq_cols(1, 3)]),
+            Pred::neq_const(0, 5),
+        ]);
         assert_eq!(q1.split_equijoin(2), q2.split_equijoin(2));
     }
 
@@ -925,7 +916,10 @@ mod tests {
             fn conj_all_matches_the_fold(
                 ps in proptest::collection::vec(arb_conj_member(), 0..=10)
             ) {
-                let reference = ps.clone().into_iter().fold(Pred::True, Pred::conj);
+                let reference = ps
+                    .clone()
+                    .into_iter()
+                    .fold(Pred::True, |acc, p| Pred::conj_all([acc, p]));
                 prop_assert_eq!(Pred::conj_all(ps), reference);
             }
 

@@ -22,14 +22,23 @@
 //! conditions are not re-simplified, so a condition that is false in
 //! every world without folding to `False` (say `x = 1 ∧ x = 2`) is kept.
 //!
+//! [`CTable::eval_in`] is the one recursive dispatch of a [`Query`] to
+//! these operators: it reads leaves from a name lookup and reports each
+//! operator to a [`TraceSink`]. `ipdb-engine`'s c-table and pc-table
+//! backends call it with their catalogs, and [`CTable::eval_query`] is
+//! its single-table case `{V: self}`.
+//!
 //! Lemma 1 is enforced by property tests (`strategies` module and the
 //! crate's integration tests).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use ipdb_logic::Condition;
 use ipdb_logic::Term;
-use ipdb_rel::{CmpOp, ColumnarInstance, JoinIndex, Operand, Pred, Query, RelError};
+use ipdb_rel::{
+    CmpOp, ColumnarInstance, JoinIndex, NoTrace, Operand, Pred, Query, RelError, Schema, TraceSink,
+};
 
 use crate::ctable::{CRow, CTable};
 use crate::error::TableError;
@@ -107,7 +116,10 @@ pub fn tuples_neq(t: &[Term], s: &[Term]) -> Condition {
 /// entry `cols[k]`, one row per ground row in row order), the indexes of
 /// those rows, and the indexes of the rest. With no `cols`, every row is
 /// ground.
-fn ground_keys(t: &CTable, cols: &[usize]) -> (ColumnarInstance, Vec<usize>, Vec<usize>) {
+fn ground_keys(
+    t: &CTable,
+    cols: &[usize],
+) -> Result<(ColumnarInstance, Vec<usize>, Vec<usize>), RelError> {
     let mut columns: Vec<Vec<_>> = cols.iter().map(|_| Vec::with_capacity(t.len())).collect();
     let (mut ground, mut var) = (Vec::with_capacity(t.len()), Vec::new());
     for (r, row) in t.rows().iter().enumerate() {
@@ -122,9 +134,8 @@ fn ground_keys(t: &CTable, cols: &[usize]) -> (ColumnarInstance, Vec<usize>, Vec
             var.push(r);
         }
     }
-    let batch = ColumnarInstance::from_columns(columns, ground.len())
-        .expect("each key column holds one value per ground row");
-    (batch, ground, var)
+    let batch = ColumnarInstance::from_columns(columns, ground.len())?;
+    Ok((batch, ground, var))
 }
 
 impl CTable {
@@ -141,22 +152,22 @@ impl CTable {
         }
         // Group by projected term tuple, preserving first-seen order for
         // readable output.
-        let mut order: Vec<Vec<Term>> = Vec::new();
-        let mut groups: BTreeMap<Vec<Term>, Vec<Condition>> = BTreeMap::new();
+        let mut groups: Vec<(Vec<Term>, Vec<Condition>)> = Vec::new();
+        let mut group_of: BTreeMap<Vec<Term>, usize> = BTreeMap::new();
         for row in self.rows() {
             let proj: Vec<Term> = cols.iter().map(|&c| row.tuple[c].clone()).collect();
-            match groups.get_mut(&proj) {
-                Some(conds) => conds.push(row.cond.clone()),
+            match group_of.get(&proj) {
+                Some(&g) => groups[g].1.push(row.cond.clone()),
                 None => {
-                    order.push(proj.clone());
-                    groups.insert(proj, vec![row.cond.clone()]);
+                    group_of.insert(proj.clone(), groups.len());
+                    groups.push((proj, vec![row.cond.clone()]));
                 }
             }
         }
-        let rows = order
+        let rows = groups
             .into_iter()
-            .filter_map(|proj| {
-                let cond = Condition::or(groups.remove(&proj).expect("grouped above"));
+            .filter_map(|(proj, conds)| {
+                let cond = Condition::or(conds);
                 (cond != Condition::False).then(|| CRow::new(proj, cond))
             })
             .collect();
@@ -178,13 +189,11 @@ impl CTable {
     pub fn select_bar(&self, pred: &Pred) -> Result<CTable, TableError> {
         pred.validate(self.arity()).map_err(TableError::Rel)?;
         let cols: Vec<usize> = pred.referenced_cols().into_iter().collect();
-        let (batch, ground, _) = ground_keys(self, &cols);
+        let (batch, ground, _) = ground_keys(self, &cols)?;
         // Compact the predicate onto the gathered columns. `cols` is
-        // sorted (BTreeSet order), so this is a binary-searchable map.
-        let compact = pred.map_cols(|c| {
-            cols.binary_search(&c)
-                .expect("referenced_cols listed every referenced column")
-        });
+        // sorted (BTreeSet order) and lists every column `pred` reads, so
+        // the number of listed columns below `c` is `c`'s position.
+        let compact = pred.map_cols(|c| cols.partition_point(|&k| k < c));
         let mask = batch.eval_mask(&compact)?;
         let mut ground = ground.into_iter().zip(mask).peekable();
         let mut rows = Vec::new();
@@ -281,8 +290,8 @@ impl CTable {
         };
 
         let (left_cols, right_cols): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
-        let (left_keys, left_ground, _) = ground_keys(self, &left_cols);
-        let (right_keys, right_ground, right_var) = ground_keys(other, &right_cols);
+        let (left_keys, left_ground, _) = ground_keys(self, &left_cols)?;
+        let (right_keys, right_ground, right_var) = ground_keys(other, &right_cols)?;
         // Ground × ground: one probe of the left key batch, matches in
         // left-row-major order with right rows ascending.
         let key_cols: Vec<usize> = (0..keys.len()).collect();
@@ -394,34 +403,67 @@ impl CTable {
     /// The translation `q ↦ q̄` applied to this table: evaluates the
     /// whole query in the c-table algebra (`Lit` nodes become ground
     /// subtables with no domain declarations, `Input` is `self`).
+    ///
+    /// This is [`CTable::eval_in`] over the one-table context `{V: self}`
+    /// with no tracing, so `Second` fails with
+    /// [`RelError::NoSecondInput`] and any other named leaf with
+    /// [`RelError::UnknownRelation`].
     pub fn eval_query(&self, q: &Query) -> Result<CTable, TableError> {
-        Ok(match q {
-            Query::Input => self.clone(),
-            Query::Second => return Err(TableError::Rel(ipdb_rel::RelError::NoSecondInput)),
-            // Single-table context: named relations have nothing to bind
-            // to (the engine's catalog executor resolves them).
-            Query::Rel(name) => {
-                return Err(TableError::Rel(ipdb_rel::RelError::UnknownRelation {
-                    name: name.clone(),
-                }))
-            }
-            Query::Lit(i) => CTable::from_instance(i),
-            Query::Project(cols, q) => self.eval_query(q)?.project_bar(cols)?,
-            Query::Select(p, q) => self.eval_query(q)?.select_bar(p)?,
-            Query::Product(a, b) => self.eval_query(a)?.product_bar(&self.eval_query(b)?)?,
+        let lookup = |name: &str| match name {
+            Schema::INPUT => Ok(self),
+            _ => Err(RelError::missing_relation(name)),
+        };
+        Ok(CTable::eval_in(&lookup, q, &mut NoTrace)?.into_owned())
+    }
+
+    /// The translation `q ↦ q̄` over a name-lookup context: the one
+    /// recursive dispatch of [`Query`] nodes to the `_bar` operators.
+    /// Leaves (`Input`, `Second` and named relations) resolve through
+    /// `lookup` under their reserved or given names; each operator
+    /// reports one `enter`/`exit` pair to `sink`.
+    ///
+    /// The operators build no row whose condition is `false`, so ground
+    /// rows that fail a pushed-down selection never enter the cross
+    /// product above it, and the optimizer's pushdown shrinks it.
+    ///
+    /// Leaves come back **borrowed** (`Cow::Borrowed` straight out of the
+    /// lookup context), so a query over a large stored relation never
+    /// copies it; only operator outputs are owned. The one remaining
+    /// copy is the `into_owned` a caller pays when the whole query is a
+    /// bare leaf.
+    pub fn eval_in<'a, F, S>(
+        lookup: &F,
+        q: &Query,
+        sink: &mut S,
+    ) -> Result<Cow<'a, CTable>, TableError>
+    where
+        F: Fn(&str) -> Result<&'a CTable, RelError>,
+        S: TraceSink,
+    {
+        let mark = sink.enter();
+        let mut eval = |q: &Query| CTable::eval_in(lookup, q, sink);
+        let out = match q {
+            Query::Input => Cow::Borrowed(lookup(Schema::INPUT)?),
+            Query::Second => Cow::Borrowed(lookup(Schema::SECOND)?),
+            Query::Rel(name) => Cow::Borrowed(lookup(name)?),
+            // A literal is a ground subtable; it carries no variables, so
+            // domain declarations merge in from the other operands.
+            Query::Lit(i) => Cow::Owned(CTable::from_instance(i)),
+            Query::Project(cols, q) => Cow::Owned(eval(q)?.project_bar(cols)?),
+            Query::Select(p, q) => Cow::Owned(eval(q)?.select_bar(p)?),
+            Query::Product(a, b) => Cow::Owned(eval(a)?.product_bar(eval(b)?.as_ref())?),
             Query::Join {
                 on,
                 residual,
                 left,
                 right,
-            } => {
-                self.eval_query(left)?
-                    .join_bar(&self.eval_query(right)?, on, residual.as_ref())?
-            }
-            Query::Union(a, b) => self.eval_query(a)?.union_bar(&self.eval_query(b)?)?,
-            Query::Diff(a, b) => self.eval_query(a)?.diff_bar(&self.eval_query(b)?)?,
-            Query::Intersect(a, b) => self.eval_query(a)?.intersect_bar(&self.eval_query(b)?)?,
-        })
+            } => Cow::Owned(eval(left)?.join_bar(eval(right)?.as_ref(), on, residual.as_ref())?),
+            Query::Union(a, b) => Cow::Owned(eval(a)?.union_bar(eval(b)?.as_ref())?),
+            Query::Diff(a, b) => Cow::Owned(eval(a)?.diff_bar(eval(b)?.as_ref())?),
+            Query::Intersect(a, b) => Cow::Owned(eval(a)?.intersect_bar(eval(b)?.as_ref())?),
+        };
+        sink.exit(mark, q, out.arity(), out.rows().len() as u64, None);
+        Ok(out)
     }
 
     /// A copy with every row condition simplified (the algebra's smart
@@ -433,6 +475,7 @@ impl CTable {
             .map(|r| CRow::new(r.tuple.iter().cloned(), r.cond.simplify()))
             .collect();
         CTable::with_domains(self.arity(), rows, self.domains().clone())
+            // ipdb-lint: allow(no-panic-on-serve-paths) reason="the rows are this table's rows with only their conditions re-folded, under its own arity and domains, which it was built with"
             .expect("same arities and domains")
     }
 }

@@ -57,6 +57,13 @@ fn ctable_algebra_errors_surface() {
         t.eval_query(&Query::Second),
         Err(TableError::Rel(RelError::NoSecondInput))
     ));
+    // So is a named relation: the one-table context binds only `V`.
+    assert_eq!(
+        t.eval_query(&Query::rel("R")),
+        Err(TableError::Rel(RelError::UnknownRelation {
+            name: "R".into()
+        }))
+    );
     // Mod of a table with an unrestricted variable is infinite.
     assert!(matches!(t.mod_finite(), Err(TableError::MissingDomain(_))));
 }
