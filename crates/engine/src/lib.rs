@@ -37,10 +37,11 @@
 //! [`ColumnarInstance`](ipdb_rel::ColumnarInstance) form, which each
 //! relation caches from its first query until it changes
 //! ([`Instance::columnar`](ipdb_rel::Instance::columnar)), the
-//! data-intensive kernels (selection masks, hash-join probes, row
-//! materialization) are split into fixed-size morsels drained by a
-//! persistent worker pool, and the result is *bit-identical for every
-//! thread count and morsel size*. The worker count defaults to
+//! data-intensive kernels (selection masks, hash-join probes and their
+//! gathers) are split into fixed-size morsels drained by a persistent
+//! worker pool, and the last batch becomes the answer without a value
+//! copied ([`Instance::from_columnar`](ipdb_rel::Instance::from_columnar)).
+//! The result is *bit-identical for every thread count and morsel size*. The worker count defaults to
 //! [`std::thread::available_parallelism`] (detected once per process),
 //! overridable with
 //! `IPDB_THREADS` (`IPDB_THREADS=1` forces serial execution); pass an

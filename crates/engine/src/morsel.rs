@@ -5,20 +5,24 @@
 //! kernels morsel-wise (Leis et al.'s morsel-driven model, scoped to
 //! `std::thread` — no crates.io dependencies):
 //!
-//! * the probe side of a hash join, the predicate masks of selections
-//!   and join residuals, and the final row materialization are split
+//! * the probe side of a hash join (with the gather of its output rows)
+//!   and the predicate masks of selections and join residuals are split
 //!   into fixed-size row ranges (*morsels*, [`ExecConfig::morsel_rows`]);
 //! * the calling thread plus a process-wide pool of persistent workers
 //!   (spawned once, parked between stages — thread creation is far too
 //!   slow on some hosts to pay per stage) pull morsels from a shared
 //!   atomic counter, so scheduling is dynamic but each morsel's output
 //!   depends only on its input rows;
-//! * per-morsel outputs are merged back **in morsel order** and the
-//!   final result is an [`Instance`] — a canonical `BTreeSet` — so the
-//!   answer is *bit-identical for every thread count and morsel size*.
-//!   Determinism is structural, not incidental: kernels never branch on
-//!   scheduling, and set semantics make the merge order-insensitive
-//!   anyway.
+//! * per-morsel outputs are merged back **in morsel order**, and the
+//!   last batch becomes the answer [`Instance`] under a canonical
+//!   selection vector ([`Instance::from_columnar`]): its distinct rows in
+//!   full-row order, over the batch's own columns. No value is copied to
+//!   materialize the answer; its `BTreeSet` of tuples is built only if a
+//!   consumer reads it row-wise. The answer is *bit-identical for every
+//!   thread count and morsel size*. Determinism is structural, not
+//!   incidental: kernels never branch on scheduling, and the canonical
+//!   order of a set of rows is unique, so whatever order the merge left
+//!   the rows in, the answer lists them the same way.
 //!
 //! The worker count comes from [`ExecConfig::from_env`]:
 //! `IPDB_THREADS` if set (a positive integer), otherwise
@@ -37,8 +41,9 @@
 //! build side is the one that minimizes rows indexed plus rows probed,
 //! where a leaf indexes none (see `par_join`); a batch a kernel derived
 //! (a selection, projection or join output) always builds afresh. Set
-//! operations (`∪`, `−`, `∩`) convert through row form — they are cheap
-//! relative to the join/select kernels and their `BTreeSet`
+//! operations (`∪`, `−`, `∩`) reach rows through
+//! [`Instance::from_columnar`] and its lazily built row set — they are
+//! cheap relative to the join/select kernels and their `BTreeSet`
 //! implementations are already canonical.
 //!
 //! There is one evaluator, generic over a [`TraceSink`] and reading its
@@ -52,7 +57,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use ipdb_obs::Counter;
-use ipdb_rel::{ColumnarInstance, Instance, Pred, Query, RelError, Schema, Tuple};
+use ipdb_rel::{ColumnarInstance, Instance, Pred, Query, RelError, Schema};
 
 use crate::backend::Catalog;
 use crate::error::EngineError;
@@ -366,34 +371,17 @@ fn par_join(
     ))
 }
 
-/// Parallel row materialization: each morsel builds and *sorts* its
-/// tuples, then the chunks feed the bulk set constructor — whose stable
-/// sort merges the presorted runs cheaply — giving the canonical
-/// `BTreeSet` (set semantics make chunking invisible in the result).
-fn to_rows_par(ci: &ColumnarInstance, cfg: &ExecConfig) -> Instance {
-    let chunks = run_morsels(ci.len(), cfg, |lo, hi| {
-        let mut tuples: Vec<Tuple> = (lo..hi).map(|r| ci.tuple_at(r)).collect();
-        tuples.sort_unstable();
-        tuples
-    });
-    let total = chunks.iter().map(Vec::len).sum();
-    let mut all: Vec<Tuple> = Vec::with_capacity(total);
-    for c in chunks {
-        all.extend(c);
-    }
-    // ipdb-lint: allow(no-panic-on-serve-paths) reason="every tuple came from ci.tuple_at, so its arity is ci.arity() by construction"
-    Instance::from_tuple_batch(ci.arity(), all).expect("columnar rows share the batch arity")
-}
-
-/// Runs `q` on the [`Instance`] backend: the columnar evaluator, then
-/// one parallel materialization of the answer rows.
+/// Runs `q` on the [`Instance`] backend: the columnar evaluator, whose
+/// last batch becomes the answer under a canonical selection vector
+/// ([`Instance::from_columnar`]) — no value is copied until a consumer
+/// reads the answer row-wise.
 pub(crate) fn execute<S: TraceSink>(
     cat: &Catalog<Instance>,
     q: &Query,
     cfg: &ExecConfig,
     sink: &mut S,
 ) -> Result<Instance, EngineError> {
-    Ok(to_rows_par(&eval_columnar(cat, q, cfg, sink)?, cfg))
+    Ok(Instance::from_columnar(&eval_columnar(cat, q, cfg, sink)?))
 }
 
 /// The columnar/morsel evaluator; mirrors `Query::eval`'s structure (and
@@ -432,11 +420,11 @@ fn eval_columnar<S: TraceSink>(
             build = b;
             joined
         }
-        // Set operations go through canonical row form; their BTreeSet
-        // implementations are the deterministic merge.
+        // Set operations go through the operands' row sets; their
+        // BTreeSet implementations are the deterministic merge.
         Query::Union(a, b) | Query::Diff(a, b) | Query::Intersect(a, b) => {
-            let a = to_rows_par(&eval_columnar(cat, a, cfg, sink)?, cfg);
-            let b = to_rows_par(&eval_columnar(cat, b, cfg, sink)?, cfg);
+            let a = Instance::from_columnar(&eval_columnar(cat, a, cfg, sink)?);
+            let b = Instance::from_columnar(&eval_columnar(cat, b, cfg, sink)?);
             let rows = match q {
                 Query::Union(..) => a.union(&b)?,
                 Query::Diff(..) => a.difference(&b)?,
@@ -955,9 +943,9 @@ mod tests {
             let t_select = med(|| {
                 par_select(&joined, &filter, &cfg).unwrap();
             });
-            let out = to_rows_par(&filtered, &cfg);
+            let out = Instance::from_columnar(&filtered);
             let t_rows = med(|| {
-                to_rows_par(&filtered, &cfg);
+                Instance::from_columnar(&filtered);
             });
             let t_whole = med(|| {
                 execute(&rels, &q, &cfg, &mut NoTrace).unwrap();
@@ -966,7 +954,7 @@ mod tests {
                 "threads={threads}: build {t_build:.3}ms \
                  probe+gather {t_probe:.3}ms (hash {t_hash:.3}ms, lookup {t_lookup:.3}ms) \
                  vstack {t_vstack:.3}ms select {t_select:.3}ms \
-                 to_rows {t_rows:.3}ms | whole {t_whole:.3}ms ({} rows probed->{} out)",
+                 from_columnar {t_rows:.3}ms | whole {t_whole:.3}ms ({} rows probed->{} out)",
                 right.len(),
                 out.len()
             );

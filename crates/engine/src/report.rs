@@ -204,15 +204,21 @@ pub struct QueryReport {
 impl QueryReport {
     /// Renders the report: an `EXPLAIN ANALYZE` header with totals and
     /// optimizer stats, the annotated operator tree, and — when present
-    /// — a BDD statistics trailer.
+    /// — a BDD statistics trailer. The header splits the total into
+    /// `operators` (`root.ns`) and `materialize` (`total_ns − root.ns`:
+    /// turning the root's output into the answer, plus BDD compilation
+    /// and WMC on the probabilistic path).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "EXPLAIN ANALYZE (backend: {}, total: {}, optimizer: {} pass{}{})",
+            "EXPLAIN ANALYZE (backend: {}, total: {} (operators {}, materialize {}), \
+             optimizer: {} pass{}{})",
             self.backend,
             fmt_ns(self.total_ns),
+            fmt_ns(self.root.ns),
+            fmt_ns(self.total_ns.saturating_sub(self.root.ns)),
             self.optimize.passes,
             if self.optimize.passes == 1 { "" } else { "es" },
             if self.optimize.converged {
@@ -404,7 +410,8 @@ mod tests {
         };
         let text = report.render();
         assert!(text.starts_with(
-            "EXPLAIN ANALYZE (backend: instance, total: 15.0us, optimizer: 2 passes, converged)"
+            "EXPLAIN ANALYZE (backend: instance, total: 15.0us \
+             (operators 10.0us, materialize 5000ns), optimizer: 2 passes, converged)\n"
         ));
         assert!(text.contains("join[#1=#2]  (arity 4) rows: 30 -> 12 (sel 0.400)"));
         assert!(text.contains("build=left (built)"));

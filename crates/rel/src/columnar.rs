@@ -7,8 +7,12 @@
 //!
 //! The representation is **lossless** with respect to set semantics:
 //! [`ColumnarInstance::from_rows`] / [`ColumnarInstance::to_rows`] round
-//! trip exactly (an `Instance` is a set, and `to_rows` collapses any
-//! duplicates a kernel may have produced). In between, the kernels work
+//! trip exactly. `to_rows` is [`Instance::from_columnar`]: it collapses
+//! any duplicates a kernel may have produced and lists the distinct rows
+//! in canonical order under a selection vector
+//! ([`ColumnarInstance::canonical`]), over the same columns, so the
+//! round trip copies no value; the instance builds its tuples only when
+//! it is read row-wise. In between, the kernels work
 //! positionally, one column at a time. Each kernel turns its row range
 //! into physical rows once per column — the range itself when there is
 //! no selection vector, a slice of the selection vector when there is
@@ -72,8 +76,8 @@ use crate::Instance;
 /// Unlike [`Instance`] this is an ordered *multiset* of rows — kernels
 /// may expose duplicates (only [`ColumnarInstance::project`] dedups,
 /// mirroring the row path where projection is the only merging
-/// operator); [`ColumnarInstance::to_rows`] collapses them back to a
-/// set.
+/// operator); [`ColumnarInstance::canonical`] and
+/// [`ColumnarInstance::to_rows`] collapse them back to a set.
 ///
 /// ```
 /// use ipdb_rel::{instance, ColumnarInstance, Pred};
@@ -177,16 +181,94 @@ impl ColumnarInstance {
         }
     }
 
-    /// Converts back to a row-major instance; duplicate rows (possible
-    /// after kernels other than `project`, which dedups itself) collapse
-    /// under set semantics.
+    /// The set of this batch's rows: [`Instance::from_columnar`], which
+    /// collapses duplicate rows (possible after kernels other than
+    /// `project`, which dedups itself) and copies no value.
     pub fn to_rows(&self) -> Instance {
-        let mut out = Instance::empty(self.arity);
-        for row in 0..self.len() {
-            out.insert(self.tuple_at(row))
-                .expect("columnar rows share the batch arity");
+        Instance::from_columnar(self)
+    }
+
+    /// This batch's rows as a set, in canonical order: the same `Arc`
+    /// columns under a selection vector that lists the distinct rows,
+    /// sorted by full-row order (the order of [`Tuple`]s, and so of an
+    /// [`Instance`]'s rows). Rows that are already strictly ascending —
+    /// a join probed in order, a selection over a sorted leaf — are
+    /// checked in one pass and not sorted.
+    ///
+    /// When fewer than half of the physical rows remain, they are
+    /// gathered into fresh columns instead, so that a small answer never
+    /// pins a large relation's columns.
+    ///
+    /// ```
+    /// use ipdb_rel::{instance, ColumnarInstance};
+    /// let c = ColumnarInstance::from_rows(&instance![[1, 2], [3, 4]]);
+    /// let canon = c.gather_rows(&[1, 0, 1]).canonical();
+    /// assert_eq!(canon.len(), 2);
+    /// assert_eq!(canon.value(0, 0), &1.into());
+    /// ```
+    pub fn canonical(&self) -> ColumnarInstance {
+        let mut order: Vec<usize> = Vec::with_capacity(self.len());
+        self.for_each_phys(0, self.len(), |_, p| order.push(p));
+        let row_cmp = |&a: &usize, &b: &usize| self.cmp_phys(a, self, b);
+        if !order.windows(2).all(|w| row_cmp(&w[0], &w[1]).is_lt()) {
+            order.sort_unstable_by(row_cmp);
+            order.dedup_by(|a, b| row_cmp(a, b).is_eq());
         }
-        out
+        if order.len() * 2 < self.phys_rows {
+            let cols = self
+                .cols
+                .iter()
+                .map(|src| Arc::new(order.iter().map(|&p| src[p].clone()).collect()))
+                .collect();
+            return ColumnarInstance {
+                arity: self.arity,
+                phys_rows: order.len(),
+                cols,
+                sel: None,
+                indexes: None,
+            };
+        }
+        let identity =
+            order.len() == self.phys_rows && order.iter().enumerate().all(|(k, &p)| k == p);
+        ColumnarInstance {
+            arity: self.arity,
+            phys_rows: self.phys_rows,
+            cols: self.cols.clone(),
+            sel: (!identity).then(|| Arc::new(order)),
+            indexes: None,
+        }
+    }
+
+    /// The full-row order of physical row `a` of `self` against
+    /// physical row `b` of `other` (of the same arity): lexicographic
+    /// over `Value`'s total order, as [`Tuple`] compares. The order is
+    /// explicitly *total* — `Iterator::cmp` over `Value`'s derived `Ord`,
+    /// with no per-column fallback step that could absorb an
+    /// incomparable pair and break the transitivity a sort relies on.
+    fn cmp_phys(&self, a: usize, other: &ColumnarInstance, b: usize) -> std::cmp::Ordering {
+        self.cols
+            .iter()
+            .map(|c| &c[a])
+            .cmp(other.cols.iter().map(|c| &c[b]))
+    }
+
+    /// Whether two batches of the same arity hold the same rows in the
+    /// same order, compared column by column.
+    pub(crate) fn rows_eq(&self, other: &ColumnarInstance) -> bool {
+        self.len() == other.len()
+            && self
+                .cols
+                .iter()
+                .zip(&other.cols)
+                .all(|(a, b)| (0..self.len()).all(|k| a[self.phys(k)] == b[other.phys(k)]))
+    }
+
+    /// Every value of every logical row, row after row.
+    pub(crate) fn row_major_values(&self) -> impl Iterator<Item = &Value> {
+        (0..self.len()).flat_map(move |k| {
+            let p = self.phys(k);
+            self.cols.iter().map(move |c| &c[p])
+        })
     }
 
     /// Arity (number of columns).
@@ -334,7 +416,9 @@ impl ColumnarInstance {
 
     /// `π_cols`: column gathering plus deduplication (projection is the
     /// one kernel that can merge distinct input rows, so it dedups here
-    /// to keep intermediate batch sizes aligned with the row path).
+    /// to keep intermediate batch sizes aligned with the row path): the
+    /// chosen columns under this batch's selection, made
+    /// [`ColumnarInstance::canonical`].
     pub fn project(&self, cols: &[usize]) -> Result<Self, RelError> {
         for &c in cols {
             if c >= self.arity {
@@ -344,31 +428,14 @@ impl ColumnarInstance {
                 });
             }
         }
-        // Sort logical rows by their projected values so duplicates are
-        // adjacent, then dedup — columnar's analogue of the row path's
-        // set insertion.
-        // The sort runs over physical rows, which become the new
-        // selection vector as they are.
-        let mut order: Vec<usize> = Vec::with_capacity(self.len());
-        self.for_each_phys(0, self.len(), |_, p| order.push(p));
-        // An explicitly *total* lexicographic order over the projected
-        // key — `Iterator::cmp` over `Value`'s derived total `Ord`,
-        // with no per-column fallback step that could silently absorb
-        // an incomparable pair and break sort transitivity.
-        let key_cmp = |&a: &usize, &b: &usize| {
-            cols.iter()
-                .map(|&c| &self.cols[c][a])
-                .cmp(cols.iter().map(|&c| &self.cols[c][b]))
-        };
-        order.sort_unstable_by(key_cmp);
-        order.dedup_by(|a, b| key_cmp(a, b).is_eq());
-        Ok(ColumnarInstance {
+        let picked = ColumnarInstance {
             arity: cols.len(),
             phys_rows: self.phys_rows,
             cols: cols.iter().map(|&c| self.cols[c].clone()).collect(),
-            sel: Some(Arc::new(order)),
+            sel: self.sel.clone(),
             indexes: None,
-        })
+        };
+        Ok(picked.canonical())
     }
 
     /// `×`: positional cross product (left-major order), materialized.
@@ -666,6 +733,39 @@ mod tests {
     }
 
     #[test]
+    fn canonical_sorts_and_dedups_over_the_same_columns() {
+        let c = ColumnarInstance::from_rows(&instance![[1, "b"], [1, "a"], [2, "a"], [3, "c"]]);
+        // Out of physical order, with a repeat, keeping at least half
+        // of the physical rows: a selection vector over the same columns.
+        let canon = c.gather_rows(&[2, 0, 2, 1]).canonical();
+        assert!(Arc::ptr_eq(&canon.cols[0], &c.cols[0]));
+        assert_eq!(canon.sel.as_deref(), Some(&vec![0, 1, 2]));
+        assert_eq!(canon.to_rows(), instance![[1, "a"], [1, "b"], [2, "a"]]);
+        // Already canonical: the identity selection is dropped.
+        let all = c.gather_rows(&[0, 1, 2, 3]).canonical();
+        assert!(all.sel.is_none() && Arc::ptr_eq(&all.cols[1], &c.cols[1]));
+        // Arity 0: any number of rows is the one empty tuple.
+        let units = ColumnarInstance::from_columns(vec![], 5)
+            .unwrap()
+            .canonical();
+        assert_eq!(units.len(), 1);
+        assert_eq!(units.to_rows(), Instance::singleton(Tuple::empty()));
+    }
+
+    #[test]
+    fn canonical_gathers_a_small_selection_into_fresh_columns() {
+        let big =
+            ColumnarInstance::from_columns(vec![(0..10_000i64).map(Value::from).collect()], 10_000)
+                .unwrap();
+        let one = big.gather_rows(&[5000]);
+        for canon in [one.canonical(), one.to_rows().columnar().clone()] {
+            assert!(canon.phys_rows <= 2, "{} physical rows", canon.phys_rows);
+            assert!(!Arc::ptr_eq(&canon.cols[0], &big.cols[0]));
+            assert_eq!(canon.to_rows(), instance![[5000]]);
+        }
+    }
+
+    #[test]
     fn project_key_order_is_total_across_value_types() {
         // Regression pin for the projection sort: a key column mixing
         // all three `Value` variants. A comparator with a partial or
@@ -686,7 +786,7 @@ mod tests {
         .into_iter()
         .map(Tuple::from)
         .collect();
-        let i = Instance::from_tuple_batch(2, tuples).unwrap();
+        let i = Instance::from_tuples(2, tuples).unwrap();
         let c = ColumnarInstance::from_rows(&i);
         for cols in [vec![0], vec![0, 1], vec![1, 0], vec![0, 0]] {
             let expected = Query::project(Query::Input, cols.clone()).eval(&i).unwrap();

@@ -1,15 +1,21 @@
 //! Conventional instances: finite `n`-ary relations over `D`.
 //!
 //! An [`Instance`] is an element of `N = { I | I ⊆ Dⁿ, I finite }` —
-//! the "complete information" databases of the paper (§2). Tuples are
-//! stored in a `BTreeSet` so two instances are `==` exactly when they
-//! denote the same relation, which is what every theorem check relies on.
+//! the "complete information" databases of the paper (§2). It is kept
+//! canonical, so two instances are `==` exactly when they denote the
+//! same relation, which is what every theorem check relies on.
 //!
-//! Each instance also carries its column-major form
-//! ([`Instance::columnar`]) and the join indexes built over it, each
-//! built on first use and kept until the next [`Instance::insert`]. The
-//! cache is invisible to equality, ordering, hashing and `Debug`, which
-//! all look at `(arity, tuples)` only.
+//! An instance holds its rows in either of two forms, or both: a
+//! `BTreeSet` of [`Tuple`]s, and a canonical column batch
+//! ([`Instance::columnar`]) — `Arc`-shared columns under a selection
+//! vector that lists the distinct rows in lexicographic order. Each form
+//! is built from the other on first use, and both are kept until the
+//! next [`Instance::insert`], which drops the columnar form and the join
+//! indexes built over it. Which forms exist is invisible to equality,
+//! ordering, hashing and `Debug`: all of them are functions of
+//! `(arity, canonical row sequence)`. The instance executor answers in
+//! the columnar form ([`Instance::from_columnar`]), so an answer copies
+//! no value until a consumer reads it row-wise.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -34,21 +40,37 @@ use crate::value::{Domain, Value};
 #[derive(Clone)]
 pub struct Instance {
     arity: usize,
-    tuples: BTreeSet<Tuple>,
-    /// The column-major form of `tuples`, built on first use by
-    /// [`Instance::columnar`]. `insert` (the only mutator) clears it;
-    /// every other constructor starts without one.
+    /// The rows as a set, built from `columnar` on first row-wise use.
+    rows: OnceLock<BTreeSet<Tuple>>,
+    /// The canonical column batch, built from `rows` on first use by
+    /// [`Instance::columnar`], or given by [`Instance::from_columnar`].
+    /// `insert` (the only mutator) drops it.
+    ///
+    /// At least one of the two is always set: the struct is assembled
+    /// only by [`Instance::with_tuples`] and [`Instance::with_columnar`],
+    /// each of which sets one, and `insert` sets `rows` before it drops
+    /// this form.
     columnar: OnceLock<Arc<ColumnarInstance>>,
 }
 
 impl Instance {
-    /// The instance with these tuples and no columnar form yet — the one
-    /// place the struct is assembled.
+    /// The instance with these tuples and no columnar form yet.
     fn with_tuples(arity: usize, tuples: BTreeSet<Tuple>) -> Self {
         Instance {
             arity,
-            tuples,
+            rows: OnceLock::from(tuples),
             columnar: OnceLock::new(),
+        }
+    }
+
+    /// The instance whose columnar form is `canonical` (distinct rows in
+    /// canonical order, see [`ColumnarInstance::canonical`]) and whose
+    /// row set is not built yet.
+    fn with_columnar(canonical: ColumnarInstance) -> Self {
+        Instance {
+            arity: canonical.arity(),
+            rows: OnceLock::new(),
+            columnar: OnceLock::from(Arc::new(canonical.stored())),
         }
     }
 
@@ -63,29 +85,28 @@ impl Instance {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let mut inst = Instance::empty(arity);
+        let mut rows = BTreeSet::new();
         for t in tuples {
-            inst.insert(t)?;
+            check_tuple_arity(arity, &t)?;
+            rows.insert(t);
         }
-        Ok(inst)
+        Ok(Instance::with_tuples(arity, rows))
     }
 
-    /// Builds an instance from a pre-collected batch in one shot:
-    /// arity-checks every tuple up front, then hands the whole batch to
-    /// `BTreeSet::from_iter`, whose sort-then-bulk-load path is much
-    /// faster than per-tuple insertion for large batches — and rewards
-    /// presorted (or presorted-in-runs) input. Semantically identical
-    /// to [`Instance::from_tuples`].
-    pub fn from_tuple_batch(arity: usize, tuples: Vec<Tuple>) -> Result<Self, RelError> {
-        for t in &tuples {
-            if t.arity() != arity {
-                return Err(RelError::ArityMismatch {
-                    expected: arity,
-                    got: t.arity(),
-                });
-            }
-        }
-        Ok(Instance::with_tuples(arity, tuples.into_iter().collect()))
+    /// The set of rows of a column batch: its distinct rows, under set
+    /// semantics. No value is copied: the instance keeps the batch's
+    /// `Arc` columns under a canonical selection vector
+    /// ([`ColumnarInstance::canonical`]), and builds its tuples on first
+    /// row-wise use.
+    ///
+    /// ```
+    /// use ipdb_rel::{instance, ColumnarInstance, Instance};
+    /// let c = ColumnarInstance::from_rows(&instance![[2, 1], [1, 2]]);
+    /// let repeated = c.gather_rows(&[1, 0, 1]);
+    /// assert_eq!(Instance::from_columnar(&repeated), instance![[1, 2], [2, 1]]);
+    /// ```
+    pub fn from_columnar(batch: &ColumnarInstance) -> Instance {
+        Instance::with_columnar(batch.canonical())
     }
 
     /// Builds an instance from rows of raw values (each row must have the
@@ -116,28 +137,28 @@ impl Instance {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        match self.rows.get() {
+            Some(rows) => rows.len(),
+            None => self.columnar().len(),
+        }
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len() == 0
     }
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.tuples.contains(t)
+        self.tuples().contains(t)
     }
 
     /// Inserts a tuple, checking its arity. Returns whether it was new.
     pub fn insert(&mut self, t: Tuple) -> Result<bool, RelError> {
-        if t.arity() != self.arity {
-            return Err(RelError::ArityMismatch {
-                expected: self.arity,
-                got: t.arity(),
-            });
-        }
-        let new = self.tuples.insert(t);
+        check_tuple_arity(self.arity, &t)?;
+        let mut rows = self.rows.take().unwrap_or_else(|| row_set(self.columnar()));
+        let new = rows.insert(t);
+        self.rows = OnceLock::from(rows);
         if new {
             self.columnar.take();
         }
@@ -146,15 +167,19 @@ impl Instance {
 
     /// The relation in column-major form, for the columnar executor.
     ///
-    /// Built on the first call and cached until the next
+    /// Its rows are the relation's, each once, in canonical order. It is
+    /// built on the first call and cached until the next
     /// [`Instance::insert`], so a relation queried many times — a catalog
     /// leaf, a relation literal in a prepared plan — is converted once
     /// per version instead of once per query. Clones made after the
-    /// first call share the cached form.
+    /// first call share the cached form. An instance built by
+    /// [`Instance::from_columnar`] starts with this form.
     ///
-    /// The cached form is a second copy of the data — one `Value`
-    /// (24 bytes, plus the bytes of each string, which are cloned) per
-    /// cell — held for as long as the instance lives. It also keeps the
+    /// Built from the row set, the cached form is a second copy of the
+    /// data — one `Value` (24 bytes, plus the bytes of each string, which
+    /// are cloned) per cell — held for as long as the instance lives.
+    /// Given by `from_columnar`, it shares the batch's columns, and the
+    /// row set is the copy, built on first row-wise use. It also keeps the
     /// join indexes built over it ([`ColumnarInstance::join_index`]):
     /// each is built by the first join that keys this version on its
     /// column list and reused by every later one, and they go with the
@@ -169,18 +194,21 @@ impl Instance {
     /// assert_eq!(i.columnar().len(), 2); // rebuilt after the insert
     /// ```
     pub fn columnar(&self) -> &ColumnarInstance {
+        // Unset only when `rows` is set (see the field), so the builder
+        // reads the row set and never comes back here.
         self.columnar
             .get_or_init(|| Arc::new(ColumnarInstance::from_rows(self).stored()))
     }
 
     /// Iterates over the tuples in canonical order.
     pub fn iter(&self) -> std::collections::btree_set::Iter<'_, Tuple> {
-        self.tuples.iter()
+        self.tuples().iter()
     }
 
-    /// The tuples as a set.
+    /// The tuples as a set, built from the columnar form on first use.
     pub fn tuples(&self) -> &BTreeSet<Tuple> {
-        &self.tuples
+        // Unset only when `columnar` is set (see the field).
+        self.rows.get_or_init(|| row_set(self.columnar()))
     }
 
     /// `self ∪ other` (arities must match).
@@ -188,7 +216,7 @@ impl Instance {
         self.check_arity(other)?;
         Ok(Instance::with_tuples(
             self.arity,
-            self.tuples.union(&other.tuples).cloned().collect(),
+            self.tuples().union(other.tuples()).cloned().collect(),
         ))
     }
 
@@ -197,7 +225,10 @@ impl Instance {
         self.check_arity(other)?;
         Ok(Instance::with_tuples(
             self.arity,
-            self.tuples.intersection(&other.tuples).cloned().collect(),
+            self.tuples()
+                .intersection(other.tuples())
+                .cloned()
+                .collect(),
         ))
     }
 
@@ -206,19 +237,19 @@ impl Instance {
         self.check_arity(other)?;
         Ok(Instance::with_tuples(
             self.arity,
-            self.tuples.difference(&other.tuples).cloned().collect(),
+            self.tuples().difference(other.tuples()).cloned().collect(),
         ))
     }
 
     /// Cross product `self × other`; arity is the sum of arities.
     pub fn product(&self, other: &Instance) -> Instance {
-        let mut out = Instance::empty(self.arity + other.arity);
-        for t1 in &self.tuples {
-            for t2 in &other.tuples {
-                out.tuples.insert(t1.concat(t2));
+        let mut out = BTreeSet::new();
+        for t1 in self.tuples() {
+            for t2 in other.tuples() {
+                out.insert(t1.concat(t2));
             }
         }
-        out
+        Instance::with_tuples(self.arity + other.arity, out)
     }
 
     /// Hash equijoin: `σ_{⋀ #i=#j ∧ residual}(self × other)` computed
@@ -259,9 +290,9 @@ impl Instance {
         let filter = Pred::conj_all(extra.into_iter().chain(residual.cloned()));
         let trivial_filter = filter == Pred::True;
 
-        let mut out = Instance::empty(total);
+        let mut out = BTreeSet::new();
         let mut vals: Vec<Value> = Vec::with_capacity(total);
-        let emit = |out: &mut Instance,
+        let emit = |out: &mut BTreeSet<Tuple>,
                     vals: &mut Vec<Value>,
                     l: &Tuple,
                     r: &Tuple|
@@ -270,7 +301,7 @@ impl Instance {
             vals.extend_from_slice(l.values());
             vals.extend_from_slice(r.values());
             if trivial_filter || filter.eval(vals)? {
-                out.tuples.insert(Tuple::new(std::mem::take(vals)));
+                out.insert(Tuple::new(std::mem::take(vals)));
             }
             Ok(())
         };
@@ -281,19 +312,19 @@ impl Instance {
             if trivial_filter {
                 return Ok(self.product(other));
             }
-            for l in &self.tuples {
-                for r in &other.tuples {
+            for l in self.tuples() {
+                for r in other.tuples() {
                     emit(&mut out, &mut vals, l, r)?;
                 }
             }
-            return Ok(out);
+            return Ok(Instance::with_tuples(total, out));
         }
 
         // Index the *smaller* relation on its key columns and probe with
         // the other; output columns stay left ++ right either way. Keys
         // are hashed in place (no per-row key vector); buckets group by
         // hash, so probes re-verify the key columns for equality.
-        let build_left = self.tuples.len() <= other.tuples.len();
+        let build_left = self.len() <= other.len();
         let (build, probe) = if build_left {
             (self, other)
         } else {
@@ -309,16 +340,16 @@ impl Instance {
 
         let mut index: std::collections::HashMap<u64, Vec<&Tuple>, BuildPassThrough> =
             std::collections::HashMap::with_capacity_and_hasher(
-                build.tuples.len(),
+                build.len(),
                 BuildPassThrough::default(),
             );
-        for t in &build.tuples {
+        for t in build.tuples() {
             index
                 .entry(hash_key_cols(t.values(), &build_cols))
                 .or_default()
                 .push(t);
         }
-        for p in &probe.tuples {
+        for p in probe.tuples() {
             let Some(bucket) = index.get(&hash_key_cols(p.values(), &probe_cols)) else {
                 continue;
             };
@@ -330,7 +361,7 @@ impl Instance {
                 emit(&mut out, &mut vals, l, r)?;
             }
         }
-        Ok(out)
+        Ok(Instance::with_tuples(total, out))
     }
 
     /// Projection `π_cols(self)`; columns may repeat and reorder.
@@ -343,43 +374,41 @@ impl Instance {
                 });
             }
         }
-        let mut out = Instance::empty(cols.len());
-        for t in &self.tuples {
+        let mut out = BTreeSet::new();
+        for t in self.tuples() {
             // Indexes were checked above, so projection cannot fail.
-            out.tuples.insert(t.project(cols).expect("checked cols"));
+            out.insert(t.project(cols).expect("checked cols"));
         }
-        Ok(out)
+        Ok(Instance::with_tuples(cols.len(), out))
     }
 
     /// All values appearing in any tuple — the *active domain*, the seed
     /// of the finite domain slices used to enumerate infinite-domain
     /// tables.
     pub fn active_domain(&self) -> Domain {
-        Domain::new(self.tuples.iter().flat_map(|t| t.iter().cloned()))
+        Domain::new(self.tuples().iter().flat_map(|t| t.iter().cloned()))
     }
 
     /// All tuples of arity `arity` over `dom` — the finite slice of `Dⁿ`.
     ///
     /// There are `|dom|^arity` of them; callers keep parameters small.
     pub fn full_relation(dom: &Domain, arity: usize) -> Instance {
-        let mut out = Instance::empty(arity);
+        let mut out = BTreeSet::new();
         let n = dom.len();
         if arity == 0 {
-            out.tuples.insert(Tuple::empty());
-            return out;
+            return Instance::singleton(Tuple::empty());
         }
         if n == 0 {
-            return out;
+            return Instance::empty(arity);
         }
         // Odometer over dom^arity.
         let mut idx = vec![0usize; arity];
         loop {
-            out.tuples
-                .insert(Tuple::new(idx.iter().map(|&i| dom.values()[i].clone())));
+            out.insert(Tuple::new(idx.iter().map(|&i| dom.values()[i].clone())));
             let mut pos = arity;
             loop {
                 if pos == 0 {
-                    return out;
+                    return Instance::with_tuples(arity, out);
                 }
                 pos -= 1;
                 idx[pos] += 1;
@@ -402,6 +431,22 @@ impl Instance {
     }
 }
 
+/// `Ok` when `t` has arity `arity`.
+fn check_tuple_arity(arity: usize, t: &Tuple) -> Result<(), RelError> {
+    if t.arity() != arity {
+        return Err(RelError::ArityMismatch {
+            expected: arity,
+            got: t.arity(),
+        });
+    }
+    Ok(())
+}
+
+/// The tuples of a canonical batch, as a set.
+fn row_set(c: &ColumnarInstance) -> BTreeSet<Tuple> {
+    (0..c.len()).map(|r| c.tuple_at(r)).collect()
+}
+
 /// Hashes the values at `cols` of a row with [`key_hash`], without
 /// materializing a per-row key vector. Buckets built from these hashes
 /// group by hash value only, so lookups must confirm with
@@ -417,11 +462,18 @@ fn key_cols_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> 
 }
 
 // Equality, ordering, hashing and `Debug` see the relation only — never
-// whether its columnar form has been built.
+// which of its two forms are built. Two row sets compare as sets; any
+// other pair compares the canonical columnar forms, which list the same
+// rows in the same order (a rows-only side builds and caches its form).
 
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
-        self.arity == other.arity && self.tuples == other.tuples
+        self.arity == other.arity
+            && self.len() == other.len()
+            && match (self.rows.get(), other.rows.get()) {
+                (Some(a), Some(b)) => a == b,
+                _ => self.columnar().rows_eq(other.columnar()),
+            }
     }
 }
 
@@ -435,14 +487,38 @@ impl PartialOrd for Instance {
 
 impl Ord for Instance {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.arity, &self.tuples).cmp(&(other.arity, &other.tuples))
+        self.arity
+            .cmp(&other.arity)
+            .then_with(|| match (self.rows.get(), other.rows.get()) {
+                (Some(a), Some(b)) => a.cmp(b),
+                _ => {
+                    let (a, b) = (self.columnar(), other.columnar());
+                    // Rows share the arity, so row-major value order is
+                    // row order; the length settles arity-0 relations.
+                    a.row_major_values()
+                        .cmp(b.row_major_values())
+                        .then_with(|| a.len().cmp(&b.len()))
+                }
+            })
     }
 }
 
 impl Hash for Instance {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        // The length, then every value in row-major order: the same
+        // stream from either form.
         self.arity.hash(state);
-        self.tuples.hash(state);
+        self.len().hash(state);
+        match self.rows.get() {
+            Some(rows) => rows
+                .iter()
+                .flat_map(Tuple::iter)
+                .for_each(|v| v.hash(state)),
+            None => self
+                .columnar()
+                .row_major_values()
+                .for_each(|v| v.hash(state)),
+        }
     }
 }
 
@@ -450,7 +526,7 @@ impl fmt::Debug for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Instance")
             .field("arity", &self.arity)
-            .field("tuples", &self.tuples)
+            .field("tuples", self.tuples())
             .finish()
     }
 }
@@ -458,7 +534,7 @@ impl fmt::Debug for Instance {
 impl fmt::Display for Instance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, t) in self.tuples.iter().enumerate() {
+        for (i, t) in self.tuples().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -563,26 +639,25 @@ mod tests {
     }
 
     #[test]
-    fn from_tuple_batch_equals_from_tuples() {
+    fn from_tuples_dedups_sorts_and_checks_arity() {
         let tuples: Vec<Tuple> = [[3, 1], [1, 2], [3, 1], [2, 0]]
             .into_iter()
             .map(|r| Tuple::new(r.map(Value::from)))
             .collect();
+        let i = Instance::from_tuples(2, tuples.clone()).unwrap();
+        assert_eq!(i, instance![[1, 2], [2, 0], [3, 1]]);
+        let mut canonical = tuples;
+        canonical.sort();
+        canonical.dedup();
+        assert!(i.iter().eq(&canonical));
         assert_eq!(
-            Instance::from_tuple_batch(2, tuples.clone()).unwrap(),
-            Instance::from_tuples(2, tuples).unwrap()
-        );
-        assert_eq!(
-            Instance::from_tuple_batch(2, vec![Tuple::new([Value::from(1)])]),
+            Instance::from_tuples(2, [Tuple::new([Value::from(1)])]),
             Err(RelError::ArityMismatch {
                 expected: 2,
                 got: 1
             })
         );
-        assert_eq!(
-            Instance::from_tuple_batch(3, vec![]).unwrap(),
-            Instance::empty(3)
-        );
+        assert_eq!(Instance::from_tuples(3, []).unwrap(), Instance::empty(3));
     }
 
     #[test]
@@ -684,6 +759,140 @@ mod tests {
         // Ordering is still by arity, then tuples.
         assert_eq!(instance![[9]].cmp(&warm), Ordering::Less);
         assert_eq!(instance![[0, "a"]].cmp(&warm), Ordering::Less);
+    }
+
+    /// The two forms of one relation, through every public reader: a
+    /// random column batch as [`Instance::from_columnar`] gives it, and
+    /// the same rows inserted as tuples.
+    #[cfg(feature = "strategies")]
+    mod cross_form {
+        use super::*;
+        use crate::strategies::arb_mixed_value;
+        use proptest::prelude::*;
+        use std::collections::hash_map::DefaultHasher;
+
+        /// A batch of arity `arity` whose physical rows are drawn from
+        /// `pool` by `phys` (so rows repeat), under a selection vector
+        /// of `picks` (out of physical order, with repeats) when
+        /// `selected`.
+        fn batch(
+            arity: usize,
+            pool: &[Vec<Value>],
+            phys: &[usize],
+            selected: bool,
+            picks: &[usize],
+        ) -> ColumnarInstance {
+            let rows: Vec<&Vec<Value>> = phys.iter().map(|&k| &pool[k % pool.len()]).collect();
+            let cols = (0..arity)
+                .map(|c| rows.iter().map(|r| r[c].clone()).collect())
+                .collect();
+            let b = ColumnarInstance::from_columns(cols, rows.len()).unwrap();
+            if selected && !b.is_empty() {
+                b.gather_rows(&picks.iter().map(|&p| p % b.len()).collect::<Vec<_>>())
+            } else {
+                b
+            }
+        }
+
+        /// An arity of 0–3, a pool of up to four rows of mixed values,
+        /// and two batches over it: the one under test and a third
+        /// relation to order it against.
+        #[allow(clippy::type_complexity)]
+        fn arb_case() -> impl Strategy<
+            Value = (
+                usize,
+                Vec<Vec<Value>>,
+                [(Vec<usize>, bool, Vec<usize>); 2],
+                Vec<Value>,
+            ),
+        > {
+            (0usize..=3).prop_flat_map(|arity| {
+                let side = || {
+                    (
+                        proptest::collection::vec(0usize..4, 0..12),
+                        any::<bool>(),
+                        proptest::collection::vec(0usize..64, 0..12),
+                    )
+                };
+                (
+                    Just(arity),
+                    proptest::collection::vec(
+                        proptest::collection::vec(arb_mixed_value(), arity),
+                        1..=4,
+                    ),
+                    (side(), side()).prop_map(|(a, b)| [a, b]),
+                    proptest::collection::vec(arb_mixed_value(), arity),
+                )
+            })
+        }
+
+        fn hash_of(i: &Instance) -> u64 {
+            let mut h = DefaultHasher::new();
+            i.hash(&mut h);
+            h.finish()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn columnar_and_row_forms_agree(
+                (arity, pool, sides, fresh) in arb_case()
+            ) {
+                let [a, c] = sides.map(|(phys, selected, picks)| {
+                    batch(arity, &pool, &phys, selected, &picks)
+                });
+                let rows_of = |b: &ColumnarInstance| -> BTreeSet<Tuple> {
+                    (0..b.len()).map(|r| b.tuple_at(r)).collect()
+                };
+                let (set_a, set_c) = (rows_of(&a), rows_of(&c));
+                // Each call builds a fresh instance, so every comparison
+                // starts from the forms it names.
+                let col = || Instance::from_columnar(&a);
+                let row = || Instance::from_tuples(arity, set_a.clone()).unwrap();
+                prop_assert_eq!(col(), row());
+                prop_assert_eq!(row(), col());
+                prop_assert_eq!(hash_of(&col()), hash_of(&row()));
+                // Against a third relation, in either form, order and
+                // equality follow the row sets'.
+                let expected = set_a.cmp(&set_c);
+                let third_col = || Instance::from_columnar(&c);
+                let third_row = || Instance::from_tuples(arity, set_c.clone()).unwrap();
+                for (x, y) in [
+                    (col(), third_col()),
+                    (col(), third_row()),
+                    (row(), third_col()),
+                    (row(), third_row()),
+                ] {
+                    prop_assert_eq!(x.cmp(&y), expected);
+                    prop_assert_eq!(y.cmp(&x), expected.reverse());
+                    prop_assert_eq!(x == y, expected.is_eq());
+                    if expected.is_eq() {
+                        prop_assert_eq!(hash_of(&x), hash_of(&y));
+                    }
+                }
+                // Other arities order first by arity, in either form.
+                let wider = Instance::from_tuples(arity + 1, []).unwrap();
+                prop_assert_eq!(col().cmp(&wider), Ordering::Less);
+                prop_assert!(col() != wider);
+                // Readers.
+                prop_assert_eq!(col().len(), set_a.len());
+                prop_assert_eq!(col().is_empty(), set_a.is_empty());
+                prop_assert!(col().iter().eq(set_a.iter()));
+                prop_assert_eq!(col().tuples(), &set_a);
+                prop_assert_eq!(col().to_string(), row().to_string());
+                prop_assert_eq!(format!("{:?}", col()), format!("{:?}", row()));
+                let candidates = pool.iter().cloned().chain([fresh]).map(Tuple::new);
+                for t in candidates {
+                    prop_assert_eq!(col().contains(&t), set_a.contains(&t));
+                    let (mut x, mut y) = (col(), row());
+                    prop_assert_eq!(x.insert(t.clone()).unwrap(), y.insert(t).unwrap());
+                    prop_assert_eq!(&x, &y);
+                    prop_assert_eq!(x.columnar().to_rows(), y);
+                    prop_assert_eq!(hash_of(&x), hash_of(&y));
+                }
+            }
+        }
     }
 
     #[test]

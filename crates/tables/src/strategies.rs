@@ -132,6 +132,7 @@ mod tests {
     use ipdb_logic::Condition;
     use ipdb_logic::VarGen;
     use ipdb_rel::strategies::{arb_pred, arb_query};
+    use ipdb_rel::{Pred, Query};
 
     const NVARS: u32 = 3;
     const MAXI: i64 = 2;
@@ -159,6 +160,41 @@ mod tests {
                 }
             }
             let lhs = qbar_t.apply_valuation(&nu).unwrap();
+            let rhs = q.eval(&t.apply_valuation(&nu).unwrap()).unwrap();
+            prop_assert_eq!(lhs, rhs);
+        }
+
+        /// **Lemma 1** for `q = σ_p(V)` on a table where some row holds
+        /// a variable in a column `p` reads, so that `σ̄_p` must conjoin
+        /// `p` instantiated on that row's terms with its condition. `p`
+        /// is from `arb_pred`; when it reads no column it is conjoined
+        /// with one column–constant atom. The valuation binds all
+        /// `NVARS` variables.
+        #[test]
+        fn lemma1_selection_over_variable_rows(
+            t in arb_ctable(2, 3, NVARS, MAXI),
+            p in arb_pred(2, MAXI, false),
+            (eq, k) in (any::<bool>(), 0..=MAXI),
+            (row_pick, col_pick, var) in (0usize..4, 0usize..2, 0..NVARS),
+            vals in proptest::collection::vec(0..=MAXI, NVARS as usize)
+        ) {
+            let p = if p.referenced_cols().is_empty() {
+                let atom = if eq { Pred::eq_const(col_pick, k) } else { Pred::neq_const(col_pick, k) };
+                Pred::conj_all([p, atom])
+            } else {
+                p
+            };
+            let read: Vec<usize> = p.referenced_cols().into_iter().collect();
+            let mut rows = t.rows().to_vec();
+            if rows.is_empty() {
+                rows.push(CRow::new([Term::constant(0), Term::constant(0)], Condition::True));
+            }
+            let r = row_pick % rows.len();
+            rows[r].tuple[read[col_pick % read.len()]] = Term::Var(Var(var));
+            let t = CTable::new(2, rows).unwrap();
+            let nu: Valuation = (0..NVARS).map(Var).zip(vals.into_iter().map(Value::from)).collect();
+            let q = Query::select(Query::Input, p);
+            let lhs = t.eval_query(&q).unwrap().apply_valuation(&nu).unwrap();
             let rhs = q.eval(&t.apply_valuation(&nu).unwrap()).unwrap();
             prop_assert_eq!(lhs, rhs);
         }
