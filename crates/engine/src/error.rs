@@ -17,6 +17,17 @@ pub enum EngineError {
         /// What went wrong.
         msg: String,
     },
+    /// A query nests deeper than `limit` levels, counting queries and
+    /// predicates together (see [`MAX_DEPTH`](crate::parser::MAX_DEPTH)).
+    /// Every stage after parsing recurses on the query tree, so a deeper
+    /// one could overflow a thread's stack.
+    TooDeep {
+        /// Byte offset of the token that went past the bound; 0 for a
+        /// query built through the API, which has no text.
+        at: usize,
+        /// The bound.
+        limit: usize,
+    },
     /// A join key column does not address both sides of the join: each
     /// `on` pair must name one column of the left operand (`< left`) and
     /// one of the right (`left ≤ col < left + right`), in either order.
@@ -69,6 +80,11 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Parse { at, msg } => write!(f, "parse error at byte {at}: {msg}"),
+            EngineError::TooDeep { at, limit } => write!(
+                f,
+                "query nests deeper than {limit} levels (queries and predicates together) \
+                 at byte {at}"
+            ),
             EngineError::JoinArity { col, left, right } => write!(
                 f,
                 "join key column {col} does not span a join of arities {left}x{right} \
@@ -139,6 +155,8 @@ mod tests {
             msg: "expected ')'".into(),
         };
         assert!(e.to_string().contains("byte 3"));
+        let deep = EngineError::TooDeep { at: 7, limit: 200 };
+        assert!(deep.to_string().contains("200 levels") && deep.to_string().contains("byte 7"));
         let r: EngineError = RelError::NoSecondInput.into();
         assert!(r.to_string().contains("second input"));
         let j = EngineError::JoinArity {

@@ -8,7 +8,10 @@
 //! 1. **parse** ([`parser`]) — a compact textual RA surface syntax
 //!    (`pi`, `sigma`, `join`, `x`, `union`, `diff`, `intersect`, 0-based
 //!    column refs `#i`, relation literals) producing the [`Query`] AST,
-//!    with a canonical renderer such that `parse(render(q)) == q`;
+//!    with a canonical renderer such that `parse(render(q)) == q`.
+//!    Nesting is bounded ([`parser::MAX_DEPTH`], queries and predicates
+//!    counted together; [`EngineError::TooDeep`] past it), so no request
+//!    can overflow a stage's recursion and abort a server;
 //! 2. **check** ([`optimize()`], against a [`Schema`]) — column
 //!    references, arities and relation names must agree with the schema,
 //!    and join key pairs must span the join's operands (they are

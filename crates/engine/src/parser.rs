@@ -264,6 +264,42 @@ impl std::fmt::Display for Tok {
 /// inside `usize`.
 pub const MAX_INDEX: usize = u16::MAX as usize;
 
+/// The deepest nesting the parser accepts, counting queries and
+/// predicates together. Each of these is one level: an operator that
+/// takes a query (`pi`, `sigma`, `join`) or a predicate (`and`, `or`,
+/// `not`), a leaf, a parenthesized query, and each infix operator on a
+/// left-associative chain (`V union V union V` nests two levels deep).
+/// So a parsed query's [`Query::depth`], plus the depth of any
+/// predicate inside it, stays within the bound.
+///
+/// Every later stage recurses on the tree: the optimizer, each
+/// backend's evaluator, rendering and dropping it. A stack overflow
+/// aborts the process instead of panicking, so without a bound one
+/// request could take a server down. Past the bound the parser returns
+/// [`EngineError::TooDeep`], and [`Engine::prepare`](crate::Engine::prepare)
+/// checks [`Query::depth`] against the same bound.
+///
+/// The bound leaves a wide margin. In a debug build, on a thread with
+/// the default 2 MiB stack, nested `pi`/`sigma` operators overflow at
+/// about 160 levels (the parser's own frames are the largest), a `union`
+/// chain at about 220 and a nested predicate at about 850; below that,
+/// parsing, optimizing, rendering and running on all three backends
+/// succeed. Release builds reach several times deeper. Real queries
+/// nest far less: the serving benchmark's templates, about 16 levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Text that nests `n` levels deep: `pi[0](…V…)` when `pred` is false,
+/// `sigma[not(…#0=1…)](V)` when it is true.
+#[cfg(test)]
+pub(crate) fn nested_text(n: usize, pred: bool) -> String {
+    if pred {
+        let k = n - 2;
+        format!("sigma[{}#0=1{}](V)", "not(".repeat(k), ")".repeat(k))
+    } else {
+        format!("{}V{}", "pi[0](".repeat(n - 1), ")".repeat(n - 1))
+    }
+}
+
 /// The identifiers the grammar claims for itself: operator keywords,
 /// predicate connectives, boolean values, and the reserved relation
 /// names `V`/`W` (which parse to the canonical `Input`/`Second` leaves).
@@ -423,11 +459,7 @@ fn tokenize(src: &str) -> Result<Vec<(usize, Tok)>, EngineError> {
 /// ```
 pub fn parse(src: &str) -> Result<Query, EngineError> {
     let toks = tokenize(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        end: src.len(),
-    };
+    let mut p = Parser::new(toks, src.len());
     let q = p.query()?;
     if let Some((at, t)) = p.peek_at() {
         return Err(err(at, format!("trailing input starting with {t}")));
@@ -439,11 +471,7 @@ pub fn parse(src: &str) -> Result<Query, EngineError> {
 /// `sigma`), e.g. `and(#0=#1, #2!='a')`.
 pub fn parse_pred(src: &str) -> Result<Pred, EngineError> {
     let toks = tokenize(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        end: src.len(),
-    };
+    let mut p = Parser::new(toks, src.len());
     let pred = p.pred()?;
     if let Some((at, t)) = p.peek_at() {
         return Err(err(at, format!("trailing input starting with {t}")));
@@ -455,9 +483,34 @@ struct Parser {
     toks: Vec<(usize, Tok)>,
     pos: usize,
     end: usize,
+    /// Levels of nesting entered and not yet left (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<(usize, Tok)>, end: usize) -> Self {
+        Parser {
+            toks,
+            pos: 0,
+            end,
+            depth: 0,
+        }
+    }
+
+    /// Enters `levels` more levels of nesting at the current token, or
+    /// fails past [`MAX_DEPTH`]. The caller leaves them again
+    /// (`self.depth -= levels`) once the nested part is parsed.
+    fn nest(&mut self, levels: usize) -> Result<(), EngineError> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(EngineError::TooDeep {
+                at: self.here(),
+                limit: MAX_DEPTH,
+            });
+        }
+        self.depth += levels;
+        Ok(())
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos).map(|(_, t)| t)
     }
@@ -513,8 +566,11 @@ impl Parser {
     }
 
     // query := prod (("union"|"diff"|"intersect") prod)*
+    //
+    // Each infix operator puts the chain so far one level deeper.
     fn query(&mut self) -> Result<Query, EngineError> {
         let mut q = self.prod()?;
+        let mut ops = 0;
         while let Some(Tok::Ident(id)) = self.peek() {
             let ctor = match id.as_str() {
                 "union" => Query::union,
@@ -522,25 +578,41 @@ impl Parser {
                 "intersect" => Query::intersect,
                 _ => break,
             };
+            self.nest(1)?;
+            ops += 1;
             self.bump();
             let rhs = self.prod()?;
             q = ctor(q, rhs);
         }
+        self.depth -= ops;
         Ok(q)
     }
 
     // prod := atom ("x" atom)*
     fn prod(&mut self) -> Result<Query, EngineError> {
         let mut q = self.atom()?;
+        let mut ops = 0;
         while matches!(self.peek(), Some(Tok::Ident(id)) if id == "x") {
+            self.nest(1)?;
+            ops += 1;
             self.bump();
             let rhs = self.atom()?;
             q = Query::product(q, rhs);
         }
+        self.depth -= ops;
         Ok(q)
     }
 
+    // One level of nesting: a leaf, an operator, or a parenthesized
+    // query.
     fn atom(&mut self) -> Result<Query, EngineError> {
+        self.nest(1)?;
+        let q = self.atom_body();
+        self.depth -= 1;
+        q
+    }
+
+    fn atom_body(&mut self) -> Result<Query, EngineError> {
         let at = self.here();
         match self.bump() {
             Some(Tok::Ident(id)) => match id.as_str() {
@@ -682,7 +754,15 @@ impl Parser {
         }
     }
 
+    // One level of nesting, shared with the query around it.
     fn pred(&mut self) -> Result<Pred, EngineError> {
+        self.nest(1)?;
+        let p = self.pred_body();
+        self.depth -= 1;
+        p
+    }
+
+    fn pred_body(&mut self) -> Result<Pred, EngineError> {
         let at = self.here();
         match self.peek().cloned() {
             Some(Tok::Ident(id)) => match id.as_str() {
@@ -1090,6 +1170,79 @@ mod tests {
                 roundtrip(&q);
             }
             let _ = parse_pred(&src);
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_typed_error() {
+        let too_deep = |src: &str| match parse(src) {
+            Err(EngineError::TooDeep { at, limit }) => {
+                assert_eq!(limit, MAX_DEPTH);
+                at
+            }
+            other => panic!("{other:?}"),
+        };
+        for pred in [false, true] {
+            let q = parse(&nested_text(MAX_DEPTH, pred)).unwrap();
+            roundtrip(&q);
+            let at = too_deep(&nested_text(MAX_DEPTH + 1, pred));
+            assert!(at > 0);
+        }
+        assert_eq!(
+            parse(&nested_text(MAX_DEPTH, false)).unwrap().depth(),
+            MAX_DEPTH
+        );
+        // The innermost level is the one past the bound.
+        let src = nested_text(MAX_DEPTH + 1, false);
+        assert_eq!(too_deep(&src), src.find('V').unwrap());
+        // Parentheses, infix chains and predicates given on their own
+        // count too.
+        let parens = format!("{}V{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        too_deep(&parens);
+        parse(&parens[1..parens.len() - 1]).unwrap();
+        let chain = vec!["V"; MAX_DEPTH + 1].join(" union ");
+        too_deep(&chain);
+        assert_eq!(
+            parse(&vec!["V"; MAX_DEPTH].join(" x ")).unwrap().depth(),
+            MAX_DEPTH
+        );
+        let nots = format!("{}#0=1{}", "not(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert!(matches!(
+            parse_pred(&nots),
+            Err(EngineError::TooDeep { .. })
+        ));
+        parse_pred(&nots[4..nots.len() - 1]).unwrap();
+    }
+
+    /// Nested texts around the bound, of every shape: each parses
+    /// exactly when it nests no deeper than [`MAX_DEPTH`].
+    fn deep_source() -> impl Strategy<Value = (String, bool)> {
+        (MAX_DEPTH - 3..=MAX_DEPTH + 3, 0usize..4).prop_map(|(n, shape)| {
+            let text = match shape {
+                0 => nested_text(n, false),
+                1 => nested_text(n, true),
+                2 => vec!["V"; n].join(" diff "),
+                _ => format!("{}V{}", "(".repeat(n - 1), ")".repeat(n - 1)),
+            };
+            (text, n <= MAX_DEPTH)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn deep_nesting_parses_up_to_the_bound((src, fits) in deep_source()) {
+            match parse(&src) {
+                Ok(q) => {
+                    prop_assert!(fits);
+                    prop_assert!(q.depth() <= MAX_DEPTH);
+                }
+                Err(e) => {
+                    prop_assert!(!fits);
+                    prop_assert!(matches!(e, EngineError::TooDeep { .. }), "{e:?}");
+                }
+            }
         }
     }
 

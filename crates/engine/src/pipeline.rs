@@ -50,8 +50,16 @@ impl Engine {
     }
 
     /// Checks and optimizes a query over an arbitrary named [`Schema`]
-    /// (see [`mod@crate::optimize`] for what the check rejects).
+    /// (see [`mod@crate::optimize`] for what the check rejects). A query
+    /// deeper than [`parser::MAX_DEPTH`] is [`EngineError::TooDeep`], as
+    /// its text would be.
     pub fn prepare_schema(&self, q: &Query, schema: &Schema) -> Result<Prepared, EngineError> {
+        if q.depth() > parser::MAX_DEPTH {
+            return Err(EngineError::TooDeep {
+                at: 0,
+                limit: parser::MAX_DEPTH,
+            });
+        }
         let (naive, output_arity, optimized, optimize_stats) = check_and_optimize(q, schema)?;
         Ok(Prepared {
             schema: schema.clone(),
@@ -301,6 +309,62 @@ mod tests {
         assert_eq!(
             out,
             Instance::run_catalog(&cat, stmt.naive_query()).unwrap()
+        );
+    }
+
+    #[test]
+    fn queries_at_the_depth_bound_run_on_every_backend() {
+        use ipdb_prob::Rat;
+        use ipdb_tables::CTable;
+        // A 2 MiB stack: Rust's default for a spawned thread, which is
+        // what a server worker gets. Tier-1 runs this in a debug build,
+        // whose frames are the largest.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let v = instance![[1, 2], [3, 4]];
+                let t = CTable::from_instance(&v);
+                let (rows, tables) = (Catalog::single(v.clone()), Catalog::single(t.clone()));
+                let pc: Catalog<PcTable<Rat>> = Catalog::single(PcTable::new(t, []).unwrap());
+                for pred in [false, true] {
+                    let src = parser::nested_text(parser::MAX_DEPTH, pred);
+                    let stmt = Engine::new().prepare_text(&src, 2).unwrap();
+                    assert_eq!(
+                        parser::parse(&parser::render(stmt.naive_query())).unwrap(),
+                        *stmt.naive_query()
+                    );
+                    let expected = stmt.naive_query().eval(&v).unwrap();
+                    assert_eq!(stmt.execute_catalog(&rows).unwrap(), expected);
+                    let world = stmt.execute_catalog(&tables).unwrap();
+                    assert_eq!(
+                        world.apply_valuation(&Default::default()).unwrap(),
+                        expected
+                    );
+                    stmt.execute_catalog(&pc).unwrap();
+                    stmt.answer_dist_catalog(&pc).unwrap();
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        // One level deeper is a typed error, from text and from a query
+        // built through the API.
+        let src = parser::nested_text(parser::MAX_DEPTH + 1, false);
+        assert!(matches!(
+            Engine::new().prepare_text(&src, 2),
+            Err(EngineError::TooDeep {
+                limit: parser::MAX_DEPTH,
+                ..
+            })
+        ));
+        let deep = (0..parser::MAX_DEPTH).fold(Query::Input, |q, _| Query::project(q, vec![0]));
+        assert_eq!(deep.depth(), parser::MAX_DEPTH + 1);
+        assert_eq!(
+            Engine::new().prepare(&deep, 2),
+            Err(EngineError::TooDeep {
+                at: 0,
+                limit: parser::MAX_DEPTH
+            })
         );
     }
 

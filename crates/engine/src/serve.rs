@@ -674,6 +674,33 @@ mod tests {
         srv.shutdown();
     }
 
+    #[test]
+    fn over_deep_requests_answer_errors_and_serving_continues() {
+        use crate::parser::{nested_text, MAX_DEPTH};
+        let srv: Server<Instance> = Server::start(catalog(), ServerConfig::with_threads(1));
+        for pred in [false, true] {
+            let src = nested_text(MAX_DEPTH + 1, pred).replace('V', "R");
+            assert!(matches!(
+                srv.query(&src),
+                Err(ServeError::Engine(EngineError::TooDeep {
+                    limit: MAX_DEPTH,
+                    ..
+                }))
+            ));
+        }
+        // Far past the bound too: ten thousand levels is 60 KB of text.
+        let src = nested_text(10_000, false).replace('V', "R");
+        assert!(matches!(
+            srv.query(&src),
+            Err(ServeError::Engine(EngineError::TooDeep { .. }))
+        ));
+        // The worker is still alive and serving, at the bound as well.
+        assert_eq!(srv.query("pi[0](R)").unwrap(), instance![[1], [3]]);
+        let src = nested_text(MAX_DEPTH, false).replace('V', "R");
+        assert_eq!(srv.query(&src).unwrap(), instance![[1], [3]]);
+        srv.shutdown();
+    }
+
     /// A backend whose executor panics on the relation named `Boom`.
     #[derive(Debug)]
     struct Fuse;

@@ -407,6 +407,61 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Mixed-variant inputs: random join shapes over an
+    /// [`arb_mixed_instance`], and an integer-only relation joined with
+    /// a mixed one in both orders. Every executor configuration returns
+    /// the row oracle's answer to the naive filtered product. An
+    /// integer-only column is stored packed and a mixed one as `Value`s,
+    /// so these joins pair packed keys with `Value` keys that hold the
+    /// same integers; over integer-only inputs every oracle case takes
+    /// the packed path alone.
+    #[test]
+    fn morsel_join_over_mixed_instances_identical_across_configs(
+        (l, r, on, residual) in arb_join_shape(),
+        mixed in arb_mixed_instance(2, 8),
+        ints in arb_instance(2, 6, 2),
+        keys in arb_spanning_keys(),
+    ) {
+        let (join, naive) = join_and_oracle(l, r, on, residual);
+        let expected = naive.eval(&mixed).unwrap();
+        let stmt = Engine::new().prepare(&join, 2).unwrap();
+        let cat = Catalog::single(mixed.clone());
+        for (threads, morsel_rows) in EXEC_SWEEP {
+            let cfg = ExecConfig { threads, morsel_rows, metrics: false };
+            prop_assert_eq!(
+                run_with(&cat, stmt.naive_query(), &cfg),
+                expected.clone(),
+                "join {} diverged at threads={} morsel={}", join, threads, morsel_rows
+            );
+            prop_assert_eq!(
+                stmt.execute_catalog_cfg(&cat, &cfg).unwrap(),
+                expected.clone(),
+                "optimized {} diverged at threads={} morsel={}", join, threads, morsel_rows
+            );
+        }
+        let q = Query::join(Query::Input, Query::Second, keys.clone(), None);
+        let naive = Query::select(
+            Query::product(Query::Input, Query::Second),
+            Query::join_pred(&keys, None),
+        );
+        for (v, w) in [(&ints, &mixed), (&mixed, &ints)] {
+            let expected = naive.eval2(v, w).unwrap();
+            let cat: Catalog<Instance> = [("V", v.clone()), ("W", w.clone())].into_iter().collect();
+            for (threads, morsel_rows) in EXEC_SWEEP {
+                let cfg = ExecConfig { threads, morsel_rows, metrics: false };
+                prop_assert_eq!(
+                    run_with(&cat, &q, &cfg),
+                    expected.clone(),
+                    "{} diverged at threads={} morsel={}", q, threads, morsel_rows
+                );
+            }
+        }
+    }
+}
+
 /// 1..=2 key pairs spanning two arity-2 operands, in random order.
 fn arb_spanning_keys() -> impl Strategy<Value = Vec<(usize, usize)>> {
     let pair =

@@ -1,9 +1,24 @@
 //! Column-major execution batches.
 //!
-//! A [`ColumnarInstance`] stores a relation as per-column `Vec<Value>`
+//! A [`ColumnarInstance`] stores a relation as one column per attribute
 //! plus an optional *selection vector* — the classic columnar layout
 //! (MonetDB/X100 style) that the execution engine batches over, as
 //! opposed to the row-at-a-time `BTreeSet<Tuple>` of [`Instance`].
+//!
+//! A column takes one of two forms, chosen when it is built and kept by
+//! every kernel that copies it:
+//!
+//! * **packed integers**, one `i64` per row, when every value is a
+//!   [`Value::Int`] (an empty column is packed too);
+//! * **values**, one 24-byte [`Value`] per row, for any other column.
+//!
+//! The form is invisible to every reader: a packed column reads as the
+//! `Value::Int`s it holds, compares, orders and hashes like them, and
+//! joins against a `Value` column that holds the same integers. Batches
+//! stacked from both forms ([`ColumnarInstance::vstack`]) widen to
+//! values. There is no other form and nothing to configure; the packed
+//! one exists because a kernel over it reads 8 bytes per value with no
+//! variant dispatch and drops nothing.
 //!
 //! The representation is **lossless** with respect to set semantics:
 //! [`ColumnarInstance::from_rows`] / [`ColumnarInstance::to_rows`] round
@@ -33,10 +48,10 @@
 //!   ([`ColumnarInstance::key_hashes`]): each key column is folded into
 //!   a buffer of per-row hasher states, which are then finished. The
 //!   steps are those of the row path's [`Instance::equijoin`], in the
-//!   same order, so both paths give every key the same hash. The bucket
-//!   map takes that `u64` as is rather than hashing it again. Probes
-//!   re-verify key equality, so hash collisions cost a comparison, never
-//!   a wrong match;
+//!   same order, so both paths, and both column forms, give every key
+//!   the same hash. The bucket map takes that `u64` as is rather than
+//!   hashing it again. Probes re-verify key equality, so hash collisions
+//!   cost a comparison, never a wrong match;
 //! * **gather** — the join's output rows are copied column by column
 //!   ([`ColumnarInstance::concat_pairs`]), after each side's physical
 //!   rows are resolved once.
@@ -58,6 +73,8 @@
 //! how the input rows were chunked, which is what makes parallel
 //! execution bit-identical to serial execution under set semantics.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hasher;
@@ -70,8 +87,13 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Instance;
 
-/// A relation stored column-major: one `Vec<Value>` per column, with an
+/// A relation stored column-major: one column per attribute, with an
 /// optional selection vector mapping logical rows to physical rows.
+///
+/// Each column is stored in one of two forms: packed `i64`s when it
+/// holds only [`Value::Int`]s, `Value`s otherwise (see the
+/// [module docs](self)). Readers see `Value`s either way, so
+/// [`ColumnarInstance::value`] returns one by value.
 ///
 /// Unlike [`Instance`] this is an ordered *multiset* of rows — kernels
 /// may expose duplicates (only [`ColumnarInstance::project`] dedups,
@@ -95,7 +117,7 @@ pub struct ColumnarInstance {
     /// Physical row count (columns may be empty when `arity == 0`).
     phys_rows: usize,
     /// One physical column per attribute, shared across derived batches.
-    cols: Vec<Arc<Vec<Value>>>,
+    cols: Vec<Column>,
     /// Logical row `i` lives at physical row `sel[i]`; `None` means the
     /// identity selection over all physical rows.
     sel: Option<Arc<Vec<usize>>>,
@@ -103,6 +125,150 @@ pub struct ColumnarInstance {
     /// relation's form ([`Instance::columnar`]), whose rows never change;
     /// every kernel output starts without one.
     indexes: Option<Arc<IndexCache>>,
+}
+
+/// One physical column, in the form chosen when it was built.
+#[derive(Debug, Clone)]
+enum Column {
+    /// Every value is a [`Value::Int`]; an empty column is one of these.
+    Int(Arc<Vec<i64>>),
+    /// Any other column.
+    Values(Arc<Vec<Value>>),
+}
+
+impl Column {
+    fn len(&self) -> usize {
+        match self {
+            Column::Int(a) => a.len(),
+            Column::Values(a) => a.len(),
+        }
+    }
+
+    /// The value at physical row `p`: borrowed from a `Values` column,
+    /// made (without allocating) from a packed one.
+    fn get(&self, p: usize) -> Cow<'_, Value> {
+        match self {
+            Column::Int(a) => Cow::Owned(Value::Int(a[p])),
+            Column::Values(a) => Cow::Borrowed(&a[p]),
+        }
+    }
+
+    /// `Value`'s order between physical row `p` of this column and row
+    /// `q` of `other`, whatever their forms.
+    #[inline]
+    fn cmp_at(&self, p: usize, other: &Column, q: usize) -> Ordering {
+        match (self, other) {
+            (Column::Int(a), Column::Int(b)) => a[p].cmp(&b[q]),
+            (Column::Values(a), Column::Values(b)) => a[p].cmp(&b[q]),
+            _ => self.get(p).cmp(&other.get(q)),
+        }
+    }
+
+    /// Whether physical row `p` of this column equals row `q` of
+    /// `other` as `Value`s, whatever their forms.
+    #[inline]
+    fn eq_at(&self, p: usize, other: &Column, q: usize) -> bool {
+        match (self, other) {
+            (Column::Int(a), Column::Int(b)) => a[p] == b[q],
+            (Column::Values(a), Column::Values(b)) => a[p] == b[q],
+            _ => self.get(p) == other.get(q),
+        }
+    }
+
+    /// The values at physical rows `rows`, in that order, in this
+    /// column's form.
+    fn gather(&self, rows: impl Iterator<Item = usize>) -> Column {
+        match self {
+            Column::Int(a) => Column::Int(gather(a, rows)),
+            Column::Values(a) => Column::Values(gather(a, rows)),
+        }
+    }
+}
+
+/// `src[p]` for each `p` of `rows`: the one gather both forms share.
+fn gather<T: Clone>(src: &[T], rows: impl Iterator<Item = usize>) -> Arc<Vec<T>> {
+    Arc::new(rows.map(|p| src[p].clone()).collect())
+}
+
+/// Appends `col` to `out`, moving its values when `out` holds the only
+/// reference to them.
+fn extend_owned<T: Clone>(out: &mut Vec<T>, col: Arc<Vec<T>>) {
+    match Arc::try_unwrap(col) {
+        Ok(owned) => out.extend(owned),
+        Err(shared) => out.extend_from_slice(&shared),
+    }
+}
+
+/// A column built one value at a time: packed while every value pushed
+/// is a [`Value::Int`], widened to `Value`s (once, copying what it holds)
+/// at the first that is not. [`ColumnarInstance::from_builders`] makes
+/// a batch of such columns.
+///
+/// ```
+/// use ipdb_rel::{ColumnBuilder, ColumnarInstance, Value};
+/// let (mut ints, mut mixed) = (ColumnBuilder::with_capacity(2), ColumnBuilder::default());
+/// for v in [Value::from(1), Value::from(2)] {
+///     ints.push(&v);
+/// }
+/// mixed.push(&Value::from(1));
+/// mixed.push(&Value::from("b"));
+/// let c = ColumnarInstance::from_builders(vec![ints, mixed], 2).unwrap();
+/// assert_eq!(c.value(1, 0), Value::from(2));
+/// assert_eq!(c.value(1, 1), Value::from("b"));
+/// ```
+#[derive(Debug, Default)]
+pub struct ColumnBuilder {
+    /// The values while every one is an integer.
+    ints: Vec<i64>,
+    /// Every value, once one is not an integer; `ints` is then empty.
+    values: Option<Vec<Value>>,
+}
+
+impl ColumnBuilder {
+    /// An empty builder with room for `n` values.
+    pub fn with_capacity(n: usize) -> Self {
+        ColumnBuilder {
+            ints: Vec::with_capacity(n),
+            values: None,
+        }
+    }
+
+    /// Appends one value.
+    #[inline]
+    pub fn push(&mut self, v: &Value) {
+        match (&mut self.values, v) {
+            (None, Value::Int(x)) => self.ints.push(*x),
+            (Some(values), v) => values.push(v.clone()),
+            (None, v) => self.widen().push(v.clone()),
+        }
+    }
+
+    /// Appends every value of `col`, moving them when this holds the
+    /// only reference.
+    fn append(&mut self, col: Column) {
+        match (col, &mut self.values) {
+            (Column::Int(c), None) => extend_owned(&mut self.ints, c),
+            (Column::Int(c), Some(values)) => values.extend(c.iter().map(|&x| Value::Int(x))),
+            (Column::Values(c), _) => extend_owned(self.widen(), c),
+        }
+    }
+
+    /// The values as `Value`s, converting the packed ones the first time.
+    fn widen(&mut self) -> &mut Vec<Value> {
+        let ints = std::mem::take(&mut self.ints);
+        self.values.get_or_insert_with(|| {
+            let mut values = Vec::with_capacity(ints.capacity());
+            values.extend(ints.into_iter().map(Value::Int));
+            values
+        })
+    }
+
+    fn finish(self) -> Column {
+        match self.values {
+            Some(values) => Column::Values(Arc::new(values)),
+            None => Column::Int(Arc::new(self.ints)),
+        }
+    }
 }
 
 /// A stored batch's join indexes, at most one per distinct key-column
@@ -120,55 +286,68 @@ impl fmt::Debug for IndexCache {
 }
 
 impl ColumnarInstance {
-    /// An empty batch of the given arity.
-    pub fn empty(arity: usize) -> Self {
+    /// A batch of `cols` with `phys_rows` rows, no selection vector and
+    /// no join indexes: what every kernel that copies values returns.
+    fn fresh(arity: usize, phys_rows: usize, cols: Vec<Column>) -> Self {
         ColumnarInstance {
             arity,
-            phys_rows: 0,
-            cols: (0..arity).map(|_| Arc::new(Vec::new())).collect(),
+            phys_rows,
+            cols,
             sel: None,
             indexes: None,
         }
+    }
+
+    /// An empty batch of the given arity.
+    pub fn empty(arity: usize) -> Self {
+        let cols = (0..arity).map(|_| Column::Int(Arc::default())).collect();
+        ColumnarInstance::fresh(arity, 0, cols)
     }
 
     /// Converts a row-major instance to columns (lossless; see
     /// [`ColumnarInstance::to_rows`]).
     pub fn from_rows(i: &Instance) -> Self {
         let arity = i.arity();
-        let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(i.len())).collect();
+        let mut cols: Vec<ColumnBuilder> = (0..arity)
+            .map(|_| ColumnBuilder::with_capacity(i.len()))
+            .collect();
         for t in i.iter() {
-            for (c, v) in t.values().iter().enumerate() {
-                cols[c].push(v.clone());
+            for (col, v) in cols.iter_mut().zip(t.values()) {
+                col.push(v);
             }
         }
-        ColumnarInstance {
-            arity,
-            phys_rows: i.len(),
-            cols: cols.into_iter().map(Arc::new).collect(),
-            sel: None,
-            indexes: None,
-        }
+        let cols = cols.into_iter().map(ColumnBuilder::finish).collect();
+        ColumnarInstance::fresh(arity, i.len(), cols)
     }
 
-    /// Builds a batch directly from column vectors (used by the c-table
-    /// layer to expose its ground columns to the same kernels). Every
+    /// Builds a batch directly from column vectors, each pushed through a
+    /// [`ColumnBuilder`] (so packed when it holds only integers). Every
     /// column must have exactly `rows` entries.
     pub fn from_columns(columns: Vec<Vec<Value>>, rows: usize) -> Result<Self, RelError> {
-        for col in &columns {
-            if col.len() != rows {
-                return Err(RelError::ArityMismatch {
-                    expected: rows,
-                    got: col.len(),
-                });
-            }
+        let builders = columns
+            .iter()
+            .map(|values| {
+                let mut col = ColumnBuilder::with_capacity(values.len());
+                values.iter().for_each(|v| col.push(v));
+                col
+            })
+            .collect();
+        ColumnarInstance::from_builders(builders, rows)
+    }
+
+    /// Builds a batch from column builders (used by the c-table layer to
+    /// expose its ground columns to the same kernels, without a
+    /// `Vec<Value>` in between). Every builder must hold exactly `rows`
+    /// values.
+    pub fn from_builders(columns: Vec<ColumnBuilder>, rows: usize) -> Result<Self, RelError> {
+        let cols: Vec<Column> = columns.into_iter().map(ColumnBuilder::finish).collect();
+        if let Some(col) = cols.iter().find(|c| c.len() != rows) {
+            return Err(RelError::ArityMismatch {
+                expected: rows,
+                got: col.len(),
+            });
         }
-        Ok(ColumnarInstance {
-            arity: columns.len(),
-            phys_rows: rows,
-            cols: columns.into_iter().map(Arc::new).collect(),
-            sel: None,
-            indexes: None,
-        })
+        Ok(ColumnarInstance::fresh(cols.len(), rows, cols))
     }
 
     /// This batch as a stored relation's form, which keeps the join
@@ -204,11 +383,10 @@ impl ColumnarInstance {
     /// let c = ColumnarInstance::from_rows(&instance![[1, 2], [3, 4]]);
     /// let canon = c.gather_rows(&[1, 0, 1]).canonical();
     /// assert_eq!(canon.len(), 2);
-    /// assert_eq!(canon.value(0, 0), &1.into());
+    /// assert_eq!(canon.value(0, 0), 1.into());
     /// ```
     pub fn canonical(&self) -> ColumnarInstance {
-        let mut order: Vec<usize> = Vec::with_capacity(self.len());
-        self.for_each_phys(0, self.len(), |_, p| order.push(p));
+        let mut order = self.phys_rows_of();
         let row_cmp = |&a: &usize, &b: &usize| self.cmp_phys(a, self, b);
         if !order.windows(2).all(|w| row_cmp(&w[0], &w[1]).is_lt()) {
             order.sort_unstable_by(row_cmp);
@@ -218,38 +396,32 @@ impl ColumnarInstance {
             let cols = self
                 .cols
                 .iter()
-                .map(|src| Arc::new(order.iter().map(|&p| src[p].clone()).collect()))
+                .map(|src| src.gather(order.iter().copied()))
                 .collect();
-            return ColumnarInstance {
-                arity: self.arity,
-                phys_rows: order.len(),
-                cols,
-                sel: None,
-                indexes: None,
-            };
+            return ColumnarInstance::fresh(self.arity, order.len(), cols);
         }
         let identity =
             order.len() == self.phys_rows && order.iter().enumerate().all(|(k, &p)| k == p);
         ColumnarInstance {
-            arity: self.arity,
-            phys_rows: self.phys_rows,
-            cols: self.cols.clone(),
             sel: (!identity).then(|| Arc::new(order)),
-            indexes: None,
+            ..ColumnarInstance::fresh(self.arity, self.phys_rows, self.cols.clone())
         }
     }
 
     /// The full-row order of physical row `a` of `self` against
     /// physical row `b` of `other` (of the same arity): lexicographic
-    /// over `Value`'s total order, as [`Tuple`] compares. The order is
-    /// explicitly *total* — `Iterator::cmp` over `Value`'s derived `Ord`,
-    /// with no per-column fallback step that could absorb an
-    /// incomparable pair and break the transitivity a sort relies on.
-    fn cmp_phys(&self, a: usize, other: &ColumnarInstance, b: usize) -> std::cmp::Ordering {
+    /// over `Value`'s total order, as [`Tuple`] compares, whatever the
+    /// columns' forms. The order is explicitly *total* — each column
+    /// compares as `Value`'s derived `Ord`, with no fallback step that
+    /// could absorb an incomparable pair and break the transitivity a
+    /// sort relies on.
+    fn cmp_phys(&self, a: usize, other: &ColumnarInstance, b: usize) -> Ordering {
         self.cols
             .iter()
-            .map(|c| &c[a])
-            .cmp(other.cols.iter().map(|c| &c[b]))
+            .zip(&other.cols)
+            .map(|(x, y)| x.cmp_at(a, y, b))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
     }
 
     /// Whether two batches of the same arity hold the same rows in the
@@ -260,14 +432,27 @@ impl ColumnarInstance {
                 .cols
                 .iter()
                 .zip(&other.cols)
-                .all(|(a, b)| (0..self.len()).all(|k| a[self.phys(k)] == b[other.phys(k)]))
+                .all(|(a, b)| match (a, b) {
+                    (Column::Int(x), Column::Int(y)) => self.all_rows(other, |p, q| x[p] == y[q]),
+                    (Column::Values(x), Column::Values(y)) => {
+                        self.all_rows(other, |p, q| x[p] == y[q])
+                    }
+                    _ => self.all_rows(other, |p, q| a.eq_at(p, b, q)),
+                })
+    }
+
+    /// Whether `eq(p, q)` holds for every logical row, `p` and `q` being
+    /// its physical rows in `self` and in `other` (of the same length).
+    #[inline]
+    fn all_rows(&self, other: &ColumnarInstance, eq: impl Fn(usize, usize) -> bool) -> bool {
+        (0..self.len()).all(|k| eq(self.phys(k), other.phys(k)))
     }
 
     /// Every value of every logical row, row after row.
-    pub(crate) fn row_major_values(&self) -> impl Iterator<Item = &Value> {
+    pub(crate) fn row_major_values(&self) -> impl Iterator<Item = Cow<'_, Value>> {
         (0..self.len()).flat_map(move |k| {
             let p = self.phys(k);
-            self.cols.iter().map(move |c| &c[p])
+            self.cols.iter().map(move |c| c.get(p))
         })
     }
 
@@ -309,15 +494,23 @@ impl ColumnarInstance {
         }
     }
 
-    /// The value at (logical row, column).
-    pub fn value(&self, row: usize, col: usize) -> &Value {
-        &self.cols[col][self.phys(row)]
+    /// The physical row of every logical row, in logical order.
+    fn phys_rows_of(&self) -> Vec<usize> {
+        let mut rows = Vec::with_capacity(self.len());
+        self.for_each_phys(0, self.len(), |_, p| rows.push(p));
+        rows
+    }
+
+    /// The value at (logical row, column). A packed column holds no
+    /// `Value`, so the value is returned by value.
+    pub fn value(&self, row: usize, col: usize) -> Value {
+        self.cols[col].get(self.phys(row)).into_owned()
     }
 
     /// Materializes one logical row as a [`Tuple`].
     pub fn tuple_at(&self, row: usize) -> Tuple {
         let p = self.phys(row);
-        Tuple::new(self.cols.iter().map(|c| c[p].clone()))
+        Tuple::new(self.cols.iter().map(|c| c.get(p).into_owned()))
     }
 
     /// A batch of the given logical rows (any order, repeats allowed) —
@@ -326,11 +519,8 @@ impl ColumnarInstance {
     pub fn gather_rows(&self, rows: &[usize]) -> Self {
         let sel: Vec<usize> = rows.iter().map(|&r| self.phys(r)).collect();
         ColumnarInstance {
-            arity: self.arity,
-            phys_rows: self.phys_rows,
-            cols: self.cols.clone(),
             sel: Some(Arc::new(sel)),
-            indexes: None,
+            ..ColumnarInstance::fresh(self.arity, self.phys_rows, self.cols.clone())
         }
     }
 
@@ -371,21 +561,21 @@ impl ColumnarInstance {
             Pred::Cmp(op, l, r) => {
                 let want = *op == CmpOp::Eq;
                 match (l, r) {
-                    (Operand::Col(i), Operand::Col(j)) => {
-                        let (a, b) = (self.cols[*i].as_slice(), self.cols[*j].as_slice());
-                        self.for_each_phys(lo, hi, |k, p| {
-                            if m[k] {
-                                m[k] = (a[p] == b[p]) == want;
-                            }
-                        });
-                    }
+                    (Operand::Col(i), Operand::Col(j)) => match (&self.cols[*i], &self.cols[*j]) {
+                        (Column::Int(a), Column::Int(b)) => {
+                            self.sweep(lo, m, want, |p| a[p] == b[p])
+                        }
+                        (a, b) => self.sweep(lo, m, want, |p| a.eq_at(p, b, p)),
+                    },
                     (Operand::Col(i), Operand::Const(v)) | (Operand::Const(v), Operand::Col(i)) => {
-                        let a = self.cols[*i].as_slice();
-                        self.for_each_phys(lo, hi, |k, p| {
-                            if m[k] {
-                                m[k] = (a[p] == *v) == want;
+                        match (&self.cols[*i], v) {
+                            (Column::Int(a), Value::Int(c)) => {
+                                self.sweep(lo, m, want, |p| a[p] == *c)
                             }
-                        });
+                            // An integer never equals another variant.
+                            (Column::Int(_), _) => self.sweep(lo, m, want, |_| false),
+                            (Column::Values(a), v) => self.sweep(lo, m, want, |p| a[p] == *v),
+                        }
                     }
                     (Operand::Const(a), Operand::Const(b)) => {
                         if (a == b) != want {
@@ -414,6 +604,17 @@ impl ColumnarInstance {
         }
     }
 
+    /// One comparison atom's sweep: sets `m[k]` to `eq(p) == want` for
+    /// each logical row `lo + k` (physical row `p`) that `m` still keeps.
+    #[inline]
+    fn sweep(&self, lo: usize, m: &mut [bool], want: bool, eq: impl Fn(usize) -> bool) {
+        self.for_each_phys(lo, lo + m.len(), |k, p| {
+            if m[k] {
+                m[k] = eq(p) == want;
+            }
+        });
+    }
+
     /// `π_cols`: column gathering plus deduplication (projection is the
     /// one kernel that can merge distinct input rows, so it dedups here
     /// to keep intermediate batch sizes aligned with the row path): the
@@ -429,50 +630,36 @@ impl ColumnarInstance {
             }
         }
         let picked = ColumnarInstance {
-            arity: cols.len(),
-            phys_rows: self.phys_rows,
-            cols: cols.iter().map(|&c| self.cols[c].clone()).collect(),
             sel: self.sel.clone(),
-            indexes: None,
+            ..ColumnarInstance::fresh(
+                cols.len(),
+                self.phys_rows,
+                cols.iter().map(|&c| self.cols[c].clone()).collect(),
+            )
         };
         Ok(picked.canonical())
     }
 
     /// `×`: positional cross product (left-major order), materialized.
     pub fn product(&self, other: &ColumnarInstance) -> ColumnarInstance {
-        let (n, m) = (self.len(), other.len());
-        let rows = n * m;
-        let mut cols: Vec<Vec<Value>> = Vec::with_capacity(self.arity + other.arity);
-        for src in &self.cols {
-            let mut col = Vec::with_capacity(rows);
-            self.for_each_phys(0, n, |_, p| {
-                col.extend(std::iter::repeat_with(|| src[p].clone()).take(m));
-            });
-            cols.push(col);
-        }
-        for src in &other.cols {
-            // Gather the right column's rows once, then repeat them.
-            let mut once = Vec::with_capacity(m);
-            other.for_each_phys(0, m, |_, p| once.push(src[p].clone()));
-            let mut col = Vec::with_capacity(rows);
-            for _ in 0..n {
-                col.extend_from_slice(&once);
-            }
-            cols.push(col);
-        }
-        ColumnarInstance {
-            arity: self.arity + other.arity,
-            phys_rows: rows,
-            cols: cols.into_iter().map(Arc::new).collect(),
-            sel: None,
-            indexes: None,
-        }
+        let (left, right) = (self.phys_rows_of(), other.phys_rows_of());
+        let (n, m) = (left.len(), right.len());
+        let left_cols = self
+            .cols
+            .iter()
+            .map(|src| src.gather(left.iter().flat_map(|&p| std::iter::repeat_n(p, m))));
+        let right_cols = other
+            .cols
+            .iter()
+            .map(|src| src.gather((0..n).flat_map(|_| right.iter().copied())));
+        let cols = left_cols.chain(right_cols).collect();
+        ColumnarInstance::fresh(self.arity + other.arity, n * m, cols)
     }
 
     /// Materializes `left ++ right` rows for matched `(left row, right
     /// row)` pairs — the gather stage of the hash join. Each side's
     /// physical rows are resolved once; the values are then copied
-    /// column by column.
+    /// column by column, each column in its source's form.
     pub fn concat_pairs(
         left: &ColumnarInstance,
         right: &ColumnarInstance,
@@ -482,27 +669,16 @@ impl ColumnarInstance {
             .iter()
             .map(|&(l, r)| (left.phys(l), right.phys(r)))
             .collect();
-        let left_cols = left.cols.iter().map(|src| {
-            Arc::new(
-                phys.iter()
-                    .map(|&(l, _)| src[l].clone())
-                    .collect::<Vec<Value>>(),
-            )
-        });
-        let right_cols = right.cols.iter().map(|src| {
-            Arc::new(
-                phys.iter()
-                    .map(|&(_, r)| src[r].clone())
-                    .collect::<Vec<Value>>(),
-            )
-        });
-        ColumnarInstance {
-            arity: left.arity + right.arity,
-            phys_rows: pairs.len(),
-            cols: left_cols.chain(right_cols).collect(),
-            sel: None,
-            indexes: None,
-        }
+        let left_cols = left
+            .cols
+            .iter()
+            .map(|src| src.gather(phys.iter().map(|&(l, _)| l)));
+        let right_cols = right
+            .cols
+            .iter()
+            .map(|src| src.gather(phys.iter().map(|&(_, r)| r)));
+        let cols = left_cols.chain(right_cols).collect();
+        ColumnarInstance::fresh(left.arity + right.arity, pairs.len(), cols)
     }
 
     /// Vertically concatenates batches of arity `arity` into one batch,
@@ -512,7 +688,8 @@ impl ColumnarInstance {
     /// kernel outputs) — the merge step of the morsel executor's
     /// parallel gather, where per-morsel batches stack without
     /// re-cloning their values. A lone batch without a selection vector
-    /// is returned as it is.
+    /// is returned as it is. A column is packed when it is packed in
+    /// every batch, and holds `Value`s otherwise.
     pub fn vstack(
         arity: usize,
         batches: impl IntoIterator<Item = ColumnarInstance>,
@@ -530,28 +707,20 @@ impl ColumnarInstance {
             return Ok(batches.pop().expect("one batch"));
         }
         let total: usize = batches.iter().map(ColumnarInstance::len).sum();
-        let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
+        let mut cols: Vec<ColumnBuilder> = (0..arity)
+            .map(|_| ColumnBuilder::with_capacity(total))
+            .collect();
         for b in batches {
-            if b.sel.is_none() {
-                for (c, col) in b.cols.into_iter().enumerate() {
-                    match Arc::try_unwrap(col) {
-                        Ok(owned) => cols[c].extend(owned),
-                        Err(shared) => cols[c].extend_from_slice(&shared),
-                    }
-                }
-            } else {
-                for (col, src) in cols.iter_mut().zip(&b.cols) {
-                    b.for_each_phys(0, b.len(), |_, p| col.push(src[p].clone()));
+            let rows = b.sel.is_some().then(|| b.phys_rows_of());
+            for (out, col) in cols.iter_mut().zip(b.cols) {
+                match &rows {
+                    None => out.append(col),
+                    Some(rows) => out.append(col.gather(rows.iter().copied())),
                 }
             }
         }
-        Ok(ColumnarInstance {
-            arity,
-            phys_rows: total,
-            cols: cols.into_iter().map(Arc::new).collect(),
-            sel: None,
-            indexes: None,
-        })
+        let cols = cols.into_iter().map(ColumnBuilder::finish).collect();
+        Ok(ColumnarInstance::fresh(arity, total, cols))
     }
 
     /// Whether this batch is a stored relation's form
@@ -600,7 +769,7 @@ impl ColumnarInstance {
     /// up. Each key column is folded into a buffer of per-row hasher
     /// states in one sweep, then every state is finished. Row `lo + k`
     /// gets exactly the hash the row path's [`Instance::equijoin`] gives
-    /// that row's key values.
+    /// that row's key values, whichever form each key column takes.
     ///
     /// # Panics
     ///
@@ -609,8 +778,10 @@ impl ColumnarInstance {
     pub fn key_hashes(&self, cols: &[usize], lo: usize, hi: usize) -> Vec<u64> {
         let mut states = vec![KeyHasher::default(); hi - lo];
         for &c in cols {
-            let col = self.cols[c].as_slice();
-            self.for_each_phys(lo, hi, |k, p| states[k].fold(&col[p]));
+            match &self.cols[c] {
+                Column::Int(a) => self.for_each_phys(lo, hi, |k, p| states[k].fold_int(a[p])),
+                Column::Values(a) => self.for_each_phys(lo, hi, |k, p| states[k].fold(&a[p])),
+            }
         }
         states.into_iter().map(|h| h.finish()).collect()
     }
@@ -627,7 +798,7 @@ impl ColumnarInstance {
     ) -> bool {
         cols.iter()
             .zip(other_cols)
-            .all(|(&i, &j)| self.cols[i][p] == other.cols[j][other_p])
+            .all(|(&i, &j)| self.cols[i].eq_at(p, &other.cols[j], other_p))
     }
 }
 
@@ -717,6 +888,15 @@ mod tests {
     use super::*;
     use crate::{instance, Query};
 
+    /// Whether two columns are the same `Arc`'d storage.
+    fn shares(a: &Column, b: &Column) -> bool {
+        match (a, b) {
+            (Column::Int(a), Column::Int(b)) => Arc::ptr_eq(a, b),
+            (Column::Values(a), Column::Values(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     #[test]
     fn roundtrip_is_lossless() {
         let i = instance![[1, "a"], [2, "b"], [3, "a"]];
@@ -738,12 +918,12 @@ mod tests {
         // Out of physical order, with a repeat, keeping at least half
         // of the physical rows: a selection vector over the same columns.
         let canon = c.gather_rows(&[2, 0, 2, 1]).canonical();
-        assert!(Arc::ptr_eq(&canon.cols[0], &c.cols[0]));
+        assert!(shares(&canon.cols[0], &c.cols[0]));
         assert_eq!(canon.sel.as_deref(), Some(&vec![0, 1, 2]));
         assert_eq!(canon.to_rows(), instance![[1, "a"], [1, "b"], [2, "a"]]);
         // Already canonical: the identity selection is dropped.
         let all = c.gather_rows(&[0, 1, 2, 3]).canonical();
-        assert!(all.sel.is_none() && Arc::ptr_eq(&all.cols[1], &c.cols[1]));
+        assert!(all.sel.is_none() && shares(&all.cols[1], &c.cols[1]));
         // Arity 0: any number of rows is the one empty tuple.
         let units = ColumnarInstance::from_columns(vec![], 5)
             .unwrap()
@@ -760,7 +940,7 @@ mod tests {
         let one = big.gather_rows(&[5000]);
         for canon in [one.canonical(), one.to_rows().columnar().clone()] {
             assert!(canon.phys_rows <= 2, "{} physical rows", canon.phys_rows);
-            assert!(!Arc::ptr_eq(&canon.cols[0], &big.cols[0]));
+            assert!(!shares(&canon.cols[0], &big.cols[0]));
             assert_eq!(canon.to_rows(), instance![[5000]]);
         }
     }
@@ -1147,12 +1327,12 @@ mod tests {
         let lone = ColumnarInstance::from_rows(&instance![[6, 60], [7, 70]]);
         let stacked = ColumnarInstance::vstack(2, [lone.clone()]).unwrap();
         assert!(stacked.sel.is_none());
-        assert!(Arc::ptr_eq(&stacked.cols[0], &lone.cols[0]));
+        assert!(shares(&stacked.cols[0], &lone.cols[0]));
         assert_eq!(stacked.to_rows(), lone.to_rows());
         let picked = select(&lone, &Pred::eq_const(0, 7)).unwrap();
         let stacked = ColumnarInstance::vstack(2, [picked.clone()]).unwrap();
         assert!(stacked.sel.is_none());
-        assert!(!Arc::ptr_eq(&stacked.cols[0], &lone.cols[0]));
+        assert!(!shares(&stacked.cols[0], &lone.cols[0]));
         assert_eq!(stacked.len(), 1);
         assert_eq!(stacked.to_rows(), picked.to_rows());
         // Only selected batches, out of physical order and with repeats,
@@ -1192,6 +1372,217 @@ mod tests {
         );
     }
 
+    /// Every kernel on batches whose integer columns are packed, against
+    /// the same batches with every column forced to the `Value` form.
+    #[cfg(feature = "strategies")]
+    mod form_props {
+        use super::*;
+        use crate::keyhash::key_hash;
+        use crate::strategies::{arb_mixed_value, arb_pred};
+        use proptest::prelude::*;
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::Hash;
+
+        /// `c` with every column in the `Value` form, under the same
+        /// selection vector.
+        fn widened(c: &ColumnarInstance) -> ColumnarInstance {
+            let cols = c
+                .cols
+                .iter()
+                .map(|col| match col {
+                    Column::Int(a) => {
+                        Column::Values(Arc::new(a.iter().map(|&x| Value::Int(x)).collect()))
+                    }
+                    Column::Values(a) => Column::Values(Arc::clone(a)),
+                })
+                .collect();
+            ColumnarInstance {
+                sel: c.sel.clone(),
+                ..ColumnarInstance::fresh(c.arity, c.phys_rows, cols)
+            }
+        }
+
+        /// Whether every column of `c` is in the `Value` form.
+        fn all_values(c: &ColumnarInstance) -> bool {
+            c.cols.iter().all(|col| matches!(col, Column::Values(_)))
+        }
+
+        /// A batch of arity 1–3 and up to 12 physical rows: each column
+        /// holds integers 0–2 only (packed) or any [`arb_mixed_value`]
+        /// (`Bool`, `Int` 0–2 or `Str`, so usually the `Value` form),
+        /// under a selection vector out of physical order with repeats
+        /// about half of the time.
+        fn arb_batch() -> impl Strategy<Value = ColumnarInstance> {
+            (1usize..=3, 0usize..=12).prop_flat_map(|(arity, rows)| {
+                let column = prop_oneof![
+                    proptest::collection::vec((0i64..=2).prop_map(Value::Int), rows),
+                    proptest::collection::vec(arb_mixed_value(), rows),
+                ];
+                (
+                    proptest::collection::vec(column, arity),
+                    any::<bool>(),
+                    proptest::collection::vec(0usize..64, 0..16),
+                )
+                    .prop_map(move |(cols, selected, picks)| {
+                        let b = ColumnarInstance::from_columns(cols, rows).unwrap();
+                        if selected && rows > 0 {
+                            b.gather_rows(&picks.iter().map(|&p| p % rows).collect::<Vec<_>>())
+                        } else {
+                            b
+                        }
+                    })
+            })
+        }
+
+        /// Predicates over `arity` columns: every column against a
+        /// constant of each variant and against every column, then a
+        /// random one.
+        fn preds(arity: usize, random: Pred) -> Vec<Pred> {
+            let konsts = [Value::from(1), Value::from(true), Value::str("1")];
+            let mut out = vec![random];
+            for i in 0..arity {
+                for v in &konsts {
+                    out.push(Pred::Cmp(
+                        CmpOp::Eq,
+                        Operand::Col(i),
+                        Operand::Const(v.clone()),
+                    ));
+                    out.push(Pred::Cmp(
+                        CmpOp::Neq,
+                        Operand::Const(v.clone()),
+                        Operand::Col(i),
+                    ));
+                }
+                for j in 0..arity {
+                    out.push(Pred::eq_cols(i, j));
+                    out.push(Pred::neq_cols(i, j));
+                }
+            }
+            out
+        }
+
+        fn rows(c: &ColumnarInstance) -> Vec<Tuple> {
+            (0..c.len()).map(|r| c.tuple_at(r)).collect()
+        }
+
+        fn hash_of(i: &Instance) -> u64 {
+            let mut h = DefaultHasher::new();
+            i.hash(&mut h);
+            h.finish()
+        }
+
+        fn pairs(
+            build: &ColumnarInstance,
+            build_cols: &[usize],
+            probe: &ColumnarInstance,
+            probe_cols: &[usize],
+        ) -> Vec<(usize, usize)> {
+            let mut out = Vec::new();
+            JoinIndex::build(build, build_cols.to_vec()).probe_range(
+                build,
+                probe,
+                probe_cols,
+                0,
+                probe.len(),
+                &mut out,
+            );
+            out
+        }
+
+        use crate::pred::{CmpOp, Operand};
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn columnar_kernels_agree_across_column_forms(
+                a in arb_batch(),
+                b in arb_batch(),
+                random in arb_pred(3, 2, false),
+                keys in proptest::collection::vec((0usize..3, 0usize..3), 1..=2),
+                picks in proptest::collection::vec(0usize..3, 0..=3),
+            ) {
+                let (wa, wb) = (widened(&a), widened(&b));
+                prop_assert!(all_values(&wa) && all_values(&wb));
+                // Readers and row equality.
+                prop_assert_eq!(rows(&a), rows(&wa));
+                prop_assert!(a.rows_eq(&wa) && wa.rows_eq(&a));
+                for r in 0..a.len() {
+                    for col in 0..a.arity() {
+                        prop_assert_eq!(a.value(r, col), wa.value(r, col));
+                    }
+                }
+                // Masks, against each other and the row path.
+                for p in preds(a.arity(), random) {
+                    if p.validate(a.arity()).is_err() {
+                        continue;
+                    }
+                    let mask = a.eval_mask(&p).unwrap();
+                    prop_assert_eq!(&mask, &wa.eval_mask(&p).unwrap(), "pred {}", p);
+                    for (r, &bit) in mask.iter().enumerate() {
+                        prop_assert_eq!(bit, p.eval(a.tuple_at(r).values()).unwrap());
+                    }
+                }
+                // Key hashes, against each other and the row path's.
+                let (ka, kb): (Vec<usize>, Vec<usize>) = keys
+                    .iter()
+                    .map(|&(i, j)| (i % a.arity(), j % b.arity()))
+                    .unzip();
+                let hashes = a.key_hashes(&ka, 0, a.len());
+                prop_assert_eq!(&hashes, &wa.key_hashes(&ka, 0, a.len()));
+                for (r, &h) in hashes.iter().enumerate() {
+                    let key: Vec<Value> = ka.iter().map(|&c| a.value(r, c)).collect();
+                    prop_assert_eq!(h, key_hash(&key));
+                }
+                // Probes in every pairing of forms, packed against
+                // `Value` columns holding the same integers included.
+                let expected = pairs(&wa, &ka, &wb, &kb);
+                for (x, y) in [(&a, &b), (&a, &wb), (&wa, &b)] {
+                    prop_assert_eq!(&pairs(x, &ka, y, &kb), &expected);
+                }
+                // Gathers keep their sources' forms and values.
+                let joined = ColumnarInstance::concat_pairs(&a, &b, &expected);
+                let wide_joined = ColumnarInstance::concat_pairs(&wa, &wb, &expected);
+                prop_assert_eq!(rows(&joined), rows(&wide_joined));
+                prop_assert!(ColumnarInstance::concat_pairs(&a, &wb, &expected).rows_eq(&wide_joined));
+                prop_assert_eq!(rows(&a.product(&b)), rows(&wa.product(&wb)));
+                prop_assert!(a.product(&wb).rows_eq(&wa.product(&wb)));
+                let stacked = ColumnarInstance::vstack(a.arity(), [a.clone(), wa.clone(), a.clone()]).unwrap();
+                let wide_stacked = ColumnarInstance::vstack(a.arity(), [wa.clone(), wa.clone(), wa.clone()]).unwrap();
+                prop_assert_eq!(rows(&stacked), rows(&wide_stacked));
+                let packed_stacked = ColumnarInstance::vstack(a.arity(), [a.clone(), a.clone()]).unwrap();
+                prop_assert_eq!(packed_stacked.cols.iter().filter(|c| matches!(c, Column::Int(_))).count(),
+                    a.cols.iter().filter(|c| matches!(c, Column::Int(_))).count());
+                // Canonical forms and projections.
+                let canon = a.canonical();
+                prop_assert!(canon.rows_eq(&wa.canonical()));
+                prop_assert!(canon.rows_eq(&widened(&canon)));
+                let cols: Vec<usize> = picks.iter().map(|&c| c % a.arity()).collect();
+                prop_assert!(a.project(&cols).unwrap().rows_eq(&wa.project(&cols).unwrap()));
+                // `==`, `Ord` and `Hash` of the instances, in every pair
+                // of forms, against the row sets'.
+                let third = Instance::from_columnar(&b);
+                let (ia, iwa) = (Instance::from_columnar(&a), Instance::from_columnar(&wa));
+                let row_a = Instance::from_tuples(a.arity(), rows(&a)).unwrap();
+                prop_assert_eq!(&ia, &iwa);
+                prop_assert_eq!(&ia, &row_a);
+                prop_assert_eq!(hash_of(&ia), hash_of(&iwa));
+                prop_assert_eq!(hash_of(&ia), hash_of(&row_a));
+                let row_b = Instance::from_tuples(b.arity(), rows(&b)).unwrap();
+                let expected = row_a.tuples().cmp(row_b.tuples());
+                let arity_first = a.arity().cmp(&b.arity());
+                for (x, y) in [
+                    (&ia, &third),
+                    (&iwa, &third),
+                    (&ia, &Instance::from_columnar(&wb)),
+                ] {
+                    prop_assert_eq!(x.cmp(y), arity_first.then(expected));
+                    prop_assert_eq!(x == y, arity_first.then(expected).is_eq());
+                }
+            }
+        }
+    }
+
     /// Column-at-a-time key hashing against [`key_hash`] of each row's
     /// key values, the row path's definition.
     #[cfg(feature = "strategies")]
@@ -1227,7 +1618,8 @@ mod tests {
                 prop_assert_eq!(hashes.len(), hi - lo);
                 for (k, h) in hashes.into_iter().enumerate() {
                     let row = lo + k;
-                    prop_assert_eq!(h, key_hash(cols.iter().map(|&col| batch.value(row, col))));
+                    let key: Vec<Value> = cols.iter().map(|&col| batch.value(row, col)).collect();
+                    prop_assert_eq!(h, key_hash(&key));
                 }
                 // The full range is the concatenation of any split of it.
                 let whole = batch.key_hashes(&cols, 0, n);

@@ -55,7 +55,7 @@ pub struct Instance {
 
 impl Instance {
     /// The instance with these tuples and no columnar form yet.
-    fn with_tuples(arity: usize, tuples: BTreeSet<Tuple>) -> Self {
+    pub(crate) fn with_tuples(arity: usize, tuples: BTreeSet<Tuple>) -> Self {
         Instance {
             arity,
             rows: OnceLock::from(tuples),
@@ -176,8 +176,10 @@ impl Instance {
     /// [`Instance::from_columnar`] starts with this form.
     ///
     /// Built from the row set, the cached form is a second copy of the
-    /// data — one `Value` (24 bytes, plus the bytes of each string, which
-    /// are cloned) per cell — held for as long as the instance lives.
+    /// data — 8 bytes per cell of a column that holds only integers
+    /// (packed `i64`s), one `Value` (24 bytes, plus the bytes of each
+    /// string, which are cloned) per cell of any other — held for as long
+    /// as the instance lives.
     /// Given by `from_columnar`, it shares the batch's columns, and the
     /// row set is the copy, built on first row-wise use. It also keeps the
     /// join indexes built over it ([`ColumnarInstance::join_index`]):

@@ -11,7 +11,12 @@
 //! key value to a state. [`key_hash`] folds one row's key values in key
 //! order; the columnar kernels fold one key column at a time into a
 //! buffer of per-row states ([`ColumnarInstance::key_hashes`]). Both run
-//! the same steps in the same order, so they give the same hash. Bucket
+//! the same steps in the same order, so they give the same hash. A
+//! packed integer column folds each `i64` with [`KeyHasher::fold_int`],
+//! which writes the same words as folding the `Value::Int` it stands
+//! for, so hashes are equal across the two column forms too, and a
+//! packed key column joins a `Value` column holding the same integers.
+//! Bucket
 //! maps keyed by that hash use [`PassThrough`], which hands the
 //! already-mixed `u64` to the table unchanged instead of hashing it a
 //! second time.
@@ -59,6 +64,15 @@ impl KeyHasher {
     #[inline]
     pub(crate) fn fold(&mut self, v: &Value) {
         v.hash(self);
+    }
+
+    /// Folds the integer `n`, exactly as [`KeyHasher::fold`] folds
+    /// `Value::Int(n)`: a packed integer column hashes like the values
+    /// it stands for. (`Value::Int(n)` is built on the stack, so this
+    /// allocates nothing; the derived hash writes its tag and `n`.)
+    #[inline]
+    pub(crate) fn fold_int(&mut self, n: i64) {
+        Value::Int(n).hash(self);
     }
 
     fn mix(&mut self, word: u64) {
@@ -154,6 +168,22 @@ mod tests {
         // Key order matters: (a, b) and (b, a) are different keys.
         let (a, b) = (Value::from(1), Value::from(2));
         assert_ne!(key_hash([&a, &b]), key_hash([&b, &a]));
+    }
+
+    #[test]
+    fn packed_ints_fold_like_int_values() {
+        for n in [0, 1, -1, 7, i64::MIN, i64::MAX] {
+            let (mut packed, mut value) = (KeyHasher::default(), KeyHasher::default());
+            packed.fold_int(n);
+            value.fold(&Value::Int(n));
+            assert_eq!(packed.finish(), value.finish(), "{n}");
+            // After another value too, as in a two-column key.
+            packed.fold(&Value::str("k"));
+            value.fold(&Value::str("k"));
+            packed.fold_int(n);
+            value.fold(&Value::Int(n));
+            assert_eq!(packed.finish(), value.finish(), "{n}");
+        }
     }
 
     #[test]

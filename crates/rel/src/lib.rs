@@ -25,9 +25,10 @@
 //!   a name-keyed catalog of instances ([`Query::eval_catalog`]), with
 //!   `Input`/`Second` as canonical aliases for the reserved names
 //!   `V`/`W`.
-//! * [`ColumnarInstance`] and [`JoinIndex`] ([`columnar`]) — a
-//!   column-major execution representation with lossless row round-trip
-//!   and vectorized kernels (selection masks, projection, product, the
+//! * [`ColumnarInstance`], [`ColumnBuilder`] and [`JoinIndex`]
+//!   ([`columnar`]) — a column-major execution representation (packed
+//!   `i64` columns where every value is an integer, `Value` columns
+//!   otherwise) with lossless row round-trip and vectorized kernels (selection masks, projection, product, the
 //!   hash-join index); [`Instance::columnar`] caches an instance's columnar
 //!   form, and the join indexes built over it, until it changes. The kernels are *chunk-consistent* —
 //!   evaluating a row range in pieces gives the same rows as evaluating
@@ -64,7 +65,7 @@ pub mod value;
 #[cfg(feature = "strategies")]
 pub mod strategies;
 
-pub use columnar::{ColumnarInstance, JoinIndex};
+pub use columnar::{ColumnBuilder, ColumnarInstance, JoinIndex};
 pub use error::RelError;
 pub use fragment::{Fragment, OpSet, SelectKind};
 pub use idb::IDatabase;

@@ -11,7 +11,8 @@
 //! report the operations they use ([`Query::op_set`]) so completion
 //! theorems can verify fragment claims.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::error::RelError;
@@ -20,6 +21,7 @@ use crate::idb::IDatabase;
 use crate::instance::Instance;
 use crate::pred::Pred;
 use crate::schema::Schema;
+use crate::tuple::Tuple;
 
 /// An unnamed relational-algebra query over one input relation.
 ///
@@ -263,58 +265,72 @@ impl Query {
     /// using [`Query::Second`] (use [`Query::eval2`]) or named relations
     /// (use [`Query::eval_catalog`]).
     pub fn eval(&self, input: &Instance) -> Result<Instance, RelError> {
-        self.eval_impl(&RelCtx::Pair {
+        let ctx = RelCtx::Pair {
             input,
             second: None,
-        })
+        };
+        self.eval_in(&ctx).map(Cow::into_owned)
     }
 
     /// Evaluates in a two-relation context: `V = input`, `W = second`.
     pub fn eval2(&self, input: &Instance, second: &Instance) -> Result<Instance, RelError> {
-        self.eval_impl(&RelCtx::Pair {
+        let ctx = RelCtx::Pair {
             input,
             second: Some(second),
-        })
+        };
+        self.eval_in(&ctx).map(Cow::into_owned)
     }
 
     /// Evaluates against a named catalog of instances; `Input`/`Second`
     /// resolve as the reserved names `V`/`W`, so a catalog with those
     /// keys runs classic queries unchanged.
     pub fn eval_catalog(&self, rels: &BTreeMap<String, Instance>) -> Result<Instance, RelError> {
-        self.eval_impl(&RelCtx::Map(rels))
+        self.eval_in(&RelCtx::Map(rels)).map(Cow::into_owned)
     }
 
-    fn eval_impl(&self, ctx: &RelCtx<'_>) -> Result<Instance, RelError> {
-        match self {
-            Query::Input => Ok(ctx.lookup(Schema::INPUT)?.clone()),
-            Query::Second => Ok(ctx.lookup(Schema::SECOND)?.clone()),
-            Query::Rel(name) => Ok(ctx.lookup(name)?.clone()),
-            Query::Lit(i) => Ok(i.clone()),
-            Query::Project(cols, q) => q.eval_impl(ctx)?.project(cols),
+    /// The row-at-a-time evaluator behind [`Query::eval`],
+    /// [`Query::eval2`] and [`Query::eval_catalog`]: the reference the
+    /// engine's executors are checked against, so it runs on
+    /// [`Instance`]'s own row operations and calls no columnar kernel.
+    /// A leaf is borrowed from `ctx` (a relation literal from the
+    /// query); every operator builds its output.
+    fn eval_in<'a>(&'a self, ctx: &RelCtx<'a>) -> Result<Cow<'a, Instance>, RelError> {
+        Ok(match self {
+            Query::Input => Cow::Borrowed(ctx.lookup(Schema::INPUT)?),
+            Query::Second => Cow::Borrowed(ctx.lookup(Schema::SECOND)?),
+            Query::Rel(name) => Cow::Borrowed(ctx.lookup(name)?),
+            Query::Lit(i) => Cow::Borrowed(i),
+            Query::Project(cols, q) => Cow::Owned(q.eval_in(ctx)?.project(cols)?),
             Query::Select(p, q) => {
-                let inner = q.eval_impl(ctx)?;
+                let inner = q.eval_in(ctx)?;
                 p.validate(inner.arity())?;
-                let mut out = Instance::empty(inner.arity());
-                for t in inner.iter() {
-                    if p.eval(t.values())? {
-                        out.insert(t.clone())?;
-                    }
-                }
-                Ok(out)
+                // The survivors of an ascending scan are ascending, so
+                // the set is built in one pass.
+                let kept = inner
+                    .iter()
+                    .filter_map(|t| match p.eval(t.values()) {
+                        Ok(true) => Some(Ok(t.clone())),
+                        Ok(false) => None,
+                        Err(e) => Some(Err(e)),
+                    })
+                    .collect::<Result<BTreeSet<Tuple>, RelError>>()?;
+                Cow::Owned(Instance::with_tuples(inner.arity(), kept))
             }
-            Query::Product(a, b) => Ok(a.eval_impl(ctx)?.product(&b.eval_impl(ctx)?)),
+            Query::Product(a, b) => Cow::Owned(a.eval_in(ctx)?.product(&*b.eval_in(ctx)?)),
             Query::Join {
                 on,
                 residual,
                 left,
                 right,
-            } => left
-                .eval_impl(ctx)?
-                .equijoin(&right.eval_impl(ctx)?, on, residual.as_ref()),
-            Query::Union(a, b) => a.eval_impl(ctx)?.union(&b.eval_impl(ctx)?),
-            Query::Diff(a, b) => a.eval_impl(ctx)?.difference(&b.eval_impl(ctx)?),
-            Query::Intersect(a, b) => a.eval_impl(ctx)?.intersect(&b.eval_impl(ctx)?),
-        }
+            } => Cow::Owned(left.eval_in(ctx)?.equijoin(
+                &*right.eval_in(ctx)?,
+                on,
+                residual.as_ref(),
+            )?),
+            Query::Union(a, b) => Cow::Owned(a.eval_in(ctx)?.union(&*b.eval_in(ctx)?)?),
+            Query::Diff(a, b) => Cow::Owned(a.eval_in(ctx)?.difference(&*b.eval_in(ctx)?)?),
+            Query::Intersect(a, b) => Cow::Owned(a.eval_in(ctx)?.intersect(&*b.eval_in(ctx)?)?),
+        })
     }
 
     /// Evaluates world-by-world on a finite incomplete database — the
@@ -442,8 +458,8 @@ enum RelCtx<'a> {
     Map(&'a BTreeMap<String, Instance>),
 }
 
-impl RelCtx<'_> {
-    fn lookup(&self, name: &str) -> Result<&Instance, RelError> {
+impl<'a> RelCtx<'a> {
+    fn lookup(&self, name: &str) -> Result<&'a Instance, RelError> {
         let found = match self {
             RelCtx::Pair { input, .. } if name == Schema::INPUT => Some(*input),
             RelCtx::Pair { second, .. } if name == Schema::SECOND => *second,
@@ -520,6 +536,45 @@ mod tests {
         assert_eq!(Query::rel("R").size(), 1);
         assert_eq!(Query::rel("R").depth(), 1);
         assert_eq!(Query::rel("R").op_set(), OpSet::default());
+    }
+
+    #[test]
+    fn leaves_borrow_the_catalog_relation() {
+        let rels: BTreeMap<String, Instance> = [
+            ("V".to_string(), instance![[1, 2], [3, 4]]),
+            ("S".to_string(), instance![[5]]),
+        ]
+        .into();
+        let lit = Query::Lit(instance![[6]]);
+        let map = RelCtx::Map(&rels);
+        let pair = RelCtx::Pair {
+            input: &rels["V"],
+            second: Some(&rels["S"]),
+        };
+        let cases: [(&Query, &RelCtx<'_>, &Instance); 5] = [
+            (&Query::Input, &map, &rels["V"]),
+            (&Query::Rel("S".into()), &map, &rels["S"]),
+            (&Query::Input, &pair, &rels["V"]),
+            (&Query::Second, &pair, &rels["S"]),
+            (
+                &lit,
+                &map,
+                match &lit {
+                    Query::Lit(i) => i,
+                    _ => unreachable!(),
+                },
+            ),
+        ];
+        for (q, ctx, expected) in cases {
+            match q.eval_in(ctx).unwrap() {
+                Cow::Borrowed(got) => assert!(std::ptr::eq(got, expected), "{q}"),
+                Cow::Owned(_) => panic!("{q} copied its relation"),
+            }
+        }
+        // Operators build their output, from the borrowed leaf.
+        let sel = Query::select(Query::Input, Pred::neq_const(1, 4));
+        assert!(matches!(sel.eval_in(&map).unwrap(), Cow::Owned(_)));
+        assert_eq!(sel.eval_catalog(&rels).unwrap(), instance![[1, 2]]);
     }
 
     #[test]

@@ -37,7 +37,8 @@ use std::collections::BTreeMap;
 use ipdb_logic::Condition;
 use ipdb_logic::Term;
 use ipdb_rel::{
-    CmpOp, ColumnarInstance, JoinIndex, NoTrace, Operand, Pred, Query, RelError, Schema, TraceSink,
+    CmpOp, ColumnBuilder, ColumnarInstance, JoinIndex, NoTrace, Operand, Pred, Query, RelError,
+    Schema, TraceSink,
 };
 
 use crate::ctable::{CRow, CTable};
@@ -113,29 +114,36 @@ pub fn tuples_neq(t: &[Term], s: &[Term]) -> Condition {
 /// the one ground/variable split `σ̄` (on the columns its predicate
 /// reads) and `⋈̄` (on each side's key columns) share.
 /// Returns the ground rows' `cols` values as a batch (column `k` holds
-/// entry `cols[k]`, one row per ground row in row order), the indexes of
-/// those rows, and the indexes of the rest. With no `cols`, every row is
-/// ground.
-fn ground_keys(
-    t: &CTable,
-    cols: &[usize],
-) -> Result<(ColumnarInstance, Vec<usize>, Vec<usize>), RelError> {
-    let mut columns: Vec<Vec<_>> = cols.iter().map(|_| Vec::with_capacity(t.len())).collect();
-    let (mut ground, mut var) = (Vec::with_capacity(t.len()), Vec::new());
+/// entry `cols[k]`, one row per ground row in row order), pushed
+/// straight into column builders, so a column of integers is packed;
+/// and the ascending indexes of the other rows. With no `cols`, every
+/// row is ground.
+fn ground_keys(t: &CTable, cols: &[usize]) -> Result<(ColumnarInstance, Vec<usize>), RelError> {
+    let mut columns: Vec<ColumnBuilder> = cols
+        .iter()
+        .map(|_| ColumnBuilder::with_capacity(t.len()))
+        .collect();
+    let mut var = Vec::new();
     for (r, row) in t.rows().iter().enumerate() {
         if cols.iter().all(|&c| row.tuple[c].is_ground()) {
             for (col, &c) in columns.iter_mut().zip(cols) {
                 if let Term::Const(v) = &row.tuple[c] {
-                    col.push(v.clone());
+                    col.push(v);
                 }
             }
-            ground.push(r);
         } else {
             var.push(r);
         }
     }
-    let batch = ColumnarInstance::from_columns(columns, ground.len())?;
-    Ok((batch, ground, var))
+    let batch = ColumnarInstance::from_builders(columns, t.len() - var.len())?;
+    Ok((batch, var))
+}
+
+/// The rows of `0..n` that the ascending `var` does not list: the
+/// ground rows of a [`ground_keys`] split, in row order.
+fn ground_rows(n: usize, var: &[usize]) -> Vec<usize> {
+    let mut var = var.iter().peekable();
+    (0..n).filter(|r| var.next_if_eq(&r).is_none()).collect()
 }
 
 impl CTable {
@@ -189,23 +197,30 @@ impl CTable {
     pub fn select_bar(&self, pred: &Pred) -> Result<CTable, TableError> {
         pred.validate(self.arity()).map_err(TableError::Rel)?;
         let cols: Vec<usize> = pred.referenced_cols().into_iter().collect();
-        let (batch, ground, _) = ground_keys(self, &cols)?;
+        let (batch, var) = ground_keys(self, &cols)?;
         // Compact the predicate onto the gathered columns. `cols` is
         // sorted (BTreeSet order) and lists every column `pred` reads, so
         // the number of listed columns below `c` is `c`'s position.
         let compact = pred.map_cols(|c| cols.partition_point(|&k| k < c));
         let mask = batch.eval_mask(&compact)?;
-        let mut ground = ground.into_iter().zip(mask).peekable();
-        let mut rows = Vec::new();
-        for (r, row) in self.rows().iter().enumerate() {
-            let cond = match ground.next_if(|&(g, _)| g == r) {
-                Some((_, false)) => continue,
-                Some((_, true)) => row.cond.clone(),
-                None => Condition::and([row.cond.clone(), pred_on_terms(pred, &row.tuple)?]),
+        let (mut mask, mut rows, mut start) = (mask.into_iter(), Vec::new(), 0);
+        for v in var.into_iter().chain([self.len()]) {
+            // The ground rows before variable row `v` (or the end), one
+            // mask bit each.
+            let ground = self.rows()[start..v].iter().zip(&mut mask);
+            rows.extend(
+                ground
+                    .filter(|(row, keep)| *keep && row.cond != Condition::False)
+                    .map(|(row, _)| row.clone()),
+            );
+            let Some(row) = self.rows().get(v) else {
+                break;
             };
+            let cond = Condition::and([row.cond.clone(), pred_on_terms(pred, &row.tuple)?]);
             if cond != Condition::False {
                 rows.push(CRow::new(row.tuple.iter().cloned(), cond));
             }
+            start = v + 1;
         }
         CTable::with_domains(self.arity(), rows, self.domains().clone())
     }
@@ -290,8 +305,12 @@ impl CTable {
         };
 
         let (left_cols, right_cols): (Vec<usize>, Vec<usize>) = keys.iter().copied().unzip();
-        let (left_keys, left_ground, _) = ground_keys(self, &left_cols)?;
-        let (right_keys, right_ground, right_var) = ground_keys(other, &right_cols)?;
+        let (left_keys, left_var) = ground_keys(self, &left_cols)?;
+        let (right_keys, right_var) = ground_keys(other, &right_cols)?;
+        let (left_ground, right_ground) = (
+            ground_rows(self.len(), &left_var),
+            ground_rows(other.len(), &right_var),
+        );
         // Ground × ground: one probe of the left key batch, matches in
         // left-row-major order with right rows ascending.
         let key_cols: Vec<usize> = (0..keys.len()).collect();
